@@ -21,12 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import PCachError
+from .errors import PCachError, UndefinedRateError
 from .evaluation import (
     PAPER_K_SET,
     app_prediction_run,
     backtest,
+    macro_average,
     quality_gap,
+    sweep_points,
 )
 from .mining import (
     DEFAULT_HORIZONS_MIN,
@@ -50,9 +52,12 @@ from .trace import (
 
 def _worker_count() -> int:
     env = os.environ.get("PCACH_THREADS", "").strip()
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise PCachError(f"PCACH_THREADS must be an integer, got {env!r}") from None
 
 
 def _parallel_map(fn, items):
@@ -301,14 +306,7 @@ def _backtest_one(job):
         k=k, s_apps=tuple(s_apps), slot_minutes=slot_minutes,
         predictor_kind=PredictorKind(kind), adaboost_rounds=rounds,
     )
-    report = backtest(trace, config, split=split, seed=seed,
-                      utc_offset_s=utc_offset_s)
-    out = report.to_dict()
-    out["_models"] = {
-        "cut": report.cut_model_json,
-        "resume": report.resume_model_json,
-    }
-    return out
+    return backtest(trace, config, split=split, seed=seed, utc_offset_s=utc_offset_s)
 
 
 def cmd_backtest(args) -> int:
@@ -319,33 +317,26 @@ def cmd_backtest(args) -> int:
              args.split, args.seed if args.seed is not None else 0,
              args.local_utc_offset, s_apps)
             for p in _trace_paths(args.traces)]
-    reports = sorted(_parallel_map(_backtest_one, jobs), key=lambda r: r["phone_id"])
+    reports = sorted(_parallel_map(_backtest_one, jobs), key=lambda r: r.phone_id)
 
     outputs = []
     if args.predictor == "adaboost":
         model_dir = out_dir / "models"
         model_dir.mkdir(exist_ok=True)
         for r in reports:
-            for kind in ("cut", "resume"):
-                blob = r["_models"][kind]
+            for kind, blob in (("cut", r.cut_model_json), ("resume", r.resume_model_json)):
                 if blob:
-                    name = f"models/{r['phone_id']}.{kind}.json"
+                    name = f"models/{r.phone_id}.{kind}.json"
                     (out_dir / name).write_text(blob + "\n")
                     outputs.append(name)
-    for r in reports:
-        r.pop("_models")
 
     def macro(which):
-        rates = []
-        for r in reports:
-            c = r[which]
-            if c["tpr"] is not None:
-                rates.append((c["tpr"], c["fpr"]))
-        if not rates:
+        try:
+            point = macro_average(reports, which)
+        except UndefinedRateError:
             return None
-        tpr = float(np.mean([t for t, _ in rates]))
-        fpr = float(np.mean([f for _, f in rates]))
-        return {"tpr": tpr, "fpr": fpr, "quality_gap": quality_gap(tpr, fpr)}
+        return {"tpr": point.tpr, "fpr": point.fpr,
+                "quality_gap": quality_gap(point.tpr, point.fpr)}
 
     summary = {
         "predictor": args.predictor,
@@ -355,7 +346,7 @@ def cmd_backtest(args) -> int:
         "macro_resume": macro("resume"),
         "macro_apps": macro("apps"),
     }
-    _write_json(out_dir / "reports.json", reports)
+    _write_json(out_dir / "reports.json", [r.to_dict() for r in reports])
     _write_json(out_dir / "summary.json", summary)
     outputs += ["reports.json", "summary.json"]
     _write_manifest(out_dir, "backtest", {
@@ -377,13 +368,9 @@ def cmd_backtest(args) -> int:
 def _sweep_one(job):
     path, s_apps, ks, slot_minutes, train_days, utc_offset_s = job
     trace = read_trace(Path(path))
-    run = app_prediction_run(trace, tuple(s_apps), ks, slot_minutes=slot_minutes,
-                             train_days=train_days, utc_offset_s=utc_offset_s)
-    out = {"phone_id": trace.phone_id, "scored": run.scored_gaps,
-           "skipped": run.skipped_gaps, "counts": {}}
-    for k, c in run.counts_by_k.items():
-        out["counts"][str(k)] = c.to_dict()
-    return out
+    return trace.phone_id, app_prediction_run(
+        trace, tuple(s_apps), ks, slot_minutes=slot_minutes,
+        train_days=train_days, utc_offset_s=utc_offset_s)
 
 
 def cmd_sweep_k(args) -> int:
@@ -397,33 +384,22 @@ def cmd_sweep_k(args) -> int:
         raise PCachError(f"no feasible K values in {ks} for {len(s_apps)} apps")
     jobs = [(str(p), s_apps, feasible, args.slot_minutes, args.train_days,
              args.local_utc_offset) for p in _trace_paths(args.traces)]
-    results = sorted(_parallel_map(_sweep_one, jobs), key=lambda r: r["phone_id"])
-
-    rows = []
-    for k in feasible:
-        rates = []
-        for r in results:
-            c = r["counts"][str(k)]
-            if c["tp"] + c["fn"] > 0 and c["fp"] + c["tn"] > 0:
-                rates.append((c["tp"] / (c["tp"] + c["fn"]),
-                              c["fp"] / (c["fp"] + c["tn"])))
-        if not rates:
-            continue
-        tpr = float(np.mean([t for t, _ in rates]))
-        fpr = float(np.mean([f for _, f in rates]))
-        rows.append([k, f"{tpr:.6f}", f"{fpr:.6f}",
-                     f"{quality_gap(tpr, fpr):.6f}", len(rates)])
+    # sorted by phone id, so the per-K means sum in a fixed order
+    runs = [run for _, run in sorted(_parallel_map(_sweep_one, jobs),
+                                     key=lambda r: r[0])]
+    rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
+             f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]
     _write_csv(out_dir / "sweep_k.csv",
                ["k", "mean_tpr", "mean_fpr", "quality_gap", "phones"], rows)
     best = min(rows, key=lambda row: float(row[3])) if rows else None
     _write_json(out_dir / "summary.json", {
-        "phones": len(results),
+        "phones": len(runs),
         "ks": feasible,
         "infeasible_ks": skipped_ks,
         "best_k": int(best[0]) if best else None,
         "best_quality_gap": float(best[3]) if best else None,
-        "scored_gaps": sum(r["scored"] for r in results),
-        "skipped_gaps": sum(r["skipped"] for r in results),
+        "scored_gaps": sum(r.scored_gaps for r in runs),
+        "skipped_gaps": sum(r.skipped_gaps for r in runs),
     })
     _write_manifest(out_dir, "sweep-k", {
         "traces": args.traces,
@@ -434,7 +410,7 @@ def cmd_sweep_k(args) -> int:
         "local_utc_offset": args.local_utc_offset,
         "s_apps_file": args.s_apps,
     }, ["sweep_k.csv", "summary.json"])
-    print(f"sweep-k: {len(rows)} K values over {len(results)} phones -> {out_dir}")
+    print(f"sweep-k: {len(rows)} K values over {len(runs)} phones -> {out_dir}")
     return 0
 
 
@@ -442,10 +418,8 @@ def cmd_sweep_k(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, list):
-        return text
-    return [int(x) for x in str(text).split(",") if x.strip()]
+def _parse_int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def _add_common(p):

@@ -36,12 +36,12 @@ from .history import (
 from .pipeline import PCachConfig, Predictor, PredictorKind, make_predictor
 from .synth import stream_rng
 from .trace import (
-    ActiveNetwork,
     Trace,
     WiFiGap,
     derive_preferred_profile,
     detect_gaps,
     normalize_timeline,
+    samples_in_window,
 )
 
 DEFAULT_TRAIN_DAYS = 7.0
@@ -69,6 +69,18 @@ class ConfusionCounts:
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+
+    @classmethod
+    def tally(cls, predicted, actual) -> "ConfusionCounts":
+        """Counts of paired boolean predictions and truths."""
+        pred = np.asarray(predicted, dtype=bool)
+        pos = np.asarray(actual, dtype=bool)
+        return cls(
+            tp=int(np.sum(pred & pos)),
+            fp=int(np.sum(pred & ~pos)),
+            fn=int(np.sum(~pred & pos)),
+            tn=int(np.sum(~pred & ~pos)),
+        )
 
 
 @dataclass(frozen=True)
@@ -144,21 +156,21 @@ def _group_by_slot(samples, slot_s: int, utc_offset_s: int):
 
 
 def _gap_used_apps(norm: Trace, gap: WiFiGap, universe: set[str]) -> frozenset[str]:
-    """Pre-cachable apps that moved bytes on cellular during the gap."""
-    ts = norm.timestamps()
-    used = set()
-    i = bisect_left(ts, gap.cut_time)
-    while i < len(norm.samples):
-        s = norm.samples[i]
-        if s.active_network is not ActiveNetwork.CELLULAR:
-            break
-        if gap.resume_time is not None and s.timestamp >= gap.resume_time:
-            break
-        for rec in s.apps:
-            if rec.total_bytes > 0 and rec.app_id in universe:
-                used.add(rec.app_id)
-        i += 1
-    return frozenset(used)
+    """Pre-cachable apps that moved bytes during a closed gap.
+
+    Every sample in [cut, resume) of a closed gap is cellular: a WiFi sample
+    would have resumed the gap and an off-network one would have left it
+    open. An open gap has no ground-truth window and yields the empty set,
+    so callers skip it like a gap in which no pre-cachable app was used.
+    """
+    if gap.resume_time is None:
+        return frozenset()
+    return frozenset(
+        rec.app_id
+        for s in samples_in_window(norm, gap.cut_time, gap.resume_time)
+        for rec in s.apps
+        if rec.total_bytes > 0 and rec.app_id in universe
+    )
 
 
 @dataclass
@@ -221,7 +233,7 @@ def app_prediction_run(
     boundary = trace.start_time + int(train_days * 86400)
     train_samples = [s for s in trace.samples if s.timestamp < boundary]
     if not train_samples or boundary >= trace.end_time:
-        raise DataError("trace too short for the training prefix")
+        raise DataError(f"trace {trace.phone_id!r}: too short for the training prefix")
 
     profile = derive_preferred_profile(
         Trace(trace.phone_id, tuple(train_samples), trace.nominal_period_s))
@@ -238,18 +250,15 @@ def app_prediction_run(
     for slot, slot_samples in groups:
         gap = truth.gap_by_cut_slot.get(slot)
         if gap is not None and gap.cut_time >= boundary:
-            if gap.resume_time is None:
+            used = _gap_used_apps(norm, gap, universe)
+            if not used:
                 skipped += 1
             else:
-                used = _gap_used_apps(norm, gap, universe)
-                if not used:
-                    skipped += 1
-                else:
-                    last_slot = (gap.resume_time + utc_offset_s) // slot_s
-                    for k in ks:
-                        predicted = predict_top_k_apps(db, s_apps, k, slot, last_slot)
-                        counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
-                    scored += 1
+                last_slot = (gap.resume_time + utc_offset_s) // slot_s
+                for k in ks:
+                    predicted = predict_top_k_apps(db, s_apps, k, slot, last_slot)
+                    counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
+                scored += 1
         update_history(db, slot_samples)
     return AppPredictionRun(counts_by_k=counts, scored_gaps=scored,
                             skipped_gaps=skipped)
@@ -273,27 +282,33 @@ def k_sweep(
 ) -> list[KSweepPoint]:
     """Macro-averaged (TPR, FPR) and quality gap per K over a corpus.
 
-    Rates are computed per phone and averaged across phones; the quality gap
-    is measured at the averaged point. Phones whose rates are undefined for
-    a K are skipped for that K.
+    See :func:`sweep_points` for the aggregation.
     """
-    per_k: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
-    n_traces = 0
-    for trace in traces:
-        n_traces += 1
-        run = app_prediction_run(trace, s_apps, ks, slot_minutes=slot_minutes,
-                                 train_days=train_days, utc_offset_s=utc_offset_s)
-        for k, counts in run.counts_by_k.items():
+    return sweep_points([
+        app_prediction_run(trace, s_apps, ks, slot_minutes=slot_minutes,
+                           train_days=train_days, utc_offset_s=utc_offset_s)
+        for trace in traces
+    ])
+
+
+def sweep_points(runs: Sequence[AppPredictionRun]) -> list[KSweepPoint]:
+    """Macro-averaged (TPR, FPR) and quality gap per K over per-phone runs.
+
+    The runs share one K set. Rates are computed per phone and averaged
+    across phones in the order given; the quality gap is measured at the
+    averaged point. Phones whose rates are undefined for a K are skipped for
+    that K. Points come out in ascending K.
+    """
+    if not runs:
+        raise DataError("empty corpus")
+    points = []
+    for k in sorted(runs[0].counts_by_k):
+        rates = []
+        for run in runs:
             try:
-                per_k[k].append(tpr_fpr(counts))
+                rates.append(tpr_fpr(run.counts_by_k[k]))
             except UndefinedRateError:
                 continue
-    if n_traces == 0:
-        raise DataError("empty corpus")
-
-    points = []
-    for k in sorted(per_k):
-        rates = per_k[k]
         if not rates:
             continue
         tpr = float(np.mean([r[0] for r in rates]))
@@ -394,7 +409,8 @@ def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> i
     else:
         idx = n // 2
     if idx <= 0 or idx >= n:
-        raise DataError("split leaves an empty train or test period")
+        raise DataError(
+            f"trace {trace.phone_id!r}: split leaves an empty train or test period")
     return idx
 
 
@@ -406,12 +422,7 @@ def _train_feature_pass(norm_train, db: HistoryDB, slot_s, utc_offset_s,
     classifier trains on the probability estimates it will actually see;
     nothing from the test period is touched.
     """
-    view = HistoryDB(db.slot_minutes, tracked_apps=(), profile=db.profile,
-                     utc_offset_s=utc_offset_s)
-    view.cut_hist = db.cut_hist
-    view.resume_hist = db.resume_hist
-    view.slot_observations = db.slot_observations
-
+    view = db.feature_view()
     rows_cut, y_cut, rows_res, y_res, target_slots = [], [], [], [], []
     for slot, slot_samples in _group_by_slot(norm_train, slot_s, utc_offset_s):
         view.recent_samples.extend(slot_samples)
@@ -433,20 +444,9 @@ def _train_feature_pass(norm_train, db: HistoryDB, slot_s, utc_offset_s,
 def _history_reference(db: HistoryDB, target_slots, kind: EventKind,
                        truth_slots: set[int], n_draws, delta, rng) -> ConfusionCounts:
     """Train-period confusion of the history rule on the frozen histograms."""
-    tp = fp = fn = tn = 0
-    for target in target_slots:
-        p = db.event_probability(target, kind)
-        fired = history_predict_event(p, n_draws, delta, rng)
-        positive = target in truth_slots
-        if fired and positive:
-            tp += 1
-        elif fired:
-            fp += 1
-        elif positive:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    fired = [history_predict_event(db.event_probability(target, kind), n_draws, delta, rng)
+             for target in target_slots]
+    return ConfusionCounts.tally(fired, [target in truth_slots for target in target_slots])
 
 
 def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[float]:
@@ -458,17 +458,6 @@ def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[flo
     lo = float(uniq[0]) - 1.0
     hi = float(uniq[-1]) + 1.0
     return [lo] + [float(m) for m in mids] + [0.0, hi]
-
-
-def _margin_counts(margins: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
-    pred = margins > threshold
-    pos = labels > 0
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-        tn=int(np.sum(~pred & ~pos)),
-    )
 
 
 RECALL_MARGIN = 0.05
@@ -489,7 +478,7 @@ def _select_threshold(margins, labels, reference: ConfusionCounts) -> float:
     best = None      # (fpr, -tpr, threshold)
     fallback = None  # (-tpr, fpr, threshold)
     for theta in _threshold_candidates(margins):
-        counts = _margin_counts(margins, labels, theta)
+        counts = ConfusionCounts.tally(margins > theta, labels > 0)
         try:
             tpr, fpr = tpr_fpr(counts)
         except UndefinedRateError:
@@ -521,7 +510,7 @@ def backtest(
     """
     slot_s = config.slot_minutes * 60
     if trace.end_time - trace.start_time < 2 * 86400:
-        raise DataError("trace shorter than two days")
+        raise DataError(f"trace {trace.phone_id!r}: shorter than two days")
     idx = _split_index(trace, config, split)
 
     train_slice = Trace(trace.phone_id, trace.samples[:idx], trace.nominal_period_s)
@@ -578,15 +567,12 @@ def backtest(
 
     rng_test = stream_rng(seed, trace.phone_id, 0, "test-replay")
 
-    cut_counts = ConfusionCounts()
-    resume_counts = ConfusionCounts()
+    cut_preds, cut_truths, resume_preds, resume_truths = [], [], [], []
     app_counts = ConfusionCounts()
     scored = skipped = 0
     predicted_cut_slots = 0
     resume_eval = resume_hits = 0
     test_margins_cut = []
-    test_labels_cut = []
-    n_pred_slots = 0
 
     groups = _group_by_slot(norm_test, slot_s, utc_offset_s)
     for slot, slot_samples in groups:
@@ -595,24 +581,21 @@ def backtest(
         if target > last_test_slot:
             continue
         now = db.last_timestamp
-        n_pred_slots += 1
 
         cut_truth = target in truth.cut_slots
-        resume_truth = target in truth.resume_slots
         cut_pred = predictor.predict_cut(db, target, now, rng_test)
-        resume_pred = _slot_resume_pred(predictor, db, target, now, rng_test)
+        # override stubs need not implement resume_fires; they score as
+        # never predicting a resume
+        resume_pred = (predictor_override is None
+                       and predictor.resume_fires(db, target, now, rng_test))
+        cut_preds.append(cut_pred)
+        cut_truths.append(cut_truth)
+        resume_preds.append(resume_pred)
+        resume_truths.append(target in truth.resume_slots)
         if cut_model is not None:
             fv = extract_features(db, target, now, EventKind.CUT)
             test_margins_cut.append(float(cut_model.decision_margins(
                 fv.as_array()[None, :])[0]))
-            test_labels_cut.append(1 if cut_truth else -1)
-
-        cut_counts = cut_counts + ConfusionCounts(
-            tp=int(cut_pred and cut_truth), fp=int(cut_pred and not cut_truth),
-            fn=int(cut_truth and not cut_pred), tn=int(not cut_pred and not cut_truth))
-        resume_counts = resume_counts + ConfusionCounts(
-            tp=int(resume_pred and resume_truth), fp=int(resume_pred and not resume_truth),
-            fn=int(resume_truth and not resume_pred), tn=int(not resume_pred and not resume_truth))
 
         if not cut_pred:
             continue
@@ -624,9 +607,6 @@ def backtest(
         gap = truth.gap_by_cut_slot.get(target) if cut_truth else None
         if gap is None:
             continue
-        if gap.resume_time is None:
-            skipped += 1  # open gap: the ground-truth window never closed
-            continue
         used = _gap_used_apps(norm, gap, universe)
         if not used:
             skipped += 1
@@ -634,6 +614,8 @@ def backtest(
             app_counts = app_counts + score_app_prediction(predicted_apps, used,
                                                            config.s_apps)
             scored += 1
+        if gap.resume_time is None:
+            continue  # open gap: the ground-truth window never closed
         resume_eval += 1
         true_resume_slot = (gap.resume_time + utc_offset_s) // slot_s
         if abs(rslt - true_resume_slot) <= 1:
@@ -642,12 +624,11 @@ def backtest(
     panel = ()
     if cut_model is not None and cut_margins_train is not None:
         tm = np.array(test_margins_cut)
-        tl = np.array(test_labels_cut)
         panel = tuple(
             ThresholdPoint(
                 threshold=theta,
-                train=_margin_counts(cut_margins_train, cut_labels_train, theta),
-                test=_margin_counts(tm, tl, theta) if tm.size else ConfusionCounts(),
+                train=ConfusionCounts.tally(cut_margins_train > theta, cut_labels_train > 0),
+                test=ConfusionCounts.tally(tm > theta, cut_truths),
             )
             for theta in _threshold_candidates(cut_margins_train)
         )
@@ -662,10 +643,10 @@ def backtest(
         k=config.k,
         slot_minutes=config.slot_minutes,
         split_index=idx,
-        train_slots=len(_group_by_slot(norm_train, slot_s, utc_offset_s)),
-        test_slots=n_pred_slots,
-        cut=cut_counts,
-        resume=resume_counts,
+        train_slots=len({(s.timestamp + utc_offset_s) // slot_s for s in norm_train}),
+        test_slots=len(cut_preds),
+        cut=ConfusionCounts.tally(cut_preds, cut_truths),
+        resume=ConfusionCounts.tally(resume_preds, resume_truths),
         apps=app_counts,
         scored_gaps=scored,
         skipped_gaps=skipped,
@@ -680,22 +661,6 @@ def backtest(
         selected_resume_threshold=sel_res_thr,
         cut_panel=panel,
     )
-
-
-def _slot_resume_pred(predictor, db, target, now, rng) -> bool:
-    """Standalone next-slot resume prediction for slot-level scoring."""
-    if hasattr(predictor, "resume_model") and predictor.resume_model is not None:
-        from .boosting import adaboost_predict
-
-        fv = extract_features(db, target, now, EventKind.RESUME)
-        label, _ = adaboost_predict(predictor.resume_model, fv)
-        return label > 0
-    if hasattr(predictor, "n_draws"):
-        p = db.event_probability(target, EventKind.RESUME)
-        return history_predict_event(p, predictor.n_draws, predictor.delta, rng)
-    # stub predictors: reuse the cut interface on resume semantics is
-    # meaningless, so report no prediction
-    return False
 
 
 def macro_average(reports: Sequence[BacktestReport], which: str = "cut") -> RocPoint:

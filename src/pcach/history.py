@@ -38,7 +38,7 @@ from .trace import (
 )
 
 DEFAULT_SLOT_MINUTES = 15
-DEFAULT_RECENT_WINDOW = 16
+RECENT_WINDOW = 16
 NIGHT_WINDOW = (20, 8)
 DAY_WINDOW = (8, 20)
 
@@ -68,7 +68,6 @@ class HistoryDB:
         tracked_apps: Sequence[str] = (),
         profile: Optional[PreferredNetworkProfile] = None,
         utc_offset_s: int = 0,
-        recent_window: int = DEFAULT_RECENT_WINDOW,
     ):
         self.slot_minutes = slot_minutes
         self.n_slots = slots_per_day(slot_minutes)
@@ -81,7 +80,7 @@ class HistoryDB:
         self.cut_hist = np.zeros(self.n_slots, dtype=np.int64)
         self.resume_hist = np.zeros(self.n_slots, dtype=np.int64)
         self.slot_observations = np.zeros(self.n_slots, dtype=np.int64)
-        self.recent_samples: deque[MeasurementSample] = deque(maxlen=recent_window)
+        self.recent_samples: deque[MeasurementSample] = deque(maxlen=RECENT_WINDOW)
         self._last_timestamp: Optional[int] = None
         self._prev_sample: Optional[MeasurementSample] = None
         # dedup state for the (day, slot) currently being filled
@@ -110,6 +109,20 @@ class HistoryDB:
     @property
     def last_timestamp(self) -> Optional[int]:
         return self._last_timestamp
+
+    def feature_view(self) -> "HistoryDB":
+        """A database sharing this one's event histograms, observation counts
+        and profile, with no tracked apps and an empty recent window.
+
+        Feature extraction over the view reads the histograms as they stand
+        now while the caller feeds the recent window, without updating them.
+        """
+        view = HistoryDB(self.slot_minutes, profile=self.profile,
+                         utc_offset_s=self.utc_offset_s)
+        view.cut_hist = self.cut_hist
+        view.resume_hist = self.resume_hist
+        view.slot_observations = self.slot_observations
+        return view
 
     # -- serialization -----------------------------------------------------
 

@@ -67,10 +67,17 @@ class PCachConfig:
 
 class Predictor(Protocol):
     """Cut/resume predictor driving the pipeline; implementations must not
-    read anything beyond the history database handed to them."""
+    read anything beyond the history database handed to them.
+
+    ``resume_fires`` is the resume decision for one slot; ``predict_resume``
+    returns the slot WiFi is predicted to resume in.
+    """
 
     def predict_cut(self, db: HistoryDB, target_slot: int, now: int,
                     rng: np.random.Generator) -> bool: ...
+
+    def resume_fires(self, db: HistoryDB, slot: int, now: int,
+                     rng: np.random.Generator) -> bool: ...
 
     def predict_resume(self, db: HistoryDB, current_slot: int, now: int,
                        rng: np.random.Generator) -> int: ...
@@ -89,6 +96,10 @@ class HistoryPredictor:
 
     def predict_cut(self, db, target_slot, now, rng):
         p = db.event_probability(target_slot, EventKind.CUT)
+        return history_predict_event(p, self.n_draws, self.delta, rng)
+
+    def resume_fires(self, db, slot, now, rng):
+        p = db.event_probability(slot, EventKind.RESUME)
         return history_predict_event(p, self.n_draws, self.delta, rng)
 
     def predict_resume(self, db, current_slot, now, rng):
@@ -123,11 +134,14 @@ class AdaBoostPredictor:
         label, _ = adaboost_predict(self.cut_model, fv)
         return label > 0
 
+    def resume_fires(self, db, slot, now, rng):
+        fv = extract_features(db, slot, now, EventKind.RESUME)
+        label, _ = adaboost_predict(self.resume_model, fv)
+        return label > 0
+
     def predict_resume(self, db, current_slot, now, rng):
         for s in range(current_slot + 1, current_slot + 1 + self.max_lookahead):
-            fv = extract_features(db, s, now, EventKind.RESUME)
-            label, _ = adaboost_predict(self.resume_model, fv)
-            if label > 0:
+            if self.resume_fires(db, s, now, rng):
                 return s
         return current_slot + 1 + self.default_gap_slots
 

@@ -617,7 +617,6 @@ def closed_gaps(gaps: Iterable[WiFiGap]) -> list[WiFiGap]:
 
 def samples_in_window(trace: Trace, start: int, end: int) -> Sequence[MeasurementSample]:
     """Samples with start <= timestamp < end (binary search on timestamps)."""
-    ts = trace.timestamps()
-    lo = bisect_left(ts, start)
-    hi = bisect_left(ts, end)
+    lo = bisect_left(trace.samples, start, key=lambda s: s.timestamp)
+    hi = bisect_left(trace.samples, end, lo, key=lambda s: s.timestamp)
     return trace.samples[lo:hi]

@@ -5,6 +5,7 @@ The oracles here deliberately re-derive results with naive algorithms
 library's implementation paths.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -130,3 +131,11 @@ def cli_env(**extra):
     root = os.path.dirname(os.path.dirname(os.path.abspath(pcach.__file__)))
     kept = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join([root, *kept]), **extra)
+
+
+def tree_digest(root):
+    """sha256 of every file under a directory, keyed by its relative path."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }

@@ -7,11 +7,9 @@ independent oracles.
 """
 
 import dataclasses
-import hashlib
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +39,17 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import C, W, app, brute_force_gaps, cli_env, random_trace, sample, seeded_rng
+from helpers import (
+    C,
+    W,
+    app,
+    brute_force_gaps,
+    cli_env,
+    random_trace,
+    sample,
+    seeded_rng,
+    tree_digest,
+)
 
 CORPUS_SEED = 20260808
 CORPUS_PHONES = 100
@@ -378,13 +386,6 @@ def _run_cli(args, cwd):
                           cwd=cwd, env=cli_env(), capture_output=True, text=True)
 
 
-def _tree_digest(root: Path) -> dict:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
-
-
 def test_criterion_9_end_to_end_determinism(tmp_path):
     digests = []
     for name in ("run1", "run2"):
@@ -403,7 +404,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         ):
             res = _run_cli(args, cwd=root)
             assert res.returncode == 0, res.stderr
-        digests.append(_tree_digest(root))
+        digests.append(tree_digest(root))
     ok = digests[0] == digests[1] and len(digests[0]) > 10
     emit(9, ok, f"two full pipeline runs produced {len(digests[0])} "
                 "byte-identical files")

@@ -1,18 +1,20 @@
 import csv
-import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import pcach
 from pcach.cli import main
+from pcach.errors import UndefinedRateError
+from pcach.evaluation import backtest, k_sweep, macro_average, quality_gap
 from pcach.mining import horizon_sweep, traffic_split
+from pcach.pipeline import PCachConfig
+from pcach.synth import reference_config
 from pcach.trace import derive_preferred_profile, detect_gaps, normalize_timeline, read_trace
 
-from helpers import cli_env
+from helpers import cli_env, tree_digest
 
 
 def run_cli(args, cwd):
@@ -29,14 +31,6 @@ def test_child_imports_the_package_under_test(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == pcach.__file__
-
-
-def tree_digest(root: Path) -> dict:
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +154,36 @@ def test_backtest_history_reports(corpus):
     assert summary["macro_cut"]["tpr"] is not None
 
 
+def test_backtest_summary_equals_library_macro_average(corpus):
+    res = run_cli(["backtest", "--traces", "traces", "--predictor", "history",
+                   "--k", "6", "--seed", "4", "--out", "bt-macro"], cwd=corpus)
+    assert res.returncode == 0, res.stderr
+    summary = json.loads((corpus / "bt-macro" / "summary.json").read_text())
+    config = PCachConfig(k=6, s_apps=reference_config().pcachable_apps)
+    reports = [backtest(read_trace(p), config, seed=4)
+               for p in sorted((corpus / "traces").glob("*.jsonl"))]
+    for which in ("cut", "resume", "apps"):
+        try:
+            point = macro_average(reports, which)
+        except UndefinedRateError:
+            assert summary[f"macro_{which}"] is None
+            continue
+        assert summary[f"macro_{which}"] == {
+            "tpr": point.tpr, "fpr": point.fpr,
+            "quality_gap": quality_gap(point.tpr, point.fpr)}
+
+
+def test_backtest_short_trace_error_names_the_phone(tmp_path):
+    res = run_cli(["generate", "--phones", "1", "--days", "1", "--seed", "0",
+                   "--out", "short"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli(["backtest", "--traces", "short", "--predictor", "history",
+                   "--out", "bt"], cwd=tmp_path)
+    assert res.returncode == 2
+    assert "phone-000" in res.stderr
+    assert "shorter than two days" in res.stderr
+
+
 def test_backtest_adaboost_writes_model_files(corpus):
     res = run_cli(["backtest", "--traces", "traces", "--predictor", "adaboost",
                    "--rounds", "25", "--k", "7", "--out", "bt-ada"], cwd=corpus)
@@ -182,6 +206,37 @@ def test_sweep_k_rows_monotone_tpr(corpus):
     assert all(a <= b + 1e-9 for a, b in zip(tprs, tprs[1:]))
     summary = json.loads((corpus / "sweep" / "summary.json").read_text())
     assert summary["best_k"] in (1, 2, 4, 8, 16)
+
+
+def _sweep_rows(path):
+    with open(path) as fh:
+        return [[int(r["k"]), r["mean_tpr"], r["mean_fpr"], r["quality_gap"],
+                 int(r["phones"])] for r in csv.DictReader(fh)]
+
+
+def _library_sweep_rows(corpus, ks, train_days):
+    traces = [read_trace(p) for p in sorted((corpus / "traces").glob("*.jsonl"))]
+    points = k_sweep(traces, reference_config().pcachable_apps, ks, train_days=train_days)
+    return [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}", f"{p.quality_gap:.6f}",
+             p.phones] for p in points]
+
+
+def test_sweep_k_rows_equal_library_k_sweep(corpus):
+    res = run_cli(["sweep-k", "--traces", "traces", "--ks", "1,3,5,10",
+                   "--train-days", "5", "--out", "sweep-lib"], cwd=corpus)
+    assert res.returncode == 0, res.stderr
+    rows = _sweep_rows(corpus / "sweep-lib" / "sweep_k.csv")
+    assert [r[0] for r in rows] == [1, 3, 5, 10]
+    assert rows == _library_sweep_rows(corpus, [1, 3, 5, 10], train_days=5)
+
+
+def test_sweep_k_rows_sorted_and_deduplicated(corpus):
+    res = run_cli(["sweep-k", "--traces", "traces", "--ks", "10,1,5,1,3",
+                   "--train-days", "5", "--out", "sweep-unsorted"], cwd=corpus)
+    assert res.returncode == 0, res.stderr
+    rows = _sweep_rows(corpus / "sweep-unsorted" / "sweep_k.csv")
+    assert [r[0] for r in rows] == [1, 3, 5, 10]
+    assert rows == _library_sweep_rows(corpus, [1, 3, 5, 10], train_days=5)
 
 
 def test_sweep_k_skips_infeasible_k(corpus):
@@ -222,3 +277,13 @@ def test_main_entry_callable_in_process(tmp_path):
     rc = main(["mine", "--traces", str(tmp_path / "missing"), "--out",
                str(tmp_path / "m")])
     assert rc == 2
+
+
+def test_non_integer_pcach_threads_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PCACH_THREADS", "abc")
+    rc = main(["generate", "--phones", "1", "--days", "3", "--seed", "0",
+               "--out", str(tmp_path / "t")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "PCACH_THREADS" in err and "'abc'" in err

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcach.errors import (
     EmptyTraceError,
@@ -19,6 +21,7 @@ from pcach.trace import (
     detect_gaps,
     ingest_trace,
     normalize_timeline,
+    samples_in_window,
     trace_to_csv,
     trace_to_jsonl,
 )
@@ -342,6 +345,22 @@ def test_gaps_disjoint_and_ordered():
             assert g1.cut_time < g2.cut_time
             if g1.resume_time is not None:
                 assert g1.resume_time <= g2.cut_time
+
+
+@given(st.lists(st.tuples(st.sampled_from([W, C, N]), st.sampled_from([120, 300, 660])),
+                max_size=60))
+def test_closed_gap_windows_are_all_cellular(steps):
+    # 660 s spacing exceeds the 10-minute cut rule, so some W->C steps are no cut
+    samples, t = [], 0
+    for state, spacing in steps:
+        t += spacing
+        samples.append(sample(t, state))
+    trace = Trace("prop", tuple(samples))
+    for g in detect_gaps(trace):
+        if g.resume_time is not None:
+            window = samples_in_window(trace, g.cut_time, g.resume_time)
+            assert window
+            assert all(s.active_network is C for s in window)
 
 
 def test_every_reported_cut_satisfies_definition_by_replay():
