@@ -177,7 +177,7 @@ def _mine_one(job):
 def _run_mining(args, emit: set[str], command: str) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    horizons = _parse_int_list(args.horizons)
+    horizons = _parse_int_list(args.horizons, "--horizons")
     jobs = [(str(p), args.slot_minutes, horizons, args.local_utc_offset)
             for p in _trace_paths(args.traces)]
     results = sorted(_parallel_map(_mine_one, jobs), key=lambda r: r["phone_id"])
@@ -377,7 +377,7 @@ def cmd_sweep_k(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     s_apps = _default_s_apps(args)
-    ks = _parse_int_list(args.ks)
+    ks = _parse_int_list(args.ks, "--ks")
     feasible = [k for k in ks if 1 <= k <= len(s_apps)]
     skipped_ks = [k for k in ks if k not in feasible]
     if not feasible:
@@ -418,8 +418,16 @@ def cmd_sweep_k(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    values = []
+    for entry in text.split(","):
+        if not entry.strip():
+            continue
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise PCachError(f"{flag} entry {entry!r} is not an integer") from None
+    return values
 
 
 def _add_common(p):

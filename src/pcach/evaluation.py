@@ -583,7 +583,14 @@ def backtest(
         now = db.last_timestamp
 
         cut_truth = target in truth.cut_slots
-        cut_pred = predictor.predict_cut(db, target, now, rng_test)
+        if cut_model is not None:
+            # one margin drives both the decision (predict_cut's rule) and
+            # the threshold panel
+            margin = predictor.cut_margin(db, target, now)
+            test_margins_cut.append(margin)
+            cut_pred = margin > cut_model.decision_threshold
+        else:
+            cut_pred = predictor.predict_cut(db, target, now, rng_test)
         # override stubs need not implement resume_fires; they score as
         # never predicting a resume
         resume_pred = (predictor_override is None
@@ -592,10 +599,6 @@ def backtest(
         cut_truths.append(cut_truth)
         resume_preds.append(resume_pred)
         resume_truths.append(target in truth.resume_slots)
-        if cut_model is not None:
-            fv = extract_features(db, target, now, EventKind.CUT)
-            test_margins_cut.append(float(cut_model.decision_margins(
-                fv.as_array()[None, :])[0]))
 
         if not cut_pred:
             continue

@@ -182,13 +182,21 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
     once; cut/resume transitions increment the event histograms at the
     event sample's slot of day, at most once per (day, slot); every (day,
     slot) containing a sample counts as observed.
+
+    The batch is all-or-nothing: unless its timestamps strictly increase
+    after ``db.last_timestamp``, it raises :class:`OrderingError` and leaves
+    the database untouched.
     """
+    if not isinstance(new_samples, (list, tuple)):
+        new_samples = list(new_samples)
+    last = db._last_timestamp
+    for sample in new_samples:
+        if last is not None and sample.timestamp <= last:
+            raise OrderingError(f"sample at t={sample.timestamp} not after t={last}")
+        last = sample.timestamp
+
     minutes = db.slot_minutes * 60
     for sample in new_samples:
-        if db._last_timestamp is not None and sample.timestamp <= db._last_timestamp:
-            raise OrderingError(
-                f"sample at t={sample.timestamp} not after t={db._last_timestamp}"
-            )
         abs_slot = (sample.timestamp + db.utc_offset_s) // minutes
         key = (abs_slot // db.n_slots, abs_slot % db.n_slots)
         if key != db._open_key:
@@ -239,20 +247,12 @@ def predict_top_k_apps(
     if first_slot > last_slot:
         raise ParameterError("first_slot must not exceed last_slot")
 
-    chosen: list[str] = []
-    seen: set[str] = set()
-    for slot in range(first_slot, last_slot + 1):
-        s = slot % db.n_slots
-        ranked = sorted(
-            range(len(s_apps)),
-            key=lambda i: (-int(db.app_hist[s_apps[i]][s]) if s_apps[i] in db.app_hist else 0, i),
-        )
-        for i in ranked[:k]:
-            app = s_apps[i]
-            if app not in seen:
-                seen.add(app)
-                chosen.append(app)
-    return chosen
+    zeros = np.zeros(db.n_slots, dtype=np.int64)
+    counts = np.stack([db.app_hist.get(a, zeros) for a in s_apps])
+    cols = np.arange(first_slot, last_slot + 1) % db.n_slots
+    # (k, slots) app indices; the stable sort keeps ties in s_apps order
+    ranked = np.argsort(-counts[:, cols], axis=0, kind="stable")[:k]
+    return list(dict.fromkeys(s_apps[i] for i in ranked.T.ravel().tolist()))
 
 
 def history_predict_event(
@@ -263,7 +263,8 @@ def history_predict_event(
 ) -> bool:
     """Monte-Carlo acceptance rule on an empirical event probability.
 
-    Throw ``n_draws`` uniform values in [0, 1); with X of them below ``p``,
+    Draw X ~ Binomial(N, p) with N = ``n_draws``, which is equal in law to
+    counting how many of N uniform values in [0, 1) fall below ``p``, and
     predict the event iff the rate X/N falls inside [(1-delta)p, (1+delta)p].
     A probability of exactly zero never fires: an event never observed in a
     slot is never predicted.
@@ -276,7 +277,7 @@ def history_predict_event(
         raise ParameterError(f"delta={delta} outside (0, 1)")
     if p == 0.0:
         return False
-    x = int(np.count_nonzero(rng.random(n_draws) < p))
+    x = int(rng.binomial(n_draws, p))
     rate = x / n_draws
     return (1.0 - delta) * p <= rate <= (1.0 + delta) * p
 

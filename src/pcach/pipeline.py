@@ -129,10 +129,14 @@ class AdaBoostPredictor:
         self.max_lookahead = max_lookahead
         self.default_gap_slots = default_gap_slots
 
+    def cut_margin(self, db: HistoryDB, slot: int, now: int) -> float:
+        """The cut classifier's decision margin for an event in ``slot``."""
+        fv = extract_features(db, slot, now, EventKind.CUT)
+        return float(self.cut_model.decision_margins(fv.as_array()[None, :])[0])
+
     def predict_cut(self, db, target_slot, now, rng):
-        fv = extract_features(db, target_slot, now, EventKind.CUT)
-        label, _ = adaboost_predict(self.cut_model, fv)
-        return label > 0
+        # adaboost_predict's rule: a margin tied with the threshold is -1
+        return self.cut_margin(db, target_slot, now) > self.cut_model.decision_threshold
 
     def resume_fires(self, db, slot, now, rng):
         fv = extract_features(db, slot, now, EventKind.RESUME)

@@ -249,6 +249,22 @@ def test_sweep_k_skips_infeasible_k(corpus):
     assert summary["infeasible_ks"] == [30]
 
 
+def test_sweep_k_non_integer_ks_is_a_clean_error(corpus):
+    res = run_cli(["sweep-k", "--traces", "traces", "--ks", "1,x",
+                   "--out", "sweep-bad"], cwd=corpus)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "--ks" in res.stderr and "'x'" in res.stderr
+
+
+def test_mine_non_integer_horizons_is_a_clean_error(corpus):
+    res = run_cli(["mine", "--traces", "traces", "--horizons", "5,ten",
+                   "--out", "mined-bad"], cwd=corpus)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "--horizons" in res.stderr and "'ten'" in res.stderr
+
+
 def test_end_to_end_determinism_small(tmp_path):
     # full pipeline twice from identical relative inputs: byte-identical trees
     digests = []

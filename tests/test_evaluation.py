@@ -219,6 +219,17 @@ def test_backtest_adaboost_produces_models_and_panel(medium_trace):
     assert all(a >= b - 1e-12 for a, b in zip(clean, clean[1:]))
 
 
+def test_backtest_adaboost_panel_row_at_selected_threshold_equals_cut(medium_trace):
+    # the test-slot margin that decides each cut also fills the panel
+    trace, cfg = medium_trace
+    report = backtest(trace, _config(cfg, kind=PredictorKind.ADABOOST), seed=3)
+    rows = [p for p in report.cut_panel
+            if p.threshold == report.selected_cut_threshold]
+    assert len(rows) == 1
+    assert rows[0].test == report.cut
+    assert report.cut.total == report.test_slots
+
+
 def _poison(trace, start_index):
     poisoned = list(trace.samples[:start_index])
     for s in trace.samples[start_index:]:

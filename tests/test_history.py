@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcach.errors import (
     ConfigError,
@@ -80,6 +82,21 @@ def test_out_of_order_samples_rejected():
         update_history(db, [sample(600, W)])
     with pytest.raises(OrderingError):
         update_history(db, [sample(300, W)])
+
+
+def test_out_of_order_batch_leaves_the_db_unchanged():
+    db = make_db()
+    update_history(db, [sample(0, W, apps=[app("mail")])])
+    before = db.to_json()
+    batch = [sample(300, C, apps=[app("facebook")]),
+             sample(1200, W, apps=[app("mail")]),
+             sample(900, C)]
+    with pytest.raises(OrderingError):
+        update_history(db, batch)
+    assert db.to_json() == before
+    with pytest.raises(OrderingError):
+        update_history(db, iter([sample(300, C), sample(0, C)]))
+    assert db.to_json() == before
 
 
 def test_cut_and_resume_histograms_track_transitions():
@@ -212,6 +229,46 @@ def test_top_k_selection_nested_in_k():
             assert len(cur) == k
             assert prev <= cur
             prev = cur
+
+
+def _top_k_reference(db, s_apps, k, first_slot, last_slot):
+    """Per-slot sort by (-count, position in s_apps); union in first-selection order."""
+    chosen = []
+    for slot in range(first_slot, last_slot + 1):
+        s = slot % db.n_slots
+
+        def count(i):
+            return int(db.app_hist[s_apps[i]][s]) if s_apps[i] in db.app_hist else 0
+
+        for i in sorted(range(len(s_apps)), key=lambda i: (-count(i), i))[:k]:
+            if s_apps[i] not in chosen:
+                chosen.append(s_apps[i])
+    return chosen
+
+
+@st.composite
+def _top_k_cases(draw):
+    universe = [f"app{i}" for i in range(7)]
+    db = HistoryDB(slot_minutes=draw(st.sampled_from([15, 60, 360])),
+                   tracked_apps=draw(st.lists(st.sampled_from(universe), unique=True)))
+    for a in db.tracked_apps:
+        db.app_hist[a][:] = draw(st.lists(st.integers(0, 3), min_size=db.n_slots,
+                                          max_size=db.n_slots))
+    # s_apps may hold untracked apps and leave tracked ones out
+    s_apps = draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+    first = draw(st.integers(0, 3 * db.n_slots))
+    # ranges wrap past midnight and may span more than a day
+    last = first + draw(st.integers(0, 2 * db.n_slots + 1))
+    return db, s_apps, first, last
+
+
+@settings(deadline=None)
+@given(_top_k_cases())
+def test_top_k_matches_brute_force_reference(case):
+    db, s_apps, first, last = case
+    for k in range(1, len(s_apps) + 1):
+        assert (predict_top_k_apps(db, s_apps, k, first, last)
+                == _top_k_reference(db, s_apps, k, first, last))
 
 
 def test_top_k_parameter_errors():
