@@ -81,6 +81,14 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory; commands call it once their inputs have
+    been read and checked, so a rejected run leaves no directory behind."""
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list[str]):
     _write_json(out_dir / "manifest.json", {
         "command": command,
@@ -122,8 +130,6 @@ def _generate_one(job):
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.config:
         config = GeneratorConfig.from_json(Path(args.config).read_text())
         if args.seed is not None:
@@ -133,6 +139,7 @@ def cmd_generate(args) -> int:
     else:
         config = reference_config(seed=args.seed if args.seed is not None else 0,
                                   days=args.days if args.days is not None else 60)
+    out_dir = _out_dir(args.out)
     jobs = [(config.to_json(), f"phone-{i:03d}", str(out_dir), args.format)
             for i in range(args.phones)]
     names = _parallel_map(_generate_one, jobs)
@@ -175,12 +182,11 @@ def _mine_one(job):
 
 
 def _run_mining(args, emit: set[str], command: str) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     horizons = _parse_int_list(args.horizons, "--horizons")
     jobs = [(str(p), args.slot_minutes, horizons, args.local_utc_offset)
             for p in _trace_paths(args.traces)]
     results = sorted(_parallel_map(_mine_one, jobs), key=lambda r: r["phone_id"])
+    out_dir = _out_dir(args.out)
 
     outputs = []
     summary: dict = {"phones": len(results)}
@@ -268,10 +274,9 @@ def _gaps_one(job):
 
 
 def cmd_gaps(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(p), args.local_utc_offset) for p in _trace_paths(args.traces)]
     results = sorted(_parallel_map(_gaps_one, jobs), key=lambda r: r["phone_id"])
+    out_dir = _out_dir(args.out)
     rows = [row for r in results for row in r["rows"]]
     _write_csv(out_dir / "gaps.csv",
                ["phone_id", "cut_time", "resume_time", "duration_s", "open", "excluded"],
@@ -291,12 +296,17 @@ def cmd_gaps(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _default_s_apps(args) -> tuple[str, ...]:
-    if args.s_apps:
-        apps = tuple(json.loads(Path(args.s_apps).read_text()))
-        if not apps:
-            raise PCachError(f"empty pre-cachable app list in {args.s_apps}")
-        return apps
-    return reference_config().pcachable_apps
+    if not args.s_apps:
+        return reference_config().pcachable_apps
+    try:
+        apps = json.loads(Path(args.s_apps).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise PCachError(f"--s-apps {args.s_apps}: invalid JSON ({exc})") from None
+    if not isinstance(apps, list) or not all(isinstance(a, str) and a for a in apps):
+        raise PCachError(f"--s-apps {args.s_apps}: expected a JSON list of app ids")
+    if not apps:
+        raise PCachError(f"empty pre-cachable app list in {args.s_apps}")
+    return tuple(apps)
 
 
 def _backtest_one(job):
@@ -310,14 +320,13 @@ def _backtest_one(job):
 
 
 def cmd_backtest(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     s_apps = _default_s_apps(args)
     jobs = [(str(p), args.predictor, args.k, args.slot_minutes, args.rounds,
              args.split, args.seed if args.seed is not None else 0,
              args.local_utc_offset, s_apps)
             for p in _trace_paths(args.traces)]
     reports = sorted(_parallel_map(_backtest_one, jobs), key=lambda r: r.phone_id)
+    out_dir = _out_dir(args.out)
 
     outputs = []
     if args.predictor == "adaboost":
@@ -374,8 +383,6 @@ def _sweep_one(job):
 
 
 def cmd_sweep_k(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     s_apps = _default_s_apps(args)
     ks = _parse_int_list(args.ks, "--ks")
     feasible = [k for k in ks if 1 <= k <= len(s_apps)]
@@ -387,6 +394,7 @@ def cmd_sweep_k(args) -> int:
     # sorted by phone id, so the per-K means sum in a fixed order
     runs = [run for _, run in sorted(_parallel_map(_sweep_one, jobs),
                                      key=lambda r: r[0])]
+    out_dir = _out_dir(args.out)
     rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
              f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]
     _write_csv(out_dir / "sweep_k.csv",

@@ -31,6 +31,8 @@ from .history import (
     extract_features,
     history_predict_event,
     predict_top_k_apps,
+    rank_slot_apps,
+    selected_apps,
     update_history,
 )
 from .pipeline import PCachConfig, Predictor, PredictorKind, make_predictor
@@ -255,8 +257,9 @@ def app_prediction_run(
                 skipped += 1
             else:
                 last_slot = (gap.resume_time + utc_offset_s) // slot_s
+                ranked = rank_slot_apps(db, s_apps, ks[-1], slot, last_slot)
                 for k in ks:
-                    predicted = predict_top_k_apps(db, s_apps, k, slot, last_slot)
+                    predicted = selected_apps(s_apps, ranked[:k])
                     counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
                 scored += 1
         update_history(db, slot_samples)

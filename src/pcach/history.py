@@ -227,6 +227,39 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
     return db
 
 
+def rank_slot_apps(
+    db: HistoryDB,
+    s_apps: Sequence[str],
+    k: int,
+    first_slot: int,
+    last_slot: int,
+) -> np.ndarray:
+    """The top-K pre-cachable apps of every slot in a range, as indices.
+
+    Returns a (k, slots) array of indices into ``s_apps``: column j ranks
+    slot ``first_slot + j`` by historical usage count descending, ties
+    resolved by order in ``s_apps``. Rows ``[:k']`` are the ranking for any
+    smaller ``k'``, so one call serves every K up to ``k``.
+    """
+    if not s_apps:
+        raise ConfigError("s_apps must not be empty")
+    if k < 1 or k > len(s_apps):
+        raise ParameterError(f"k={k} outside [1, {len(s_apps)}]")
+    if first_slot > last_slot:
+        raise ParameterError("first_slot must not exceed last_slot")
+
+    zeros = np.zeros(db.n_slots, dtype=np.int64)
+    counts = np.stack([db.app_hist.get(a, zeros) for a in s_apps])
+    cols = np.arange(first_slot, last_slot + 1) % db.n_slots
+    # the stable sort keeps ties in s_apps order
+    return np.argsort(-counts[:, cols], axis=0, kind="stable")[:k]
+
+
+def selected_apps(s_apps: Sequence[str], ranked: np.ndarray) -> list[str]:
+    """Union of a ranking's apps in order of first selection (slot-major)."""
+    return list(dict.fromkeys(s_apps[i] for i in ranked.T.ravel().tolist()))
+
+
 def predict_top_k_apps(
     db: HistoryDB,
     s_apps: Sequence[str],
@@ -240,19 +273,7 @@ def predict_top_k_apps(
     ties resolved by their order in ``s_apps``; the result preserves the
     order of first selection across the scan.
     """
-    if not s_apps:
-        raise ConfigError("s_apps must not be empty")
-    if k < 1 or k > len(s_apps):
-        raise ParameterError(f"k={k} outside [1, {len(s_apps)}]")
-    if first_slot > last_slot:
-        raise ParameterError("first_slot must not exceed last_slot")
-
-    zeros = np.zeros(db.n_slots, dtype=np.int64)
-    counts = np.stack([db.app_hist.get(a, zeros) for a in s_apps])
-    cols = np.arange(first_slot, last_slot + 1) % db.n_slots
-    # (k, slots) app indices; the stable sort keeps ties in s_apps order
-    ranked = np.argsort(-counts[:, cols], axis=0, kind="stable")[:k]
-    return list(dict.fromkeys(s_apps[i] for i in ranked.T.ravel().tolist()))
+    return selected_apps(s_apps, rank_slot_apps(db, s_apps, k, first_slot, last_slot))
 
 
 def history_predict_event(

@@ -18,6 +18,7 @@ Two derived notions drive everything downstream:
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -51,7 +52,10 @@ class ActiveNetwork(Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
+_ACTIVE_BY_VALUE = {a.value: a for a in ActiveNetwork}
+
+
+@dataclass(frozen=True, slots=True)
 class AppTrafficRecord:
     """Traffic counters of one application within one sampling period."""
 
@@ -74,7 +78,7 @@ class AppTrafficRecord:
         return self.up_bytes + self.down_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementSample:
     """One periodic sensing record."""
 
@@ -85,8 +89,10 @@ class MeasurementSample:
     apps: tuple[AppTrafficRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "visible_ssids", frozenset(self.visible_ssids))
-        object.__setattr__(self, "apps", tuple(self.apps))
+        if not isinstance(self.visible_ssids, frozenset):
+            object.__setattr__(self, "visible_ssids", frozenset(self.visible_ssids))
+        if not isinstance(self.apps, tuple):
+            object.__setattr__(self, "apps", tuple(self.apps))
         if self.active_network is ActiveNetwork.WIFI:
             if not self.connected_ssid:
                 raise TraceValidationError(
@@ -102,13 +108,14 @@ class MeasurementSample:
                 f"t={self.timestamp}: connected ssid {self.connected_ssid!r} "
                 "missing from visible set"
             )
-        seen = set()
-        for rec in self.apps:
-            if rec.app_id in seen:
-                raise TraceValidationError(
-                    f"t={self.timestamp}: duplicate app record {rec.app_id!r}"
-                )
-            seen.add(rec.app_id)
+        if len(self.apps) > 1:
+            seen = set()
+            for rec in self.apps:
+                if rec.app_id in seen:
+                    raise TraceValidationError(
+                        f"t={self.timestamp}: duplicate app record {rec.app_id!r}"
+                    )
+                seen.add(rec.app_id)
 
     @property
     def total_bytes(self) -> int:
@@ -280,8 +287,16 @@ def trace_to_jsonl(trace: Trace) -> bytes:
 
 
 def trace_to_csv(trace: Trace) -> bytes:
+    text = _csv_text(trace, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        # the writer leaves a CR unquoted, and a reader ends the record there
+        text = _csv_text(trace, csv.QUOTE_ALL)
+    return text.encode("utf-8")
+
+
+def _csv_text(trace: Trace, quoting: int) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
     writer.writerow(_CSV_FIELDS)
     for s in trace.samples:
         base = [
@@ -297,58 +312,107 @@ def trace_to_csv(trace: Trace) -> bytes:
                                         "true" if a.running else "false"])
         else:
             writer.writerow(base + ["", "", "", ""])
-    return out.getvalue().encode("utf-8")
+    return out.getvalue()
 
 
-def _parse_active(raw: str, line_no: int) -> ActiveNetwork:
+def _decode_utf8(data: bytes, line_no: Optional[int] = None) -> str:
+    """UTF-8 text of ``data``; invalid bytes are a line-numbered parse error.
+
+    Without ``line_no`` the line is counted from the offending byte offset.
+    """
     try:
-        return ActiveNetwork(raw)
-    except ValueError:
-        raise TraceParseError(f"unknown active network {raw!r}", line_no) from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if line_no is None:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})", line_no
+        ) from None
+
+
+def _type_error(field: str, expected: str, value) -> TraceValidationError:
+    return TraceValidationError(
+        f"field {field!r} must be {expected}, got {type(value).__name__}"
+    )
 
 
 def _build_sample(t, active, ssid, visible, apps, line_no) -> MeasurementSample:
     try:
-        return MeasurementSample(
-            timestamp=t,
-            active_network=active,
-            connected_ssid=ssid,
-            visible_ssids=frozenset(visible),
-            apps=tuple(apps),
-        )
+        return MeasurementSample(t, active, ssid, visible, apps)
     except TraceValidationError as exc:
         raise TraceParseError(str(exc), line_no) from None
 
 
-def _parse_jsonl(data: bytes) -> list[tuple[int, MeasurementSample]]:
+def _jsonl_app(obj) -> AppTrafficRecord:
+    if type(obj) is not dict:
+        raise _type_error("apps[]", "an object", obj)
+    app_id, up, down, running = obj["id"], obj["up"], obj["down"], obj["running"]
+    if type(app_id) is not str:
+        raise _type_error("id", "a string", app_id)
+    if type(up) is not int:
+        raise _type_error("up", "an integer", up)
+    if type(down) is not int:
+        raise _type_error("down", "an integer", down)
+    if type(running) is not bool:
+        raise _type_error("running", "a boolean", running)
+    return AppTrafficRecord(app_id, up, down, running)
+
+
+def _jsonl_sample(obj, visible_sets: dict) -> MeasurementSample:
+    """One decoded JSONL object as a sample; every field is type-checked.
+
+    ``visible_sets`` interns the visible-SSID sets of one file, keyed by the
+    raw list, so repeated scans share one frozenset.
+    """
+    if type(obj) is not dict:
+        raise _type_error("line", "an object", obj)
+    t, active_raw = obj["t"], obj["active"]
+    ssid, visible_raw, apps_raw = obj.get("ssid"), obj.get("visible", []), obj.get("apps", [])
+    if type(t) is not int:
+        raise _type_error("t", "an integer", t)
+    active = _ACTIVE_BY_VALUE.get(active_raw) if type(active_raw) is str else None
+    if active is None:
+        raise TraceValidationError(f"unknown active network {active_raw!r}")
+    if ssid is not None and type(ssid) is not str:
+        raise _type_error("ssid", "a string or null", ssid)
+    if type(visible_raw) is not list:
+        raise _type_error("visible", "a list", visible_raw)
+    key = tuple(visible_raw)
+    visible = visible_sets.get(key)
+    if visible is None:
+        for v in key:
+            if type(v) is not str:
+                raise _type_error("visible[]", "a string", v)
+        visible = visible_sets[key] = frozenset(key)
+    if type(apps_raw) is not list:
+        raise _type_error("apps", "a list", apps_raw)
+    apps = tuple(map(_jsonl_app, apps_raw)) if apps_raw else ()
+    return MeasurementSample(t, active, ssid, visible, apps)
+
+
+def _parse_jsonl(data: bytes) -> list[MeasurementSample]:
+    # Lines split on bytes: the writer keeps U+2028/U+0085 raw inside SSIDs,
+    # and str.splitlines would break a record there.
+    raw_decode = json.JSONDecoder().raw_decode
+    visible_sets: dict[tuple, frozenset[str]] = {}
     samples = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+    for line_no, raw in enumerate(data.removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        text = _decode_utf8(line, line_no)
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON ({exc.msg})", line_no) from None
+            obj, end = raw_decode(text)
+        except (ValueError, RecursionError) as exc:  # also digit limit, nesting depth
+            raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
+        if end != len(text):
+            raise TraceParseError("invalid JSON (Extra data)", line_no)
         try:
-            t = int(obj["t"])
-            active = _parse_active(str(obj["active"]), line_no)
-            ssid = obj.get("ssid")
-            visible = [str(v) for v in obj.get("visible", [])]
-            apps = [
-                AppTrafficRecord(
-                    app_id=str(a["id"]),
-                    up_bytes=int(a["up"]),
-                    down_bytes=int(a["down"]),
-                    running=bool(a["running"]),
-                )
-                for a in obj.get("apps", [])
-            ]
-        except TraceParseError:
-            raise
-        except (KeyError, TypeError, ValueError, TraceValidationError) as exc:
+            samples.append(_jsonl_sample(obj, visible_sets))
+        except KeyError as exc:
+            raise TraceParseError(f"missing field {exc.args[0]!r}", line_no) from None
+        except (TypeError, TraceValidationError) as exc:
             raise TraceParseError(str(exc), line_no) from None
-        samples.append((line_no, _build_sample(t, active, ssid, visible, apps, line_no)))
     return samples
 
 
@@ -361,64 +425,64 @@ def _parse_bool(raw: str, line_no: int) -> bool:
     raise TraceParseError(f"invalid boolean {raw!r}", line_no)
 
 
-def _parse_csv(data: bytes) -> tuple[Optional[str], list[tuple[int, MeasurementSample]]]:
-    text = data.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    for line_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if line_no == 1 and [c.strip() for c in row[:2]] == ["phone_id", "t"]:
-            continue  # header
-        if len(row) != len(_CSV_FIELDS):
-            raise TraceParseError(
-                f"expected {len(_CSV_FIELDS)} columns, got {len(row)}", line_no
-            )
-        rows.append((line_no, row))
+def _parse_csv(data: bytes) -> tuple[Optional[str], list[MeasurementSample]]:
+    """Rows in one pass; a run of contiguous rows sharing (t, active, ssid,
+    visible) forms one sample, one row per app record.
 
+    A repeated timestamp further on starts a new sample, which the caller
+    collapses last-wins like any other duplicate.
+    """
+    reader = csv.reader(io.StringIO(_decode_utf8(data)))
+    n_fields = len(_CSV_FIELDS)
     phone_id: Optional[str] = None
-    # group consecutive rows of the same sample by (t, active, ssid, visible)
-    by_key: dict[int, dict] = {}
-    order: list[int] = []
-    for line_no, row in rows:
-        pid, t_raw, active_raw, ssid_raw, visible_raw, app_id, up, down, running = row
-        if phone_id is None:
-            phone_id = pid
-        elif pid != phone_id:
-            raise TraceParseError(
-                f"phone_id {pid!r} differs from {phone_id!r}", line_no
-            )
-        try:
-            t = int(t_raw)
-        except ValueError:
-            raise TraceParseError(f"invalid timestamp {t_raw!r}", line_no) from None
-        active = _parse_active(active_raw, line_no)
-        ssid = ssid_raw if ssid_raw else None
-        visible = [v for v in visible_raw.split(";") if v]
-        if t not in by_key:
-            by_key[t] = {
-                "line_no": line_no, "active": active, "ssid": ssid,
-                "visible": visible, "apps": [],
-            }
-            order.append(t)
-        entry = by_key[t]
-        if app_id:
-            try:
-                entry["apps"].append(AppTrafficRecord(
-                    app_id=app_id,
-                    up_bytes=int(up),
-                    down_bytes=int(down),
-                    running=_parse_bool(running, line_no),
-                ))
-            except (ValueError, TraceValidationError) as exc:
-                raise TraceParseError(str(exc), line_no) from None
-
-    samples = []
-    for t in order:
-        e = by_key[t]
-        samples.append((e["line_no"],
-                        _build_sample(t, e["active"], e["ssid"], e["visible"],
-                                      e["apps"], e["line_no"])))
+    visible_sets: dict[str, frozenset[str]] = {}
+    samples: list[MeasurementSample] = []
+    head: Optional[list[str]] = None  # raw (t, active, ssid, visible) of the open sample
+    head_line = 0
+    t = active = ssid = visible = None
+    apps: list[AppTrafficRecord] = []
+    line_no = 0
+    try:
+        for line_no, row in enumerate(reader, start=1):
+            if not "".join(row).strip():
+                continue  # blank line or only blank cells
+            if line_no == 1 and [c.strip() for c in row[:2]] == ["phone_id", "t"]:
+                continue  # header
+            if len(row) != n_fields:
+                raise TraceParseError(f"expected {n_fields} columns, got {len(row)}", line_no)
+            pid = row[0]
+            if phone_id is None:
+                phone_id = pid
+            elif pid != phone_id:
+                raise TraceParseError(f"phone_id {pid!r} differs from {phone_id!r}", line_no)
+            if row[1:5] != head:
+                if head is not None:
+                    samples.append(_build_sample(t, active, ssid, visible, tuple(apps), head_line))
+                head, head_line, apps = row[1:5], line_no, []
+                t_raw, active_raw, ssid_raw, visible_raw = head
+                try:
+                    t = int(t_raw)
+                except ValueError:
+                    raise TraceParseError(f"invalid timestamp {t_raw!r}", line_no) from None
+                active = _ACTIVE_BY_VALUE.get(active_raw)
+                if active is None:
+                    raise TraceParseError(f"unknown active network {active_raw!r}", line_no)
+                ssid = ssid_raw if ssid_raw else None
+                visible = visible_sets.get(visible_raw)
+                if visible is None:
+                    visible = visible_sets[visible_raw] = frozenset(
+                        v for v in visible_raw.split(";") if v)
+            app_id, up, down, running = row[5:]
+            if app_id:
+                running = _parse_bool(running, line_no)
+                try:
+                    apps.append(AppTrafficRecord(app_id, int(up), int(down), running))
+                except (ValueError, TraceValidationError) as exc:
+                    raise TraceParseError(str(exc), line_no) from None
+    except csv.Error as exc:
+        raise TraceParseError(f"malformed CSV ({exc})", line_no + 1) from None
+    if head is not None:
+        samples.append(_build_sample(t, active, ssid, visible, tuple(apps), head_line))
     return phone_id, samples
 
 
@@ -426,9 +490,14 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
                  nominal_period_s: int = DEFAULT_PERIOD_S) -> Trace:
     """Parse a byte stream in one of the two wire formats into a Trace.
 
-    Samples are sorted by timestamp; duplicate timestamps collapse to the
+    JSONL holds one object per line; every field must have its JSON type
+    (``running`` a boolean, ``visible`` a list of strings, ...). In CSV a
+    run of contiguous rows with the same ``t``, ``active``, ``ssid`` and
+    ``visible`` forms one sample, one row per app record. Samples are sorted
+    by timestamp; duplicate timestamps, adjacent or not, collapse to the
     last record seen in input order. ``phone_id`` is taken from the CSV rows
-    when present, otherwise from the argument.
+    when present, otherwise from the argument. Malformed input, invalid
+    UTF-8 included, raises :class:`TraceParseError` with the line number.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -441,23 +510,19 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
 
     fmt = fmt.lower()
     if fmt == "jsonl":
-        csv_phone, numbered = None, _parse_jsonl(bytes(data))
+        csv_phone, samples = None, _parse_jsonl(bytes(data))
     elif fmt == "csv":
-        csv_phone, numbered = _parse_csv(bytes(data))
+        csv_phone, samples = _parse_csv(bytes(data))
     else:
         raise TraceParseError(f"unknown trace format {fmt!r}")
 
-    if not numbered:
+    if not samples:
         raise EmptyTraceError("source contains no samples")
 
     # stable sort, then collapse duplicate timestamps keeping the last record
-    numbered.sort(key=lambda pair: pair[1].timestamp)
-    collapsed: list[MeasurementSample] = []
-    for _, sample in numbered:
-        if collapsed and collapsed[-1].timestamp == sample.timestamp:
-            collapsed[-1] = sample
-        else:
-            collapsed.append(sample)
+    samples.sort(key=lambda s: s.timestamp)
+    collapsed = [s for s, nxt in zip(samples, samples[1:]) if s.timestamp != nxt.timestamp]
+    collapsed.append(samples[-1])
 
     return Trace(
         phone_id=csv_phone if csv_phone else phone_id,

@@ -303,3 +303,36 @@ def test_non_integer_pcach_threads_is_a_clean_error(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "PCACH_THREADS" in err and "'abc'" in err
+
+
+def test_gaps_over_invalid_utf8_csv_is_a_clean_error(tmp_path):
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "phone-000.csv").write_bytes(
+        b"phone_id,t,active,ssid,visible,app_id,up,down,running\n"
+        b"phone-000,0,NONE,,caf\xff,,,,\n")
+    res = run_cli(["gaps", "--traces", "traces", "--out", "out"], cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "line 2" in res.stderr and "UTF-8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-k", "--traces", "traces", "--ks", "1,x"],
+    ["sweep-k", "--traces", "traces", "--s-apps", "bad-apps.json"],
+    ["mine", "--traces", "nowhere"],
+    ["mine", "--traces", "traces", "--horizons", "5,ten"],
+    ["gaps", "--traces", "bad-traces"],
+    ["backtest", "--traces", "traces", "--predictor", "history", "--s-apps", "bad-apps.json"],
+    ["generate", "--config", "missing.json"],
+], ids=["ks", "s-apps-sweep", "traces", "horizons", "bad-trace", "s-apps-backtest", "config"])
+def test_rejected_run_creates_no_output_directory(corpus, args, monkeypatch, capsys):
+    monkeypatch.chdir(corpus)
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    (corpus / "bad-apps.json").write_text('"mail"\n')
+    (corpus / "bad-traces").mkdir(exist_ok=True)
+    (corpus / "bad-traces" / "phone-000.jsonl").write_text('{"t": 1}\n')
+    out = corpus / "rejected-out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -18,6 +18,8 @@ from pcach.history import (
     history_predict_event,
     predict_resume_slot,
     predict_top_k_apps,
+    rank_slot_apps,
+    selected_apps,
     update_history,
 )
 from pcach.synth import generate_trace, reference_config
@@ -269,6 +271,15 @@ def test_top_k_matches_brute_force_reference(case):
     for k in range(1, len(s_apps) + 1):
         assert (predict_top_k_apps(db, s_apps, k, first, last)
                 == _top_k_reference(db, s_apps, k, first, last))
+
+
+@settings(deadline=None)
+@given(_top_k_cases())
+def test_one_ranking_at_the_largest_k_serves_every_k(case):
+    db, s_apps, first, last = case
+    ranked = rank_slot_apps(db, s_apps, len(s_apps), first, last)
+    for k in range(1, len(s_apps) + 1):
+        assert selected_apps(s_apps, ranked[:k]) == predict_top_k_apps(db, s_apps, k, first, last)
 
 
 def test_top_k_parameter_errors():

@@ -1,12 +1,14 @@
 import io
 import json
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcach.errors import (
     EmptyTraceError,
+    PCachError,
     TraceParseError,
     TraceValidationError,
 )
@@ -155,6 +157,150 @@ def test_csv_round_trip_random_traces():
         t = random_trace(rng, with_apps=True)
         back = ingest_trace(trace_to_csv(t), fmt="csv")
         assert back.samples == t.samples
+
+
+_CSV_HEADER = "phone_id,t,active,ssid,visible,app_id,up,down,running\n"
+
+
+def test_csv_repeated_timestamp_collapses_last_wins_like_jsonl():
+    # t=100 comes back after t=200: the later record replaces the first one
+    csv_rows = _CSV_HEADER + (
+        "p,100,WIFI,home,home,a,1,2,true\n"
+        "p,200,CELL,,,a,3,4,false\n"
+        "p,100,CELL,,cafe,a,5,6,true\n"
+    )
+    jsonl = "\n".join(json.dumps(o) for o in (
+        {"t": 100, "active": "WIFI", "ssid": "home", "visible": ["home"],
+         "apps": [{"id": "a", "up": 1, "down": 2, "running": True}]},
+        {"t": 200, "active": "CELL", "ssid": None, "visible": [],
+         "apps": [{"id": "a", "up": 3, "down": 4, "running": False}]},
+        {"t": 100, "active": "CELL", "ssid": None, "visible": ["cafe"],
+         "apps": [{"id": "a", "up": 5, "down": 6, "running": True}]},
+    ))
+    from_csv = ingest_trace(csv_rows.encode(), fmt="csv")
+    from_jsonl = ingest_trace(jsonl.encode(), fmt="jsonl", phone_id="p")
+    assert from_csv == from_jsonl
+    assert from_csv.samples[0] == sample(100, C, visible={"cafe"}, apps=(app("a", 5, 6),))
+
+
+@pytest.mark.parametrize("fmt, payload, line_no", [
+    ("jsonl", b'{"t": 1, "active": "NONE", "ssid": null, "visible": [], "apps": []}\n'
+              b'{"t": 2, "active": "NONE", "ssid": null, "visible": ["caf\xff"], "apps": []}\n',
+     2),
+    ("csv", (_CSV_HEADER + "p,1,NONE,,,,,,\n").encode() + b"p,2,NONE,,caf\xff,,,,\n", 3),
+], ids=["jsonl", "csv"])
+def test_invalid_utf8_is_a_parse_error_with_line_number(fmt, payload, line_no):
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(payload, fmt=fmt)
+    assert exc.value.line_no == line_no
+    assert "UTF-8" in str(exc.value)
+
+
+def _jsonl_line(**fields):
+    obj = {"t": 1, "active": "WIFI", "ssid": "home", "visible": ["home"], "apps": []}
+    obj.update(fields)
+    return (json.dumps(obj) + "\n").encode()
+
+
+def test_jsonl_running_must_be_a_boolean():
+    line = _jsonl_line(apps=[{"id": "a", "up": 0, "down": 0, "running": "false"}])
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(_jsonl_line() + line, fmt="jsonl")
+    assert exc.value.line_no == 2
+    assert "'running'" in str(exc.value)
+
+
+def test_jsonl_visible_must_be_a_list():
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(_jsonl_line(t=0) + _jsonl_line(active="CELL", ssid=None, visible="abc"),
+                     fmt="jsonl")
+    assert exc.value.line_no == 2
+    assert "'visible'" in str(exc.value)
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"t": "1"}, "'t'"),
+    ({"t": 1.0}, "'t'"),
+    ({"apps": [{"id": "a", "up": 1.5, "down": 0, "running": True}]}, "'up'"),
+    ({"apps": [{"id": 7, "up": 0, "down": 0, "running": True}]}, "'id'"),
+    ({"apps": {"id": "a"}}, "'apps'"),
+    ({"visible": ["home", 5]}, "'visible[]'"),
+    ({"ssid": 5}, "'ssid'"),
+    ({"active": ["WIFI"]}, "unknown active network"),
+], ids=["t-str", "t-float", "up-float", "id-int", "apps-object", "visible-int", "ssid-int",
+        "active-list"])
+def test_jsonl_fields_must_have_their_json_type(fields, named):
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(_jsonl_line(**fields), fmt="jsonl")
+    assert exc.value.line_no == 1
+    assert named in str(exc.value)
+
+
+_SSID = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def _traces(draw, ssids=_SSID):
+    """Random valid traces; SSIDs and app ids may hold any non-surrogate text."""
+    times = sorted(draw(st.sets(st.integers(0, 10**10), min_size=1, max_size=25)))
+    samples = []
+    for t in times:
+        state = draw(st.sampled_from([W, C, N]))
+        visible = draw(st.frozensets(ssids, max_size=3))
+        ssid = None
+        if state is W:
+            ssid = draw(ssids)
+            visible |= {ssid}
+        apps = tuple(
+            AppTrafficRecord(a, draw(st.integers(0, 10**12)), draw(st.integers(0, 10**12)),
+                             draw(st.booleans()))
+            for a in draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=3))
+        )
+        samples.append(MeasurementSample(t, state, ssid, visible, apps))
+    return Trace("phone-x", tuple(samples))
+
+
+@settings(deadline=None)
+@given(_traces())
+def test_jsonl_write_read_identity(trace):
+    back = ingest_trace(trace_to_jsonl(trace), fmt="jsonl", phone_id=trace.phone_id)
+    assert back == trace
+    assert pickle.loads(pickle.dumps(back)) == trace
+
+
+@settings(deadline=None)
+@given(_traces(ssids=_SSID.filter(lambda s: ";" not in s)))
+def test_csv_write_read_identity(trace):
+    # CSV joins the visible set with ';', so SSIDs holding ';' cannot round-trip
+    assert ingest_trace(trace_to_csv(trace), fmt="csv") == trace
+
+
+_FUZZ_SEED_TRACE = Trace("p", (
+    sample(0, W, visible={"cafe"}, apps=(app("a", 1, 2),)),
+    sample(300, C, apps=(app("a", 3, 4), app("b", running=False))),
+))
+_VALID_PAYLOADS = {"jsonl": trace_to_jsonl(_FUZZ_SEED_TRACE), "csv": trace_to_csv(_FUZZ_SEED_TRACE)}
+
+
+@st.composite
+def _fuzzed_payloads(draw):
+    fmt = draw(st.sampled_from(sorted(_VALID_PAYLOADS)))
+    data = bytearray(draw(st.one_of(st.just(_VALID_PAYLOADS[fmt]), st.binary(max_size=200))))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 3))] = draw(st.binary(max_size=4))
+    return fmt, bytes(data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fuzzed_payloads())
+def test_ingest_fuzzed_bytes_raise_only_package_errors(case):
+    fmt, data = case
+    try:
+        trace = ingest_trace(data, fmt=fmt)
+    except PCachError:
+        return
+    assert len(trace) >= 1
 
 
 # ---------------------------------------------------------------------------
