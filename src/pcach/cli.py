@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -109,8 +110,23 @@ def _trace_paths(traces_dir: str) -> list[Path]:
     return paths
 
 
-def _load_normalized(path: Path, utc_offset_s: int):
+def _run_phone(fn, path: Path):
     trace = read_trace(path)
+    return trace.phone_id, fn(trace)
+
+
+def _per_phone(fn, paths: list[Path], **params) -> list:
+    """``fn(trace, **params)`` for every trace file, on the process pool.
+
+    Each file is read once, in the worker that handles it; the results come
+    back sorted by phone id, so aggregates sum in a fixed order.
+    """
+    job = functools.partial(_run_phone, functools.partial(fn, **params))
+    results = _parallel_map(job, paths)
+    return [result for _, result in sorted(results, key=lambda pair: pair[0])]
+
+
+def _normalized(trace, utc_offset_s: int):
     profile = derive_preferred_profile(trace, utc_offset_s=utc_offset_s)
     norm = normalize_timeline(trace, profile)
     return norm, detect_gaps(norm)
@@ -160,9 +176,8 @@ def cmd_generate(args) -> int:
 # mine / gaps / bound
 # ---------------------------------------------------------------------------
 
-def _mine_one(job):
-    path, slot_minutes, horizons, utc_offset_s = job
-    norm, gaps = _load_normalized(Path(path), utc_offset_s)
+def _mine_phone(trace, *, slot_minutes, horizons, utc_offset_s):
+    norm, gaps = _normalized(trace, utc_offset_s)
     split = traffic_split(norm)
     closed = closed_gaps(gaps)
     cuts, resumes = event_time_histogram(gaps, slot_minutes, utc_offset_s)
@@ -183,9 +198,9 @@ def _mine_one(job):
 
 def _run_mining(args, emit: set[str], command: str) -> int:
     horizons = _parse_int_list(args.horizons, "--horizons")
-    jobs = [(str(p), args.slot_minutes, horizons, args.local_utc_offset)
-            for p in _trace_paths(args.traces)]
-    results = sorted(_parallel_map(_mine_one, jobs), key=lambda r: r["phone_id"])
+    results = _per_phone(_mine_phone, _trace_paths(args.traces),
+                         slot_minutes=args.slot_minutes, horizons=horizons,
+                         utc_offset_s=args.local_utc_offset)
     out_dir = _out_dir(args.out)
 
     outputs = []
@@ -261,9 +276,8 @@ def cmd_bound(args) -> int:
     return _run_mining(args, {"bound"}, "bound")
 
 
-def _gaps_one(job):
-    path, utc_offset_s = job
-    norm, gaps = _load_normalized(Path(path), utc_offset_s)
+def _gaps_phone(trace, *, utc_offset_s):
+    norm, gaps = _normalized(trace, utc_offset_s)
     return {
         "phone_id": norm.phone_id,
         "rows": [[norm.phone_id, g.cut_time,
@@ -274,8 +288,8 @@ def _gaps_one(job):
 
 
 def cmd_gaps(args) -> int:
-    jobs = [(str(p), args.local_utc_offset) for p in _trace_paths(args.traces)]
-    results = sorted(_parallel_map(_gaps_one, jobs), key=lambda r: r["phone_id"])
+    results = _per_phone(_gaps_phone, _trace_paths(args.traces),
+                         utc_offset_s=args.local_utc_offset)
     out_dir = _out_dir(args.out)
     rows = [row for r in results for row in r["rows"]]
     _write_csv(out_dir / "gaps.csv",
@@ -309,23 +323,16 @@ def _default_s_apps(args) -> tuple[str, ...]:
     return tuple(apps)
 
 
-def _backtest_one(job):
-    path, kind, k, slot_minutes, rounds, split, seed, utc_offset_s, s_apps = job
-    trace = read_trace(Path(path))
-    config = PCachConfig(
-        k=k, s_apps=tuple(s_apps), slot_minutes=slot_minutes,
-        predictor_kind=PredictorKind(kind), adaboost_rounds=rounds,
-    )
-    return backtest(trace, config, split=split, seed=seed, utc_offset_s=utc_offset_s)
-
-
 def cmd_backtest(args) -> int:
     s_apps = _default_s_apps(args)
-    jobs = [(str(p), args.predictor, args.k, args.slot_minutes, args.rounds,
-             args.split, args.seed if args.seed is not None else 0,
-             args.local_utc_offset, s_apps)
-            for p in _trace_paths(args.traces)]
-    reports = sorted(_parallel_map(_backtest_one, jobs), key=lambda r: r.phone_id)
+    paths = _trace_paths(args.traces)
+    config = PCachConfig(
+        k=args.k, s_apps=s_apps, slot_minutes=args.slot_minutes,
+        predictor_kind=PredictorKind(args.predictor), adaboost_rounds=args.rounds,
+    )
+    reports = _per_phone(backtest, paths, config=config, split=args.split,
+                         seed=args.seed if args.seed is not None else 0,
+                         utc_offset_s=args.local_utc_offset)
     out_dir = _out_dir(args.out)
 
     outputs = []
@@ -374,14 +381,6 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _sweep_one(job):
-    path, s_apps, ks, slot_minutes, train_days, utc_offset_s = job
-    trace = read_trace(Path(path))
-    return trace.phone_id, app_prediction_run(
-        trace, tuple(s_apps), ks, slot_minutes=slot_minutes,
-        train_days=train_days, utc_offset_s=utc_offset_s)
-
-
 def cmd_sweep_k(args) -> int:
     s_apps = _default_s_apps(args)
     ks = _parse_int_list(args.ks, "--ks")
@@ -389,11 +388,9 @@ def cmd_sweep_k(args) -> int:
     skipped_ks = [k for k in ks if k not in feasible]
     if not feasible:
         raise PCachError(f"no feasible K values in {ks} for {len(s_apps)} apps")
-    jobs = [(str(p), s_apps, feasible, args.slot_minutes, args.train_days,
-             args.local_utc_offset) for p in _trace_paths(args.traces)]
-    # sorted by phone id, so the per-K means sum in a fixed order
-    runs = [run for _, run in sorted(_parallel_map(_sweep_one, jobs),
-                                     key=lambda r: r[0])]
+    runs = _per_phone(app_prediction_run, _trace_paths(args.traces),
+                      s_apps=s_apps, ks=feasible, slot_minutes=args.slot_minutes,
+                      train_days=args.train_days, utc_offset_s=args.local_utc_offset)
     out_dir = _out_dir(args.out)
     rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
              f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]

@@ -29,13 +29,18 @@ from .history import (
     EventKind,
     HistoryDB,
     extract_features,
-    history_predict_event,
-    predict_top_k_apps,
     rank_slot_apps,
     selected_apps,
     update_history,
 )
-from .pipeline import PCachConfig, Predictor, PredictorKind, make_predictor
+from .pipeline import (
+    HistoryPredictor,
+    PCachConfig,
+    Predictor,
+    PredictorKind,
+    decide,
+    make_predictor,
+)
 from .synth import stream_rng
 from .trace import (
     Trace,
@@ -408,7 +413,7 @@ def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> i
         idx = int(n * split)
     elif config.predictor_kind is PredictorKind.HISTORY:
         boundary = trace.start_time + int(DEFAULT_TRAIN_DAYS * 86400)
-        idx = bisect_left(trace.timestamps(), boundary)
+        idx = bisect_left(trace.samples, boundary, key=lambda s: s.timestamp)
     else:
         idx = n // 2
     if idx <= 0 or idx >= n:
@@ -442,14 +447,6 @@ def _train_feature_pass(norm_train, db: HistoryDB, slot_s, utc_offset_s,
         target_slots.append(target)
     return (np.array(rows_cut), np.array(y_cut),
             np.array(rows_res), np.array(y_res), target_slots)
-
-
-def _history_reference(db: HistoryDB, target_slots, kind: EventKind,
-                       truth_slots: set[int], n_draws, delta, rng) -> ConfusionCounts:
-    """Train-period confusion of the history rule on the frozen histograms."""
-    fired = [history_predict_event(db.event_probability(target, kind), n_draws, delta, rng)
-             for target in target_slots]
-    return ConfusionCounts.tally(fired, [target in truth_slots for target in target_slots])
 
 
 def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[float]:
@@ -529,7 +526,6 @@ def backtest(
     update_history(db, norm_train)
 
     last_train_slot = (norm_train[-1].timestamp + utc_offset_s) // slot_s
-    last_test_slot = (norm_test[-1].timestamp + utc_offset_s) // slot_s
 
     cut_model = resume_model = None
     sel_cut_thr = sel_res_thr = None
@@ -541,13 +537,15 @@ def backtest(
         cut_model = train_adaboost_xy(X_cut, y_cut, rounds=config.adaboost_rounds)
         resume_model = train_adaboost_xy(X_res, y_res, rounds=config.adaboost_rounds)
 
+        # the history rule's train-period confusion is the recall to beat
+        reference = HistoryPredictor(n_draws=config.n_draws, delta=config.delta)
         rng_ref = stream_rng(seed, trace.phone_id, 0, "train-reference")
-        ref_cut = _history_reference(db, target_slots, EventKind.CUT,
-                                     truth.cut_slots, config.n_draws,
-                                     config.delta, rng_ref)
-        ref_res = _history_reference(db, target_slots, EventKind.RESUME,
-                                     truth.resume_slots, config.n_draws,
-                                     config.delta, rng_ref)
+        ref_cut = ConfusionCounts.tally(
+            [reference.predict_cut(db, t, 0, rng_ref)[0] for t in target_slots],
+            [t in truth.cut_slots for t in target_slots])
+        ref_res = ConfusionCounts.tally(
+            [reference.resume_fires(db, t, 0, rng_ref) for t in target_slots],
+            [t in truth.resume_slots for t in target_slots])
         cut_margins_train = cut_model.decision_margins(X_cut)
         cut_labels_train = y_cut
         sel_cut_thr = _select_threshold(cut_margins_train, y_cut, ref_cut)
@@ -569,72 +567,40 @@ def backtest(
     trained_digest = hashlib.sha256("\n".join(digest_parts).encode()).hexdigest()
 
     rng_test = stream_rng(seed, trace.phone_id, 0, "test-replay")
-
-    cut_preds, cut_truths, resume_preds, resume_truths = [], [], [], []
-    app_counts = ConfusionCounts()
-    scored = skipped = 0
-    predicted_cut_slots = 0
-    resume_eval = resume_hits = 0
-    test_margins_cut = []
-
-    groups = _group_by_slot(norm_test, slot_s, utc_offset_s)
-    for slot, slot_samples in groups:
+    decisions = []
+    # the final slot's target lies past the test period: it is not replayed
+    for slot, slot_samples in _group_by_slot(norm_test, slot_s, utc_offset_s)[:-1]:
         update_history(db, slot_samples)
-        target = slot + 1
-        if target > last_test_slot:
-            continue
-        now = db.last_timestamp
+        decisions.append(decide(db, config, predictor, slot, db.last_timestamp, rng_test))
 
-        cut_truth = target in truth.cut_slots
-        if cut_model is not None:
-            # one margin drives both the decision (predict_cut's rule) and
-            # the threshold panel
-            margin = predictor.cut_margin(db, target, now)
-            test_margins_cut.append(margin)
-            cut_pred = margin > cut_model.decision_threshold
-        else:
-            cut_pred = predictor.predict_cut(db, target, now, rng_test)
-        # override stubs need not implement resume_fires; they score as
-        # never predicting a resume
-        resume_pred = (predictor_override is None
-                       and predictor.resume_fires(db, target, now, rng_test))
-        cut_preds.append(cut_pred)
-        cut_truths.append(cut_truth)
-        resume_preds.append(resume_pred)
-        resume_truths.append(target in truth.resume_slots)
-
-        if not cut_pred:
-            continue
-        predicted_cut_slots += 1
-        rslt = predictor.predict_resume(db, slot, now, rng_test)
-        rslt = max(rslt, target)
-        predicted_apps = predict_top_k_apps(db, config.s_apps, config.k, target, rslt)
-
-        gap = truth.gap_by_cut_slot.get(target) if cut_truth else None
+    cut_truths = [d.target_slot in truth.cut_slots for d in decisions]
+    app_counts = ConfusionCounts()
+    scored = skipped = resume_eval = resume_hits = 0
+    for d in decisions:
+        gap = truth.gap_by_cut_slot.get(d.target_slot) if d.cut else None
         if gap is None:
             continue
         used = _gap_used_apps(norm, gap, universe)
         if not used:
             skipped += 1
         else:
-            app_counts = app_counts + score_app_prediction(predicted_apps, used,
-                                                           config.s_apps)
+            app_counts = app_counts + score_app_prediction(d.apps, used, config.s_apps)
             scored += 1
         if gap.resume_time is None:
             continue  # open gap: the ground-truth window never closed
         resume_eval += 1
         true_resume_slot = (gap.resume_time + utc_offset_s) // slot_s
-        if abs(rslt - true_resume_slot) <= 1:
+        if abs(d.resume_slot - true_resume_slot) <= 1:
             resume_hits += 1
 
     panel = ()
-    if cut_model is not None and cut_margins_train is not None:
-        tm = np.array(test_margins_cut)
+    if cut_margins_train is not None:
+        test_margins = np.array([d.cut_score for d in decisions])
         panel = tuple(
             ThresholdPoint(
                 threshold=theta,
                 train=ConfusionCounts.tally(cut_margins_train > theta, cut_labels_train > 0),
-                test=ConfusionCounts.tally(tm > theta, cut_truths),
+                test=ConfusionCounts.tally(test_margins > theta, cut_truths),
             )
             for theta in _threshold_candidates(cut_margins_train)
         )
@@ -650,14 +616,16 @@ def backtest(
         slot_minutes=config.slot_minutes,
         split_index=idx,
         train_slots=len({(s.timestamp + utc_offset_s) // slot_s for s in norm_train}),
-        test_slots=len(cut_preds),
-        cut=ConfusionCounts.tally(cut_preds, cut_truths),
-        resume=ConfusionCounts.tally(resume_preds, resume_truths),
+        test_slots=len(decisions),
+        cut=ConfusionCounts.tally([d.cut for d in decisions], cut_truths),
+        resume=ConfusionCounts.tally(
+            [d.resume_next for d in decisions],
+            [d.target_slot in truth.resume_slots for d in decisions]),
         apps=app_counts,
         scored_gaps=scored,
         skipped_gaps=skipped,
         true_test_gaps=true_test_gaps,
-        predicted_cut_slots=predicted_cut_slots,
+        predicted_cut_slots=sum(d.cut for d in decisions),
         resume_evaluated=resume_eval,
         resume_within_one=resume_hits,
         trained_digest=trained_digest,

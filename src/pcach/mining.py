@@ -177,11 +177,10 @@ def precache_bound(trace: Trace, gaps: Sequence[WiFiGap], horizon_s: int) -> flo
     if total_cellular == 0:
         return 0.0
 
-    ts = trace.timestamps()
     covered = 0
     for g in gaps:
         end = g.cut_time + horizon_s
-        i = bisect_left(ts, g.cut_time)
+        i = bisect_left(trace.samples, g.cut_time, key=lambda s: s.timestamp)
         while i < len(trace.samples):
             s = trace.samples[i]
             if s.timestamp >= end or s.active_network is not ActiveNetwork.CELLULAR:

@@ -4,7 +4,8 @@ Each slot, the pipeline folds the newly collected samples into the history
 database, asks a predictor whether a WiFi cut is coming in the next slot and,
 if so, for the slot WiFi will resume in, then selects the per-slot top-K
 pre-cachable apps over the predicted gap and returns their union as the
-pre-cache list.
+pre-cache list. :func:`decide` is that per-slot decision; the backtest
+replays it unchanged.
 """
 
 from __future__ import annotations
@@ -69,12 +70,14 @@ class Predictor(Protocol):
     """Cut/resume predictor driving the pipeline; implementations must not
     read anything beyond the history database handed to them.
 
-    ``resume_fires`` is the resume decision for one slot; ``predict_resume``
-    returns the slot WiFi is predicted to resume in.
+    ``predict_cut`` returns the verdict and the score it thresholds (the
+    history rule's p, the boosted margin); ``resume_fires`` is the resume
+    decision for one slot; ``predict_resume`` returns the slot WiFi is
+    predicted to resume in.
     """
 
     def predict_cut(self, db: HistoryDB, target_slot: int, now: int,
-                    rng: np.random.Generator) -> bool: ...
+                    rng: np.random.Generator) -> tuple[bool, float]: ...
 
     def resume_fires(self, db: HistoryDB, slot: int, now: int,
                      rng: np.random.Generator) -> bool: ...
@@ -96,7 +99,7 @@ class HistoryPredictor:
 
     def predict_cut(self, db, target_slot, now, rng):
         p = db.event_probability(target_slot, EventKind.CUT)
-        return history_predict_event(p, self.n_draws, self.delta, rng)
+        return history_predict_event(p, self.n_draws, self.delta, rng), p
 
     def resume_fires(self, db, slot, now, rng):
         p = db.event_probability(slot, EventKind.RESUME)
@@ -129,14 +132,11 @@ class AdaBoostPredictor:
         self.max_lookahead = max_lookahead
         self.default_gap_slots = default_gap_slots
 
-    def cut_margin(self, db: HistoryDB, slot: int, now: int) -> float:
-        """The cut classifier's decision margin for an event in ``slot``."""
-        fv = extract_features(db, slot, now, EventKind.CUT)
-        return float(self.cut_model.decision_margins(fv.as_array()[None, :])[0])
-
     def predict_cut(self, db, target_slot, now, rng):
+        fv = extract_features(db, target_slot, now, EventKind.CUT)
+        margin = float(self.cut_model.decision_margins(fv.as_array()[None, :])[0])
         # adaboost_predict's rule: a margin tied with the threshold is -1
-        return self.cut_margin(db, target_slot, now) > self.cut_model.decision_threshold
+        return margin > self.cut_model.decision_threshold, margin
 
     def resume_fires(self, db, slot, now, rng):
         fv = extract_features(db, slot, now, EventKind.RESUME)
@@ -166,6 +166,42 @@ def make_predictor(config: PCachConfig) -> Predictor:
     )
 
 
+@dataclass(frozen=True)
+class StepDecision:
+    """What one slot's decision concluded about the next slot.
+
+    ``cut_score`` is what the cut verdict thresholds: the history rule's p
+    or the boosted margin. ``resume_next`` is the resume rule's verdict for
+    ``target_slot`` itself. Without a cut, ``resume_slot`` is None and
+    ``apps`` is empty.
+    """
+
+    target_slot: int
+    cut: bool
+    cut_score: float
+    resume_next: bool
+    resume_slot: Optional[int]
+    apps: tuple[str, ...]
+
+
+def decide(db: HistoryDB, config: PCachConfig, predictor: Predictor,
+           current_slot: int, now: int, rng: np.random.Generator) -> StepDecision:
+    """The pre-caching decision for the slot after ``current_slot``.
+
+    Draws from ``rng`` in a fixed order: the cut rule, the resume rule for
+    the target slot, then, on a cut, the resume scan. The apps are the
+    union of per-slot top-K selections over [target, predicted resume].
+    """
+    target = current_slot + 1
+    cut, cut_score = predictor.predict_cut(db, target, now, rng)
+    resume_next = predictor.resume_fires(db, target, now, rng)
+    if not cut:
+        return StepDecision(target, False, cut_score, resume_next, None, ())
+    resume_slot = max(predictor.predict_resume(db, current_slot, now, rng), target)
+    apps = predict_top_k_apps(db, config.s_apps, config.k, target, resume_slot)
+    return StepDecision(target, True, cut_score, resume_next, resume_slot, tuple(apps))
+
+
 def pcach_step(
     db: HistoryDB,
     config: PCachConfig,
@@ -176,9 +212,8 @@ def pcach_step(
 ) -> list[str]:
     """One pass of the periodic pre-caching loop.
 
-    Returns the apps to pre-cache now: empty when no cut is predicted for
-    the next slot, otherwise the union of per-slot top-K selections over
-    [current_slot + 1, predicted resume slot].
+    Folds ``new_samples`` into the history and returns the apps of
+    :func:`decide`: empty when no cut is predicted for the next slot.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -187,10 +222,4 @@ def pcach_step(
 
     update_history(db, new_samples)
     now = db.last_timestamp if db.last_timestamp is not None else 0
-
-    if not predictor.predict_cut(db, current_slot + 1, now, rng):
-        return []
-    resume_slot = predictor.predict_resume(db, current_slot, now, rng)
-    resume_slot = max(resume_slot, current_slot + 1)
-    return predict_top_k_apps(db, config.s_apps, config.k,
-                              current_slot + 1, resume_slot)
+    return list(decide(db, config, predictor, current_slot, now, rng).apps)

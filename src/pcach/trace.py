@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EmptyTraceError,
+    PCachError,
     TraceParseError,
     TraceValidationError,
 )
@@ -156,9 +157,6 @@ class Trace:
         if not self.samples:
             raise EmptyTraceError(f"trace {self.phone_id!r} has no samples")
         return self.samples[-1].timestamp
-
-    def timestamps(self) -> list[int]:
-        return [s.timestamp for s in self.samples]
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,7 @@ def _csv_text(trace: Trace, quoting: int) -> str:
             s.timestamp,
             s.active_network.value,
             s.connected_ssid or "",
-            ";".join(sorted(s.visible_ssids)),
+            _visible_cell(s),
         ]
         if s.apps:
             for a in s.apps:
@@ -313,6 +311,20 @@ def _csv_text(trace: Trace, quoting: int) -> str:
         else:
             writer.writerow(base + ["", "", "", ""])
     return out.getvalue()
+
+
+def _visible_cell(sample: MeasurementSample) -> str:
+    """The CSV ``visible`` field: SSIDs joined with ';'.
+
+    An empty SSID or one holding ';' would read back changed, so it is
+    refused rather than written.
+    """
+    for v in sample.visible_ssids:
+        if not v or ";" in v:
+            raise TraceValidationError(
+                f"t={sample.timestamp}: visible SSID {v!r} cannot be written to CSV "
+                "(empty or holds ';')")
+    return ";".join(sorted(sample.visible_ssids))
 
 
 def _decode_utf8(data: bytes, line_no: Optional[int] = None) -> str:
@@ -497,14 +509,20 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     by timestamp; duplicate timestamps, adjacent or not, collapse to the
     last record seen in input order. ``phone_id`` is taken from the CSV rows
     when present, otherwise from the argument. Malformed input, invalid
-    UTF-8 included, raises :class:`TraceParseError` with the line number.
+    UTF-8 and a ``str`` holding a lone surrogate included, raises
+    :class:`TraceParseError` with the line number.
     """
     if hasattr(source, "read"):
         data = source.read()
     else:
         data = source
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TraceParseError(
+                f"unencodable character U+{ord(data[exc.start]):04X} ({exc.reason})",
+                data.count("\n", 0, exc.start) + 1) from None
     if not isinstance(data, (bytes, bytearray)):
         raise TraceParseError(f"unsupported source type {type(source).__name__}")
 
@@ -533,15 +551,23 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
 
 def read_trace(path, fmt: Optional[str] = None,
                nominal_period_s: int = DEFAULT_PERIOD_S) -> Trace:
-    """Load a trace file; the format defaults from the file suffix."""
+    """Load a trace file; the format defaults from the file suffix.
+
+    A package error raised while reading keeps its class and line number,
+    and its message starts with the path.
+    """
     from pathlib import Path
 
     p = Path(path)
     if fmt is None:
         fmt = "csv" if p.suffix.lower() == ".csv" else "jsonl"
-    with open(p, "rb") as fh:
-        return ingest_trace(fh, fmt=fmt, phone_id=p.stem,
-                            nominal_period_s=nominal_period_s)
+    try:
+        with open(p, "rb") as fh:
+            return ingest_trace(fh, fmt=fmt, phone_id=p.stem,
+                                nominal_period_s=nominal_period_s)
+    except PCachError as exc:
+        exc.args = (f"{p}: {exc}", *exc.args[1:])
+        raise
 
 
 def write_trace(trace: Trace, path, fmt: Optional[str] = None) -> None:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +316,17 @@ def test_gaps_over_invalid_utf8_csv_is_a_clean_error(tmp_path):
     assert res.stderr.startswith("error: ")
     assert "line 2" in res.stderr and "UTF-8" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_trace_parse_error_names_the_file(tmp_path):
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "phone-000.csv").write_bytes(
+        b"phone_id,t,active,ssid,visible,app_id,up,down,running\n"
+        b"phone-000,0,NONE,,caf\xff,,,,\n")
+    res = run_cli(["gaps", "--traces", "traces", "--out", "out"], cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {Path('traces') / 'phone-000.csv'}: line 2: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

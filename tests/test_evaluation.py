@@ -124,6 +124,9 @@ def test_roc_point_validation():
 
 class NeverCut:
     def predict_cut(self, db, target, now, rng):
+        return False, 0.0
+
+    def resume_fires(self, db, slot, now, rng):
         return False
 
     def predict_resume(self, db, current_slot, now, rng):
@@ -144,7 +147,10 @@ class OracleFromTruth:
                 self.resume_by_cut_slot[cs] = g.resume_time // self.slot_s
 
     def predict_cut(self, db, target, now, rng):
-        return target in self.cut_slots
+        return target in self.cut_slots, 0.0
+
+    def resume_fires(self, db, slot, now, rng):
+        return False
 
     def predict_resume(self, db, current_slot, now, rng):
         return self.resume_by_cut_slot.get(current_slot + 1, current_slot + 3)

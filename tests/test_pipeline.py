@@ -1,17 +1,32 @@
+import copy
+import functools
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcach.boosting import AdaBoostModel, Stump
 from pcach.errors import ConfigError
-from pcach.history import HistoryDB
+from pcach.history import HistoryDB, update_history
 from pcach.pipeline import (
     AdaBoostPredictor,
     HistoryPredictor,
     PCachConfig,
     PredictorKind,
+    StepDecision,
+    decide,
     make_predictor,
     pcach_step,
 )
-from pcach.trace import PreferredNetworkProfile
+from pcach.synth import generate_trace, reference_config
+from pcach.trace import (
+    PreferredNetworkProfile,
+    Trace,
+    derive_preferred_profile,
+    normalize_timeline,
+)
 
 from helpers import W, app, sample, seeded_rng
 
@@ -37,7 +52,10 @@ class ForcedPredictor:
         self.resume_slot = resume_slot
 
     def predict_cut(self, db, target, now, rng):
-        return self.cut
+        return self.cut, 0.0
+
+    def resume_fires(self, db, slot, now, rng):
+        return False
 
     def predict_resume(self, db, current_slot, now, rng):
         return self.resume_slot
@@ -145,3 +163,106 @@ def test_adaboost_predictor_resume_fallback():
     never = AdaBoostModel(stumps=(Stump(4, 1e9, 1, 1.0),), rounds=1)
     pred = AdaBoostPredictor(always, never, max_lookahead=10, default_gap_slots=2)
     assert pred.predict_resume(db, 5, 0, seeded_rng(0)) == 8
+
+
+# ---------------------------------------------------------------------------
+# the decision engine
+# ---------------------------------------------------------------------------
+
+class RecordingPredictor:
+    """Stub that logs every protocol call in order."""
+
+    def __init__(self, cut):
+        self.cut = cut
+        self.calls = []
+
+    def predict_cut(self, db, target, now, rng):
+        self.calls.append(("predict_cut", target))
+        return self.cut, 0.5
+
+    def resume_fires(self, db, slot, now, rng):
+        self.calls.append(("resume_fires", slot))
+        return True
+
+    def predict_resume(self, db, current_slot, now, rng):
+        self.calls.append(("predict_resume", current_slot))
+        return current_slot + 2
+
+
+def test_decide_calls_cut_then_target_resume_then_scan():
+    db = _db()
+    db.app_hist["c"][11] = 3
+    pred = RecordingPredictor(cut=True)
+    d = decide(db, _config(k=1), pred, 10, 10 * 900, seeded_rng(0))
+    assert pred.calls == [("predict_cut", 11), ("resume_fires", 11),
+                          ("predict_resume", 10)]
+    assert d == StepDecision(target_slot=11, cut=True, cut_score=0.5,
+                             resume_next=True, resume_slot=12, apps=("c", "a"))
+
+
+def test_decide_scans_for_resume_only_on_a_cut():
+    pred = RecordingPredictor(cut=False)
+    d = decide(_db(), _config(), pred, 10, 10 * 900, seeded_rng(0))
+    assert pred.calls == [("predict_cut", 11), ("resume_fires", 11)]
+    assert d == StepDecision(target_slot=11, cut=False, cut_score=0.5,
+                             resume_next=True, resume_slot=None, apps=())
+
+
+@functools.lru_cache(maxsize=None)
+def _phone(days=10, seed=4):
+    cfg = reference_config(seed=seed, days=days)
+    return generate_trace(cfg, "engine-phone"), cfg.pcachable_apps
+
+
+def _replay(train_days=6):
+    """A warmed history DB, a config and the test period's slot groups."""
+    trace, s_apps = _phone()
+    config = PCachConfig(k=5, s_apps=s_apps)
+    boundary = trace.start_time + train_days * 86400
+    train = [s for s in trace.samples if s.timestamp < boundary]
+    profile = derive_preferred_profile(Trace(trace.phone_id, tuple(train)))
+    norm = normalize_timeline(trace, profile)
+    db = HistoryDB(config.slot_minutes, tracked_apps=s_apps, profile=profile)
+    update_history(db, norm.samples[:len(train)])
+    slot_s = config.slot_minutes * 60
+    groups = [(slot, list(g)) for slot, g in itertools.groupby(
+        norm.samples[len(train):], key=lambda s: s.timestamp // slot_s)]
+    return db, config, groups
+
+
+def _decisions(db, config, predictor, groups, rng):
+    out = []
+    for slot, samples in groups:
+        update_history(db, samples)
+        out.append(decide(db, config, predictor, slot, db.last_timestamp, rng))
+    return out
+
+
+def test_pcach_step_returns_the_apps_of_decide():
+    db_step, config, groups = _replay()
+    db_decide = HistoryDB.from_json(db_step.to_json())
+    predictor = make_predictor(config)
+    rng_step, rng_decide = seeded_rng(9), seeded_rng(9)
+    cuts = 0
+    for slot, samples in groups:
+        out = pcach_step(db_step, config, slot, samples, rng_step, predictor)
+        d = _decisions(db_decide, config, predictor, [(slot, samples)], rng_decide)[0]
+        assert out == list(d.apps)
+        cuts += d.cut
+    assert cuts > 0
+
+
+@settings(deadline=None, max_examples=15)
+@given(first=st.integers(0, 95), every=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_snapshot_restored_mid_stream_gives_identical_decisions(first, every, seed):
+    db, config, groups = _replay()
+    predictor = make_predictor(config)
+    straight = _decisions(HistoryDB.from_json(db.to_json()), config, predictor,
+                          groups, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    restored, done = [], 0
+    for split in [*range(first, len(groups), every), len(groups)]:
+        restored += _decisions(db, config, predictor, groups[done:split], rng)
+        db, rng, done = HistoryDB.from_json(db.to_json()), copy.deepcopy(rng), split
+    assert restored == straight
