@@ -1,7 +1,7 @@
 """Trace-driven WiFi-gap mining, pre-caching potential analysis and
 cut/resume/app prediction for smartphone connectivity traces."""
 
-from .boosting import AdaBoostModel, Stump, adaboost_predict, train_adaboost, train_adaboost_xy
+from .boosting import AdaBoostModel, Stump, adaboost_predict, train_adaboost_xy
 from .evaluation import (
     ConfusionCounts,
     RocPoint,

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -142,9 +141,12 @@ def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
     if rounds < 1:
         raise ParameterError("rounds must be at least 1")
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise DegenerateDataError("dataset is empty or malformed")
+    if not np.isin(y, (-1, 1)).all():
+        raise DegenerateDataError("labels must be +1 or -1")
+    y = y.astype(np.int64)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise DegenerateDataError("training data must contain both labels")
 
@@ -173,19 +175,6 @@ def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
     return AdaBoostModel(stumps=tuple(stumps), rounds=rounds,
                          decision_threshold=decision_threshold,
                          training_log=tuple(log))
-
-
-def train_adaboost(dataset: Sequence[tuple[FeatureVector, int]],
-                   rounds: int = DEFAULT_ROUNDS,
-                   decision_threshold: float = 0.0) -> AdaBoostModel:
-    """Fit from (FeatureVector, label) pairs; labels are +1 (event) / -1."""
-    if not dataset:
-        raise DegenerateDataError("dataset is empty")
-    X = np.stack([fv.as_array() for fv, _ in dataset])
-    y = np.array([label for _, label in dataset], dtype=np.int64)
-    if not np.isin(y, (-1, 1)).all():
-        raise DegenerateDataError("labels must be +1 or -1")
-    return train_adaboost_xy(X, y, rounds=rounds, decision_threshold=decision_threshold)
 
 
 def adaboost_predict(model: AdaBoostModel, fv: FeatureVector) -> tuple[int, float]:

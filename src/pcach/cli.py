@@ -126,9 +126,10 @@ def _per_phone(fn, paths: list[Path], **params) -> list:
     return [result for _, result in sorted(results, key=lambda pair: pair[0])]
 
 
-def _normalized(trace, utc_offset_s: int):
-    profile = derive_preferred_profile(trace, utc_offset_s=utc_offset_s)
-    norm = normalize_timeline(trace, profile)
+def _normalized(trace):
+    """The trace's normalized timeline and gaps. Normalization reads only the
+    preferred SSIDs, which no time-of-day setting changes."""
+    norm = normalize_timeline(trace, derive_preferred_profile(trace))
     return norm, detect_gaps(norm)
 
 
@@ -176,11 +177,11 @@ def cmd_generate(args) -> int:
 # mine / gaps / bound
 # ---------------------------------------------------------------------------
 
-def _mine_phone(trace, *, slot_minutes, horizons, utc_offset_s):
-    norm, gaps = _normalized(trace, utc_offset_s)
+def _mine_phone(trace, *, horizons, slot_minutes, local_utc_offset):
+    norm, gaps = _normalized(trace)
     split = traffic_split(norm)
     closed = closed_gaps(gaps)
-    cuts, resumes = event_time_histogram(gaps, slot_minutes, utc_offset_s)
+    cuts, resumes = event_time_histogram(gaps, slot_minutes, local_utc_offset)
     return {
         "phone_id": norm.phone_id,
         "cellular_bytes": split.cellular_bytes,
@@ -196,11 +197,16 @@ def _mine_phone(trace, *, slot_minutes, horizons, utc_offset_s):
     }
 
 
-def _run_mining(args, emit: set[str], command: str) -> int:
+def _bound_phone(trace, *, horizons):
+    norm, gaps = _normalized(trace)
+    return {"phone_id": norm.phone_id, "bound": horizon_sweep(norm, gaps, horizons)}
+
+
+def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
+    """Run ``worker`` per phone and write the ``emit`` outputs; ``flags`` are
+    the command's own flags, passed to the worker and recorded."""
     horizons = _parse_int_list(args.horizons, "--horizons")
-    results = _per_phone(_mine_phone, _trace_paths(args.traces),
-                         slot_minutes=args.slot_minutes, horizons=horizons,
-                         utc_offset_s=args.local_utc_offset)
+    results = _per_phone(worker, _trace_paths(args.traces), horizons=horizons, **flags)
     out_dir = _out_dir(args.out)
 
     outputs = []
@@ -260,24 +266,26 @@ def _run_mining(args, emit: set[str], command: str) -> int:
     _write_manifest(out_dir, command, {
         "traces": args.traces,
         "out": args.out,
-        "slot_minutes": args.slot_minutes,
         "horizons": horizons,
-        "local_utc_offset": args.local_utc_offset,
+        **flags,
     }, outputs)
     print(f"{command}: {len(results)} phones -> {out_dir}")
     return 0
 
 
 def cmd_mine(args) -> int:
-    return _run_mining(args, {"traffic", "gap_cdf", "histogram", "bound", "gaps"}, "mine")
+    return _run_mining(args, "mine", _mine_phone,
+                       {"traffic", "gap_cdf", "histogram", "bound", "gaps"},
+                       slot_minutes=args.slot_minutes,
+                       local_utc_offset=args.local_utc_offset)
 
 
 def cmd_bound(args) -> int:
-    return _run_mining(args, {"bound"}, "bound")
+    return _run_mining(args, "bound", _bound_phone, {"bound"})
 
 
-def _gaps_phone(trace, *, utc_offset_s):
-    norm, gaps = _normalized(trace, utc_offset_s)
+def _gaps_phone(trace):
+    norm, gaps = _normalized(trace)
     return {
         "phone_id": norm.phone_id,
         "rows": [[norm.phone_id, g.cut_time,
@@ -288,8 +296,7 @@ def _gaps_phone(trace, *, utc_offset_s):
 
 
 def cmd_gaps(args) -> int:
-    results = _per_phone(_gaps_phone, _trace_paths(args.traces),
-                         utc_offset_s=args.local_utc_offset)
+    results = _per_phone(_gaps_phone, _trace_paths(args.traces))
     out_dir = _out_dir(args.out)
     rows = [row for r in results for row in r["rows"]]
     _write_csv(out_dir / "gaps.csv",
@@ -297,10 +304,8 @@ def cmd_gaps(args) -> int:
                rows)
     _write_json(out_dir / "summary.json",
                 {"phones": len(results), "total_gaps": len(rows)})
-    _write_manifest(out_dir, "gaps", {
-        "traces": args.traces, "out": args.out,
-        "local_utc_offset": args.local_utc_offset,
-    }, ["gaps.csv", "summary.json"])
+    _write_manifest(out_dir, "gaps", {"traces": args.traces, "out": args.out},
+                    ["gaps.csv", "summary.json"])
     print(f"gaps: {len(rows)} gaps from {len(results)} phones -> {out_dir}")
     return 0
 
@@ -325,6 +330,9 @@ def _default_s_apps(args) -> tuple[str, ...]:
 
 def cmd_backtest(args) -> int:
     s_apps = _default_s_apps(args)
+    if not 1 <= args.k <= len(s_apps):
+        raise PCachError(f"--k {args.k} outside [1, {len(s_apps)}]: "
+                         f"the pre-cachable app list has {len(s_apps)} apps")
     paths = _trace_paths(args.traces)
     config = PCachConfig(
         k=args.k, s_apps=s_apps, slot_minutes=args.slot_minutes,
@@ -468,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
         m.add_argument("--out", required=True)
         m.add_argument("--horizons", default=",".join(str(h) for h in DEFAULT_HORIZONS_MIN),
                        help="comma-separated horizon minutes")
-        _add_common(m)
+        if name == "mine":
+            _add_common(m)
         m.set_defaults(fn=fn)
 
     gp = sub.add_parser("gaps", help="per-phone WiFi gap listings")
     gp.add_argument("--traces", required=True)
     gp.add_argument("--out", required=True)
-    _add_common(gp)
     gp.set_defaults(fn=cmd_gaps)
 
     b = sub.add_parser("backtest", help="chronological train/test evaluation")

@@ -10,8 +10,10 @@ across phones.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from .errors import (
     UndefinedRateError,
 )
 from .history import (
+    DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
     extract_features,
@@ -150,16 +153,10 @@ def score_app_prediction(
 # shared replay machinery
 # ---------------------------------------------------------------------------
 
-def _group_by_slot(samples, slot_s: int, utc_offset_s: int):
-    """Consecutive (absolute_slot, [samples]) groups, chronological."""
-    groups: list[tuple[int, list]] = []
-    for s in samples:
-        slot = (s.timestamp + utc_offset_s) // slot_s
-        if groups and groups[-1][0] == slot:
-            groups[-1][1].append(s)
-        else:
-            groups.append((slot, [s]))
-    return groups
+def _group_by_slot(db: HistoryDB, samples):
+    """Consecutive (absolute_slot, [samples]) groups on ``db``'s slot clock."""
+    return [(slot, list(group)) for slot, group in
+            itertools.groupby(samples, key=lambda s: db.abs_slot(s.timestamp))]
 
 
 def _gap_used_apps(norm: Trace, gap: WiFiGap, universe: set[str]) -> frozenset[str]:
@@ -190,17 +187,18 @@ class _Truth:
     gap_by_cut_slot: dict[int, WiFiGap]
 
     @classmethod
-    def build(cls, norm: Trace, slot_s: int, utc_offset_s: int) -> "_Truth":
+    def build(cls, norm: Trace, db: HistoryDB) -> "_Truth":
+        """Event slots on ``db``'s slot clock."""
         gaps = detect_gaps(norm)
         cut_slots = set()
         resume_slots = set()
         by_slot: dict[int, WiFiGap] = {}
         for g in gaps:
-            cs = (g.cut_time + utc_offset_s) // slot_s
+            cs = db.abs_slot(g.cut_time)
             cut_slots.add(cs)
             by_slot.setdefault(cs, g)
             if g.resume_time is not None:
-                resume_slots.add((g.resume_time + utc_offset_s) // slot_s)
+                resume_slots.add(db.abs_slot(g.resume_time))
         return cls(gaps, cut_slots, resume_slots, by_slot)
 
 
@@ -219,7 +217,7 @@ def app_prediction_run(
     trace: Trace,
     s_apps: Sequence[str],
     ks: Sequence[int],
-    slot_minutes: int = 15,
+    slot_minutes: int = DEFAULT_SLOT_MINUTES,
     train_days: float = DEFAULT_TRAIN_DAYS,
     utc_offset_s: int = 0,
 ) -> AppPredictionRun:
@@ -236,7 +234,6 @@ def app_prediction_run(
     if ks[0] < 1 or ks[-1] > len(s_apps):
         raise ParameterError(f"K values must lie in [1, {len(s_apps)}]")
 
-    slot_s = slot_minutes * 60
     boundary = trace.start_time + int(train_days * 86400)
     train_samples = [s for s in trace.samples if s.timestamp < boundary]
     if not train_samples or boundary >= trace.end_time:
@@ -245,29 +242,27 @@ def app_prediction_run(
     profile = derive_preferred_profile(
         Trace(trace.phone_id, tuple(train_samples), trace.nominal_period_s))
     norm = normalize_timeline(trace, profile)
-    truth = _Truth.build(norm, slot_s, utc_offset_s)
-    universe = set(s_apps)
-
     db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
                    utc_offset_s=utc_offset_s)
+    truth = _Truth.build(norm, db)
+    universe = set(s_apps)
     counts = {k: ConfusionCounts() for k in ks}
     scored = skipped = 0
 
-    groups = _group_by_slot(norm.samples, slot_s, utc_offset_s)
-    for slot, slot_samples in groups:
+    for slot, group in _group_by_slot(db, norm.samples):
         gap = truth.gap_by_cut_slot.get(slot)
         if gap is not None and gap.cut_time >= boundary:
             used = _gap_used_apps(norm, gap, universe)
             if not used:
                 skipped += 1
             else:
-                last_slot = (gap.resume_time + utc_offset_s) // slot_s
+                last_slot = db.abs_slot(gap.resume_time)
                 ranked = rank_slot_apps(db, s_apps, ks[-1], slot, last_slot)
                 for k in ks:
                     predicted = selected_apps(s_apps, ranked[:k])
                     counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
                 scored += 1
-        update_history(db, slot_samples)
+        update_history(db, group)
     return AppPredictionRun(counts_by_k=counts, scored_gaps=scored,
                             skipped_gaps=skipped)
 
@@ -284,7 +279,7 @@ def k_sweep(
     traces: Iterable[Trace],
     s_apps: Sequence[str],
     ks: Sequence[int] = PAPER_K_SET,
-    slot_minutes: int = 15,
+    slot_minutes: int = DEFAULT_SLOT_MINUTES,
     train_days: float = DEFAULT_TRAIN_DAYS,
     utc_offset_s: int = 0,
 ) -> list[KSweepPoint]:
@@ -422,22 +417,22 @@ def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> i
     return idx
 
 
-def _train_feature_pass(norm_train, db: HistoryDB, slot_s, utc_offset_s,
-                        truth: _Truth, last_train_slot: int):
+def _train_feature_pass(norm_train, db: HistoryDB, truth: _Truth, last_train_slot: int):
     """Per-slot features/labels over the training period.
 
     Features use the training period's final histograms (frozen), so the
     classifier trains on the probability estimates it will actually see;
-    nothing from the test period is touched.
+    nothing from the test period is touched. A shallow copy of ``db`` shares
+    those histograms and takes each slot's last sample as its newest.
     """
-    view = db.feature_view()
+    view = copy.copy(db)
     rows_cut, y_cut, rows_res, y_res, target_slots = [], [], [], [], []
-    for slot, slot_samples in _group_by_slot(norm_train, slot_s, utc_offset_s):
-        view.recent_samples.extend(slot_samples)
+    for slot, group in _group_by_slot(db, norm_train):
+        view.latest = group[-1]
         target = slot + 1
         if target > last_train_slot:
             break
-        now = slot_samples[-1].timestamp
+        now = group[-1].timestamp
         fv_cut = extract_features(view, target, now, EventKind.CUT)
         fv_res = extract_features(view, target, now, EventKind.RESUME)
         rows_cut.append(fv_cut.as_array())
@@ -508,7 +503,6 @@ def backtest(
     thresholds all come from the training period alone; the test period is
     replayed slot by slot with online history updates and no lookahead.
     """
-    slot_s = config.slot_minutes * 60
     if trace.end_time - trace.start_time < 2 * 86400:
         raise DataError(f"trace {trace.phone_id!r}: shorter than two days")
     idx = _split_index(trace, config, split)
@@ -518,27 +512,24 @@ def backtest(
     norm = normalize_timeline(trace, profile)
     norm_train = norm.samples[:idx]
     norm_test = norm.samples[idx:]
-    truth = _Truth.build(norm, slot_s, utc_offset_s)
-    universe = set(config.s_apps)
-
     db = HistoryDB(config.slot_minutes, tracked_apps=config.s_apps,
                    profile=profile, utc_offset_s=utc_offset_s)
+    truth = _Truth.build(norm, db)
+    universe = set(config.s_apps)
     update_history(db, norm_train)
-
-    last_train_slot = (norm_train[-1].timestamp + utc_offset_s) // slot_s
+    last_train_slot = db.abs_slot(db.last_timestamp)
 
     cut_model = resume_model = None
     sel_cut_thr = sel_res_thr = None
     cut_margins_train = cut_labels_train = None
-    predictor = predictor_override
-    if predictor is None and config.predictor_kind is PredictorKind.ADABOOST:
+    if predictor_override is None and config.predictor_kind is PredictorKind.ADABOOST:
         X_cut, y_cut, X_res, y_res, target_slots = _train_feature_pass(
-            norm_train, db, slot_s, utc_offset_s, truth, last_train_slot)
+            norm_train, db, truth, last_train_slot)
         cut_model = train_adaboost_xy(X_cut, y_cut, rounds=config.adaboost_rounds)
         resume_model = train_adaboost_xy(X_res, y_res, rounds=config.adaboost_rounds)
 
         # the history rule's train-period confusion is the recall to beat
-        reference = HistoryPredictor(n_draws=config.n_draws, delta=config.delta)
+        reference = HistoryPredictor(config)
         rng_ref = stream_rng(seed, trace.phone_id, 0, "train-reference")
         ref_cut = ConfusionCounts.tally(
             [reference.predict_cut(db, t, 0, rng_ref)[0] for t in target_slots],
@@ -557,9 +548,7 @@ def backtest(
                                            training_log=())
         config = dataclasses.replace(config, cut_model=cut_model,
                                      resume_model=resume_model)
-        predictor = make_predictor(config)
-    elif predictor is None:
-        predictor = make_predictor(config)
+    predictor = predictor_override if predictor_override is not None else make_predictor(config)
 
     digest_parts = [db.to_json()]
     if cut_model is not None:
@@ -569,8 +558,8 @@ def backtest(
     rng_test = stream_rng(seed, trace.phone_id, 0, "test-replay")
     decisions = []
     # the final slot's target lies past the test period: it is not replayed
-    for slot, slot_samples in _group_by_slot(norm_test, slot_s, utc_offset_s)[:-1]:
-        update_history(db, slot_samples)
+    for slot, group in _group_by_slot(db, norm_test)[:-1]:
+        update_history(db, group)
         decisions.append(decide(db, config, predictor, slot, db.last_timestamp, rng_test))
 
     cut_truths = [d.target_slot in truth.cut_slots for d in decisions]
@@ -589,8 +578,7 @@ def backtest(
         if gap.resume_time is None:
             continue  # open gap: the ground-truth window never closed
         resume_eval += 1
-        true_resume_slot = (gap.resume_time + utc_offset_s) // slot_s
-        if abs(d.resume_slot - true_resume_slot) <= 1:
+        if abs(d.resume_slot - db.abs_slot(gap.resume_time)) <= 1:
             resume_hits += 1
 
     panel = ()
@@ -615,7 +603,7 @@ def backtest(
         k=config.k,
         slot_minutes=config.slot_minutes,
         split_index=idx,
-        train_slots=len({(s.timestamp + utc_offset_s) // slot_s for s in norm_train}),
+        train_slots=len({db.abs_slot(s.timestamp) for s in norm_train}),
         test_slots=len(decisions),
         cut=ConfusionCounts.tally([d.cut for d in decisions], cut_truths),
         resume=ConfusionCounts.tally(

@@ -2,9 +2,10 @@
 
 A :class:`HistoryDB` is the rolling per-phone store every prediction reads
 from: per-app slot-of-day usage histograms, cut/resume event histograms,
-per-slot observation counts, the preferred-network profile and a short window
-of recent raw samples for feature extraction. Updates are strictly
-chronological and single-owner; trained models and profiles are immutable.
+per-slot observation counts, the preferred-network profile and the newest
+raw sample, which both the event transitions and feature extraction read.
+Updates are strictly chronological and single-owner; trained models and
+profiles are immutable.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -14,7 +15,6 @@ stay linear; histogram lookups reduce them modulo the slots-per-day count.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -31,6 +31,8 @@ from .mining import slots_per_day
 from .trace import (
     MeasurementSample,
     PreferredNetworkProfile,
+    _jsonl_sample,
+    _sample_to_obj,
     in_hour_window,
     is_cut_transition,
     is_resume_transition,
@@ -38,7 +40,10 @@ from .trace import (
 )
 
 DEFAULT_SLOT_MINUTES = 15
-RECENT_WINDOW = 16
+DEFAULT_N_DRAWS = 10000
+DEFAULT_DELTA = 0.1
+DEFAULT_MAX_LOOKAHEAD = 96
+DEFAULT_GAP_SLOTS = 2
 NIGHT_WINDOW = (20, 8)
 DAY_WINDOW = (8, 20)
 
@@ -80,9 +85,7 @@ class HistoryDB:
         self.cut_hist = np.zeros(self.n_slots, dtype=np.int64)
         self.resume_hist = np.zeros(self.n_slots, dtype=np.int64)
         self.slot_observations = np.zeros(self.n_slots, dtype=np.int64)
-        self.recent_samples: deque[MeasurementSample] = deque(maxlen=RECENT_WINDOW)
-        self._last_timestamp: Optional[int] = None
-        self._prev_sample: Optional[MeasurementSample] = None
+        self.latest: Optional[MeasurementSample] = None
         # dedup state for the (day, slot) currently being filled
         self._open_key: Optional[tuple[int, int]] = None
         self._open_apps: set[str] = set()
@@ -108,27 +111,11 @@ class HistoryDB:
 
     @property
     def last_timestamp(self) -> Optional[int]:
-        return self._last_timestamp
-
-    def feature_view(self) -> "HistoryDB":
-        """A database sharing this one's event histograms, observation counts
-        and profile, with no tracked apps and an empty recent window.
-
-        Feature extraction over the view reads the histograms as they stand
-        now while the caller feeds the recent window, without updating them.
-        """
-        view = HistoryDB(self.slot_minutes, profile=self.profile,
-                         utc_offset_s=self.utc_offset_s)
-        view.cut_hist = self.cut_hist
-        view.resume_hist = self.resume_hist
-        view.slot_observations = self.slot_observations
-        return view
+        return None if self.latest is None else self.latest.timestamp
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        from .trace import _sample_to_obj
-
         return json.dumps({
             "slot_minutes": self.slot_minutes,
             "tracked_apps": list(self.tracked_apps),
@@ -138,8 +125,7 @@ class HistoryDB:
             "resume_hist": self.resume_hist.tolist(),
             "slot_observations": self.slot_observations.tolist(),
             "profile": self.profile.to_dict() if self.profile else None,
-            "recent_samples": [_sample_to_obj(s) for s in self.recent_samples],
-            "last_timestamp": self._last_timestamp,
+            "latest": None if self.latest is None else _sample_to_obj(self.latest),
             "open_key": list(self._open_key) if self._open_key else None,
             "open_apps": sorted(self._open_apps),
             "open_cut": self._open_cut,
@@ -148,8 +134,6 @@ class HistoryDB:
 
     @classmethod
     def from_json(cls, text: str) -> "HistoryDB":
-        from .trace import ingest_trace
-
         d = json.loads(text)
         db = cls(
             slot_minutes=d["slot_minutes"],
@@ -162,12 +146,7 @@ class HistoryDB:
         db.cut_hist = np.asarray(d["cut_hist"], dtype=np.int64)
         db.resume_hist = np.asarray(d["resume_hist"], dtype=np.int64)
         db.slot_observations = np.asarray(d["slot_observations"], dtype=np.int64)
-        if d["recent_samples"]:
-            payload = "\n".join(json.dumps(o) for o in d["recent_samples"])
-            trace = ingest_trace(payload.encode(), fmt="jsonl", phone_id="snapshot")
-            db.recent_samples.extend(trace.samples)
-            db._prev_sample = trace.samples[-1]
-        db._last_timestamp = d["last_timestamp"]
+        db.latest = None if d["latest"] is None else _jsonl_sample(d["latest"], {})
         db._open_key = tuple(d["open_key"]) if d["open_key"] else None
         db._open_apps = set(d["open_apps"])
         db._open_cut = d["open_cut"]
@@ -189,16 +168,15 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
     """
     if not isinstance(new_samples, (list, tuple)):
         new_samples = list(new_samples)
-    last = db._last_timestamp
+    last = db.last_timestamp
     for sample in new_samples:
         if last is not None and sample.timestamp <= last:
             raise OrderingError(f"sample at t={sample.timestamp} not after t={last}")
         last = sample.timestamp
 
-    minutes = db.slot_minutes * 60
+    prev = db.latest
     for sample in new_samples:
-        abs_slot = (sample.timestamp + db.utc_offset_s) // minutes
-        key = (abs_slot // db.n_slots, abs_slot % db.n_slots)
+        key = divmod(db.abs_slot(sample.timestamp), db.n_slots)
         if key != db._open_key:
             db._open_key = key
             db._open_apps = set()
@@ -212,7 +190,6 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
                 db.app_hist[rec.app_id][slot] += 1
                 db._open_apps.add(rec.app_id)
 
-        prev = db._prev_sample
         if prev is not None:
             if not db._open_cut and is_cut_transition(prev, sample):
                 db.cut_hist[slot] += 1
@@ -220,10 +197,8 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
             if not db._open_resume and is_resume_transition(prev, sample):
                 db.resume_hist[slot] += 1
                 db._open_resume = True
-
-        db._prev_sample = sample
-        db._last_timestamp = sample.timestamp
-        db.recent_samples.append(sample)
+        prev = sample
+    db.latest = prev
     return db
 
 
@@ -306,11 +281,11 @@ def history_predict_event(
 def predict_resume_slot(
     db: HistoryDB,
     current_slot: int,
-    max_lookahead: int = 96,
-    n_draws: int = 10000,
-    delta: float = 0.1,
+    max_lookahead: int = DEFAULT_MAX_LOOKAHEAD,
+    n_draws: int = DEFAULT_N_DRAWS,
+    delta: float = DEFAULT_DELTA,
     rng: Optional[np.random.Generator] = None,
-    default_gap_slots: int = 2,
+    default_gap_slots: int = DEFAULT_GAP_SLOTS,
 ) -> int:
     """First future slot where the resume rule fires, else a fixed fallback.
 
@@ -371,15 +346,14 @@ def extract_features(
 ) -> FeatureVector:
     """Context features for predicting an event in a given slot of day.
 
-    Visibility features come from the newest sample in the recent window;
-    the slot probability is the target event's empirical rate for ``slot``.
+    Visibility features come from the database's newest sample; the slot
+    probability is the target event's empirical rate for ``slot``.
     """
-    if not db.recent_samples:
-        raise FeatureError("no recent samples to extract features from")
+    if db.latest is None:
+        raise FeatureError("no sample to extract features from")
     if db.profile is None:
         raise FeatureError("history database has no preferred-network profile")
-    latest = db.recent_samples[-1]
-    visible = latest.visible_ssids
+    visible = db.latest.visible_ssids
     prof = db.profile
     top = list(prof.top3) + [None, None, None]
     at_night = in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s)

@@ -16,9 +16,14 @@ from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
-from .boosting import AdaBoostModel, adaboost_predict
+from .boosting import DEFAULT_ROUNDS, AdaBoostModel, adaboost_predict
 from .errors import ConfigError
 from .history import (
+    DEFAULT_DELTA,
+    DEFAULT_GAP_SLOTS,
+    DEFAULT_MAX_LOOKAHEAD,
+    DEFAULT_N_DRAWS,
+    DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
     extract_features,
@@ -28,11 +33,6 @@ from .history import (
     update_history,
 )
 from .trace import MeasurementSample
-
-DEFAULT_N_DRAWS = 10000
-DEFAULT_DELTA = 0.1
-DEFAULT_MAX_LOOKAHEAD = 96
-DEFAULT_GAP_SLOTS = 2
 
 
 class PredictorKind(Enum):
@@ -46,13 +46,13 @@ class PCachConfig:
 
     k: int
     s_apps: tuple[str, ...]
-    slot_minutes: int = 15
+    slot_minutes: int = DEFAULT_SLOT_MINUTES
     predictor_kind: PredictorKind = PredictorKind.HISTORY
     n_draws: int = DEFAULT_N_DRAWS
     delta: float = DEFAULT_DELTA
     max_lookahead_slots: int = DEFAULT_MAX_LOOKAHEAD
     default_gap_slots: int = DEFAULT_GAP_SLOTS
-    adaboost_rounds: int = 50
+    adaboost_rounds: int = DEFAULT_ROUNDS
     cut_model: Optional[AdaBoostModel] = field(default=None, compare=False)
     resume_model: Optional[AdaBoostModel] = field(default=None, compare=False)
 
@@ -87,83 +87,71 @@ class Predictor(Protocol):
 
 
 class HistoryPredictor:
-    """Monte-Carlo acceptance rule on the per-slot event probabilities."""
+    """Monte-Carlo acceptance rule on the per-slot event probabilities, with
+    the draw count, tolerance and resume-scan bounds of a :class:`PCachConfig`.
+    """
 
-    def __init__(self, n_draws: int = DEFAULT_N_DRAWS, delta: float = DEFAULT_DELTA,
-                 max_lookahead: int = DEFAULT_MAX_LOOKAHEAD,
-                 default_gap_slots: int = DEFAULT_GAP_SLOTS):
-        self.n_draws = n_draws
-        self.delta = delta
-        self.max_lookahead = max_lookahead
-        self.default_gap_slots = default_gap_slots
+    def __init__(self, config: PCachConfig):
+        self.config = config
 
     def predict_cut(self, db, target_slot, now, rng):
         p = db.event_probability(target_slot, EventKind.CUT)
-        return history_predict_event(p, self.n_draws, self.delta, rng), p
+        return history_predict_event(p, self.config.n_draws, self.config.delta, rng), p
 
     def resume_fires(self, db, slot, now, rng):
         p = db.event_probability(slot, EventKind.RESUME)
-        return history_predict_event(p, self.n_draws, self.delta, rng)
+        return history_predict_event(p, self.config.n_draws, self.config.delta, rng)
 
     def predict_resume(self, db, current_slot, now, rng):
+        c = self.config
         return predict_resume_slot(
             db, current_slot,
-            max_lookahead=self.max_lookahead,
-            n_draws=self.n_draws,
-            delta=self.delta,
+            max_lookahead=c.max_lookahead_slots,
+            n_draws=c.n_draws,
+            delta=c.delta,
             rng=rng,
-            default_gap_slots=self.default_gap_slots,
+            default_gap_slots=c.default_gap_slots,
         )
 
 
 class AdaBoostPredictor:
     """Boosted-stump classifiers over the per-slot context features.
 
-    Resume slots are found by applying the resume classifier to each future
-    slot in turn and taking the first positive, with the same fixed fallback
-    as the history rule.
+    The two models and the resume-scan bounds come from a
+    :class:`PCachConfig`. Resume slots are found by applying the resume
+    classifier to each future slot in turn and taking the first positive,
+    with the same fixed fallback as the history rule.
     """
 
-    def __init__(self, cut_model: AdaBoostModel, resume_model: AdaBoostModel,
-                 max_lookahead: int = DEFAULT_MAX_LOOKAHEAD,
-                 default_gap_slots: int = DEFAULT_GAP_SLOTS):
-        self.cut_model = cut_model
-        self.resume_model = resume_model
-        self.max_lookahead = max_lookahead
-        self.default_gap_slots = default_gap_slots
+    def __init__(self, config: PCachConfig):
+        if config.cut_model is None or config.resume_model is None:
+            raise ConfigError("boosted predictor requires trained cut and resume models")
+        self.config = config
 
     def predict_cut(self, db, target_slot, now, rng):
         fv = extract_features(db, target_slot, now, EventKind.CUT)
-        margin = float(self.cut_model.decision_margins(fv.as_array()[None, :])[0])
+        model = self.config.cut_model
+        margin = float(model.decision_margins(fv.as_array()[None, :])[0])
         # adaboost_predict's rule: a margin tied with the threshold is -1
-        return margin > self.cut_model.decision_threshold, margin
+        return margin > model.decision_threshold, margin
 
     def resume_fires(self, db, slot, now, rng):
         fv = extract_features(db, slot, now, EventKind.RESUME)
-        label, _ = adaboost_predict(self.resume_model, fv)
+        label, _ = adaboost_predict(self.config.resume_model, fv)
         return label > 0
 
     def predict_resume(self, db, current_slot, now, rng):
-        for s in range(current_slot + 1, current_slot + 1 + self.max_lookahead):
+        c = self.config
+        for s in range(current_slot + 1, current_slot + 1 + c.max_lookahead_slots):
             if self.resume_fires(db, s, now, rng):
                 return s
-        return current_slot + 1 + self.default_gap_slots
+        return current_slot + 1 + c.default_gap_slots
 
 
 def make_predictor(config: PCachConfig) -> Predictor:
     if config.predictor_kind is PredictorKind.HISTORY:
-        return HistoryPredictor(
-            n_draws=config.n_draws, delta=config.delta,
-            max_lookahead=config.max_lookahead_slots,
-            default_gap_slots=config.default_gap_slots,
-        )
-    if config.cut_model is None or config.resume_model is None:
-        raise ConfigError("boosted predictor requires trained cut and resume models")
-    return AdaBoostPredictor(
-        config.cut_model, config.resume_model,
-        max_lookahead=config.max_lookahead_slots,
-        default_gap_slots=config.default_gap_slots,
-    )
+        return HistoryPredictor(config)
+    return AdaBoostPredictor(config)
 
 
 @dataclass(frozen=True)

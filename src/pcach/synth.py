@@ -192,39 +192,21 @@ class GeneratorConfig:
         return tuple(a.app_id for a in self.app_catalog if a.pcachable)
 
     def to_json(self) -> str:
-        d = {
-            "seed": self.seed,
-            "days": self.days,
-            "period_s": self.period_s,
-            "cut_surges": [list(s) for s in self.cut_surges],
-            "resume_surges": [list(s) for s in self.resume_surges],
-            "gap_len_dist": self.gap_len_dist.to_dict(),
-            "app_catalog": [asdict(a) for a in self.app_catalog],
-            "cellular_share_target": self.cellular_share_target,
-            "down_up_ratio": self.down_up_ratio,
-            "cut_slot_rate_target": self.cut_slot_rate_target,
-            "baseline_cuts_per_day": self.baseline_cuts_per_day,
-            "weekend_surge_scale": self.weekend_surge_scale,
-            "evening_gap_window": list(self.evening_gap_window),
-            "pcachable_gap_rate_mean": self.pcachable_gap_rate_mean,
-            "gap_usage_flatten": self.gap_usage_flatten,
-            "nonpcachable_gap_boost": self.nonpcachable_gap_boost,
-            "byte_gap_boost": self.byte_gap_boost,
-            "byte_unit": self.byte_unit,
-            "phone_volume_sigma": self.phone_volume_sigma,
-            "start_epoch": self.start_epoch,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorConfig":
+        """The config a :meth:`to_json` text holds; absent keys take the
+        field defaults."""
         d = json.loads(text)
-        d["cut_surges"] = tuple(tuple(s) for s in d.get("cut_surges", ()))
-        d["resume_surges"] = tuple(tuple(s) for s in d.get("resume_surges", ()))
-        d["gap_len_dist"] = GapLengthDistribution.from_dict(d["gap_len_dist"])
-        d["app_catalog"] = tuple(AppSpec(**a) for a in d.get("app_catalog", ()))
-        d["evening_gap_window"] = tuple(d.get("evening_gap_window", (21.0, 23.0)))
-        return cls(**d)
+        decode = {
+            "cut_surges": lambda v: tuple(map(tuple, v)),
+            "resume_surges": lambda v: tuple(map(tuple, v)),
+            "gap_len_dist": GapLengthDistribution.from_dict,
+            "app_catalog": lambda v: tuple(AppSpec(**a) for a in v),
+            "evening_gap_window": tuple,
+        }
+        return cls(**{k: decode[k](v) if k in decode else v for k, v in d.items()})
 
 
 # Published top-20 application mix: (name, pre-cachable, % of total traffic,

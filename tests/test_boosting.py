@@ -7,7 +7,6 @@ from pcach.boosting import (
     AdaBoostModel,
     Stump,
     adaboost_predict,
-    train_adaboost,
     train_adaboost_xy,
 )
 from pcach.errors import DegenerateDataError, ModelError, ParameterError
@@ -115,28 +114,19 @@ def test_single_label_dataset_rejected():
     with pytest.raises(DegenerateDataError):
         train_adaboost_xy(X, np.ones(4), rounds=5)
     with pytest.raises(DegenerateDataError):
-        train_adaboost([], rounds=5)
+        train_adaboost_xy(np.empty((0, 9)), np.empty(0), rounds=5)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 0.5])
+def test_label_outside_plus_minus_one_rejected(bad):
+    X = np.arange(36, dtype=float).reshape(4, 9)
+    with pytest.raises(DegenerateDataError, match="labels must be"):
+        train_adaboost_xy(X, np.array([1, bad, -1, 1]), rounds=5)
 
 
 def test_bad_round_count_rejected():
     with pytest.raises(ParameterError):
         train_adaboost_xy(np.zeros((2, 9)), np.array([1, -1]), rounds=0)
-
-
-def test_pair_interface_matches_array_interface():
-    rng = seeded_rng(3)
-    pairs = []
-    for _ in range(30):
-        vec = fv(n_visible=int(rng.integers(0, 5)),
-                 slot=int(rng.integers(0, 96)),
-                 prob=float(rng.random()))
-        label = 1 if vec.slot_event_prob > 0.5 else -1
-        pairs.append((vec, label))
-    m1 = train_adaboost(pairs, rounds=10)
-    X = np.stack([v.as_array() for v, _ in pairs])
-    y = np.array([l for _, l in pairs])
-    m2 = train_adaboost_xy(X, y, rounds=10)
-    assert m1.stumps == m2.stumps
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,43 @@ def test_gaps_and_bound_subcommands(corpus):
     assert summary["mean_bound_by_horizon"]["120"] >= summary["mean_bound_by_horizon"]["15"]
 
 
+def test_gaps_and_bound_take_only_the_flags_they_read(corpus, tmp_path, monkeypatch):
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    traces = str(corpus / "traces")
+    assert main(["gaps", "--traces", traces, "--out", str(tmp_path / "gaps")]) == 0
+    assert main(["bound", "--traces", traces, "--out", str(tmp_path / "bound")]) == 0
+    assert main(["mine", "--traces", traces, "--out", str(tmp_path / "mine")]) == 0
+
+    def params(name):
+        return json.loads((tmp_path / name / "manifest.json").read_text())["parameters"]
+
+    assert set(params("gaps")) == {"traces", "out"}
+    assert set(params("bound")) == {"traces", "out", "horizons"}
+    assert {"slot_minutes", "local_utc_offset"} <= set(params("mine"))
+    # bound computes only the horizon sweep, and gets mine's series
+    assert ((tmp_path / "bound" / "bound_vs_horizon.csv").read_bytes()
+            == (tmp_path / "mine" / "bound_vs_horizon.csv").read_bytes())
+    for command in ("gaps", "bound"):
+        for flag in ("--slot-minutes", "--local-utc-offset"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--traces", traces, "--out", str(tmp_path / "x"), flag, "7"])
+            assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_backtest_k_beyond_the_app_list_names_the_flag(corpus, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    n_apps = len(reference_config().pcachable_apps)
+    out = tmp_path / "bt"
+    rc = main(["backtest", "--traces", str(corpus / "traces"), "--predictor", "history",
+               "--k", str(n_apps + 1), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --k {n_apps + 1} outside [1, {n_apps}]")
+    assert f"{n_apps} apps" in err
+    assert not out.exists()
+
+
 def test_mine_empty_dir_fails_with_nonzero_exit(tmp_path):
     (tmp_path / "empty").mkdir()
     res = run_cli(["mine", "--traces", "empty", "--out", "out"], cwd=tmp_path)

@@ -1,14 +1,16 @@
 import copy
+import dataclasses
 import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcach.boosting import AdaBoostModel, Stump
 from pcach.errors import ConfigError
+from pcach.evaluation import backtest
 from pcach.history import HistoryDB, update_history
 from pcach.pipeline import (
     AdaBoostPredictor,
@@ -131,7 +133,7 @@ def test_history_predictor_uses_slot_probabilities():
     db = _db()
     db.slot_observations[:] = 10
     db.cut_hist[11] = 10          # certain cut at slot 11
-    pred = HistoryPredictor(n_draws=100, delta=0.1)
+    pred = HistoryPredictor(_config(n_draws=100, delta=0.1))
     rng = seeded_rng(1)
     update = [sample(10 * 900, W)]
     out = pcach_step(db, _config(k=1), 10, update, rng=rng, predictor=pred)
@@ -147,7 +149,7 @@ def test_adaboost_predictor_scans_for_resume():
     resume = AdaBoostModel(stumps=(Stump(9, 0.5, 1, 1.0),), rounds=1)
     db.slot_observations[:] = 10
     db.resume_hist[14] = 8        # probability 0.8 at slot 14
-    pred = AdaBoostPredictor(always, resume)
+    pred = AdaBoostPredictor(_config(cut_model=always, resume_model=resume))
     assert pred.predict_resume(db, 10, 10 * 900, seeded_rng(0)) == 14
     out = pcach_step(db, _config(k=1), 10,
                      [sample(10 * 900 + 300, W, ssid="home", visible={"home"})],
@@ -161,7 +163,8 @@ def test_adaboost_predictor_resume_fallback():
     update_history(db, [sample(0, W, ssid="home", visible={"home"})])
     always = AdaBoostModel(stumps=(Stump(4, -1.0, 1, 1.0),), rounds=1)
     never = AdaBoostModel(stumps=(Stump(4, 1e9, 1, 1.0),), rounds=1)
-    pred = AdaBoostPredictor(always, never, max_lookahead=10, default_gap_slots=2)
+    pred = AdaBoostPredictor(_config(cut_model=always, resume_model=never,
+                                     max_lookahead_slots=10, default_gap_slots=2))
     assert pred.predict_resume(db, 5, 0, seeded_rng(0)) == 8
 
 
@@ -214,10 +217,23 @@ def _phone(days=10, seed=4):
     return generate_trace(cfg, "engine-phone"), cfg.pcachable_apps
 
 
-def _replay(train_days=6):
+@functools.lru_cache(maxsize=None)
+def _trained_models():
+    """Cut and resume models from one AdaBoost backtest of the engine phone."""
+    trace, s_apps = _phone()
+    report = backtest(trace, PCachConfig(k=5, s_apps=s_apps,
+                                         predictor_kind=PredictorKind.ADABOOST))
+    return (AdaBoostModel.from_json(report.cut_model_json),
+            AdaBoostModel.from_json(report.resume_model_json))
+
+
+def _replay(train_days=6, kind=PredictorKind.HISTORY):
     """A warmed history DB, a config and the test period's slot groups."""
     trace, s_apps = _phone()
-    config = PCachConfig(k=5, s_apps=s_apps)
+    config = PCachConfig(k=5, s_apps=s_apps, predictor_kind=kind)
+    if kind is PredictorKind.ADABOOST:
+        cut_model, resume_model = _trained_models()
+        config = dataclasses.replace(config, cut_model=cut_model, resume_model=resume_model)
     boundary = trace.start_time + train_days * 86400
     train = [s for s in trace.samples if s.timestamp < boundary]
     profile = derive_preferred_profile(Trace(trace.phone_id, tuple(train)))
@@ -253,10 +269,12 @@ def test_pcach_step_returns_the_apps_of_decide():
 
 
 @settings(deadline=None, max_examples=15)
-@given(first=st.integers(0, 95), every=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_snapshot_restored_mid_stream_gives_identical_decisions(first, every, seed):
-    db, config, groups = _replay()
+@given(kind=st.sampled_from(PredictorKind), first=st.integers(0, 95),
+       every=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(kind=PredictorKind.HISTORY, first=3, every=7, seed=1)
+@example(kind=PredictorKind.ADABOOST, first=3, every=7, seed=1)
+def test_snapshot_restored_mid_stream_gives_identical_decisions(kind, first, every, seed):
+    db, config, groups = _replay(kind=kind)
     predictor = make_predictor(config)
     straight = _decisions(HistoryDB.from_json(db.to_json()), config, predictor,
                           groups, np.random.default_rng(seed))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_reference_config_is_pure():
 def test_config_json_round_trip():
     cfg = small_config()
     assert GeneratorConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("key", ["evening_gap_window", "gap_len_dist", "cut_surges",
+                                 "byte_unit", "start_epoch"])
+def test_config_json_missing_key_takes_the_field_default(key):
+    cfg = small_config()
+    d = json.loads(cfg.to_json())
+    del d[key]
+    loaded = GeneratorConfig.from_json(json.dumps(d))
+    default = GeneratorConfig(seed=cfg.seed, days=cfg.days)
+    assert getattr(loaded, key) == getattr(default, key)
+    assert loaded == dataclasses.replace(cfg, **{key: getattr(default, key)})
 
 
 def test_config_validation():
