@@ -147,8 +147,10 @@ def _generate_one(job):
 
 
 def cmd_generate(args) -> int:
+    if args.phones < 1:
+        raise PCachError(f"--phones must be at least 1, got {args.phones}")
     if args.config:
-        config = GeneratorConfig.from_json(Path(args.config).read_text())
+        config = GeneratorConfig.from_json(Path(args.config).read_bytes())
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         if args.days is not None:
@@ -156,6 +158,8 @@ def cmd_generate(args) -> int:
     else:
         config = reference_config(seed=args.seed if args.seed is not None else 0,
                                   days=args.days if args.days is not None else 60)
+    if config.days < 1:
+        raise PCachError(f"days must be positive, got {config.days}")
     out_dir = _out_dir(args.out)
     jobs = [(config.to_json(), f"phone-{i:03d}", str(out_dir), args.format)
             for i in range(args.phones)]

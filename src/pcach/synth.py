@@ -10,7 +10,17 @@ and an application mix seeded from the published top-app table.
 
 Generation is deterministic: every stream of randomness comes from a
 counter-based generator keyed by (seed, phone_id, day, stream name), so
-phones and days are independent and reproducible in isolation.
+phones and days are independent and reproducible in isolation. The draw
+order is part of that contract, and the written traces are pinned by
+digest in the tests:
+
+* one ``phone`` stream (day -1) draws the phone's volume scale;
+* each day's ``schedule`` stream draws the day's cut events;
+* each day's ``traffic`` stream draws, in this order, ``running`` (one
+  uniform per (sample, app) of the day, compared with the app's rate),
+  ``scan_u`` (two uniforms per sample: the WiFi scan) and ``byte_z`` (one
+  normal per running (sample, app), taken row-major over ``running``: by
+  sample, then by catalog order).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from statistics import NormalDist
 from typing import Optional
 
@@ -131,13 +141,6 @@ class GapLengthDistribution:
         tail_frac = (h - self.body_cap_h) / (self.tail_max_h - self.body_cap_h)
         return self.body_weight + (1 - self.body_weight) * tail_frac
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GapLengthDistribution":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -195,18 +198,73 @@ class GeneratorConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "GeneratorConfig":
+    def from_json(cls, text: str | bytes) -> "GeneratorConfig":
         """The config a :meth:`to_json` text holds; absent keys take the
-        field defaults."""
-        d = json.loads(text)
+        field defaults.
+
+        Invalid JSON, an unknown or missing key and a value of the wrong
+        type, nested ones included, raise :class:`ConfigError` naming it.
+        """
+        try:
+            d = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
+            raise ConfigError(f"generator config is not valid JSON ({exc})") from None
         decode = {
-            "cut_surges": lambda v: tuple(map(tuple, v)),
-            "resume_surges": lambda v: tuple(map(tuple, v)),
-            "gap_len_dist": GapLengthDistribution.from_dict,
-            "app_catalog": lambda v: tuple(AppSpec(**a) for a in v),
-            "evening_gap_window": tuple,
+            "cut_surges": _surges,
+            "resume_surges": _surges,
+            "evening_gap_window": lambda v, key: _numbers(v, 2, key),
+            "gap_len_dist": lambda v, key: GapLengthDistribution(
+                **_checked_fields(GapLengthDistribution, v, key)),
+            "app_catalog": lambda v, key: tuple(
+                AppSpec(**_checked_fields(AppSpec, a, f"{key}[{i}]"))
+                for i, a in enumerate(_list(v, key))),
         }
-        return cls(**{k: decode[k](v) if k in decode else v for k, v in d.items()})
+        d = _checked_fields(cls, d, "generator config")
+        return cls(**{k: decode[k](v, k) if k in decode else v for k, v in d.items()})
+
+
+# the JSON types a config value of each scalar field type may take
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "bool": ((bool,), "a boolean")}
+
+
+def _checked_fields(cls, obj, where: str) -> dict:
+    """``obj`` as keyword arguments of the dataclass ``cls``: a JSON object
+    with no unknown key, every required key, and scalars of their field's
+    type (a boolean is not a number)."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    by_name = {f.name: f for f in fields(cls)}
+    for key in obj:
+        if key not in by_name:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for name, f in by_name.items():
+        if name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} lacks required key {name!r}")
+        elif f.type in _JSON_TYPES and type(obj[name]) not in _JSON_TYPES[f.type][0]:
+            raise ConfigError(f"{where} key {name!r} must be {_JSON_TYPES[f.type][1]}, "
+                              f"got {type(obj[name]).__name__}")
+    return obj
+
+
+def _list(value, where: str) -> list:
+    if type(value) is not list:
+        raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _surges(value, where: str) -> tuple:
+    """(start_hour, end_hour, expected events) triples."""
+    return tuple(_numbers(s, 3, f"{where}[{i}]") for i, s in enumerate(_list(value, where)))
+
+
+def _numbers(value, n: int, where: str) -> tuple:
+    """A JSON list of ``n`` numbers as a tuple."""
+    if (type(value) is not list or len(value) != n
+            or any(type(v) not in _JSON_TYPES["float"][0] for v in value)):
+        raise ConfigError(f"{where} must be a list of {n} numbers, got {value!r}")
+    return tuple(value)
 
 
 # Published top-20 application mix: (name, pre-cachable, % of total traffic,
@@ -369,6 +427,70 @@ def _gap_rates(config: GeneratorConfig) -> np.ndarray:
     return np.minimum(rates, 0.95)
 
 
+def _app_records(config: GeneratorConfig, running: np.ndarray, byte_z: np.ndarray,
+                 scaled_bytes: np.ndarray,
+                 byte_boost: np.ndarray) -> list[tuple[AppTrafficRecord, ...]]:
+    """Each sample's app records: one per running (sample, app) cell.
+
+    ``byte_z`` holds one normal draw per running cell in row-major order,
+    ``scaled_bytes`` each app's mean volume on this phone and ``byte_boost``
+    each sample's volume factor.
+    """
+    rows, cols = np.nonzero(running)
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    noise = np.array(list(map(math.exp, (1.2 * byte_z - 0.72).tolist())))
+    # rint rounds half to even like round(); the products keep the order
+    # (mean * scale) * boost * noise, so every byte count is bit-exact
+    totals = np.maximum(np.rint(scaled_bytes[cols] * byte_boost[rows] * noise), 1.0)
+    ratio = config.down_up_ratio
+    downs = np.rint(totals * ratio / (1.0 + ratio))
+    app_ids = [a.app_id for a in config.app_catalog]
+    records = [AppTrafficRecord(app_ids[j], total - down, down, True)
+               for j, total, down in zip(cols.tolist(), map(int, totals.tolist()),
+                                         map(int, downs.tolist()))]
+    ends = np.cumsum(running.sum(axis=1)).tolist()
+    return [tuple(records[start:end]) for start, end in zip([0] + ends, ends)]
+
+
+_TRANSIT_NETS = 10
+
+
+def _scans(phone_id: str, cellular: np.ndarray, pre_cut: np.ndarray, arrival: np.ndarray,
+           night: np.ndarray, scan_u: np.ndarray
+           ) -> tuple[list[tuple[ActiveNetwork, Optional[str], frozenset[str]]], np.ndarray]:
+    """The distinct (active network, connected SSID, visible set) triples of
+    one phone, and the index of each sample's triple.
+
+    A cellular sample arriving back in coverage sees street network a, and b
+    too when its first scan draw is below 0.8; any other cellular sample
+    sees one of ten transit networks, chosen by the second draw, when the
+    first is below 0.3. A WiFi sample is on the home network at night and
+    the office network by day; outside the three samples before a cut it
+    also sees neighbor network a (first draw below 0.7) and b (second draw
+    below 0.4).
+    """
+    cell, wifi = ActiveNetwork.CELLULAR, ActiveNetwork.WIFI
+    street_a, street_b = f"street-net-a-{phone_id}", f"street-net-b-{phone_id}"
+    neighbor_a, neighbor_b = f"neighbor-net-a-{phone_id}", f"neighbor-net-b-{phone_id}"
+    table = [(cell, None, frozenset()),
+             (cell, None, frozenset([street_a])),
+             (cell, None, frozenset([street_a, street_b]))]
+    table += [(cell, None, frozenset([f"transit-net-{i}"])) for i in range(_TRANSIT_NETS)]
+    for ssid in (f"office-net-{phone_id}", f"home-net-{phone_id}"):
+        table += [(wifi, ssid, frozenset([ssid])),
+                  (wifi, ssid, frozenset([ssid, neighbor_b])),
+                  (wifi, ssid, frozenset([ssid, neighbor_a])),
+                  (wifi, ssid, frozenset([ssid, neighbor_a, neighbor_b]))]
+
+    u0, u1 = scan_u[:, 0], scan_u[:, 1]
+    cell_code = np.where(arrival, 1 + (u0 < 0.8),
+                         np.where(u0 < 0.3, 3 + (u1 * _TRANSIT_NETS).astype(np.int64), 0))
+    settled = ~pre_cut
+    wifi_code = (3 + _TRANSIT_NETS + 4 * night
+                 + 2 * (settled & (u0 < 0.7)) + (settled & (u1 < 0.4)))
+    return table, np.where(cellular, cell_code, wifi_code)
+
+
 def generate_trace(config: GeneratorConfig, phone_id: str) -> Trace:
     trace, _ = generate_trace_with_schedule(config, phone_id)
     return trace
@@ -402,13 +524,6 @@ def generate_trace_with_schedule(config: GeneratorConfig,
     for cut_idx, resume_idx in schedule:
         cellular[cut_idx:resume_idx] = True
 
-    home_ssid = f"home-net-{phone_id}"
-    work_ssid = f"office-net-{phone_id}"
-    neighbor_a = f"neighbor-net-a-{phone_id}"
-    neighbor_b = f"neighbor-net-b-{phone_id}"
-    street_a = f"street-net-a-{phone_id}"
-    street_b = f"street-net-b-{phone_id}"
-
     # WiFi scans change as the user moves: settled periods see neighbor
     # networks, the last samples before a departure see a bare scan, and the
     # approach back to coverage picks up street networks. None of these are
@@ -428,84 +543,36 @@ def generate_trace_with_schedule(config: GeneratorConfig,
     gap_rates = _gap_rates(config)
     traffic_pct = np.array([a.traffic_pct for a in config.app_catalog])
     mean_bytes = config.byte_unit * traffic_pct / np.maximum(base_rates * 100.0, 1e-6)
-    app_ids = [a.app_id for a in config.app_catalog]
-    n_apps = len(app_ids)
-    ratio = config.down_up_ratio
+    n_apps = len(config.app_catalog)
 
     hours = (np.arange(spd) * period) / 3600.0
     diurnal = np.array([diurnal_weight(h) for h in hours])
     night_mask = (hours >= 20.0) | (hours < 8.0)
 
-    samples: list[MeasurementSample] = []
+    running = np.empty((n_samples, n_apps), dtype=bool)
+    scan_u = np.empty((n_samples, 2))
+    byte_z = []
     for day in range(config.days):
         rng = stream_rng(config.seed, phone_id, day, "traffic")
-        lo = day * spd
-        cell_day = cellular[lo:lo + spd]
-
-        rate_matrix = np.where(cell_day[:, None],
+        rows = slice(day * spd, (day + 1) * spd)
+        rate_matrix = np.where(cellular[rows, None],
                                gap_rates[None, :],
                                base_rates[None, :])
         rate_matrix = np.minimum(rate_matrix * diurnal[:, None], 0.95)
-        running = rng.random((spd, n_apps)) < rate_matrix
+        running[rows] = rng.random((spd, n_apps)) < rate_matrix
+        scan_u[rows] = rng.random((spd, 2))
+        byte_z.append(rng.standard_normal(int(running[rows].sum())))
 
-        scan_u = rng.random((spd, 2))
-        n_running = int(running.sum())
-        byte_z = rng.standard_normal(n_running)
-        byte_boost = np.where(cell_day, config.byte_gap_boost, 1.0)
-
-        zi = 0
-        for k in range(spd):
-            g = lo + k
-            ts = base_ts + g * period
-            on_cellular = bool(cell_day[k])
-
-            apps = []
-            run_row = running[k]
-            if run_row.any():
-                for j in np.nonzero(run_row)[0]:
-                    noise = math.exp(1.2 * byte_z[zi] - 0.72)
-                    zi += 1
-                    total = mean_bytes[j] * phone_scale * byte_boost[k] * noise
-                    total_i = max(1, int(round(total)))
-                    down = int(round(total_i * ratio / (1.0 + ratio)))
-                    apps.append(AppTrafficRecord(
-                        app_id=app_ids[j],
-                        up_bytes=total_i - down,
-                        down_bytes=down,
-                        running=True,
-                    ))
-
-            if on_cellular:
-                visible = set()
-                if arrival[g]:
-                    visible.add(street_a)
-                    if scan_u[k, 0] < 0.8:
-                        visible.add(street_b)
-                elif scan_u[k, 0] < 0.3:
-                    visible.add(f"transit-net-{int(scan_u[k, 1] * 10)}")
-                samples.append(MeasurementSample(
-                    timestamp=ts,
-                    active_network=ActiveNetwork.CELLULAR,
-                    connected_ssid=None,
-                    visible_ssids=frozenset(visible),
-                    apps=tuple(apps),
-                ))
-            else:
-                ssid = home_ssid if night_mask[k] else work_ssid
-                visible = {ssid}
-                if not pre_cut[g]:
-                    if scan_u[k, 0] < 0.7:
-                        visible.add(neighbor_a)
-                    if scan_u[k, 1] < 0.4:
-                        visible.add(neighbor_b)
-                samples.append(MeasurementSample(
-                    timestamp=ts,
-                    active_network=ActiveNetwork.WIFI,
-                    connected_ssid=ssid,
-                    visible_ssids=frozenset(visible),
-                    apps=tuple(apps),
-                ))
-
+    apps = _app_records(config, running, np.concatenate(byte_z),
+                        mean_bytes * phone_scale,
+                        np.where(cellular, config.byte_gap_boost, 1.0))
+    scans, codes = _scans(phone_id, cellular, pre_cut, arrival,
+                          np.tile(night_mask, config.days), scan_u)
+    samples = [
+        MeasurementSample(ts, *scans[code], records)
+        for ts, code, records in zip(range(base_ts, base_ts + n_samples * period, period),
+                                     codes.tolist(), apps)
+    ]
     trace = Trace(phone_id=phone_id, samples=tuple(samples),
                   nominal_period_s=period)
     gaps = []

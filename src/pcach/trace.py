@@ -276,41 +276,78 @@ def _sample_to_obj(sample: MeasurementSample) -> dict:
     }
 
 
+class _Fragments(dict):
+    """Each distinct key's encoded text, computed on first lookup."""
+
+    __slots__ = ("_encode",)
+
+    def __init__(self, encode):
+        super().__init__()
+        self._encode = encode
+
+    def __missing__(self, key):
+        text = self[key] = self._encode(key)
+        return text
+
+
 def trace_to_jsonl(trace: Trace) -> bytes:
-    lines = [
-        json.dumps(_sample_to_obj(s), separators=(",", ":"), ensure_ascii=False)
-        for s in trace.samples
-    ]
+    """One line per sample, as ``json.dumps(_sample_to_obj(sample),
+    separators=(",", ":"), ensure_ascii=False)`` writes it; each distinct
+    SSID, visible set and app id is encoded once."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    ssid = _Fragments(encode)
+    visible = _Fragments(lambda ssids: encode(sorted(ssids)))
+    app_head = _Fragments(lambda app_id: '{"id":' + encode(app_id) + ',"up":')
+    lines = []
+    for s in trace.samples:
+        apps = ",".join([
+            f'{app_head[a.app_id]}{a.up_bytes},"down":{a.down_bytes},'
+            f'"running":{"true" if a.running else "false"}}}'
+            for a in s.apps
+        ])
+        lines.append(f'{{"t":{s.timestamp},"active":"{s.active_network.value}",'
+                     f'"ssid":{ssid[s.connected_ssid]},"visible":{visible[s.visible_ssids]},'
+                     f'"apps":[{apps}]}}')
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def trace_to_csv(trace: Trace) -> bytes:
-    text = _csv_text(trace, csv.QUOTE_MINIMAL)
+    text = _csv_text(trace, quote_all=False)
     if "\r" in text:
-        # the writer leaves a CR unquoted, and a reader ends the record there
-        text = _csv_text(trace, csv.QUOTE_ALL)
+        # minimal quoting leaves a CR bare, and a reader ends the record there
+        text = _csv_text(trace, quote_all=True)
     return text.encode("utf-8")
 
 
-def _csv_text(trace: Trace, quoting: int) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-    writer.writerow(_CSV_FIELDS)
+def _csv_text(trace: Trace, quote_all: bool) -> str:
+    """The rows ``csv.writer(lineterminator="\\n")`` writes under QUOTE_ALL
+    or QUOTE_MINIMAL; each distinct string cell is quoted once."""
+
+    def quote(text: str) -> str:
+        if quote_all or "," in text or '"' in text or "\n" in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    cell = _Fragments(quote)
+    num = '"' if quote_all else ""  # a number needs quotes only under QUOTE_ALL
+    visible: dict[frozenset[str], str] = {}
+    phone = quote(trace.phone_id)
+    no_apps = ",".join([cell[""]] * 4)
+    lines = [",".join(map(quote, _CSV_FIELDS))]
     for s in trace.samples:
-        base = [
-            trace.phone_id,
-            s.timestamp,
-            s.active_network.value,
-            s.connected_ssid or "",
-            _visible_cell(s),
-        ]
+        vis = visible.get(s.visible_ssids)
+        if vis is None:
+            vis = visible[s.visible_ssids] = quote(_visible_cell(s))
+        head = (f"{phone},{num}{s.timestamp}{num},{cell[s.active_network.value]},"
+                f"{cell[s.connected_ssid or '']},{vis},")
         if s.apps:
-            for a in s.apps:
-                writer.writerow(base + [a.app_id, a.up_bytes, a.down_bytes,
-                                        "true" if a.running else "false"])
+            lines += [f"{head}{cell[a.app_id]},{num}{a.up_bytes}{num},{num}{a.down_bytes}{num},"
+                      f"{cell['true' if a.running else 'false']}"
+                      for a in s.apps]
         else:
-            writer.writerow(base + ["", "", "", ""])
-    return out.getvalue()
+            lines.append(head + no_apps)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _visible_cell(sample: MeasurementSample) -> str:

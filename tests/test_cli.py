@@ -385,3 +385,34 @@ def test_rejected_run_creates_no_output_directory(corpus, args, monkeypatch, cap
     assert main([*args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, named", [
+    ('{"days": 2, "bogus": 1}', "'bogus'"),
+    ('{"seed": 1, "days": ', "not valid JSON"),
+    ("[1]", "JSON object"),
+    ('{"seed": 1, "days": "2"}', "'days'"),
+], ids=["unknown-key", "invalid-json", "non-object", "string-days"])
+def test_generate_bad_config_is_a_clean_error(tmp_path, config, named):
+    (tmp_path / "bad.json").write_text(config)
+    res = run_cli(["generate", "--config", "bad.json", "--phones", "1", "--out", "g"],
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert named in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--days", "0", "--phones", "2"], "days"),
+    (["--days", "-1", "--phones", "2"], "days"),
+    (["--days", "2", "--phones", "0"], "--phones"),
+    (["--days", "2", "--phones", "-3"], "--phones"),
+], ids=["zero-days", "negative-days", "zero-phones", "negative-phones"])
+def test_generate_rejects_an_empty_corpus(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    out = tmp_path / "x"
+    assert main(["generate", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

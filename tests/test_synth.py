@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from pcach.trace import (
     detect_gaps,
     ingest_trace,
     normalize_timeline,
+    trace_to_csv,
     trace_to_jsonl,
 )
 
@@ -87,6 +89,34 @@ def test_config_json_missing_key_takes_the_field_default(key):
     default = GeneratorConfig(seed=cfg.seed, days=cfg.days)
     assert getattr(loaded, key) == getattr(default, key)
     assert loaded == dataclasses.replace(cfg, **{key: getattr(default, key)})
+
+
+_CONFIG = json.loads(reference_config(seed=1, days=2).to_json())
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"days": 2, "bogus": 1}', "'bogus'"),
+    ('{"seed": 1, "days": 2', "not valid JSON"),
+    ("[1]", "must be a JSON object"),
+    ('{"seed": 1, "days": "2"}', "'days'"),
+    ('{"days": 2}', "'seed'"),
+    ('{"seed": 1}', "'days'"),
+    ('{"seed": 1.5, "days": 2}', "'seed'"),
+    ('{"seed": 1, "days": true}', "'days'"),
+    ('{"seed": 1, "days": 2, "period_s": "300"}', "'period_s'"),
+    ('{"seed": 1, "days": 2, "start_epoch": 1.0}', "'start_epoch'"),
+    (json.dumps({**_CONFIG, "app_catalog": [{**_CONFIG["app_catalog"][0], "rank": 1}]}),
+     "'rank' in app_catalog[0]"),
+    (json.dumps({**_CONFIG, "gap_len_dist": {**_CONFIG["gap_len_dist"], "mode": 1}}),
+     "'mode' in gap_len_dist"),
+    (json.dumps({**_CONFIG, "cut_surges": [[6.0, 7.0]]}), "cut_surges[0]"),
+], ids=["unknown-key", "invalid-json", "non-object", "string-days", "no-seed", "no-days",
+        "float-seed", "bool-days", "string-period", "float-epoch", "catalog-key", "dist-key",
+        "surge-pair"])
+def test_config_json_errors_name_the_key(text, named):
+    with pytest.raises(ConfigError) as exc:
+        GeneratorConfig.from_json(text)
+    assert named in str(exc.value)
 
 
 def test_config_validation():
@@ -182,3 +212,23 @@ def test_gap_distribution_sampling_matches_cdf():
     draws = np.array([dist.sample_hours(rng) for _ in range(20000)]) * 3600
     for q in (1800, 5400, 14400, 7200):
         assert abs((draws <= q).mean() - dist.cdf(q)) < 0.02
+
+
+# sha256 of trace_to_jsonl / trace_to_csv of generate_trace(reference_config(seed=77,
+# days=10), phone): any change to the RNG stream or to either writer moves them
+_PINNED_DIGESTS = {
+    "phone-000": ("4b297fb1e8c9f30f048d6796cf21a62d24dfea769edd4c4103b876dc77275bab",
+                  "90a95bbc991781c5f11f6763e18a73636262c3147a87a721622ae5e333471acf"),
+    "phone-001": ("87944d4b542ab677ee75e5e532a5689b0a71f83923689cb5d99b23a09841369e",
+                  "d8b6fab6ab1a46c16603c15e1ecb6000e182bcd95b318a81e4e7813019ce9850"),
+    "phone-002": ("d5d6532f9fcc31634951b0787607f032d406efe109751eea73293053b2de74be",
+                  "826e37789606d834f8b0ec047afeb35af3958fd6a5238d314eed2ef468d1a101"),
+}
+
+
+@pytest.mark.parametrize("phone", sorted(_PINNED_DIGESTS))
+def test_generated_bytes_match_the_pinned_digests(phone):
+    trace = generate_trace(reference_config(seed=77, days=10), phone)
+    jsonl, csv_ = _PINNED_DIGESTS[phone]
+    assert hashlib.sha256(trace_to_jsonl(trace)).hexdigest() == jsonl
+    assert hashlib.sha256(trace_to_csv(trace)).hexdigest() == csv_

@@ -1,9 +1,10 @@
+import csv
 import io
 import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcach.errors import (
@@ -18,6 +19,7 @@ from pcach.trace import (
     MeasurementSample,
     Trace,
     WiFiGap,
+    _sample_to_obj,
     closed_gaps,
     derive_preferred_profile,
     detect_gaps,
@@ -318,6 +320,51 @@ def test_csv_write_read_identity(trace):
         trace_to_csv(trace)
     assert any(f"t={t}:" in str(exc.value) and repr(v) in str(exc.value)
                for t, v in unwritable)
+
+
+_SPECIAL_CELLS = Trace("a,\"b\"", (
+    sample(0, W, ssid="x\ny", visible={"q\"r", "s,t"}, apps=(app("u\rv", 1, 2),)),
+    sample(300, C, visible={" "}, apps=(app("w", running=False),)),
+))
+
+
+@settings(deadline=None)
+@given(_traces())
+@example(_SPECIAL_CELLS)
+def test_jsonl_writer_matches_per_sample_json_dumps(trace):
+    lines = [json.dumps(_sample_to_obj(s), separators=(",", ":"), ensure_ascii=False)
+             for s in trace.samples]
+    assert trace_to_jsonl(trace) == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_writer_oracle(trace: Trace, quoting: int) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+    writer.writerow(["phone_id", "t", "active", "ssid", "visible", "app_id", "up", "down",
+                     "running"])
+    for s in trace.samples:
+        base = [trace.phone_id, s.timestamp, s.active_network.value, s.connected_ssid or "",
+                ";".join(sorted(s.visible_ssids))]
+        for a in s.apps:
+            writer.writerow(base + [a.app_id, a.up_bytes, a.down_bytes,
+                                    "true" if a.running else "false"])
+        if not s.apps:
+            writer.writerow(base + ["", "", "", ""])
+    return out.getvalue()
+
+
+_CSV_SSID = _SSID.filter(lambda v: ";" not in v)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_traces(ssids=_CSV_SSID))
+@example(_SPECIAL_CELLS)
+@example(Trace("p", (sample(0, N, visible={"a", "b"}, apps=(app("m,n", 5, 6),)),)))
+def test_csv_writer_matches_row_by_row_csv_writer(trace):
+    text = _csv_writer_oracle(trace, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        text = _csv_writer_oracle(trace, csv.QUOTE_ALL)
+    assert trace_to_csv(trace) == text.encode("utf-8")
 
 
 _FUZZ_SEED_TRACE = Trace("p", (
