@@ -99,14 +99,34 @@ class AdaBoostModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AdaBoostModel":
+        """The model a :meth:`to_json` text holds. A missing key and a
+        non-numeric or non-finite threshold, alpha or decision threshold
+        raise :class:`ModelError` naming it."""
         d = json.loads(text)
         stumps = tuple(
-            Stump(feature_index=s["feature"], threshold=s["threshold"],
-                  polarity=s["polarity"], alpha=s["alpha"])
-            for s in d["stumps"]
+            Stump(feature_index=_model_field(s, "feature", f"stumps[{i}]"),
+                  threshold=_finite_field(s, "threshold", f"stumps[{i}]"),
+                  polarity=_model_field(s, "polarity", f"stumps[{i}]"),
+                  alpha=_finite_field(s, "alpha", f"stumps[{i}]"))
+            for i, s in enumerate(_model_field(d, "stumps", "model"))
         )
-        return cls(stumps=stumps, rounds=d["rounds"],
-                   decision_threshold=d["decision_threshold"])
+        return cls(stumps=stumps, rounds=_model_field(d, "rounds", "model"),
+                   decision_threshold=_finite_field(d, "decision_threshold", "model"))
+
+
+def _model_field(obj, key: str, where: str):
+    if type(obj) is not dict:
+        raise ModelError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ModelError(f"{where} lacks key {key!r}")
+    return obj[key]
+
+
+def _finite_field(obj, key: str, where: str):
+    value = _model_field(obj, key, where)
+    if type(value) not in (int, float) or (type(value) is float and not math.isfinite(value)):
+        raise ModelError(f"{where} key {key!r} must be a finite number, got {value!r}")
+    return value
 
 
 def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):

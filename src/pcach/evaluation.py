@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -51,7 +50,6 @@ from .trace import (
     derive_preferred_profile,
     detect_gaps,
     normalize_timeline,
-    samples_in_window,
 )
 
 DEFAULT_TRAIN_DAYS = 7.0
@@ -169,12 +167,10 @@ def _gap_used_apps(norm: Trace, gap: WiFiGap, universe: set[str]) -> frozenset[s
     """
     if gap.resume_time is None:
         return frozenset()
-    return frozenset(
-        rec.app_id
-        for s in samples_in_window(norm, gap.cut_time, gap.resume_time)
-        for rec in s.apps
-        if rec.total_bytes > 0 and rec.app_id in universe
-    )
+    lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
+    records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
+    moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
+    return frozenset(norm.app_ids[a] for a in np.unique(moved).tolist()) & universe
 
 
 @dataclass
@@ -235,12 +231,11 @@ def app_prediction_run(
         raise ParameterError(f"K values must lie in [1, {len(s_apps)}]")
 
     boundary = trace.start_time + int(train_days * 86400)
-    train_samples = [s for s in trace.samples if s.timestamp < boundary]
-    if not train_samples or boundary >= trace.end_time:
+    n_train = int(np.searchsorted(trace.t, boundary))
+    if not n_train or boundary >= trace.end_time:
         raise DataError(f"trace {trace.phone_id!r}: too short for the training prefix")
 
-    profile = derive_preferred_profile(
-        Trace(trace.phone_id, tuple(train_samples), trace.nominal_period_s))
+    profile = derive_preferred_profile(trace.rows(0, n_train))
     norm = normalize_timeline(trace, profile)
     db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
                    utc_offset_s=utc_offset_s)
@@ -401,14 +396,14 @@ class BacktestReport:
 
 
 def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> int:
-    n = len(trace.samples)
+    n = len(trace)
     if split is not None:
         if not 0.0 < split < 1.0:
             raise ParameterError("split ratio must lie in (0, 1)")
         idx = int(n * split)
     elif config.predictor_kind is PredictorKind.HISTORY:
         boundary = trace.start_time + int(DEFAULT_TRAIN_DAYS * 86400)
-        idx = bisect_left(trace.samples, boundary, key=lambda s: s.timestamp)
+        idx = int(np.searchsorted(trace.t, boundary))
     else:
         idx = n // 2
     if idx <= 0 or idx >= n:
@@ -507,8 +502,7 @@ def backtest(
         raise DataError(f"trace {trace.phone_id!r}: shorter than two days")
     idx = _split_index(trace, config, split)
 
-    train_slice = Trace(trace.phone_id, trace.samples[:idx], trace.nominal_period_s)
-    profile = derive_preferred_profile(train_slice, utc_offset_s=utc_offset_s)
+    profile = derive_preferred_profile(trace.rows(0, idx), utc_offset_s=utc_offset_s)
     norm = normalize_timeline(trace, profile)
     norm_train = norm.samples[:idx]
     norm_test = norm.samples[idx:]
@@ -593,17 +587,15 @@ def backtest(
             for theta in _threshold_candidates(cut_margins_train)
         )
 
-    true_test_gaps = sum(
-        1 for g in truth.gaps
-        if g.cut_time >= norm_test[0].timestamp
-    )
+    test_start = int(norm.t[idx])
+    true_test_gaps = sum(1 for g in truth.gaps if g.cut_time >= test_start)
     return BacktestReport(
         phone_id=trace.phone_id,
         predictor=config.predictor_kind.value if predictor_override is None else "override",
         k=config.k,
         slot_minutes=config.slot_minutes,
         split_index=idx,
-        train_slots=len({db.abs_slot(s.timestamp) for s in norm_train}),
+        train_slots=len(np.unique(db.abs_slot(norm.t[:idx]))),
         test_slots=len(decisions),
         cut=ConfusionCounts.tally([d.cut for d in decisions], cut_truths),
         resume=ConfusionCounts.tally(

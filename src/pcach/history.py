@@ -24,14 +24,16 @@ import numpy as np
 from .errors import (
     ConfigError,
     FeatureError,
+    ModelError,
     OrderingError,
     ParameterError,
+    PCachError,
 )
 from .mining import slots_per_day
 from .trace import (
     MeasurementSample,
     PreferredNetworkProfile,
-    _jsonl_sample,
+    _sample_from_obj,
     _sample_to_obj,
     in_hour_window,
     is_cut_transition,
@@ -134,24 +136,51 @@ class HistoryDB:
 
     @classmethod
     def from_json(cls, text: str) -> "HistoryDB":
+        """The database a :meth:`to_json` text holds.
+
+        A missing key, an ``app_hist`` whose apps differ from
+        ``tracked_apps``, a histogram whose length is not ``n_slots``, a
+        negative or non-integer count and an invalid ``latest`` sample raise
+        :class:`ModelError` naming the key.
+        """
         d = json.loads(text)
-        db = cls(
-            slot_minutes=d["slot_minutes"],
-            tracked_apps=d["tracked_apps"],
-            profile=PreferredNetworkProfile.from_dict(d["profile"]) if d["profile"] else None,
-            utc_offset_s=d["utc_offset_s"],
-        )
-        for a, h in d["app_hist"].items():
-            db.app_hist[a] = np.asarray(h, dtype=np.int64)
-        db.cut_hist = np.asarray(d["cut_hist"], dtype=np.int64)
-        db.resume_hist = np.asarray(d["resume_hist"], dtype=np.int64)
-        db.slot_observations = np.asarray(d["slot_observations"], dtype=np.int64)
-        db.latest = None if d["latest"] is None else _jsonl_sample(d["latest"], {})
-        db._open_key = tuple(d["open_key"]) if d["open_key"] else None
-        db._open_apps = set(d["open_apps"])
-        db._open_cut = d["open_cut"]
-        db._open_resume = d["open_resume"]
+        try:
+            db = cls(
+                slot_minutes=d["slot_minutes"],
+                tracked_apps=d["tracked_apps"],
+                profile=PreferredNetworkProfile.from_dict(d["profile"]) if d["profile"] else None,
+                utc_offset_s=d["utc_offset_s"],
+            )
+            app_hist = d["app_hist"]
+            if type(app_hist) is not dict or set(app_hist) != set(db.tracked_apps):
+                raise ModelError(f"history snapshot key 'app_hist': apps {sorted(app_hist)} "
+                                 f"differ from tracked_apps {sorted(db.tracked_apps)}")
+            for a, h in app_hist.items():
+                db.app_hist[a] = _slot_counts(h, db.n_slots, f"app_hist[{a!r}]")
+            db.cut_hist = _slot_counts(d["cut_hist"], db.n_slots, "cut_hist")
+            db.resume_hist = _slot_counts(d["resume_hist"], db.n_slots, "resume_hist")
+            db.slot_observations = _slot_counts(d["slot_observations"], db.n_slots,
+                                                "slot_observations")
+            try:
+                db.latest = None if d["latest"] is None else _sample_from_obj(d["latest"])
+            except PCachError as exc:
+                raise ModelError(f"history snapshot key 'latest': {exc}") from None
+            db._open_key = tuple(d["open_key"]) if d["open_key"] else None
+            db._open_apps = set(d["open_apps"])
+            db._open_cut = d["open_cut"]
+            db._open_resume = d["open_resume"]
+        except KeyError as exc:
+            raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
         return db
+
+
+def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
+    """A snapshot histogram: a list of ``n_slots`` non-negative integers."""
+    if type(values) is not list or len(values) != n_slots:
+        raise ModelError(f"history snapshot key {key!r} must be a list of {n_slots} counts")
+    if not all(type(v) is int and 0 <= v < 2**63 for v in values):
+        raise ModelError(f"history snapshot key {key!r} holds a negative or non-integer count")
+    return np.asarray(values, dtype=np.int64)
 
 
 def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> HistoryDB:

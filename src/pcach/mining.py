@@ -8,17 +8,19 @@ attributed wholly to that sample's active network.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ParameterError, TraceValidationError
 from .trace import (
-    ActiveNetwork,
+    SECONDS_PER_DAY,
+    STATE_CELLULAR,
+    STATE_WIFI,
     Trace,
     WiFiGap,
     local_seconds,
-    local_day_index,
 )
 
 DEFAULT_HORIZONS_MIN = (15, 30, 60, 120, 240)
@@ -80,30 +82,30 @@ def traffic_split(trace: Trace) -> TrafficSplit:
     """Attribute each sample's app bytes to its active network.
 
     Off-network (NONE) samples are attributed to neither side. Day series
-    are keyed by UTC calendar day and cover the trace's full day span.
+    are keyed by UTC calendar day and cover the trace's full day span. The
+    timestamps are sorted, so each day is one run of rows, summed from
+    integer prefix sums.
     """
-    if not trace.samples:
+    if not len(trace):
         return TrafficSplit(0, 0, 0, (), ())
-    first_day = local_day_index(trace.samples[0].timestamp)
-    last_day = local_day_index(trace.samples[-1].timestamp)
-    n_days = last_day - first_day + 1
-    per_day_cell = [0] * n_days
-    per_day_wifi = [0] * n_days
-    for s in trace.samples:
-        b = s.total_bytes
-        if not b:
-            continue
-        d = local_day_index(s.timestamp) - first_day
-        if s.active_network is ActiveNetwork.CELLULAR:
-            per_day_cell[d] += b
-        elif s.active_network is ActiveNetwork.WIFI:
-            per_day_wifi[d] += b
+    day = trace.t // SECONDS_PER_DAY
+    first_day = int(day[0])
+    edges = np.searchsorted(day, np.arange(first_day, int(day[-1]) + 2))
+    sample_bytes = trace.sample_bytes()
+
+    def per_day(state: int) -> tuple[int, ...]:
+        totals = np.concatenate(([0], np.cumsum(np.where(trace.state == state,
+                                                         sample_bytes, 0))))
+        return tuple((totals[edges[1:]] - totals[edges[:-1]]).tolist())
+
+    per_day_cell = per_day(STATE_CELLULAR)
+    per_day_wifi = per_day(STATE_WIFI)
     return TrafficSplit(
         cellular_bytes=sum(per_day_cell),
         wifi_bytes=sum(per_day_wifi),
         first_day=first_day,
-        per_day_cellular=tuple(per_day_cell),
-        per_day_wifi=tuple(per_day_wifi),
+        per_day_cellular=per_day_cell,
+        per_day_wifi=per_day_wifi,
     )
 
 
@@ -168,26 +170,7 @@ def precache_bound(trace: Trace, gaps: Sequence[WiFiGap], horizon_s: int) -> flo
     pairing-breaking off-network sample, or at the trace end. The denominator
     is the trace's total cellular bytes; 0 when there are none.
     """
-    if horizon_s < 0:
-        raise ParameterError("horizon_s must be non-negative")
-    total_cellular = 0
-    for s in trace.samples:
-        if s.active_network is ActiveNetwork.CELLULAR:
-            total_cellular += s.total_bytes
-    if total_cellular == 0:
-        return 0.0
-
-    covered = 0
-    for g in gaps:
-        end = g.cut_time + horizon_s
-        i = bisect_left(trace.samples, g.cut_time, key=lambda s: s.timestamp)
-        while i < len(trace.samples):
-            s = trace.samples[i]
-            if s.timestamp >= end or s.active_network is not ActiveNetwork.CELLULAR:
-                break
-            covered += s.total_bytes
-            i += 1
-    return covered / total_cellular
+    return _coverable_fractions(trace, gaps, [horizon_s])[0]
 
 
 def horizon_sweep(
@@ -196,4 +179,38 @@ def horizon_sweep(
     horizons_min: Sequence[int] = DEFAULT_HORIZONS_MIN,
 ) -> list[tuple[int, float]]:
     """(horizon_minutes, coverable fraction) series for report emission."""
-    return [(h, precache_bound(trace, gaps, h * 60)) for h in horizons_min]
+    fractions = _coverable_fractions(trace, gaps, [h * 60 for h in horizons_min])
+    return list(zip(horizons_min, fractions))
+
+
+def _coverable_fractions(trace: Trace, gaps: Sequence[WiFiGap],
+                         horizons_s: Sequence[int]) -> list[float]:
+    """:func:`precache_bound` for every horizon, from one pass.
+
+    Each window is a row range: it starts at the cut's row, and ends at the
+    first non-cellular row after it or at the first row past the horizon,
+    whichever comes first. Covered bytes are differences of an integer
+    prefix sum over the cellular samples, divided by the cellular total as
+    Python integers.
+    """
+    if any(h < 0 for h in horizons_s):
+        raise ParameterError("horizon_s must be non-negative")
+    t = trace.t
+    cellular = trace.state == STATE_CELLULAR
+    prefix = np.concatenate(([0], np.cumsum(np.where(cellular, trace.sample_bytes(), 0))))
+    total_cellular = int(prefix[-1])
+    if total_cellular == 0:
+        return [0.0] * len(horizons_s)
+    cuts = np.array([g.cut_time for g in gaps], dtype=np.int64)
+    if not cuts.size:
+        return [0 / total_cellular] * len(horizons_s)
+    start = np.searchsorted(t, cuts)
+    breaks = np.flatnonzero(~cellular)
+    run_end = np.append(breaks, len(t))[np.searchsorted(breaks, start)]
+    # a horizon reaching past every sample from the earliest cut ends no window
+    reach = int(t[-1]) - min(int(t[0]), int(cuts.min())) + 1
+    horizons = np.array([min(h, reach) for h in horizons_s], dtype=np.int64)
+    horizon_end = np.searchsorted(t, cuts[:, None] + horizons[None, :])
+    end = np.minimum(run_end[:, None], horizon_end)
+    covered = (prefix[end] - prefix[start][:, None]).sum(axis=0)
+    return [c / total_cellular for c in covered.tolist()]

@@ -36,9 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyTraceError
 from .trace import (
-    ActiveNetwork,
-    AppTrafficRecord,
-    MeasurementSample,
+    STATE_CELLULAR,
+    STATE_WIFI,
     Trace,
     WiFiGap,
     is_weekday,
@@ -92,6 +91,11 @@ class GapLengthDistribution:
     body_cap_cdf: float   # lognormal CDF at body_cap_h, pre-computed
     body_weight: float
     tail_max_h: float
+
+    def __post_init__(self):
+        if not 0.0 < self.body_weight <= 1.0:
+            raise ConfigError(f"gap_len_dist body_weight must lie in (0, 1], "
+                              f"got {self.body_weight!r}")
 
     @classmethod
     def fit_anchors(cls, cdf_30min: float = 0.65, cdf_90min: float = 0.80,
@@ -189,6 +193,22 @@ class GeneratorConfig:
             weights = [a.appearance_pct for a in self.app_catalog]
             if all(w <= 0 for w in weights):
                 raise ConfigError("at least one appearance weight must be positive")
+            app_ids = [a.app_id for a in self.app_catalog]
+            if len(set(app_ids)) != len(app_ids):
+                raise ConfigError("app_catalog holds an app id more than once")
+        for key in ("cut_surges", "resume_surges"):
+            for start, end, intensity in getattr(self, key):
+                if not (0.0 <= start <= 24.0 and 0.0 <= end <= 24.0):
+                    raise ConfigError(f"{key} hours must be finite and lie in [0, 24], "
+                                      f"got {start!r}, {end!r}")
+                if not 0.0 <= intensity < math.inf:
+                    raise ConfigError(f"{key} intensity must be finite and >= 0, "
+                                      f"got {intensity!r}")
+        if not 0.0 < self.byte_unit < math.inf:
+            raise ConfigError(f"byte_unit must be finite and > 0, got {self.byte_unit!r}")
+        if not 0.0 <= self.phone_volume_sigma < math.inf:
+            raise ConfigError("phone_volume_sigma must be finite and >= 0, "
+                              f"got {self.phone_volume_sigma!r}")
 
     @property
     def pcachable_apps(self) -> tuple[str, ...]:
@@ -427,29 +447,23 @@ def _gap_rates(config: GeneratorConfig) -> np.ndarray:
     return np.minimum(rates, 0.95)
 
 
-def _app_records(config: GeneratorConfig, running: np.ndarray, byte_z: np.ndarray,
-                 scaled_bytes: np.ndarray,
-                 byte_boost: np.ndarray) -> list[tuple[AppTrafficRecord, ...]]:
-    """Each sample's app records: one per running (sample, app) cell.
+def _app_bytes(config: GeneratorConfig, rows: np.ndarray, cols: np.ndarray,
+               byte_z: np.ndarray, scaled_bytes: np.ndarray,
+               byte_boost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up and down bytes of each running (sample, app) cell.
 
-    ``byte_z`` holds one normal draw per running cell in row-major order,
-    ``scaled_bytes`` each app's mean volume on this phone and ``byte_boost``
-    each sample's volume factor.
+    ``rows``/``cols`` list the running cells in row-major order, ``byte_z``
+    holds one normal draw per cell, ``scaled_bytes`` each app's mean volume
+    on this phone and ``byte_boost`` each sample's volume factor.
     """
-    rows, cols = np.nonzero(running)
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     noise = np.array(list(map(math.exp, (1.2 * byte_z - 0.72).tolist())))
     # rint rounds half to even like round(); the products keep the order
     # (mean * scale) * boost * noise, so every byte count is bit-exact
     totals = np.maximum(np.rint(scaled_bytes[cols] * byte_boost[rows] * noise), 1.0)
     ratio = config.down_up_ratio
-    downs = np.rint(totals * ratio / (1.0 + ratio))
-    app_ids = [a.app_id for a in config.app_catalog]
-    records = [AppTrafficRecord(app_ids[j], total - down, down, True)
-               for j, total, down in zip(cols.tolist(), map(int, totals.tolist()),
-                                         map(int, downs.tolist()))]
-    ends = np.cumsum(running.sum(axis=1)).tolist()
-    return [tuple(records[start:end]) for start, end in zip([0] + ends, ends)]
+    downs = np.rint(totals * ratio / (1.0 + ratio)).astype(np.int64)
+    return totals.astype(np.int64) - downs, downs
 
 
 _TRANSIT_NETS = 10
@@ -457,9 +471,9 @@ _TRANSIT_NETS = 10
 
 def _scans(phone_id: str, cellular: np.ndarray, pre_cut: np.ndarray, arrival: np.ndarray,
            night: np.ndarray, scan_u: np.ndarray
-           ) -> tuple[list[tuple[ActiveNetwork, Optional[str], frozenset[str]]], np.ndarray]:
-    """The distinct (active network, connected SSID, visible set) triples of
-    one phone, and the index of each sample's triple.
+           ) -> tuple[list[tuple[int, int, frozenset[str]]], tuple[str, ...], np.ndarray]:
+    """The distinct (state, SSID id, visible set) triples of one phone, the
+    SSID table the ids index, and the index of each sample's triple.
 
     A cellular sample arriving back in coverage sees street network a, and b
     too when its first scan draw is below 0.8; any other cellular sample
@@ -469,18 +483,19 @@ def _scans(phone_id: str, cellular: np.ndarray, pre_cut: np.ndarray, arrival: np
     also sees neighbor network a (first draw below 0.7) and b (second draw
     below 0.4).
     """
-    cell, wifi = ActiveNetwork.CELLULAR, ActiveNetwork.WIFI
+    cell, wifi = STATE_CELLULAR, STATE_WIFI
     street_a, street_b = f"street-net-a-{phone_id}", f"street-net-b-{phone_id}"
     neighbor_a, neighbor_b = f"neighbor-net-a-{phone_id}", f"neighbor-net-b-{phone_id}"
-    table = [(cell, None, frozenset()),
-             (cell, None, frozenset([street_a])),
-             (cell, None, frozenset([street_a, street_b]))]
-    table += [(cell, None, frozenset([f"transit-net-{i}"])) for i in range(_TRANSIT_NETS)]
-    for ssid in (f"office-net-{phone_id}", f"home-net-{phone_id}"):
-        table += [(wifi, ssid, frozenset([ssid])),
-                  (wifi, ssid, frozenset([ssid, neighbor_b])),
-                  (wifi, ssid, frozenset([ssid, neighbor_a])),
-                  (wifi, ssid, frozenset([ssid, neighbor_a, neighbor_b]))]
+    ssids = (f"office-net-{phone_id}", f"home-net-{phone_id}")
+    table = [(cell, -1, frozenset()),
+             (cell, -1, frozenset([street_a])),
+             (cell, -1, frozenset([street_a, street_b]))]
+    table += [(cell, -1, frozenset([f"transit-net-{i}"])) for i in range(_TRANSIT_NETS)]
+    for sid, ssid in enumerate(ssids):
+        table += [(wifi, sid, frozenset([ssid])),
+                  (wifi, sid, frozenset([ssid, neighbor_b])),
+                  (wifi, sid, frozenset([ssid, neighbor_a])),
+                  (wifi, sid, frozenset([ssid, neighbor_a, neighbor_b]))]
 
     u0, u1 = scan_u[:, 0], scan_u[:, 1]
     cell_code = np.where(arrival, 1 + (u0 < 0.8),
@@ -488,7 +503,7 @@ def _scans(phone_id: str, cellular: np.ndarray, pre_cut: np.ndarray, arrival: np
     settled = ~pre_cut
     wifi_code = (3 + _TRANSIT_NETS + 4 * night
                  + 2 * (settled & (u0 < 0.7)) + (settled & (u1 < 0.4)))
-    return table, np.where(cellular, cell_code, wifi_code)
+    return table, ssids, np.where(cellular, cell_code, wifi_code)
 
 
 def generate_trace(config: GeneratorConfig, phone_id: str) -> Trace:
@@ -563,18 +578,24 @@ def generate_trace_with_schedule(config: GeneratorConfig,
         scan_u[rows] = rng.random((spd, 2))
         byte_z.append(rng.standard_normal(int(running[rows].sum())))
 
-    apps = _app_records(config, running, np.concatenate(byte_z),
-                        mean_bytes * phone_scale,
-                        np.where(cellular, config.byte_gap_boost, 1.0))
-    scans, codes = _scans(phone_id, cellular, pre_cut, arrival,
-                          np.tile(night_mask, config.days), scan_u)
-    samples = [
-        MeasurementSample(ts, *scans[code], records)
-        for ts, code, records in zip(range(base_ts, base_ts + n_samples * period, period),
-                                     codes.tolist(), apps)
-    ]
-    trace = Trace(phone_id=phone_id, samples=tuple(samples),
-                  nominal_period_s=period)
+    rows, cols = np.nonzero(running)
+    up, down = _app_bytes(config, rows, cols, np.concatenate(byte_z),
+                          mean_bytes * phone_scale,
+                          np.where(cellular, config.byte_gap_boost, 1.0))
+    table, ssids, codes = _scans(phone_id, cellular, pre_cut, arrival,
+                                 np.tile(night_mask, config.days), scan_u)
+    states, ssid_ids, visible_sets = zip(*table)
+    trace = Trace.from_columns(
+        phone_id,
+        t=base_ts + np.arange(n_samples, dtype=np.int64) * period,
+        state=np.array(states, dtype=np.uint8)[codes],
+        ssid=np.array(ssid_ids, dtype=np.int32)[codes],
+        visible=codes,
+        app_offsets=np.concatenate(([0], np.cumsum(running.sum(axis=1)))),
+        app=cols, up=up, down=down, running=np.ones(len(cols), dtype=bool),
+        ssids=ssids, visible_sets=visible_sets,
+        app_ids=[a.app_id for a in config.app_catalog],
+        nominal_period_s=period)
     gaps = []
     for cut_idx, resume_idx in schedule:
         resume_ts: Optional[int] = None

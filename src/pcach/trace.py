@@ -6,6 +6,33 @@ one phone. Each sample records the active network (WiFi / cellular / none),
 the connected SSID when on WiFi, the set of visible WiFi networks and the
 per-application traffic counters accumulated since the previous sample.
 
+A :class:`Trace` holds its samples as numpy columns, one row per sample
+(struct of arrays, as in Apache Arrow):
+
+* ``t`` int64 timestamp (UTC epoch seconds), strictly increasing;
+* ``state`` uint8 active network: ``STATE_WIFI``, ``STATE_CELLULAR`` or
+  ``STATE_NONE`` (``STATES[code]`` is the :class:`ActiveNetwork`);
+* ``ssid`` int32 index into the ``ssids`` table, -1 when not connected;
+* ``visible`` int32 index into ``visible_sets``, a table of interned
+  frozensets of SSIDs;
+* the app records as CSR: sample ``i`` owns records
+  ``app_offsets[i]:app_offsets[i + 1]`` (int64, length n + 1) of ``app``
+  (int32 index into the ``app_ids`` table), ``up`` and ``down`` (int64
+  bytes) and ``running`` (bool).
+
+The tables are tuples; an entry no row uses is allowed, and two traces are
+equal when their rows carry the same values, whatever the table order. The
+columns are read-only.
+
+``Trace.samples`` is a read-only view of the rows as
+:class:`MeasurementSample` objects for the replay code (history updates,
+slot grouping). It is built once, on first access, and cached. The view of a
+normalized trace reuses its source trace's view: every sample that was not
+relabelled is the very same object. The trace-level stages (profile,
+normalization, gap detection, and in :mod:`pcach.mining` the traffic split
+and the pre-cache bound) run as array passes over the columns and never
+build the view.
+
 Two derived notions drive everything downstream:
 
 * the *normalized timeline*: cellular samples taken while a WiFi network the
@@ -22,10 +49,11 @@ import codecs
 import csv
 import io
 import json
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyTraceError,
@@ -46,6 +74,10 @@ SECONDS_PER_DAY = 86400
 # 1970-01-01 was a Thursday; offset so that Monday maps to 0.
 _EPOCH_WEEKDAY = 3
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+# byte counts of one trace must sum below this, so integer sums stay exact
+_BYTES_LIMIT = 2**62
+
 
 class ActiveNetwork(Enum):
     WIFI = "WIFI"
@@ -53,7 +85,11 @@ class ActiveNetwork(Enum):
     NONE = "NONE"
 
 
-_ACTIVE_BY_VALUE = {a.value: a for a in ActiveNetwork}
+# codes of the ``state`` column
+STATE_WIFI, STATE_CELLULAR, STATE_NONE = 0, 1, 2
+STATES = (ActiveNetwork.WIFI, ActiveNetwork.CELLULAR, ActiveNetwork.NONE)
+_STATE_CODE = {a: code for code, a in enumerate(STATES)}
+_STATE_BY_VALUE = {a.value: code for code, a in enumerate(STATES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,14 +105,16 @@ class AppTrafficRecord:
         if not self.app_id:
             raise TraceValidationError("app_id must be non-empty")
         if self.up_bytes < 0 or self.down_bytes < 0:
-            raise TraceValidationError(
-                f"negative byte count for app {self.app_id!r}: "
-                f"up={self.up_bytes} down={self.down_bytes}"
-            )
+            raise TraceValidationError(_negative_bytes(self.app_id, self.up_bytes,
+                                                       self.down_bytes))
 
     @property
     def total_bytes(self) -> int:
         return self.up_bytes + self.down_bytes
+
+
+def _negative_bytes(app_id: str, up: int, down: int) -> str:
+    return f"negative byte count for app {app_id!r}: up={up} down={down}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,69 +132,320 @@ class MeasurementSample:
             object.__setattr__(self, "visible_ssids", frozenset(self.visible_ssids))
         if not isinstance(self.apps, tuple):
             object.__setattr__(self, "apps", tuple(self.apps))
-        if self.active_network is ActiveNetwork.WIFI:
-            if not self.connected_ssid:
-                raise TraceValidationError(
-                    f"t={self.timestamp}: WIFI sample without connected_ssid"
-                )
-        elif self.connected_ssid is not None:
-            raise TraceValidationError(
-                f"t={self.timestamp}: connected_ssid set on a "
-                f"{self.active_network.name} sample"
-            )
-        if self.connected_ssid is not None and self.connected_ssid not in self.visible_ssids:
-            raise TraceValidationError(
-                f"t={self.timestamp}: connected ssid {self.connected_ssid!r} "
-                "missing from visible set"
-            )
-        if len(self.apps) > 1:
-            seen = set()
-            for rec in self.apps:
-                if rec.app_id in seen:
-                    raise TraceValidationError(
-                        f"t={self.timestamp}: duplicate app record {rec.app_id!r}"
-                    )
-                seen.add(rec.app_id)
+        _check_sample(self.timestamp, self.active_network, self.connected_ssid,
+                      self.visible_ssids, [rec.app_id for rec in self.apps])
 
     @property
     def total_bytes(self) -> int:
         return sum(rec.total_bytes for rec in self.apps)
 
 
-@dataclass(frozen=True)
+def _check_sample(t: int, active: ActiveNetwork, ssid: Optional[str],
+                  visible: frozenset[str], app_ids: Sequence[str]) -> None:
+    """The invariants of one sample, whatever holds it."""
+    if active is ActiveNetwork.WIFI:
+        if not ssid:
+            raise TraceValidationError(f"t={t}: WIFI sample without connected_ssid")
+    elif ssid is not None:
+        raise TraceValidationError(f"t={t}: connected_ssid set on a {active.name} sample")
+    if ssid is not None and ssid not in visible:
+        raise TraceValidationError(f"t={t}: connected ssid {ssid!r} missing from visible set")
+    if len(app_ids) > 1 and len(set(app_ids)) != len(app_ids):
+        seen = set()
+        for app_id in app_ids:
+            if app_id in seen:
+                raise TraceValidationError(f"t={t}: duplicate app record {app_id!r}")
+            seen.add(app_id)
+
+
+# The view's samples and records come from validated columns: they are built
+# without re-running __post_init__, through the slot descriptors.
+_new = object.__new__
+_SET_SAMPLE = tuple(MeasurementSample.__dict__[f].__set__ for f in (
+    "timestamp", "active_network", "connected_ssid", "visible_ssids", "apps"))
+_SET_RECORD = tuple(AppTrafficRecord.__dict__[f].__set__ for f in (
+    "app_id", "up_bytes", "down_bytes", "running"))
+
+
+def _trusted_sample(t, active, ssid, visible, apps) -> MeasurementSample:
+    s = _new(MeasurementSample)
+    set_t, set_active, set_ssid, set_visible, set_apps = _SET_SAMPLE
+    set_t(s, t)
+    set_active(s, active)
+    set_ssid(s, ssid)
+    set_visible(s, visible)
+    set_apps(s, apps)
+    return s
+
+
+def _trusted_record(app_id, up, down, running) -> AppTrafficRecord:
+    r = _new(AppTrafficRecord)
+    set_id, set_up, set_down, set_running = _SET_RECORD
+    set_id(r, app_id)
+    set_up(r, up)
+    set_down(r, down)
+    set_running(r, running)
+    return r
+
+
+def _int64_column(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise TraceValidationError(f"{what} outside the int64 range") from None
+
+
+class _Columns:
+    """Samples gathered row by row as column lists, with the interning
+    tables their ids index."""
+
+    def __init__(self):
+        self.t: list[int] = []
+        self.state: list[int] = []
+        self.ssid: list[int] = []
+        self.visible: list[int] = []
+        self.n_apps: list[int] = []
+        self.app: list[int] = []
+        self.up: list[int] = []
+        self.down: list[int] = []
+        self.running: list[bool] = []
+        self.ssid_ids: dict[str, int] = {}
+        self.visible_ids: dict[frozenset[str], int] = {}
+        self.app_ids: dict[str, int] = {}
+
+    def ssid_id(self, name: Optional[str]) -> int:
+        if name is None:
+            return -1
+        sid = self.ssid_ids.get(name)
+        if sid is None:
+            sid = self.ssid_ids[name] = len(self.ssid_ids)
+        return sid
+
+    def visible_id(self, ssids: frozenset[str]) -> int:
+        vid = self.visible_ids.get(ssids)
+        if vid is None:
+            vid = self.visible_ids[ssids] = len(self.visible_ids)
+        return vid
+
+    def app_id(self, name: str) -> int:
+        aid = self.app_ids.get(name)
+        if aid is None:
+            aid = self.app_ids[name] = len(self.app_ids)
+        return aid
+
+    def add_sample(self, s: MeasurementSample) -> None:
+        self.t.append(s.timestamp)
+        self.state.append(_STATE_CODE[s.active_network])
+        self.ssid.append(self.ssid_id(s.connected_ssid))
+        self.visible.append(self.visible_id(s.visible_ssids))
+        self.n_apps.append(len(s.apps))
+        for rec in s.apps:
+            self.app.append(self.app_id(rec.app_id))
+            self.up.append(rec.up_bytes)
+            self.down.append(rec.down_bytes)
+            self.running.append(rec.running)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The t, state, ssid, visible, app_offsets, app, up, down and
+        running columns."""
+        return [_int64_column(self.t, "timestamp"), np.array(self.state, dtype=np.uint8),
+                np.array(self.ssid, dtype=np.int32), np.array(self.visible, dtype=np.int32),
+                np.concatenate(([0], np.cumsum(self.n_apps, dtype=np.int64))),
+                np.array(self.app, dtype=np.int32), _int64_column(self.up, "up bytes"),
+                _int64_column(self.down, "down bytes"), np.array(self.running, dtype=bool)]
+
+    def tables(self) -> tuple[tuple, tuple, tuple]:
+        return tuple(self.ssid_ids), tuple(self.visible_ids), tuple(self.app_ids)
+
+    def last_wins(self, phone_id: str, nominal_period_s: int) -> "Trace":
+        """The trace of the rows stable-sorted by time, keeping the last row
+        of each timestamp."""
+        if not self.t:
+            raise EmptyTraceError("source contains no samples")
+        t, state, ssid, visible, offsets, *app_cols = self.arrays()
+        cols = [t, state, ssid, visible]
+        if np.any(t[1:] <= t[:-1]):
+            order = np.argsort(t, kind="stable")
+            ordered = t[order]
+            keep = order[np.append(ordered[1:] != ordered[:-1], True)]
+            cols = [c[keep] for c in cols]
+            counts = np.diff(offsets)[keep]
+            new_offsets = np.concatenate(([0], np.cumsum(counts)))
+            rows = (np.repeat(offsets[keep] - new_offsets[:-1], counts)
+                    + np.arange(new_offsets[-1]))
+            offsets, app_cols = new_offsets, [c[rows] for c in app_cols]
+        return Trace.from_columns(phone_id, *cols, offsets, *app_cols, *self.tables(),
+                                  nominal_period_s=nominal_period_s)
+
+
 class Trace:
-    """Time-ordered samples of one phone."""
+    """Time-ordered samples of one phone, as columns (see the module doc).
 
-    phone_id: str
-    samples: tuple[MeasurementSample, ...]
-    nominal_period_s: int = DEFAULT_PERIOD_S
+    ``Trace(phone_id, samples)`` converts :class:`MeasurementSample` objects
+    and keeps them as the trace's view; :meth:`from_columns` takes columns
+    directly.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if self.nominal_period_s <= 0:
+    __slots__ = ("phone_id", "nominal_period_s", "t", "state", "ssid", "visible",
+                 "app_offsets", "app", "up", "down", "running",
+                 "ssids", "visible_sets", "app_ids", "_samples", "_source")
+
+    def __init__(self, phone_id: str, samples: Iterable[MeasurementSample] = (),
+                 nominal_period_s: int = DEFAULT_PERIOD_S):
+        samples = tuple(samples)
+        cols = _Columns()
+        for s in samples:
+            cols.add_sample(s)
+        self._set_columns(phone_id, nominal_period_s, *cols.arrays(), *cols.tables())
+        self._samples = samples
+
+    @classmethod
+    def from_columns(cls, phone_id: str, t, state, ssid, visible, app_offsets, app, up, down,
+                     running, ssids: Sequence[str], visible_sets: Sequence[frozenset[str]],
+                     app_ids: Sequence[str],
+                     nominal_period_s: int = DEFAULT_PERIOD_S) -> "Trace":
+        """A trace of ready columns. Their values are trusted: only the
+        period, the timestamp order and the byte total are checked."""
+        trace = _new(cls)
+        trace._set_columns(
+            phone_id, nominal_period_s, _int64_column(t, "timestamp"),
+            np.asarray(state, dtype=np.uint8), np.asarray(ssid, dtype=np.int32),
+            np.asarray(visible, dtype=np.int32), np.asarray(app_offsets, dtype=np.int64),
+            np.asarray(app, dtype=np.int32), _int64_column(up, "up bytes"),
+            _int64_column(down, "down bytes"), np.asarray(running, dtype=bool),
+            tuple(ssids), tuple(visible_sets), tuple(app_ids))
+        trace._samples = None
+        return trace
+
+    def _set_columns(self, phone_id, nominal_period_s, t, state, ssid, visible, app_offsets,
+                     app, up, down, running, ssids, visible_sets, app_ids) -> None:
+        if nominal_period_s <= 0:
             raise TraceValidationError("nominal_period_s must be positive")
-        prev = None
-        for s in self.samples:
-            if prev is not None and s.timestamp <= prev:
-                raise TraceValidationError(
-                    f"timestamps not strictly increasing at t={s.timestamp}"
-                )
-            prev = s.timestamp
+        back = np.flatnonzero(t[1:] <= t[:-1])
+        if back.size:
+            raise TraceValidationError(
+                f"timestamps not strictly increasing at t={int(t[back[0] + 1])}")
+        if up.size and float(up.sum(dtype=np.float64)) + float(down.sum(dtype=np.float64)) \
+                >= _BYTES_LIMIT:
+            raise TraceValidationError("the trace's byte counts sum past 2**62")
+        for col in (t, state, ssid, visible, app_offsets, app, up, down, running):
+            col.flags.writeable = False
+        self.phone_id = phone_id
+        self.nominal_period_s = nominal_period_s
+        self.t, self.state, self.ssid, self.visible = t, state, ssid, visible
+        self.app_offsets, self.app, self.up, self.down, self.running = (
+            app_offsets, app, up, down, running)
+        self.ssids, self.visible_sets, self.app_ids = ssids, visible_sets, app_ids
+        self._source = None
+
+    def _replace(self, **columns) -> "Trace":
+        """A trace sharing every column and table not given."""
+        names = ("t", "state", "ssid", "visible", "app_offsets", "app", "up", "down",
+                 "running", "ssids", "visible_sets", "app_ids")
+        values = {name: columns.get(name, getattr(self, name)) for name in names}
+        return Trace.from_columns(self.phone_id, nominal_period_s=self.nominal_period_s,
+                                  **values)
+
+    def rows(self, start: int, stop: int) -> "Trace":
+        """The trace of rows ``start:stop`` (column slices, tables shared)."""
+        start, stop, _ = slice(start, stop).indices(len(self.t))
+        stop = max(start, stop)
+        a0, a1 = int(self.app_offsets[start]), int(self.app_offsets[stop])
+        return self._replace(
+            t=self.t[start:stop], state=self.state[start:stop], ssid=self.ssid[start:stop],
+            visible=self.visible[start:stop],
+            app_offsets=self.app_offsets[start:stop + 1] - a0, app=self.app[a0:a1],
+            up=self.up[a0:a1], down=self.down[a0:a1], running=self.running[a0:a1])
+
+    def index_range(self, start: int, end: int) -> tuple[int, int]:
+        """Rows ``lo:hi`` holding the samples with start <= t < end."""
+        lo = int(np.searchsorted(self.t, start, side="left"))
+        return lo, max(lo, int(np.searchsorted(self.t, end, side="left")))
+
+    def sample_bytes(self) -> np.ndarray:
+        """Each sample's up + down bytes over all its app records (int64)."""
+        total = np.concatenate(([0], np.cumsum(self.up + self.down)))
+        return total[self.app_offsets[1:]] - total[self.app_offsets[:-1]]
+
+    @property
+    def samples(self) -> tuple[MeasurementSample, ...]:
+        """The rows as samples, built on first access (see the module doc)."""
+        if self._samples is None:
+            self._samples = _build_samples(self)
+        return self._samples
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
     @property
     def start_time(self) -> int:
-        if not self.samples:
+        if not len(self.t):
             raise EmptyTraceError(f"trace {self.phone_id!r} has no samples")
-        return self.samples[0].timestamp
+        return int(self.t[0])
 
     @property
     def end_time(self) -> int:
-        if not self.samples:
+        if not len(self.t):
             raise EmptyTraceError(f"trace {self.phone_id!r} has no samples")
-        return self.samples[-1].timestamp
+        return int(self.t[-1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        eq = np.array_equal
+        return self is other or (
+            self.phone_id == other.phone_id
+            and self.nominal_period_s == other.nominal_period_s
+            and eq(self.t, other.t) and eq(self.state, other.state)
+            and eq(self.app_offsets, other.app_offsets) and eq(self.up, other.up)
+            and eq(self.down, other.down) and eq(self.running, other.running)
+            and _same_labels(self.ssid, self.ssids, other.ssid, other.ssids)
+            and _same_labels(self.visible, self.visible_sets, other.visible, other.visible_sets)
+            and _same_labels(self.app, self.app_ids, other.app, other.app_ids))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace(phone_id={self.phone_id!r}, samples={len(self.t)})"
+
+    def __reduce__(self):
+        return (Trace.from_columns, (
+            self.phone_id, self.t, self.state, self.ssid, self.visible, self.app_offsets,
+            self.app, self.up, self.down, self.running, self.ssids, self.visible_sets,
+            self.app_ids, self.nominal_period_s))
+
+
+def _same_labels(ids_a: np.ndarray, table_a, ids_b: np.ndarray, table_b) -> bool:
+    """Whether two id columns name the same values row by row (-1 = none)."""
+    index = {value: i for i, value in enumerate(table_b)}
+    to_b = np.array([index.get(value, -2) for value in table_a] + [-1], dtype=np.int64)
+    return np.array_equal(to_b[ids_a], ids_b)
+
+
+def _build_samples(trace: Trace) -> tuple[MeasurementSample, ...]:
+    """The view of ``trace``'s rows as samples.
+
+    A normalized trace starts from its source trace's view and replaces only
+    the relabelled samples.
+    """
+    if trace._source is not None:
+        source, relabelled = trace._source
+        samples = list(source.samples)
+        wifi, ssids = ActiveNetwork.WIFI, trace.ssids
+        for i, code in zip(relabelled.tolist(), trace.ssid[relabelled].tolist()):
+            s = samples[i]
+            samples[i] = _trusted_sample(s.timestamp, wifi, ssids[code], s.visible_ssids, s.apps)
+        return tuple(samples)
+    app_ids = trace.app_ids
+    records = list(map(_trusted_record, [app_ids[i] for i in trace.app.tolist()],
+                       trace.up.tolist(), trace.down.tolist(), trace.running.tolist()))
+    offsets = trace.app_offsets.tolist()
+    ssids = trace.ssids + (None,)  # id -1 is no SSID
+    visible_sets = trace.visible_sets
+    return tuple(map(
+        _trusted_sample, trace.t.tolist(), [STATES[c] for c in trace.state.tolist()],
+        [ssids[i] for i in trace.ssid.tolist()], [visible_sets[i] for i in trace.visible.tolist()],
+        [tuple(records[a:b]) for a, b in zip(offsets, offsets[1:])]))
 
 
 @dataclass(frozen=True)
@@ -247,13 +536,14 @@ def is_weekday(timestamp: int, utc_offset_s: int = 0) -> bool:
     return (local_day_index(timestamp, utc_offset_s) + _EPOCH_WEEKDAY) % 7 < 5
 
 
-def in_hour_window(timestamp: int, window: tuple[int, int], utc_offset_s: int = 0) -> bool:
-    """True when the local hour falls inside [start, end), wrapping past midnight."""
+def in_hour_window(timestamp, window: tuple[int, int], utc_offset_s: int = 0):
+    """True when the local hour falls inside [start, end), wrapping past
+    midnight; elementwise for an array of timestamps."""
     start, end = window
     hour = local_hour(timestamp, utc_offset_s)
     if start <= end:
-        return start <= hour < end
-    return hour >= start or hour < end
+        return (start <= hour) & (hour < end)
+    return (hour >= start) | (hour < end)
 
 
 # ---------------------------------------------------------------------------
@@ -276,38 +566,25 @@ def _sample_to_obj(sample: MeasurementSample) -> dict:
     }
 
 
-class _Fragments(dict):
-    """Each distinct key's encoded text, computed on first lookup."""
-
-    __slots__ = ("_encode",)
-
-    def __init__(self, encode):
-        super().__init__()
-        self._encode = encode
-
-    def __missing__(self, key):
-        text = self[key] = self._encode(key)
-        return text
-
-
 def trace_to_jsonl(trace: Trace) -> bytes:
     """One line per sample, as ``json.dumps(_sample_to_obj(sample),
-    separators=(",", ":"), ensure_ascii=False)`` writes it; each distinct
-    SSID, visible set and app id is encoded once."""
+    separators=(",", ":"), ensure_ascii=False)`` writes it; each SSID,
+    visible set and app id of the tables is encoded once."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    ssid = _Fragments(encode)
-    visible = _Fragments(lambda ssids: encode(sorted(ssids)))
-    app_head = _Fragments(lambda app_id: '{"id":' + encode(app_id) + ',"up":')
-    lines = []
-    for s in trace.samples:
-        apps = ",".join([
-            f'{app_head[a.app_id]}{a.up_bytes},"down":{a.down_bytes},'
-            f'"running":{"true" if a.running else "false"}}}'
-            for a in s.apps
-        ])
-        lines.append(f'{{"t":{s.timestamp},"active":"{s.active_network.value}",'
-                     f'"ssid":{ssid[s.connected_ssid]},"visible":{visible[s.visible_ssids]},'
-                     f'"apps":[{apps}]}}')
+    active = [f'"{a.value}"' for a in STATES]
+    ssid = [encode(name) for name in trace.ssids] + ["null"]
+    visible = [encode(sorted(ssids)) for ssids in trace.visible_sets]
+    app_head = ['{"id":' + encode(app_id) + ',"up":' for app_id in trace.app_ids]
+    flag = ("false", "true")
+    records = [f'{app_head[a]}{up},"down":{down},"running":{flag[r]}}}'
+               for a, up, down, r in zip(trace.app.tolist(), trace.up.tolist(),
+                                         trace.down.tolist(), trace.running.tolist())]
+    offsets = trace.app_offsets.tolist()
+    lines = [f'{{"t":{t},"active":{active[s]},"ssid":{ssid[i]},"visible":{visible[v]},'
+             f'"apps":[{",".join(records[a:b])}]}}'
+             for t, s, i, v, a, b in zip(trace.t.tolist(), trace.state.tolist(),
+                                         trace.ssid.tolist(), trace.visible.tolist(),
+                                         offsets, offsets[1:])]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -321,47 +598,57 @@ def trace_to_csv(trace: Trace) -> bytes:
 
 def _csv_text(trace: Trace, quote_all: bool) -> str:
     """The rows ``csv.writer(lineterminator="\\n")`` writes under QUOTE_ALL
-    or QUOTE_MINIMAL; each distinct string cell is quoted once."""
+    or QUOTE_MINIMAL; each string of the tables is quoted once."""
 
     def quote(text: str) -> str:
         if quote_all or "," in text or '"' in text or "\n" in text:
             return '"' + text.replace('"', '""') + '"'
         return text
 
-    cell = _Fragments(quote)
     num = '"' if quote_all else ""  # a number needs quotes only under QUOTE_ALL
-    visible: dict[frozenset[str], str] = {}
+    active = [quote(a.value) for a in STATES]
+    ssid = [quote(name) for name in trace.ssids] + [quote("")]
+    visible = _visible_cells(trace, quote)
+    app = [quote(app_id) for app_id in trace.app_ids]
+    flag = (quote("false"), quote("true"))
+    records = [f"{app[a]},{num}{up}{num},{num}{down}{num},{flag[r]}"
+               for a, up, down, r in zip(trace.app.tolist(), trace.up.tolist(),
+                                         trace.down.tolist(), trace.running.tolist())]
     phone = quote(trace.phone_id)
-    no_apps = ",".join([cell[""]] * 4)
+    no_apps = [",".join([quote("")] * 4)]
+    heads = [f"{phone},{num}{t}{num},{active[s]},{ssid[i]},{visible[v]},"
+             for t, s, i, v in zip(trace.t.tolist(), trace.state.tolist(), trace.ssid.tolist(),
+                                   trace.visible.tolist())]
+    offsets = trace.app_offsets.tolist()
     lines = [",".join(map(quote, _CSV_FIELDS))]
-    for s in trace.samples:
-        vis = visible.get(s.visible_ssids)
-        if vis is None:
-            vis = visible[s.visible_ssids] = quote(_visible_cell(s))
-        head = (f"{phone},{num}{s.timestamp}{num},{cell[s.active_network.value]},"
-                f"{cell[s.connected_ssid or '']},{vis},")
-        if s.apps:
-            lines += [f"{head}{cell[a.app_id]},{num}{a.up_bytes}{num},{num}{a.down_bytes}{num},"
-                      f"{cell['true' if a.running else 'false']}"
-                      for a in s.apps]
-        else:
-            lines.append(head + no_apps)
+    lines += [head + rec for head, a, b in zip(heads, offsets, offsets[1:])
+              for rec in (records[a:b] if a < b else no_apps)]
     lines.append("")
     return "\n".join(lines)
 
 
-def _visible_cell(sample: MeasurementSample) -> str:
-    """The CSV ``visible`` field: SSIDs joined with ';'.
+def _visible_cells(trace: Trace, quote) -> list[Optional[str]]:
+    """The quoted CSV ``visible`` field of each visible set the rows use:
+    SSIDs joined with ';'.
 
     An empty SSID or one holding ';' would read back changed, so it is
-    refused rather than written.
+    refused, naming the first sample that holds it, rather than written.
     """
-    for v in sample.visible_ssids:
-        if not v or ";" in v:
-            raise TraceValidationError(
-                f"t={sample.timestamp}: visible SSID {v!r} cannot be written to CSV "
-                "(empty or holds ';')")
-    return ";".join(sorted(sample.visible_ssids))
+    cells: list[Optional[str]] = [None] * len(trace.visible_sets)
+    bad = []
+    for vid in np.unique(trace.visible).tolist():
+        ssids = trace.visible_sets[vid]
+        if any(not v or ";" in v for v in ssids):
+            bad.append(vid)
+        else:
+            cells[vid] = quote(";".join(sorted(ssids)))
+    if bad:
+        row = int(np.flatnonzero(np.isin(trace.visible, bad))[0])
+        v = next(v for v in trace.visible_sets[trace.visible[row]] if not v or ";" in v)
+        raise TraceValidationError(
+            f"t={int(trace.t[row])}: visible SSID {v!r} cannot be written to CSV "
+            "(empty or holds ';')")
+    return cells
 
 
 def _decode_utf8(data: bytes, line_no: Optional[int] = None) -> str:
@@ -385,154 +672,214 @@ def _type_error(field: str, expected: str, value) -> TraceValidationError:
     )
 
 
-def _build_sample(t, active, ssid, visible, apps, line_no) -> MeasurementSample:
-    try:
-        return MeasurementSample(t, active, ssid, visible, apps)
-    except TraceValidationError as exc:
-        raise TraceParseError(str(exc), line_no) from None
-
-
-def _jsonl_app(obj) -> AppTrafficRecord:
-    if type(obj) is not dict:
-        raise _type_error("apps[]", "an object", obj)
-    app_id, up, down, running = obj["id"], obj["up"], obj["down"], obj["running"]
-    if type(app_id) is not str:
-        raise _type_error("id", "a string", app_id)
-    if type(up) is not int:
-        raise _type_error("up", "an integer", up)
-    if type(down) is not int:
-        raise _type_error("down", "an integer", down)
-    if type(running) is not bool:
-        raise _type_error("running", "a boolean", running)
-    return AppTrafficRecord(app_id, up, down, running)
-
-
-def _jsonl_sample(obj, visible_sets: dict) -> MeasurementSample:
-    """One decoded JSONL object as a sample; every field is type-checked.
-
-    ``visible_sets`` interns the visible-SSID sets of one file, keyed by the
-    raw list, so repeated scans share one frozenset.
-    """
-    if type(obj) is not dict:
-        raise _type_error("line", "an object", obj)
-    t, active_raw = obj["t"], obj["active"]
-    ssid, visible_raw, apps_raw = obj.get("ssid"), obj.get("visible", []), obj.get("apps", [])
-    if type(t) is not int:
-        raise _type_error("t", "an integer", t)
-    active = _ACTIVE_BY_VALUE.get(active_raw) if type(active_raw) is str else None
-    if active is None:
-        raise TraceValidationError(f"unknown active network {active_raw!r}")
-    if ssid is not None and type(ssid) is not str:
-        raise _type_error("ssid", "a string or null", ssid)
-    if type(visible_raw) is not list:
-        raise _type_error("visible", "a list", visible_raw)
-    key = tuple(visible_raw)
-    visible = visible_sets.get(key)
-    if visible is None:
-        for v in key:
-            if type(v) is not str:
-                raise _type_error("visible[]", "a string", v)
-        visible = visible_sets[key] = frozenset(key)
-    if type(apps_raw) is not list:
-        raise _type_error("apps", "a list", apps_raw)
-    apps = tuple(map(_jsonl_app, apps_raw)) if apps_raw else ()
-    return MeasurementSample(t, active, ssid, visible, apps)
-
-
-def _parse_jsonl(data: bytes) -> list[MeasurementSample]:
-    # Lines split on bytes: the writer keeps U+2028/U+0085 raw inside SSIDs,
-    # and str.splitlines would break a record there.
-    raw_decode = json.JSONDecoder().raw_decode
-    visible_sets: dict[tuple, frozenset[str]] = {}
-    samples = []
-    for line_no, raw in enumerate(data.removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
+def _parse_jsonl(data: bytes) -> _Columns:
+    scan = json.JSONDecoder().scan_once  # what raw_decode(text) runs at index 0
+    cols = _Columns()
+    t_col, state_col, ssid_col, visible_col, n_apps = (
+        cols.t, cols.state, cols.ssid, cols.visible, cols.n_apps)
+    app_col, up_col, down_col, running_col = cols.app, cols.up, cols.down, cols.running
+    ssid_ids, app_ids = cols.ssid_ids, cols.app_ids
+    visible_by_raw: dict[tuple, tuple[int, frozenset[str]]] = {}
+    state_by_value, wifi, lo, hi = _STATE_BY_VALUE, STATE_WIFI, _INT64_MIN, _INT64_MAX
+    # Lines split as bytes.splitlines splits them, at CR LF, CR or LF, read
+    # one at a time. They split on bytes: the writer keeps U+2028/U+0085 raw
+    # inside SSIDs, and str.splitlines would break a record there.
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    for line_no, raw in enumerate(io.BytesIO(data), start=1):
         line = raw.strip()
         if not line:
             continue
-        text = _decode_utf8(line, line_no)
         try:
-            obj, end = raw_decode(text)
+            text = line.decode()
+        except UnicodeDecodeError:
+            _decode_utf8(line, line_no)
+        try:
+            obj, end = scan(text, 0)
+        except StopIteration:
+            raise TraceParseError("invalid JSON (Expecting value)", line_no) from None
         except (ValueError, RecursionError) as exc:  # also digit limit, nesting depth
             raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
         if end != len(text):
             raise TraceParseError("invalid JSON (Extra data)", line_no)
         try:
-            samples.append(_jsonl_sample(obj, visible_sets))
+            if type(obj) is not dict:
+                raise _type_error("line", "an object", obj)
+            t, active_raw = obj["t"], obj["active"]
+            ssid, visible_raw, apps_raw = obj.get("ssid"), obj.get("visible", []), obj.get("apps", [])
+            if type(t) is not int:
+                raise _type_error("t", "an integer", t)
+            if not lo <= t <= hi:
+                raise TraceValidationError(f"timestamp {t} outside the int64 range")
+            state = state_by_value.get(active_raw) if type(active_raw) is str else None
+            if state is None:
+                raise TraceValidationError(f"unknown active network {active_raw!r}")
+            if ssid is not None and type(ssid) is not str:
+                raise _type_error("ssid", "a string or null", ssid)
+            if type(visible_raw) is not list:
+                raise _type_error("visible", "a list", visible_raw)
+            key = tuple(visible_raw)
+            interned = visible_by_raw.get(key)
+            if interned is None:
+                for v in key:
+                    if type(v) is not str:
+                        raise _type_error("visible[]", "a string", v)
+                visible = frozenset(key)
+                interned = visible_by_raw[key] = (cols.visible_id(visible), visible)
+            if type(apps_raw) is not list:
+                raise _type_error("apps", "a list", apps_raw)
+            for rec in apps_raw:
+                if type(rec) is not dict:
+                    raise _type_error("apps[]", "an object", rec)
+                app_id, up, down, running = rec["id"], rec["up"], rec["down"], rec["running"]
+                if type(app_id) is not str:
+                    raise _type_error("id", "a string", app_id)
+                if type(up) is not int:
+                    raise _type_error("up", "an integer", up)
+                if type(down) is not int:
+                    raise _type_error("down", "an integer", down)
+                if type(running) is not bool:
+                    raise _type_error("running", "a boolean", running)
+                if not app_id:
+                    raise TraceValidationError("app_id must be non-empty")
+                if up < 0 or down < 0:
+                    raise TraceValidationError(_negative_bytes(app_id, up, down))
+                if up > hi or down > hi:
+                    raise TraceValidationError(f"byte count of app {app_id!r} outside the "
+                                               "int64 range")
+                aid = app_ids.get(app_id)
+                app_col.append(cols.app_id(app_id) if aid is None else aid)
+                up_col.append(up)
+                down_col.append(down)
+                running_col.append(running)
+            if ssid is None:
+                valid = state != wifi
+            else:
+                valid = state == wifi and ssid and ssid in interned[1]
+            if not valid or len(apps_raw) > 1:
+                _check_sample(t, STATES[state], ssid, interned[1],
+                              [rec["id"] for rec in apps_raw])
         except KeyError as exc:
             raise TraceParseError(f"missing field {exc.args[0]!r}", line_no) from None
         except (TypeError, TraceValidationError) as exc:
             raise TraceParseError(str(exc), line_no) from None
-    return samples
+        t_col.append(t)
+        state_col.append(state)
+        sid = -1 if ssid is None else ssid_ids.get(ssid)
+        ssid_col.append(cols.ssid_id(ssid) if sid is None else sid)
+        visible_col.append(interned[0])
+        n_apps.append(len(apps_raw))
+    return cols
 
 
-def _parse_bool(raw: str, line_no: int) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1"):
-        return True
-    if low in ("false", "0"):
-        return False
-    raise TraceParseError(f"invalid boolean {raw!r}", line_no)
+_CSV_BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _parse_csv(data: bytes) -> tuple[Optional[str], list[MeasurementSample]]:
+def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
     """Rows in one pass; a run of contiguous rows sharing (t, active, ssid,
     visible) forms one sample, one row per app record.
 
-    A repeated timestamp further on starts a new sample, which the caller
-    collapses last-wins like any other duplicate.
+    A repeated timestamp further on starts a new sample, which last-wins
+    deduplication collapses like any other duplicate. A sample's checks run
+    when it closes, after its app rows.
     """
-    reader = csv.reader(io.StringIO(_decode_utf8(data)))
+    if not data.isascii():
+        _decode_utf8(data)  # an invalid byte fails before any row does
+    # the text's lines, split on LF as io.StringIO splits them, decoded one
+    # at a time rather than held whole
+    reader = csv.reader(map(bytes.decode, io.BytesIO(data)))
     n_fields = len(_CSV_FIELDS)
+    cols = _Columns()
+    t_col, state_col, ssid_col, visible_col, n_apps = (
+        cols.t, cols.state, cols.ssid, cols.visible, cols.n_apps)
+    app_col, up_col, down_col, running_col = cols.app, cols.up, cols.down, cols.running
+    ssid_ids, app_ids = cols.ssid_ids, cols.app_ids
+    visible_by_raw: dict[str, tuple[int, frozenset[str]]] = {}
+    state_by_value, bools, lo, hi = _STATE_BY_VALUE, _CSV_BOOLS, _INT64_MIN, _INT64_MAX
     phone_id: Optional[str] = None
-    visible_sets: dict[str, frozenset[str]] = {}
-    samples: list[MeasurementSample] = []
     head: Optional[list[str]] = None  # raw (t, active, ssid, visible) of the open sample
-    head_line = 0
-    t = active = ssid = visible = None
-    apps: list[AppTrafficRecord] = []
+    head_line = first_app = 0
+    t = state = ssid = interned = None
+    valid = True  # the open sample's network fields pass the sample checks
+
+    def check_open_sample():
+        names = tuple(app_ids)
+        try:
+            _check_sample(t, STATES[state], ssid, interned[1],
+                          [names[a] for a in app_col[first_app:]])
+        except TraceValidationError as exc:
+            raise TraceParseError(str(exc), head_line) from None
+
     line_no = 0
     try:
         for line_no, row in enumerate(reader, start=1):
-            if not "".join(row).strip():
+            pid = row[0] if row else ""
+            if (not pid or pid.isspace()) and not "".join(row).strip():
                 continue  # blank line or only blank cells
             if line_no == 1 and [c.strip() for c in row[:2]] == ["phone_id", "t"]:
                 continue  # header
             if len(row) != n_fields:
                 raise TraceParseError(f"expected {n_fields} columns, got {len(row)}", line_no)
-            pid = row[0]
-            if phone_id is None:
+            if pid != phone_id:
+                if phone_id is not None:
+                    raise TraceParseError(f"phone_id {pid!r} differs from {phone_id!r}", line_no)
                 phone_id = pid
-            elif pid != phone_id:
-                raise TraceParseError(f"phone_id {pid!r} differs from {phone_id!r}", line_no)
             if row[1:5] != head:
                 if head is not None:
-                    samples.append(_build_sample(t, active, ssid, visible, tuple(apps), head_line))
-                head, head_line, apps = row[1:5], line_no, []
+                    if not valid or len(app_col) - first_app > 1:
+                        check_open_sample()
+                    n_apps.append(len(app_col) - first_app)
+                head, head_line, first_app = row[1:5], line_no, len(app_col)
                 t_raw, active_raw, ssid_raw, visible_raw = head
                 try:
                     t = int(t_raw)
                 except ValueError:
                     raise TraceParseError(f"invalid timestamp {t_raw!r}", line_no) from None
-                active = _ACTIVE_BY_VALUE.get(active_raw)
-                if active is None:
+                if not lo <= t <= hi:
+                    raise TraceParseError(f"timestamp {t} outside the int64 range", line_no)
+                state = state_by_value.get(active_raw)
+                if state is None:
                     raise TraceParseError(f"unknown active network {active_raw!r}", line_no)
                 ssid = ssid_raw if ssid_raw else None
-                visible = visible_sets.get(visible_raw)
-                if visible is None:
-                    visible = visible_sets[visible_raw] = frozenset(
-                        v for v in visible_raw.split(";") if v)
-            app_id, up, down, running = row[5:]
+                interned = visible_by_raw.get(visible_raw)
+                if interned is None:
+                    visible = frozenset(v for v in visible_raw.split(";") if v)
+                    interned = visible_by_raw[visible_raw] = (cols.visible_id(visible), visible)
+                if ssid is None:
+                    valid = state != STATE_WIFI
+                    ssid_col.append(-1)
+                else:
+                    valid = state == STATE_WIFI and ssid in interned[1]
+                    sid = ssid_ids.get(ssid)
+                    ssid_col.append(cols.ssid_id(ssid) if sid is None else sid)
+                t_col.append(t)
+                state_col.append(state)
+                visible_col.append(interned[0])
+            app_id = row[5]
             if app_id:
-                running = _parse_bool(running, line_no)
+                running = bools.get(row[8].strip().lower())
+                if running is None:
+                    raise TraceParseError(f"invalid boolean {row[8]!r}", line_no)
                 try:
-                    apps.append(AppTrafficRecord(app_id, int(up), int(down), running))
-                except (ValueError, TraceValidationError) as exc:
+                    up, down = int(row[6]), int(row[7])
+                except ValueError as exc:
                     raise TraceParseError(str(exc), line_no) from None
+                if up < 0 or down < 0:
+                    raise TraceParseError(_negative_bytes(app_id, up, down), line_no)
+                if up > hi or down > hi:
+                    raise TraceParseError(f"byte count of app {app_id!r} outside the "
+                                          "int64 range", line_no)
+                aid = app_ids.get(app_id)
+                app_col.append(cols.app_id(app_id) if aid is None else aid)
+                up_col.append(up)
+                down_col.append(down)
+                running_col.append(running)
     except csv.Error as exc:
         raise TraceParseError(f"malformed CSV ({exc})", line_no + 1) from None
     if head is not None:
-        samples.append(_build_sample(t, active, ssid, visible, tuple(apps), head_line))
-    return phone_id, samples
+        if not valid or len(app_col) - first_app > 1:
+            check_open_sample()
+        n_apps.append(len(app_col) - first_app)
+    return phone_id, cols
 
 
 def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
@@ -544,10 +891,11 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     run of contiguous rows with the same ``t``, ``active``, ``ssid`` and
     ``visible`` forms one sample, one row per app record. Samples are sorted
     by timestamp; duplicate timestamps, adjacent or not, collapse to the
-    last record seen in input order. ``phone_id`` is taken from the CSV rows
-    when present, otherwise from the argument. Malformed input, invalid
-    UTF-8 and a ``str`` holding a lone surrogate included, raises
-    :class:`TraceParseError` with the line number.
+    last record seen in input order. Every record, a dropped one included,
+    must be a valid sample, and timestamps and byte counts must fit int64.
+    ``phone_id`` is taken from the CSV rows when present, otherwise from the
+    argument. Malformed input, invalid UTF-8 and a ``str`` holding a lone
+    surrogate included, raises :class:`TraceParseError` with the line number.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -565,25 +913,12 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
 
     fmt = fmt.lower()
     if fmt == "jsonl":
-        csv_phone, samples = None, _parse_jsonl(bytes(data))
+        csv_phone, cols = None, _parse_jsonl(bytes(data))
     elif fmt == "csv":
-        csv_phone, samples = _parse_csv(bytes(data))
+        csv_phone, cols = _parse_csv(bytes(data))
     else:
         raise TraceParseError(f"unknown trace format {fmt!r}")
-
-    if not samples:
-        raise EmptyTraceError("source contains no samples")
-
-    # stable sort, then collapse duplicate timestamps keeping the last record
-    samples.sort(key=lambda s: s.timestamp)
-    collapsed = [s for s, nxt in zip(samples, samples[1:]) if s.timestamp != nxt.timestamp]
-    collapsed.append(samples[-1])
-
-    return Trace(
-        phone_id=csv_phone if csv_phone else phone_id,
-        samples=tuple(collapsed),
-        nominal_period_s=nominal_period_s,
-    )
+    return cols.last_wins(csv_phone if csv_phone else phone_id, nominal_period_s)
 
 
 def read_trace(path, fmt: Optional[str] = None,
@@ -617,6 +952,12 @@ def write_trace(trace: Trace, path, fmt: Optional[str] = None) -> None:
     p.write_bytes(payload)
 
 
+def _sample_from_obj(obj) -> MeasurementSample:
+    """The sample one JSONL object (as :func:`_sample_to_obj` makes it)
+    holds, checked as :func:`ingest_trace` checks a line."""
+    return ingest_trace(json.dumps(obj).encode(), fmt="jsonl").samples[0]
+
+
 # ---------------------------------------------------------------------------
 # Preferred-network profile and timeline normalization.
 # ---------------------------------------------------------------------------
@@ -633,26 +974,30 @@ def derive_preferred_profile(
     home/work: the preferred SSID seen most often during the night window
     and its daytime complement. Ties break toward the lexicographically
     smaller SSID.
+
+    Scans are counted once per visible-set id, then credited to the
+    preferred SSIDs each set holds.
     """
-    if not trace.samples:
+    if not len(trace):
         raise EmptyTraceError("cannot derive a profile from an empty trace")
 
-    preferred = {s.connected_ssid for s in trace.samples if s.connected_ssid is not None}
+    preferred = {trace.ssids[i] for i in np.unique(trace.ssid).tolist() if i >= 0}
     if not preferred:
         return PreferredNetworkProfile(frozenset(), (), None, None)
 
+    n_sets = len(trace.visible_sets)
+    scans = np.bincount(trace.visible, minlength=n_sets).tolist()
+    at_night = in_hour_window(trace.t, night_window, utc_offset_s)
+    night_scans = np.bincount(trace.visible[at_night], minlength=n_sets).tolist()
     total = {ssid: 0 for ssid in preferred}
     night = {ssid: 0 for ssid in preferred}
     day = {ssid: 0 for ssid in preferred}
-    for s in trace.samples:
-        at_night = in_hour_window(s.timestamp, night_window, utc_offset_s)
-        for ssid in s.visible_ssids:
-            if ssid in total:
-                total[ssid] += 1
-                if at_night:
-                    night[ssid] += 1
-                else:
-                    day[ssid] += 1
+    for vid, n in enumerate(scans):
+        if n:
+            for ssid in trace.visible_sets[vid] & preferred:
+                total[ssid] += n
+                night[ssid] += night_scans[vid]
+                day[ssid] += n - night_scans[vid]
 
     def best(counts: dict[str, int]) -> str:
         return min(counts, key=lambda ssid: (-counts[ssid], ssid))
@@ -670,26 +1015,35 @@ def normalize_timeline(trace: Trace, profile: PreferredNetworkProfile) -> Trace:
     """Relabel cellular samples that see a preferred WiFi network as WiFi.
 
     The connected SSID becomes the lexicographically first preferred network
-    in the visible set. All other samples pass through unchanged; the result
-    is the modified timeline every downstream analysis runs on.
+    in the visible set, found once per visible-set id. All other samples
+    pass through unchanged, and the trace itself comes back when no sample
+    changes; the result is the modified timeline every downstream analysis
+    runs on.
     """
     if not profile.preferred:
         return trace
-    changed = False
-    new_samples = []
-    for s in trace.samples:
-        if s.active_network is ActiveNetwork.CELLULAR:
-            hits = s.visible_ssids & profile.preferred
-            if hits:
-                new_samples.append(replace(
-                    s, active_network=ActiveNetwork.WIFI, connected_ssid=min(hits)
-                ))
-                changed = True
-                continue
-        new_samples.append(s)
-    if not changed:
+    ssids = list(trace.ssids)
+    ssid_ids = {name: i for i, name in enumerate(ssids)}
+    relabel = np.full(len(trace.visible_sets), -1, dtype=np.int32)
+    for vid, visible in enumerate(trace.visible_sets):
+        hits = visible & profile.preferred
+        if hits:
+            name = min(hits)
+            if name not in ssid_ids:
+                ssid_ids[name] = len(ssids)
+                ssids.append(name)
+            relabel[vid] = ssid_ids[name]
+    target = relabel[trace.visible]
+    rows = np.flatnonzero((trace.state == STATE_CELLULAR) & (target >= 0))
+    if not rows.size:
         return trace
-    return Trace(trace.phone_id, tuple(new_samples), trace.nominal_period_s)
+    state = trace.state.copy()
+    state[rows] = STATE_WIFI
+    ssid = trace.ssid.copy()
+    ssid[rows] = target[rows]
+    norm = trace._replace(state=state, ssid=ssid, ssids=tuple(ssids))
+    norm._source = (trace, rows)
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -719,23 +1073,24 @@ def detect_gaps(trace: Trace) -> list[WiFiGap]:
     Off-network samples (state NONE) neither produce events nor let a pending
     cut pair up: a pending gap that meets a NONE sample stays open. A cut that
     never meets a resume before the trace ends is reported as an open gap.
+
+    Each cut pairs with the first later row that is off-network or a resume;
+    no second cut can come first, since every sample in between is cellular.
     """
-    gaps: list[WiFiGap] = []
-    pending_cut: Optional[int] = None
-    for prev, cur in zip(trace.samples, trace.samples[1:]):
-        if cur.active_network is ActiveNetwork.NONE:
-            if pending_cut is not None:
-                gaps.append(WiFiGap(cut_time=pending_cut))
-                pending_cut = None
-            continue
-        if is_cut_transition(prev, cur):
-            pending_cut = cur.timestamp
-        elif pending_cut is not None and is_resume_transition(prev, cur):
-            gaps.append(WiFiGap(cut_time=pending_cut, resume_time=cur.timestamp))
-            pending_cut = None
-    if pending_cut is not None:
-        gaps.append(WiFiGap(cut_time=pending_cut))
-    return gaps
+    t, state = trace.t, trace.state
+    prev, cur = state[:-1], state[1:]
+    cuts = np.flatnonzero((prev == STATE_WIFI) & (cur == STATE_CELLULAR)
+                          & (np.diff(t) <= CUT_MAX_SPACING_S)) + 1
+    if not cuts.size:
+        return []
+    stops = np.flatnonzero((cur == STATE_NONE)
+                           | ((prev == STATE_CELLULAR) & (cur == STATE_WIFI))) + 1
+    stop = np.append(stops, len(t))[np.searchsorted(stops, cuts, side="right")]
+    resumed = stop < len(t)
+    resumed[resumed] = state[stop[resumed]] == STATE_WIFI
+    times = t.tolist()
+    return [WiFiGap(times[c], times[s] if r else None)
+            for c, s, r in zip(cuts.tolist(), stop.tolist(), resumed.tolist())]
 
 
 def closed_gaps(gaps: Iterable[WiFiGap]) -> list[WiFiGap]:
@@ -744,7 +1099,6 @@ def closed_gaps(gaps: Iterable[WiFiGap]) -> list[WiFiGap]:
 
 
 def samples_in_window(trace: Trace, start: int, end: int) -> Sequence[MeasurementSample]:
-    """Samples with start <= timestamp < end (binary search on timestamps)."""
-    lo = bisect_left(trace.samples, start, key=lambda s: s.timestamp)
-    hi = bisect_left(trace.samples, end, lo, key=lambda s: s.timestamp)
+    """Samples with start <= timestamp < end (:meth:`Trace.index_range`)."""
+    lo, hi = trace.index_range(start, end)
     return trace.samples[lo:hi]

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -216,6 +217,37 @@ def test_model_json_round_trip():
     assert clone.rounds == model.rounds
     assert clone.decision_threshold == model.decision_threshold
     assert clone.to_json() == model.to_json()
+
+
+def _model_dict():
+    model = AdaBoostModel(stumps=(Stump(4, 2.0, 1, 0.8), Stump(1, 0.5, -1, 0.3)), rounds=3,
+                          decision_threshold=0.25)
+    return json.loads(model.to_json())
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d["stumps"][0].pop("threshold"), "'threshold'"),
+    (lambda d: d["stumps"][1].pop("alpha"), "'alpha'"),
+    (lambda d: d.pop("decision_threshold"), "'decision_threshold'"),
+    (lambda d: d.pop("rounds"), "'rounds'"),
+    (lambda d: d.pop("stumps"), "'stumps'"),
+    (lambda d: d["stumps"][0].update(threshold="2.0"), "'threshold'"),
+    (lambda d: d["stumps"][0].update(threshold=float("nan")), "'threshold'"),
+    (lambda d: d["stumps"][0].update(threshold=None), "'threshold'"),
+    (lambda d: d["stumps"][1].update(alpha=float("inf")), "'alpha'"),
+    (lambda d: d["stumps"][1].update(alpha=True), "'alpha'"),
+    (lambda d: d.update(decision_threshold=float("nan")), "'decision_threshold'"),
+    (lambda d: d.update(decision_threshold="0"), "'decision_threshold'"),
+    (lambda d: d["stumps"].append(1.0), "stumps[2]"),
+], ids=["no-threshold", "no-alpha", "no-decision-threshold", "no-rounds", "no-stumps",
+        "string-threshold", "nan-threshold", "null-threshold", "inf-alpha", "bool-alpha",
+        "nan-decision-threshold", "string-decision-threshold", "non-object-stump"])
+def test_model_json_errors_name_the_key(edit, named):
+    d = _model_dict()
+    edit(d)
+    with pytest.raises(ModelError) as exc:
+        AdaBoostModel.from_json(json.dumps(d))
+    assert named in str(exc.value)
 
 
 def test_stump_validation():

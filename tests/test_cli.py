@@ -403,6 +403,28 @@ def test_generate_bad_config_is_a_clean_error(tmp_path, config, named):
     assert not (tmp_path / "g").exists()
 
 
+_CONFIG = json.loads(reference_config(seed=1, days=2).to_json())
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"cut_surges": [[6.0, 7.0, -5.0]]}, "cut_surges intensity"),
+    ({"byte_unit": float("nan")}, "byte_unit"),
+    ({"byte_unit": -5.0}, "byte_unit"),
+    ({"phone_volume_sigma": -1.0}, "phone_volume_sigma"),
+    ({"gap_len_dist": {**_CONFIG["gap_len_dist"], "body_weight": 2.0}}, "body_weight"),
+], ids=["negative-surge", "nan-byte-unit", "negative-byte-unit", "negative-sigma",
+        "body-weight"])
+def test_generate_config_out_of_range_is_a_clean_error(tmp_path, monkeypatch, capsys,
+                                                       edit, named):
+    (tmp_path / "bad.json").write_text(json.dumps({**_CONFIG, **edit}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    assert main(["generate", "--config", "bad.json", "--phones", "1", "--out", "g"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--days", "0", "--phones", "2"], "days"),
     (["--days", "-1", "--phones", "2"], "days"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pcach.errors import (
     ConfigError,
     FeatureError,
+    ModelError,
     OrderingError,
     ParameterError,
 )
@@ -181,6 +184,51 @@ def test_history_db_json_round_trip():
     update_history(db, [sample(900, C)])
     update_history(clone, [sample(900, C)])
     assert clone.to_json() == db.to_json()
+
+
+def _snapshot():
+    db = make_db(profile=PreferredNetworkProfile(
+        frozenset({"home"}), ("home",), "home", "home"))
+    update_history(db, [sample(0, W, apps=(app("mail"),)), sample(300, C), sample(600, W)])
+    return json.loads(db.to_json())
+
+
+def _edited(**edits):
+    d = _snapshot()
+    for key, value in edits.items():
+        if key.startswith("app_hist_"):
+            d["app_hist"][key.removeprefix("app_hist_")] = value
+        else:
+            d[key] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("edits, named", [
+    ({"app_hist_spotify": [0] * 96}, "'app_hist'"),
+    ({"app_hist": {"mail": [0] * 96}}, "'app_hist'"),
+    ({"app_hist_mail": [0, 1]}, "app_hist['mail']"),
+    ({"cut_hist": [1]}, "'cut_hist'"),
+    ({"resume_hist": [0] * 97}, "'resume_hist'"),
+    ({"slot_observations": [0] * 95 + [-1]}, "'slot_observations'"),
+    ({"cut_hist": [0] * 95 + [1.5]}, "'cut_hist'"),
+    ({"app_hist_facebook": [0] * 95 + [True]}, "app_hist['facebook']"),
+    ({"cut_hist": "0" * 96}, "'cut_hist'"),
+    ({"latest": {"t": 5, "active": "WIFI"}}, "'latest'"),
+], ids=["untracked-app", "missing-app", "short-app-row", "short-cut-hist",
+        "long-resume-hist", "negative-count", "float-count", "bool-count",
+        "string-hist", "wifi-without-ssid"])
+def test_history_snapshot_errors_name_the_key(edits, named):
+    with pytest.raises(ModelError) as exc:
+        HistoryDB.from_json(_edited(**edits))
+    assert named in str(exc.value)
+
+
+def test_history_snapshot_missing_key_is_a_model_error():
+    d = _snapshot()
+    del d["slot_observations"]
+    with pytest.raises(ModelError) as exc:
+        HistoryDB.from_json(json.dumps(d))
+    assert "'slot_observations'" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcach.errors import ParameterError
 from pcach.mining import (
@@ -15,9 +17,18 @@ from pcach.mining import (
     traffic_split,
 )
 from pcach.synth import generate_trace_with_schedule, reference_config
-from pcach.trace import ActiveNetwork, Trace, WiFiGap, detect_gaps
+from pcach.trace import (
+    ActiveNetwork,
+    Trace,
+    WiFiGap,
+    derive_preferred_profile,
+    detect_gaps,
+    normalize_timeline,
+)
 
 from helpers import C, N, W, app, random_trace, sample, seeded_rng, trace_from_states
+from oracles import bound_oracle, gaps_oracle, normalize_oracle, traffic_split_oracle
+from test_trace import _traces
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +263,37 @@ def test_bound_rejects_negative_horizon():
     t = _trace_with_one_gap()
     with pytest.raises(ParameterError):
         precache_bound(t, detect_gaps(t), -1)
+
+
+# ---------------------------------------------------------------------------
+# columnar stages against the sample-walking oracles
+# ---------------------------------------------------------------------------
+
+_NETS = st.sampled_from(["home", "office", "cafe"])
+_DENSE_TIMES = st.sets(st.integers(0, 100 * 300), min_size=1, max_size=25)
+_MINING_TRACES = st.one_of(_traces(ssids=_NETS, times=_DENSE_TIMES), _traces(ssids=_NETS))
+
+
+@settings(deadline=None)
+@given(_MINING_TRACES)
+def test_traffic_split_matches_the_sample_walking_oracle(trace):
+    split = traffic_split(trace)
+    assert (split.cellular_bytes, split.wifi_bytes, split.first_day, split.per_day_cellular,
+            split.per_day_wifi) == traffic_split_oracle(trace)
+
+
+@settings(deadline=None)
+@given(_MINING_TRACES, st.lists(st.integers(0, 4 * 3600), max_size=4),
+       st.lists(st.integers(-600, 110 * 300), max_size=3))
+def test_bound_matches_the_sample_walking_oracle(trace, horizons_s, extra_cuts):
+    norm = normalize_timeline(trace, derive_preferred_profile(trace))
+    oracle_norm = Trace(trace.phone_id, normalize_oracle(trace, derive_preferred_profile(trace)))
+    gaps = detect_gaps(norm)
+    assert gaps == gaps_oracle(oracle_norm)
+    # the bound takes any gap list, not only detected gaps
+    for gap_list in (gaps, [WiFiGap(cut_time=c) for c in sorted(extra_cuts)]):
+        for h in horizons_s + [0, 10**12]:
+            # one integer numerator and denominator: the floats are equal
+            assert precache_bound(norm, gap_list, h) == bound_oracle(oracle_norm, gap_list, h)
+        assert horizon_sweep(norm, gap_list, [15, 60]) == [
+            (m, bound_oracle(oracle_norm, gap_list, m * 60)) for m in (15, 60)]

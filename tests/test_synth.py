@@ -119,6 +119,37 @@ def test_config_json_errors_name_the_key(text, named):
     assert named in str(exc.value)
 
 
+_DIST = _CONFIG["gap_len_dist"]
+# JSON has no NaN or Infinity literal, but json.loads reads both
+_RANGE_ERRORS = [
+    ({"cut_surges": [[6.0, 7.0, -5.0]]}, "cut_surges intensity"),
+    ({"resume_surges": [[9.0, 10.0, float("nan")]]}, "resume_surges intensity"),
+    ({"cut_surges": [[6.0, 25.0, 0.9]]}, "cut_surges hours"),
+    ({"resume_surges": [[-1.0, 10.0, 0.9]]}, "resume_surges hours"),
+    ({"cut_surges": [[float("nan"), 7.0, 0.9]]}, "cut_surges hours"),
+    ({"byte_unit": float("nan")}, "byte_unit"),
+    ({"byte_unit": -5.0}, "byte_unit"),
+    ({"byte_unit": 0}, "byte_unit"),
+    ({"byte_unit": float("inf")}, "byte_unit"),
+    ({"phone_volume_sigma": -1.0}, "phone_volume_sigma"),
+    ({"phone_volume_sigma": float("inf")}, "phone_volume_sigma"),
+    ({"gap_len_dist": {**_DIST, "body_weight": 2.0}}, "body_weight"),
+    ({"gap_len_dist": {**_DIST, "body_weight": 0.0}}, "body_weight"),
+    ({"app_catalog": _CONFIG["app_catalog"][:2] * 2}, "more than once"),
+]
+_RANGE_IDS = ["negative-intensity", "nan-intensity", "hour-past-24", "negative-hour",
+              "nan-hour", "nan-byte-unit", "negative-byte-unit", "zero-byte-unit",
+              "inf-byte-unit", "negative-sigma", "inf-sigma", "body-weight-2",
+              "body-weight-0", "duplicate-app"]
+
+
+@pytest.mark.parametrize("edit, named", _RANGE_ERRORS, ids=_RANGE_IDS)
+def test_config_values_out_of_range_are_config_errors(edit, named):
+    with pytest.raises(ConfigError) as exc:
+        GeneratorConfig.from_json(json.dumps({**_CONFIG, **edit}))
+    assert named in str(exc.value)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         dataclasses.replace(reference_config(), cellular_share_target=1.5)

@@ -32,6 +32,7 @@ from pcach.trace import (
 )
 
 from helpers import C, N, W, app, brute_force_gaps, random_trace, sample, seeded_rng, trace_from_states
+from oracles import gaps_oracle, normalize_oracle, profile_oracle, window_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,17 @@ def test_invalid_utf8_is_a_parse_error_with_line_number(fmt, payload, line_no):
     assert "UTF-8" in str(exc.value)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r", b"\n\r"], ids=["crlf", "cr", "lfcr"])
+def test_jsonl_lines_end_at_cr_as_at_lf(newline):
+    lines = [_jsonl_line(t=t) for t in (1, 2)]
+    data = newline.join(line.rstrip(b"\n") for line in lines)
+    assert ingest_trace(data, fmt="jsonl") == ingest_trace(b"".join(lines), fmt="jsonl")
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(data + newline + b"{bad" + newline, fmt="jsonl")
+    # LF then CR is two line ends, as bytes.splitlines counts them
+    assert exc.value.line_no == (5 if newline == b"\n\r" else 3)
+
+
 def test_str_source_with_lone_surrogate_is_a_parse_error():
     text = ('{"t": 1, "active": "NONE", "ssid": null, "visible": [], "apps": []}\n'
             '{"t": 2, "active": "NONE", "ssid": null, "visible": ["\ud800"], "apps": []}\n')
@@ -274,12 +286,14 @@ _SSID = st.text(min_size=1, max_size=6)
 
 
 @st.composite
-def _traces(draw, ssids=_SSID, visible_ssids=None):
+def _traces(draw, ssids=_SSID, visible_ssids=None, times=None):
     """Random valid traces; SSIDs and app ids may hold any non-surrogate text.
 
-    Visible-only SSIDs come from ``visible_ssids`` when given.
+    Visible-only SSIDs come from ``visible_ssids`` and the timestamp set
+    from ``times`` when given.
     """
-    times = sorted(draw(st.sets(st.integers(0, 10**10), min_size=1, max_size=25)))
+    times = sorted(draw(st.sets(st.integers(0, 10**10), min_size=1, max_size=25)
+                        if times is None else times))
     samples = []
     for t in times:
         state = draw(st.sampled_from([W, C, N]))
@@ -612,3 +626,58 @@ def test_every_reported_cut_satisfies_definition_by_replay():
             assert prev.active_network is W
             assert cur.active_network is C
             assert cur.timestamp - prev.timestamp <= 600
+
+
+# ---------------------------------------------------------------------------
+# columnar stages against the sample-walking oracles
+# ---------------------------------------------------------------------------
+
+# few network names, so scans see connected networks; dense timestamps put
+# neighbours within the 10-minute cut rule
+_NETS = st.sampled_from(["home", "office", "cafe", "street"])
+_DENSE_TIMES = st.sets(st.integers(0, 30 * 300), min_size=1, max_size=25)
+_STAGE_TRACES = st.one_of(_traces(ssids=_NETS), _traces(ssids=_NETS, times=_DENSE_TIMES))
+
+
+def _parsed(trace):
+    """The trace as the JSONL parser fills its columns: no view built yet."""
+    return ingest_trace(trace_to_jsonl(trace), fmt="jsonl", phone_id=trace.phone_id)
+
+
+@settings(deadline=None)
+@given(_traces())
+def test_trace_rebuilt_from_its_view_is_equal(trace):
+    parsed = _parsed(trace)
+    assert parsed.samples == trace.samples
+    assert Trace(parsed.phone_id, parsed.samples) == parsed
+    assert parsed.samples is parsed.samples  # built once
+
+
+@settings(deadline=None)
+@given(_STAGE_TRACES, st.sampled_from([(20, 8), (8, 20), (0, 24), (6, 6)]),
+       st.sampled_from([0, 3600, -7200]))
+def test_profile_matches_the_sample_walking_oracle(trace, window, offset):
+    assert (derive_preferred_profile(_parsed(trace), window, offset)
+            == profile_oracle(trace, window, offset))
+
+
+@settings(deadline=None)
+@given(_STAGE_TRACES)
+def test_normalize_and_gaps_match_the_sample_walking_oracles(trace):
+    parsed = _parsed(trace)
+    profile = derive_preferred_profile(parsed)
+    norm = normalize_timeline(parsed, profile)
+    expected = normalize_oracle(trace, profile)
+    assert norm.samples == expected
+    assert norm == Trace(trace.phone_id, expected)
+    # a sample that was not relabelled is the source view's own object
+    for before, after in zip(parsed.samples, norm.samples):
+        assert (after is before) == (after.active_network is before.active_network)
+    assert detect_gaps(parsed) == gaps_oracle(trace)
+    assert detect_gaps(norm) == gaps_oracle(Trace(trace.phone_id, expected))
+
+
+@settings(deadline=None)
+@given(_STAGE_TRACES, st.integers(-600, 32 * 300), st.integers(-600, 32 * 300))
+def test_samples_in_window_matches_the_bisection_oracle(trace, start, end):
+    assert samples_in_window(_parsed(trace), start, end) == window_oracle(trace, start, end)
