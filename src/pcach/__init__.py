@@ -18,6 +18,8 @@ from .history import (
     FeatureVector,
     HistoryDB,
     extract_features,
+    feature_matrix,
+    fold_rows,
     history_predict_event,
     predict_resume_slot,
     predict_top_k_apps,

@@ -7,7 +7,13 @@ multiplicatively. Thresholds are midpoints between consecutive distinct
 observed feature values, which puts boolean splits at 0.5. Rounds stop early
 once no stump beats chance (eps >= 0.5, stump rejected) or a stump is
 perfect (eps ~ 0, stump kept); eps is clamped away from 0 and 1 to keep
-alpha finite.
+alpha finite (Freund & Schapire, 1997).
+
+Only the example weights change between rounds, so each feature column is
+sorted once per training and every round's exhaustive search reuses the
+orders, sorted labels and split boundaries (the pre-sorted column block of
+exact greedy split finding). :meth:`AdaBoostModel.first_positive` labels
+many rows with one margins call, exactly as one-row calls would.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +31,8 @@ from .history import N_FEATURES, FeatureVector
 
 EPS_CLAMP = 1e-10
 DEFAULT_ROUNDS = 50
+# relative bound on how far two summation orders of one margin can drift
+_MARGIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,21 +79,45 @@ class AdaBoostModel:
             raise ParameterError("more stumps than configured rounds")
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _packed(self) -> tuple[np.ndarray, ...]:
+        polarities = np.array([s.polarity for s in self.stumps], dtype=float)
         return (
             np.array([s.alpha for s in self.stumps]),
             np.array([s.feature_index - 1 for s in self.stumps]),
             np.array([s.threshold for s in self.stumps]),
-            np.array([s.polarity for s in self.stumps], dtype=float),
+            polarities,
+            -polarities,
         )
 
     def decision_margins(self, X: np.ndarray) -> np.ndarray:
         if not self.stumps:
             raise ModelError("model has no stumps")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        alphas, feats, thresholds, polarities = self._packed
-        preds = np.where(X[:, feats] > thresholds, polarities, -polarities)
+        if type(X) is not np.ndarray or X.ndim != 2 or X.dtype != float:
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+        alphas, feats, thresholds, polarities, negated = self._packed
+        preds = np.where(X[:, feats] > thresholds, polarities, negated)
         return preds @ alphas
+
+    def first_positive(self, X: np.ndarray) -> Optional[int]:
+        """The first row labelled +1, as a one-row :meth:`decision_margins`
+        call labels it (a margin tied with the threshold is -1), else None.
+
+        One batched call decides every row whose margin is clear of the
+        threshold. A batched margin and a one-row margin may differ in the
+        last bits (the sums run in another order), so a row within rounding
+        distance of the threshold is decided by its own one-row call.
+        """
+        margins = self.decision_margins(X)
+        thr = self.decision_threshold
+        near = np.abs(margins - thr) <= _MARGIN_TOLERANCE * (self._alpha_total + abs(thr))
+        for i in np.flatnonzero((margins > thr) | near).tolist():
+            if not near[i] or self.decision_margins(X[i:i + 1])[0] > thr:
+                return i
+        return None
+
+    @cached_property
+    def _alpha_total(self) -> float:
+        return float(sum(abs(s.alpha) for s in self.stumps))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -129,30 +162,71 @@ def _finite_field(obj, key: str, where: str):
     return value
 
 
-def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Exhaustive weighted-error search over features and midpoint thresholds."""
-    best = None  # (eps, feature_idx0, threshold, polarity)
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        boundaries = np.nonzero(v[1:] > v[:-1])[0]
-        if boundaries.size == 0:
-            continue
-        wy_pos = np.cumsum(w[order] * (y[order] > 0))
-        wy_neg = np.cumsum(w[order] * (y[order] < 0))
-        total_neg = wy_neg[-1]
+class _PresortedColumns:
+    """Each feature column of a training matrix sorted once, for every round.
+
+    Only the example weights change between rounds, so each column's stable
+    sort order, its sorted label signs and its split boundaries (positions
+    between consecutive distinct values, with their midpoint thresholds) are
+    computed once per training: the pre-sorted column block of exact greedy
+    split finding (Chen & Guestrin, "XGBoost", KDD 2016). The rounds' running
+    sums reuse one set of buffers.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        n_features, n = self.order.shape
+        v = np.take_along_axis(X, self.order.T, axis=0).T
+        ys = y[self.order]
+        self.positive, self.negative = ys > 0, ys < 0
+        bounds = [np.nonzero(col[1:] > col[:-1])[0] for col in v]
+        self.thresholds = [(col[b] + col[b + 1]) / 2.0 for col, b in zip(v, bounds)]
+        # every column's boundaries as flat positions into the running sums
+        # of the +1 labels (rows :n_features) and the -1 labels (the rest),
+        # with the position of each -1 column's total
+        none = np.zeros(0, dtype=np.int64)
+        self.at_pos = np.concatenate([none, *(f * n + b for f, b in enumerate(bounds))])
+        self.at_neg = self.at_pos + n_features * n
+        self.at_total = np.concatenate([none, *(np.full(b.size, (n_features + f) * n + n - 1)
+                                                for f, b in enumerate(bounds))])
+        self.starts = np.cumsum([0] + [b.size for b in bounds]).tolist()
+        self._weights = np.empty((n_features, n))
+        self._product = np.empty((n_features, n))
+        self._sums = np.empty((2 * n_features, n))
+
+    def best_stump(self, w: np.ndarray):
+        """Exhaustive weighted-error search over features and midpoint
+        thresholds: (eps, feature_idx0, threshold, polarity), None when every
+        column is constant. Ties go to the lower feature, then polarity +1,
+        then the lower threshold."""
+        weights, product, sums = self._weights, self._product, self._sums
+        n_features = len(weights)
+        np.take(w, self.order, out=weights)
+        np.multiply(weights, self.positive, out=product)
+        np.cumsum(product, axis=1, out=sums[:n_features])
+        np.multiply(weights, self.negative, out=product)
+        np.cumsum(product, axis=1, out=sums[n_features:])
+        flat = sums.ravel()
         # predicting +1 strictly above the threshold placed after position i
-        eps_pos = wy_pos[boundaries] + (total_neg - wy_neg[boundaries])
+        eps_pos = flat[self.at_pos] + (flat[self.at_total] - flat[self.at_neg])
         eps_neg = 1.0 - eps_pos
-        for eps_arr, polarity in ((eps_pos, 1), (eps_neg, -1)):
-            i = int(np.argmin(eps_arr))
-            eps = float(eps_arr[i])
-            if best is None or eps < best[0] - 1e-15:
-                b = boundaries[i]
-                threshold = (v[b] + v[b + 1]) / 2.0
-                best = (eps, f, threshold, polarity)
-    return best
+        best = None  # (eps, feature_idx0, threshold, polarity)
+        starts = self.starts
+        for f in range(n_features):
+            lo, hi = starts[f], starts[f + 1]
+            if lo == hi:
+                continue
+            for eps_arr, polarity in ((eps_pos[lo:hi], 1), (eps_neg[lo:hi], -1)):
+                i = int(np.argmin(eps_arr))
+                eps = float(eps_arr[i])
+                if best is None or eps < best[0] - 1e-15:
+                    best = (eps, f, self.thresholds[f][i], polarity)
+        return best
+
+
+def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """One round's stump search on unsorted data (see :class:`_PresortedColumns`)."""
+    return _PresortedColumns(np.asarray(X, dtype=float), np.asarray(y)).best_stump(w)
 
 
 def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
@@ -172,10 +246,11 @@ def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
 
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
+    columns = _PresortedColumns(X, y)
     stumps: list[Stump] = []
     log: list[RoundLog] = []
     for _ in range(rounds):
-        found = _best_stump(X, y, w)
+        found = columns.best_stump(w)
         if found is None:
             break
         eps, f, threshold, polarity = found

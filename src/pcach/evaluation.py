@@ -6,14 +6,20 @@ event. App prediction is scored per WiFi gap against the set of pre-cachable
 apps that actually moved bytes over cellular during the gap; gaps whose
 ground-truth set is empty are skipped and counted. Rates are macro-averaged
 across phones.
+
+Replays read the normalized trace's columns end to end and never build its
+sample view. The history folds the whole training prefix in one
+:func:`~pcach.history.fold_rows` call; the backtest then folds each test
+slot's rows (split by :func:`~pcach.history.slot_groups`) before that slot's
+decision, and the K sweep folds the rows between consecutive test gaps. The
+AdaBoost training features of every training slot come from one
+:func:`~pcach.history.feature_matrix` call per event kind.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -30,13 +36,15 @@ from .history import (
     DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
-    extract_features,
+    feature_matrix,
+    fold_rows,
+    history_votes,
     rank_slot_apps,
     selected_apps,
-    update_history,
+    slot_groups,
+    update_history,  # noqa: F401  (kept bound here: perfbench patches it by module)
 )
 from .pipeline import (
-    HistoryPredictor,
     PCachConfig,
     Predictor,
     PredictorKind,
@@ -151,12 +159,6 @@ def score_app_prediction(
 # shared replay machinery
 # ---------------------------------------------------------------------------
 
-def _group_by_slot(db: HistoryDB, samples):
-    """Consecutive (absolute_slot, [samples]) groups on ``db``'s slot clock."""
-    return [(slot, list(group)) for slot, group in
-            itertools.groupby(samples, key=lambda s: db.abs_slot(s.timestamp))]
-
-
 def _gap_used_apps(norm: Trace, gap: WiFiGap, universe: set[str]) -> frozenset[str]:
     """Pre-cachable apps that moved bytes during a closed gap.
 
@@ -221,8 +223,9 @@ def app_prediction_run(
 
     The usage histogram warms up on the training prefix and keeps updating
     online; each test-period gap is scored for every K against the apps
-    actually used during the gap. Gaps with empty ground truth or no resume
-    are skipped and counted.
+    actually used during the gap, from the history of every row before its
+    cut slot. Gaps with empty ground truth or no resume are skipped and
+    counted.
     """
     ks = sorted(set(ks))
     if not ks:
@@ -244,20 +247,25 @@ def app_prediction_run(
     counts = {k: ConfusionCounts() for k in ks}
     scored = skipped = 0
 
-    for slot, group in _group_by_slot(db, norm.samples):
+    # the history folds up to each test gap's cut slot, one row range a gap
+    slots, starts, _ = slot_groups(db, norm, 0, len(norm))
+    folded = 0
+    for slot, start in zip(slots.tolist(), starts.tolist()):
         gap = truth.gap_by_cut_slot.get(slot)
-        if gap is not None and gap.cut_time >= boundary:
-            used = _gap_used_apps(norm, gap, universe)
-            if not used:
-                skipped += 1
-            else:
-                last_slot = db.abs_slot(gap.resume_time)
-                ranked = rank_slot_apps(db, s_apps, ks[-1], slot, last_slot)
-                for k in ks:
-                    predicted = selected_apps(s_apps, ranked[:k])
-                    counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
-                scored += 1
-        update_history(db, group)
+        if gap is None or gap.cut_time < boundary:
+            continue
+        used = _gap_used_apps(norm, gap, universe)
+        if not used:
+            skipped += 1
+            continue
+        fold_rows(db, norm, folded, start)
+        folded = start
+        last_slot = db.abs_slot(gap.resume_time)
+        ranked = rank_slot_apps(db, s_apps, ks[-1], slot, last_slot)
+        for k in ks:
+            predicted = selected_apps(s_apps, ranked[:k])
+            counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
+        scored += 1
     return AppPredictionRun(counts_by_k=counts, scored_gaps=scored,
                             skipped_gaps=skipped)
 
@@ -412,31 +420,27 @@ def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> i
     return idx
 
 
-def _train_feature_pass(norm_train, db: HistoryDB, truth: _Truth, last_train_slot: int):
-    """Per-slot features/labels over the training period.
+def _train_feature_pass(norm: Trace, idx: int, db: HistoryDB, truth: _Truth,
+                        last_train_slot: int):
+    """Per-slot features/labels over the training rows ``norm[:idx]``.
 
+    Each training slot predicts the next one, up to the last training slot.
     Features use the training period's final histograms (frozen), so the
     classifier trains on the probability estimates it will actually see;
-    nothing from the test period is touched. A shallow copy of ``db`` shares
-    those histograms and takes each slot's last sample as its newest.
+    nothing from the test period is touched. Each slot's newest row is its
+    last one.
     """
-    view = copy.copy(db)
-    rows_cut, y_cut, rows_res, y_res, target_slots = [], [], [], [], []
-    for slot, group in _group_by_slot(db, norm_train):
-        view.latest = group[-1]
-        target = slot + 1
-        if target > last_train_slot:
-            break
-        now = group[-1].timestamp
-        fv_cut = extract_features(view, target, now, EventKind.CUT)
-        fv_res = extract_features(view, target, now, EventKind.RESUME)
-        rows_cut.append(fv_cut.as_array())
-        rows_res.append(fv_res.as_array())
-        y_cut.append(1 if target in truth.cut_slots else -1)
-        y_res.append(1 if target in truth.resume_slots else -1)
-        target_slots.append(target)
-    return (np.array(rows_cut), np.array(y_cut),
-            np.array(rows_res), np.array(y_res), target_slots)
+    slots, _, stops = slot_groups(db, norm, 0, idx)
+    targets = slots + 1
+    keep = targets <= last_train_slot
+    targets, last = targets[keep], stops[keep] - 1
+    now = norm.t[last]
+    visible = [norm.visible_sets[v] for v in norm.visible[last].tolist()]
+    X_cut = feature_matrix(db, targets, now, EventKind.CUT, visible)
+    X_res = feature_matrix(db, targets, now, EventKind.RESUME, visible)
+    y_cut = np.where(np.isin(targets, list(truth.cut_slots)), 1, -1)
+    y_res = np.where(np.isin(targets, list(truth.resume_slots)), 1, -1)
+    return X_cut, y_cut, X_res, y_res, targets
 
 
 def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[float]:
@@ -504,13 +508,11 @@ def backtest(
 
     profile = derive_preferred_profile(trace.rows(0, idx), utc_offset_s=utc_offset_s)
     norm = normalize_timeline(trace, profile)
-    norm_train = norm.samples[:idx]
-    norm_test = norm.samples[idx:]
     db = HistoryDB(config.slot_minutes, tracked_apps=config.s_apps,
                    profile=profile, utc_offset_s=utc_offset_s)
     truth = _Truth.build(norm, db)
     universe = set(config.s_apps)
-    update_history(db, norm_train)
+    fold_rows(db, norm, 0, idx)
     last_train_slot = db.abs_slot(db.last_timestamp)
 
     cut_model = resume_model = None
@@ -518,19 +520,18 @@ def backtest(
     cut_margins_train = cut_labels_train = None
     if predictor_override is None and config.predictor_kind is PredictorKind.ADABOOST:
         X_cut, y_cut, X_res, y_res, target_slots = _train_feature_pass(
-            norm_train, db, truth, last_train_slot)
+            norm, idx, db, truth, last_train_slot)
         cut_model = train_adaboost_xy(X_cut, y_cut, rounds=config.adaboost_rounds)
         resume_model = train_adaboost_xy(X_res, y_res, rounds=config.adaboost_rounds)
 
         # the history rule's train-period confusion is the recall to beat
-        reference = HistoryPredictor(config)
         rng_ref = stream_rng(seed, trace.phone_id, 0, "train-reference")
         ref_cut = ConfusionCounts.tally(
-            [reference.predict_cut(db, t, 0, rng_ref)[0] for t in target_slots],
-            [t in truth.cut_slots for t in target_slots])
+            history_votes(db, target_slots, EventKind.CUT, config.n_draws, config.delta,
+                          rng_ref), y_cut > 0)
         ref_res = ConfusionCounts.tally(
-            [reference.resume_fires(db, t, 0, rng_ref) for t in target_slots],
-            [t in truth.resume_slots for t in target_slots])
+            history_votes(db, target_slots, EventKind.RESUME, config.n_draws, config.delta,
+                          rng_ref), y_res > 0)
         cut_margins_train = cut_model.decision_margins(X_cut)
         cut_labels_train = y_cut
         sel_cut_thr = _select_threshold(cut_margins_train, y_cut, ref_cut)
@@ -552,8 +553,9 @@ def backtest(
     rng_test = stream_rng(seed, trace.phone_id, 0, "test-replay")
     decisions = []
     # the final slot's target lies past the test period: it is not replayed
-    for slot, group in _group_by_slot(db, norm_test)[:-1]:
-        update_history(db, group)
+    slots, starts, stops = slot_groups(db, norm, idx, len(norm))
+    for slot, lo, hi in zip(slots[:-1].tolist(), starts.tolist(), stops.tolist()):
+        fold_rows(db, norm, lo, hi)
         decisions.append(decide(db, config, predictor, slot, db.last_timestamp, rng_test))
 
     cut_truths = [d.target_slot in truth.cut_slots for d in decisions]

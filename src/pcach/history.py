@@ -1,11 +1,27 @@
 """On-device usage history and the statistics-driven predictors.
 
 A :class:`HistoryDB` is the rolling per-phone store every prediction reads
-from: per-app slot-of-day usage histograms, cut/resume event histograms,
-per-slot observation counts, the preferred-network profile and the newest
-raw sample, which both the event transitions and feature extraction read.
-Updates are strictly chronological and single-owner; trained models and
+from: per-app slot-of-day usage counts (one apps x slots matrix), cut/resume
+event histograms, per-slot observation counts, the preferred-network profile
+and the newest folded row, which both the event transitions and the features
+read. Updates are strictly chronological and single-owner; trained models and
 profiles are immutable.
+
+History is folded from columns. :func:`fold_rows` folds a row range of a
+:class:`~pcach.trace.Trace` as array passes: (day, slot) keys come from the
+timestamps, per-app dedup is the first occurrence of each (key, app) pair,
+cut and resume transitions are masks over the state column shifted by one
+row, with the newest folded row carried in, and the counts go in with
+``np.add.at``. Only the (day, slot) left open at the end of a batch carries
+across calls. :func:`update_history` turns a batch of sample objects into the
+same columns and runs the same fold. :func:`slot_groups` splits a row range
+into its slots, the chronological slot iterator of every replay.
+
+The predictors read arrays: :func:`feature_matrix` builds the nine context
+features of any number of slots at once from per-visible-set flags, and the
+history rule's resume scan computes every scanned slot's probability in one
+call. :func:`extract_features` and :class:`FeatureVector` are its one-row
+view.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -17,7 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,13 +49,16 @@ from .errors import (
 )
 from .mining import slots_per_day
 from .trace import (
+    CUT_MAX_SPACING_S,
+    STATE_CELLULAR,
+    STATE_WIFI,
     MeasurementSample,
     PreferredNetworkProfile,
-    _sample_from_obj,
+    Trace,
     _sample_to_obj,
+    _STATE_CODE,
     in_hour_window,
-    is_cut_transition,
-    is_resume_transition,
+    ingest_trace,
     is_weekday,
 )
 
@@ -60,11 +81,32 @@ def app_ran(record) -> bool:
     return record.running or record.total_bytes > 0
 
 
+class LatestRow(NamedTuple):
+    """The newest folded row: its time, network state and visible networks,
+    and ``obj()``, its JSONL object, made only when a snapshot needs it."""
+
+    timestamp: int
+    state: int
+    visible: frozenset[str]
+    obj: Callable[[], dict]
+
+
+def _trace_row(trace: Trace, i: int) -> LatestRow:
+    return LatestRow(int(trace.t[i]), int(trace.state[i]),
+                     trace.visible_sets[trace.visible[i]], partial(trace.row_obj, i))
+
+
+def _sample_row(sample: MeasurementSample) -> LatestRow:
+    return LatestRow(sample.timestamp, _STATE_CODE[sample.active_network],
+                     sample.visible_ssids, partial(_sample_to_obj, sample))
+
+
 class HistoryDB:
     """Rolling slot-indexed usage and event histograms for one phone.
 
-    ``app_hist`` counts, per tracked app and slot of day, the number of
-    distinct (day, slot) pairs in which the app ran; ``cut_hist`` and
+    ``app_counts`` is the (tracked apps x slots) int64 matrix counting, per
+    app and slot of day, the distinct (day, slot) pairs in which the app ran;
+    ``app_hist`` maps each tracked app to its row (a view). ``cut_hist`` and
     ``resume_hist`` count (day, slot) pairs containing at least one event, so
     they never exceed ``slot_observations``.
     """
@@ -81,22 +123,41 @@ class HistoryDB:
         self.tracked_apps = tuple(tracked_apps)
         self.profile = profile
         self.utc_offset_s = utc_offset_s
-        self.app_hist: dict[str, np.ndarray] = {
-            a: np.zeros(self.n_slots, dtype=np.int64) for a in self.tracked_apps
-        }
-        self.cut_hist = np.zeros(self.n_slots, dtype=np.int64)
-        self.resume_hist = np.zeros(self.n_slots, dtype=np.int64)
-        self.slot_observations = np.zeros(self.n_slots, dtype=np.int64)
-        self.latest: Optional[MeasurementSample] = None
-        # dedup state for the (day, slot) currently being filled
-        self._open_key: Optional[tuple[int, int]] = None
-        self._open_apps: set[str] = set()
+        self._app_index = {a: i for i, a in enumerate(self.tracked_apps)}
+        n, n_apps = self.n_slots, len(self.tracked_apps)
+        # every count in one buffer, so that one np.add.at folds a row range:
+        # observations, cuts, resumes, one row of slots per tracked app, and
+        # a row of zeros that stands for every untracked app
+        self._hist = np.zeros((4 + n_apps) * n, dtype=np.int64)
+        self.slot_observations = self._hist[:n]
+        self.cut_hist = self._hist[n:2 * n]
+        self.resume_hist = self._hist[2 * n:3 * n]
+        self._usage = self._hist[3 * n:].reshape(n_apps + 1, n)
+        self.app_counts = self._usage[:n_apps]
+        self.app_hist = MappingProxyType(
+            {a: self.app_counts[i] for i, a in enumerate(self.tracked_apps)})
+        # the newest folded row, as (fold columns, row), and its LatestRow
+        self._newest: Optional[tuple] = None
+        self._latest: tuple = (None, None)
+        # dedup state of the absolute slot (day, slot) currently being filled;
+        # while _open_rows is set, that state is the OR of those rows
+        self._open_key: Optional[int] = None
+        self._open_apps: set[int] = set()   # tracked indices
         self._open_cut = False
         self._open_resume = False
+        self._open_rows: Optional[tuple] = None
+        # (columns, since, stop): rows since:stop of those columns were the
+        # last folds, folded as the columns' own runs dictate
+        self._folded: tuple = (None, 0, 0)
+        self._columns: tuple = (None, None)   # (trace, its fold columns)
+        self._rows_of: dict[tuple[str, ...], np.ndarray] = {}
+        self._flags: dict[frozenset[str], tuple[float, ...]] = {}
+        self._contexts: dict[tuple, tuple[float, ...]] = {}
 
     # -- slot arithmetic ---------------------------------------------------
 
-    def abs_slot(self, timestamp: int) -> int:
+    def abs_slot(self, timestamp):
+        """Absolute slot of a time, elementwise for an array of times."""
         return (timestamp + self.utc_offset_s) // (self.slot_minutes * 60)
 
     def slot_of_day(self, timestamp: int) -> int:
@@ -111,13 +172,37 @@ class HistoryDB:
         hist = self.cut_hist if kind is EventKind.CUT else self.resume_hist
         return float(hist[s]) / obs
 
+    def event_probabilities(self, slots: np.ndarray, kind: EventKind) -> np.ndarray:
+        """:meth:`event_probability` of every slot of an int array."""
+        s = slots % self.n_slots
+        obs = self.slot_observations[s]
+        hist = (self.cut_hist if kind is EventKind.CUT else self.resume_hist)[s]
+        p = np.zeros(len(s))
+        np.divide(hist, obs, out=p, where=obs > 0)
+        return p
+
+    @property
+    def latest(self) -> Optional[LatestRow]:
+        """The newest folded row, or None before the first fold."""
+        if self._newest is None:
+            return None
+        if self._latest[0] is not self._newest:
+            cols, i = self._newest
+            self._latest = (self._newest, cols.row(i))
+        return self._latest[1]
+
     @property
     def last_timestamp(self) -> Optional[int]:
-        return None if self.latest is None else self.latest.timestamp
+        if self._newest is None:
+            return None
+        cols, i = self._newest
+        return cols.times[i]
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
+        _sync_open(self)
+        open_key = None if self._open_key is None else list(divmod(self._open_key, self.n_slots))
         return json.dumps({
             "slot_minutes": self.slot_minutes,
             "tracked_apps": list(self.tracked_apps),
@@ -127,9 +212,9 @@ class HistoryDB:
             "resume_hist": self.resume_hist.tolist(),
             "slot_observations": self.slot_observations.tolist(),
             "profile": self.profile.to_dict() if self.profile else None,
-            "latest": None if self.latest is None else _sample_to_obj(self.latest),
-            "open_key": list(self._open_key) if self._open_key else None,
-            "open_apps": sorted(self._open_apps),
+            "latest": None if self.latest is None else self.latest.obj(),
+            "open_key": open_key,
+            "open_apps": sorted(self.tracked_apps[i] for i in self._open_apps),
             "open_cut": self._open_cut,
             "open_resume": self._open_resume,
         }, sort_keys=True)
@@ -140,8 +225,9 @@ class HistoryDB:
 
         A missing key, an ``app_hist`` whose apps differ from
         ``tracked_apps``, a histogram whose length is not ``n_slots``, a
-        negative or non-integer count and an invalid ``latest`` sample raise
-        :class:`ModelError` naming the key.
+        negative or non-integer count, an ``open_key`` that is not a
+        (day, slot) pair, an untracked open app and an invalid ``latest``
+        sample raise :class:`ModelError` naming the key.
         """
         d = json.loads(text)
         try:
@@ -156,22 +242,62 @@ class HistoryDB:
                 raise ModelError(f"history snapshot key 'app_hist': apps {sorted(app_hist)} "
                                  f"differ from tracked_apps {sorted(db.tracked_apps)}")
             for a, h in app_hist.items():
-                db.app_hist[a] = _slot_counts(h, db.n_slots, f"app_hist[{a!r}]")
-            db.cut_hist = _slot_counts(d["cut_hist"], db.n_slots, "cut_hist")
-            db.resume_hist = _slot_counts(d["resume_hist"], db.n_slots, "resume_hist")
-            db.slot_observations = _slot_counts(d["slot_observations"], db.n_slots,
-                                                "slot_observations")
-            try:
-                db.latest = None if d["latest"] is None else _sample_from_obj(d["latest"])
-            except PCachError as exc:
-                raise ModelError(f"history snapshot key 'latest': {exc}") from None
-            db._open_key = tuple(d["open_key"]) if d["open_key"] else None
-            db._open_apps = set(d["open_apps"])
+                db.app_hist[a][:] = _slot_counts(h, db.n_slots, f"app_hist[{a!r}]")
+            db.cut_hist[:] = _slot_counts(d["cut_hist"], db.n_slots, "cut_hist")
+            db.resume_hist[:] = _slot_counts(d["resume_hist"], db.n_slots, "resume_hist")
+            db.slot_observations[:] = _slot_counts(d["slot_observations"], db.n_slots,
+                                                   "slot_observations")
+            if d["latest"] is not None:
+                try:
+                    row = ingest_trace(json.dumps(d["latest"]).encode(), fmt="jsonl")
+                except PCachError as exc:
+                    raise ModelError(f"history snapshot key 'latest': {exc}") from None
+                db._newest = (_FoldColumns.of_trace(db, row), 0)
+            open_key = d["open_key"]
+            if open_key is not None:
+                if (type(open_key) is not list or len(open_key) != 2
+                        or not all(type(v) is int for v in open_key)
+                        or not 0 <= open_key[1] < db.n_slots):
+                    raise ModelError("history snapshot key 'open_key' must be null or "
+                                     f"[day, slot] with slot in [0, {db.n_slots})")
+                db._open_key = open_key[0] * db.n_slots + open_key[1]
+            untracked = set(d["open_apps"]) - set(db.tracked_apps)
+            if untracked:
+                raise ModelError(f"history snapshot key 'open_apps': untracked apps "
+                                 f"{sorted(untracked)}")
+            db._open_apps = {db._app_index[a] for a in d["open_apps"]}
             db._open_cut = d["open_cut"]
             db._open_resume = d["open_resume"]
         except KeyError as exc:
             raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
         return db
+
+    # -- cached derived tables ---------------------------------------------
+
+    def _usage_rows(self, s_apps: Sequence[str]) -> np.ndarray:
+        """Each app's usage counts: its ``app_counts`` row, and zeros for an
+        untracked app, as a (len(s_apps) x 1) index into ``_usage``."""
+        key = tuple(s_apps)
+        rows = self._rows_of.get(key)
+        if rows is None:
+            untracked = len(self.tracked_apps)
+            rows = self._rows_of[key] = np.array(
+                [self._app_index.get(a, untracked) for a in key], dtype=np.int64)[:, None]
+        return rows
+
+    def _visible_flags(self, visible: frozenset[str]) -> tuple[float, ...]:
+        """(home seen, work seen, networks seen, top 1/2/3 seen) of a visible
+        set under the profile, as floats."""
+        flags = self._flags.get(visible)
+        if flags is None:
+            prof = self.profile
+            top = list(prof.top3) + [None, None, None]
+            flags = self._flags[visible] = (
+                float(prof.home_ssid is not None and prof.home_ssid in visible),
+                float(prof.work_ssid is not None and prof.work_ssid in visible),
+                float(len(visible)),
+                *(float(s is not None and s in visible) for s in top[:3]))
+        return flags
 
 
 def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
@@ -183,17 +309,225 @@ def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> HistoryDB:
-    """Fold new samples into the histograms (in place; returns db).
+# ---------------------------------------------------------------------------
+# the columnar fold
+# ---------------------------------------------------------------------------
+
+def _transitions(prev, cur, dt):
+    """(cut, resume) of a row in state ``cur`` after a row in state
+    ``prev`` ``dt`` seconds earlier; elementwise for arrays."""
+    return ((prev == STATE_WIFI) & (cur == STATE_CELLULAR) & (dt <= CUT_MAX_SPACING_S),
+            (prev == STATE_CELLULAR) & (cur == STATE_WIFI))
+
+
+class _FoldColumns:
+    """The columns a fold reads, on one database's slot clock.
+
+    Rows are grouped into runs of one absolute slot: run ``g`` holds rows
+    ``run_start[g]:run_start[g + 1]`` of absolute slot ``run_key[g]`` (slot of
+    day ``run_slot[g]``), and ``gids`` is each row's run. ``cut``/``resume``
+    mark each row's transition from the row before it (never on row 0). The
+    records of tracked apps that ran are kept as CSR: row ``i`` owns
+    ``app[app_off[i]:app_off[i + 1]]`` (tracked indices). ``row(i)`` is row
+    ``i`` as a :class:`LatestRow`. The fields are Python lists, which the
+    fold reads a few rows at a time; :meth:`increments` works on arrays.
+    """
+
+    __slots__ = ("times", "states", "cut", "resume", "app", "app_off", "gids", "run_start",
+                 "run_key", "run_slot", "row", "_increments")
+
+    def __init__(self, times, states, cut, resume, app, app_off, gids, run_start, run_key,
+                 run_slot, row):
+        self.times, self.states, self.cut, self.resume = times, states, cut, resume
+        self.app, self.app_off, self.gids = app, app_off, gids
+        self.run_start, self.run_key, self.run_slot = run_start, run_key, run_slot
+        self.row = row
+        self._increments = None
+
+    @classmethod
+    def of_trace(cls, db: HistoryDB, trace: Trace) -> "_FoldColumns":
+        n = len(trace)
+        t, state = trace.t, trace.state
+        tracked = np.array([db._app_index.get(a, -1) for a in trace.app_ids],
+                           dtype=np.int64)[trace.app]
+        ran = (tracked >= 0) & (trace.running | (trace.up + trace.down > 0))
+        rec_row = np.repeat(np.arange(n), np.diff(trace.app_offsets))[ran]
+        run_key, run_start, run_stop = slot_groups(db, trace, 0, n)
+        cut, resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        cut[1:], resume[1:] = _transitions(state[:-1], state[1:], np.diff(t))
+        return cls(t.tolist(), state.tolist(), cut.tolist(), resume.tolist(),
+                   tracked[ran].tolist(), np.searchsorted(rec_row, np.arange(n + 1)).tolist(),
+                   np.repeat(np.arange(len(run_key)), run_stop - run_start).tolist(),
+                   run_start.tolist() + [n], run_key.tolist(),
+                   (run_key % db.n_slots).tolist(), partial(_trace_row, trace))
+
+    @classmethod
+    def of_samples(cls, db: HistoryDB, samples: Sequence[MeasurementSample]) -> "_FoldColumns":
+        index = db._app_index
+        times, states, cut, resume = [], [], [], []
+        app, app_off, gids, run_start, run_key = [], [0], [], [], []
+        for i, s in enumerate(samples):
+            t, state = s.timestamp, _STATE_CODE[s.active_network]
+            c, r = _transitions(states[-1], state, t - times[-1]) if i else (False, False)
+            times.append(t)
+            states.append(state)
+            cut.append(c)
+            resume.append(r)
+            for rec in s.apps:
+                a = index.get(rec.app_id)
+                if a is not None and app_ran(rec):
+                    app.append(a)
+            app_off.append(len(app))
+            key = db.abs_slot(t)
+            if not run_key or run_key[-1] != key:
+                run_start.append(i)
+                run_key.append(key)
+            gids.append(len(run_key) - 1)
+        return cls(times, states, cut, resume, app, app_off, gids, run_start + [len(times)],
+                   run_key, [k % db.n_slots for k in run_key], lambda i: _sample_row(samples[i]))
+
+    def increments(self, db: HistoryDB) -> tuple[list[int], np.ndarray]:
+        """Each row's increments of ``db._hist`` when every run is folded
+        from its first row, as CSR (offsets, flat indices).
+
+        A run's first row observes its slot; its first cut and first resume
+        row count the event; each app's first record in the run counts the
+        app. Built on first use.
+        """
+        if self._increments is None:
+            n, n_apps = db.n_slots, len(db.tracked_apps)
+            gid = np.asarray(self.gids, dtype=np.int64)
+            run_slot = np.asarray(self.run_slot, dtype=np.int64)
+            rows, index = [np.asarray(self.run_start[:-1], dtype=np.int64)], [run_slot]
+            for base, events in ((n, self.cut), (2 * n, self.resume)):
+                hit = np.flatnonzero(events)
+                first = hit[np.unique(gid[hit], return_index=True)[1]]
+                rows.append(first)
+                index.append(base + run_slot[gid[first]])
+            app = np.asarray(self.app, dtype=np.int64)
+            rec_row = np.repeat(np.arange(len(gid)), np.diff(self.app_off))
+            rec_gid = gid[rec_row]
+            first = np.unique(rec_gid * n_apps + app, return_index=True)[1]
+            rows.append(rec_row[first])
+            index.append(3 * n + app[first] * n + run_slot[rec_gid[first]])
+            rows, index = np.concatenate(rows), np.concatenate(index)
+            order = np.argsort(rows, kind="stable")
+            offsets = np.searchsorted(rows[order], np.arange(len(gid) + 1)).tolist()
+            self._increments = (offsets, index[order])
+        return self._increments
+
+
+def _sync_open(db: HistoryDB) -> None:
+    """Make the open (day, slot)'s dedup state explicit."""
+    if db._open_rows is not None:
+        cols, first, stop = db._open_rows
+        db._open_apps = set(cols.app[cols.app_off[first]:cols.app_off[stop]])
+        db._open_cut = any(cols.cut[first:stop])
+        db._open_resume = any(cols.resume[first:stop])
+        db._open_rows = None
+
+
+def _fold_head(db: HistoryDB, cols: _FoldColumns, lo: int, stop: int) -> None:
+    """Fold rows ``lo:stop``, all of one run, against the open state: the
+    first rows of a batch that does not continue the columns' own runs."""
+    _sync_open(db)
+    g = cols.gids[lo]
+    slot, carried = cols.run_slot[g], db._open_key == cols.run_key[g]
+    ran = set(cols.app[cols.app_off[lo]:cols.app_off[stop]])
+    counts = db.app_counts
+    for a in ran - db._open_apps if carried else ran:
+        counts[a, slot] += 1
+    if not carried:
+        db.slot_observations[slot] += 1
+
+    # row lo's transitions are from the newest folded row
+    newest = db._newest
+    if newest is not None and newest[0] is cols and newest[1] == lo - 1:
+        cut, resume = cols.cut[lo], cols.resume[lo]
+    elif newest is not None:
+        prev, i = newest
+        cut, resume = _transitions(prev.states[i], cols.states[lo],
+                                   cols.times[lo] - prev.times[i])
+    else:
+        cut = resume = False
+    cut = cut or any(cols.cut[lo + 1:stop])
+    resume = resume or any(cols.resume[lo + 1:stop])
+    if cut and not (carried and db._open_cut):
+        db.cut_hist[slot] += 1
+    if resume and not (carried and db._open_resume):
+        db.resume_hist[slot] += 1
+
+    db._open_key = cols.run_key[g]
+    if carried:
+        db._open_apps = db._open_apps | ran
+        db._open_cut, db._open_resume = cut or db._open_cut, resume or db._open_resume
+    else:
+        db._open_apps, db._open_cut, db._open_resume = ran, cut, resume
+
+
+def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> None:
+    """Fold rows ``lo:hi`` of ``cols`` into ``db``; see :func:`fold_rows`.
+
+    When the batch continues the last one over the same columns, and those
+    folds took the open run from its first row, every row's increments are
+    the columns' own (:meth:`_FoldColumns.increments`) and go in with one
+    ``np.add.at``. Otherwise the rows of the batch's first run are folded
+    against the open state first, and the runs that start inside the batch
+    take the columns' increments.
+    """
+    if lo >= hi:
+        return
+    t0, last = cols.times[lo], db.last_timestamp
+    if last is not None and t0 <= last:
+        raise OrderingError(f"sample at t={t0} not after t={last}")
+    folded, since, stop = db._folded
+    g0 = cols.gids[lo]
+    if folded is cols and stop == lo and since <= cols.run_start[g0]:
+        head_stop = lo
+    else:
+        head_stop = since = min(hi, cols.run_start[g0 + 1])
+        _fold_head(db, cols, lo, head_stop)
+    if head_stop < hi:
+        offsets, index = cols.increments(db)
+        np.add.at(db._hist, index[offsets[head_stop]:offsets[hi]], 1)
+        g = cols.gids[hi - 1]
+        db._open_key = cols.run_key[g]
+        db._open_rows = (cols, cols.run_start[g], hi)
+    db._newest = (cols, hi - 1)
+    db._folded = (cols, since, hi)
+
+
+def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None) -> HistoryDB:
+    """Fold rows ``lo:hi`` of a trace into the histograms (in place; returns db).
 
     Tracked apps that ran in a (day, slot) increment that slot's usage count
     once; cut/resume transitions increment the event histograms at the
-    event sample's slot of day, at most once per (day, slot); every (day,
-    slot) containing a sample counts as observed.
+    event row's slot of day, at most once per (day, slot); every (day, slot)
+    holding a row counts as observed. The first row's transitions are taken
+    from the database's newest row.
 
-    The batch is all-or-nothing: unless its timestamps strictly increase
-    after ``db.last_timestamp``, it raises :class:`OrderingError` and leaves
-    the database untouched.
+    The fold is all-or-nothing: unless the rows start after
+    ``db.last_timestamp`` it raises :class:`OrderingError` and leaves the
+    database untouched. A range outside the trace raises
+    :class:`ParameterError`. The trace's fold columns are built on the first
+    call and reused while the same trace is folded.
+    """
+    hi = len(trace) if hi is None else hi
+    if not 0 <= lo <= hi <= len(trace):
+        raise ParameterError(f"rows {lo}:{hi} outside the trace's {len(trace)} rows")
+    if db._columns[0] is not trace:
+        db._columns = (trace, _FoldColumns.of_trace(db, trace))
+    _fold(db, db._columns[1], lo, hi)
+    return db
+
+
+def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> HistoryDB:
+    """Fold a batch of samples into the histograms (in place; returns db).
+
+    The samples become the columns of :func:`fold_rows` and go through the
+    same fold. The batch is all-or-nothing: unless its timestamps strictly
+    increase after ``db.last_timestamp``, it raises :class:`OrderingError`
+    and leaves the database untouched.
     """
     if not isinstance(new_samples, (list, tuple)):
         new_samples = list(new_samples)
@@ -202,34 +536,26 @@ def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> H
         if last is not None and sample.timestamp <= last:
             raise OrderingError(f"sample at t={sample.timestamp} not after t={last}")
         last = sample.timestamp
-
-    prev = db.latest
-    for sample in new_samples:
-        key = divmod(db.abs_slot(sample.timestamp), db.n_slots)
-        if key != db._open_key:
-            db._open_key = key
-            db._open_apps = set()
-            db._open_cut = False
-            db._open_resume = False
-            db.slot_observations[key[1]] += 1
-        slot = key[1]
-
-        for rec in sample.apps:
-            if rec.app_id in db.app_hist and rec.app_id not in db._open_apps and app_ran(rec):
-                db.app_hist[rec.app_id][slot] += 1
-                db._open_apps.add(rec.app_id)
-
-        if prev is not None:
-            if not db._open_cut and is_cut_transition(prev, sample):
-                db.cut_hist[slot] += 1
-                db._open_cut = True
-            if not db._open_resume and is_resume_transition(prev, sample):
-                db.resume_hist[slot] += 1
-                db._open_resume = True
-        prev = sample
-    db.latest = prev
+    if new_samples:
+        _fold(db, _FoldColumns.of_samples(db, new_samples), 0, len(new_samples))
     return db
 
+
+def slot_groups(db: HistoryDB, trace: Trace, lo: int, hi: int):
+    """The slots of rows ``lo:hi`` on ``db``'s slot clock, in order.
+
+    Returns (slots, starts, stops): the rows of slot ``slots[j]`` are
+    ``starts[j]:stops[j]``.
+    """
+    key = db.abs_slot(trace.t[lo:hi])
+    starts = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    stops = np.append(starts[1:], len(key))[:len(starts)]
+    return key[starts], starts + lo, stops + lo
+
+
+# ---------------------------------------------------------------------------
+# top-K app selection
+# ---------------------------------------------------------------------------
 
 def rank_slot_apps(
     db: HistoryDB,
@@ -252,16 +578,14 @@ def rank_slot_apps(
     if first_slot > last_slot:
         raise ParameterError("first_slot must not exceed last_slot")
 
-    zeros = np.zeros(db.n_slots, dtype=np.int64)
-    counts = np.stack([db.app_hist.get(a, zeros) for a in s_apps])
-    cols = np.arange(first_slot, last_slot + 1) % db.n_slots
+    counts = db._usage[db._usage_rows(s_apps), np.arange(first_slot, last_slot + 1) % db.n_slots]
     # the stable sort keeps ties in s_apps order
-    return np.argsort(-counts[:, cols], axis=0, kind="stable")[:k]
+    return np.argsort(-counts, axis=0, kind="stable")[:k]
 
 
 def selected_apps(s_apps: Sequence[str], ranked: np.ndarray) -> list[str]:
     """Union of a ranking's apps in order of first selection (slot-major)."""
-    return list(dict.fromkeys(s_apps[i] for i in ranked.T.ravel().tolist()))
+    return [s_apps[i] for i in dict.fromkeys(ranked.T.ravel().tolist())]
 
 
 def predict_top_k_apps(
@@ -280,6 +604,23 @@ def predict_top_k_apps(
     return selected_apps(s_apps, rank_slot_apps(db, s_apps, k, first_slot, last_slot))
 
 
+# ---------------------------------------------------------------------------
+# the history event rule
+# ---------------------------------------------------------------------------
+
+def _check_rule(n_draws: int, delta: float) -> None:
+    if n_draws <= 0:
+        raise ParameterError("n_draws must be positive")
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta={delta} outside (0, 1)")
+
+
+def _rule_fires(p: float, n_draws: int, delta: float, rng: np.random.Generator) -> bool:
+    """The acceptance test for a probability p > 0: one binomial draw."""
+    rate = int(rng.binomial(n_draws, p)) / n_draws
+    return (1.0 - delta) * p <= rate <= (1.0 + delta) * p
+
+
 def history_predict_event(
     p: float,
     n_draws: int,
@@ -291,20 +632,33 @@ def history_predict_event(
     Draw X ~ Binomial(N, p) with N = ``n_draws``, which is equal in law to
     counting how many of N uniform values in [0, 1) fall below ``p``, and
     predict the event iff the rate X/N falls inside [(1-delta)p, (1+delta)p].
-    A probability of exactly zero never fires: an event never observed in a
-    slot is never predicted.
+    A probability of exactly zero never fires and draws nothing: an event
+    never observed in a slot is never predicted.
     """
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p={p} outside [0, 1]")
-    if n_draws <= 0:
-        raise ParameterError("n_draws must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta={delta} outside (0, 1)")
-    if p == 0.0:
-        return False
-    x = int(rng.binomial(n_draws, p))
-    rate = x / n_draws
-    return (1.0 - delta) * p <= rate <= (1.0 + delta) * p
+    _check_rule(n_draws, delta)
+    return p != 0.0 and _rule_fires(p, n_draws, delta, rng)
+
+
+def history_votes(
+    db: HistoryDB,
+    slots: np.ndarray,
+    kind: EventKind,
+    n_draws: int,
+    delta: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The event rule's verdict for each of ``slots``, as one
+    :func:`history_predict_event` call per slot in order would give it: the
+    probabilities come from one call, and only slots with p > 0 draw."""
+    _check_rule(n_draws, delta)
+    p = db.event_probabilities(slots, kind)
+    votes = np.zeros(len(p), dtype=bool)
+    live = np.flatnonzero(p)
+    for i, ps in zip(live.tolist(), p[live].tolist()):
+        votes[i] = _rule_fires(ps, n_draws, delta, rng)
+    return votes
 
 
 def predict_resume_slot(
@@ -319,20 +673,31 @@ def predict_resume_slot(
     """First future slot where the resume rule fires, else a fixed fallback.
 
     Scans current_slot+1 .. current_slot+max_lookahead; when no slot fires,
-    assumes a median-length gap of ``default_gap_slots`` slots.
+    assumes a median-length gap of ``default_gap_slots`` slots. The scanned
+    slots' probabilities come from one call; only slots with p > 0 draw, in
+    order and up to the first that fires, as the rule slot by slot would.
     """
     if rng is None:
         rng = np.random.default_rng()
-    for s in range(current_slot + 1, current_slot + 1 + max_lookahead):
-        p = db.event_probability(s, EventKind.RESUME)
-        if history_predict_event(p, n_draws, delta, rng):
+    slots = np.arange(current_slot + 1, current_slot + 1 + max_lookahead)
+    if len(slots):
+        _check_rule(n_draws, delta)
+    p = db.event_probabilities(slots, EventKind.RESUME)
+    live = np.flatnonzero(p)
+    for s, ps in zip(slots[live].tolist(), p[live].tolist()):
+        if _rule_fires(ps, n_draws, delta, rng):
             return s
     return current_slot + 1 + default_gap_slots
 
 
+# ---------------------------------------------------------------------------
+# context features
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class FeatureVector:
-    """The nine per-slot context features feeding the boosted classifier."""
+    """The nine per-slot context features feeding the boosted classifier:
+    one row of :func:`feature_matrix`."""
 
     home_wifi_night: bool     # night time and home network in sight
     work_wifi_day: bool       # day time and work network in sight
@@ -349,6 +714,12 @@ class FeatureVector:
             raise FeatureError("n_visible must be non-negative")
         if not 0.0 <= self.slot_event_prob <= 1.0:
             raise FeatureError("slot_event_prob must lie in [0, 1]")
+
+    @classmethod
+    def from_row(cls, x: np.ndarray) -> "FeatureVector":
+        v = x.tolist()
+        return cls(bool(v[0]), bool(v[1]), bool(v[2]), int(v[3]), bool(v[4]), bool(v[5]),
+                   bool(v[6]), int(v[7]), v[8])
 
     def as_array(self) -> np.ndarray:
         return np.array([
@@ -367,35 +738,73 @@ class FeatureVector:
 N_FEATURES = 9
 
 
+def feature_matrix(
+    db: HistoryDB,
+    slots,
+    now,
+    kind: EventKind,
+    visible: Optional[Sequence[frozenset[str]]] = None,
+) -> np.ndarray:
+    """The (len(slots) x 9) context features for predicting ``kind`` in
+    each of ``slots`` (absolute), in :class:`FeatureVector` order.
+
+    Visibility comes from the database's newest row, or, given ``visible``,
+    from one visible set per slot; ``now`` is one time or one per slot. The
+    first seven features depend only on the visible set and the time, and
+    for the newest row they are computed once per time; the slot index and
+    the slot probability, the target event's empirical rate, vary by slot.
+    """
+    if db.latest is None:
+        raise FeatureError("no sample to extract features from")
+    if db.profile is None:
+        raise FeatureError("history database has no preferred-network profile")
+    if visible is None:
+        context = _newest_context(db, now)
+        if len(slots) == 1:   # a replay's per-slot call: no array passes
+            s = int(slots[0])
+            return np.array([(*context, s % db.n_slots, db.event_probability(s, kind))])
+    else:
+        context = _context(db, np.array([db._visible_flags(v) for v in visible]).reshape(-1, 6),
+                           now)
+    slots = np.asarray(slots, dtype=np.int64)
+    X = np.empty((len(slots), N_FEATURES))
+    X[:, :7] = context
+    X[:, 7] = slots % db.n_slots
+    X[:, 8] = db.event_probabilities(slots, kind)
+    return X
+
+
+def _context(db: HistoryDB, flags: np.ndarray, now) -> np.ndarray:
+    """Features 1-7 from :meth:`HistoryDB._visible_flags` rows and the time
+    (elementwise for one row and time per slot)."""
+    at_night = in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s)
+    out = np.empty(flags.shape[:-1] + (7,))
+    out[..., 0] = at_night * flags[..., 0]
+    out[..., 1] = np.logical_not(at_night) * flags[..., 1]
+    out[..., 2] = is_weekday(now, db.utc_offset_s)
+    out[..., 3:] = flags[..., 2:]
+    return out
+
+
+def _newest_context(db: HistoryDB, now: int) -> tuple[float, ...]:
+    """:func:`_context` of the newest row at ``now``; computed once per
+    visible set, night flag and weekday flag."""
+    visible = db.latest.visible
+    key = (visible, in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s),
+           is_weekday(now, db.utc_offset_s))
+    context = db._contexts.get(key)
+    if context is None:
+        context = db._contexts[key] = tuple(
+            _context(db, np.array(db._visible_flags(visible)), now).tolist())
+    return context
+
+
 def extract_features(
     db: HistoryDB,
     slot: int,
     now: int,
     target: EventKind,
 ) -> FeatureVector:
-    """Context features for predicting an event in a given slot of day.
-
-    Visibility features come from the database's newest sample; the slot
-    probability is the target event's empirical rate for ``slot``.
-    """
-    if db.latest is None:
-        raise FeatureError("no sample to extract features from")
-    if db.profile is None:
-        raise FeatureError("history database has no preferred-network profile")
-    visible = db.latest.visible_ssids
-    prof = db.profile
-    top = list(prof.top3) + [None, None, None]
-    at_night = in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s)
-    return FeatureVector(
-        home_wifi_night=at_night and prof.home_ssid is not None
-        and prof.home_ssid in visible,
-        work_wifi_day=(not at_night) and prof.work_ssid is not None
-        and prof.work_ssid in visible,
-        weekday=is_weekday(now, db.utc_offset_s),
-        n_visible=len(visible),
-        top1_seen=top[0] is not None and top[0] in visible,
-        top2_seen=top[1] is not None and top[1] in visible,
-        top3_seen=top[2] is not None and top[2] in visible,
-        slot_index=slot % db.n_slots,
-        slot_event_prob=db.event_probability(slot, target),
-    )
+    """Context features for predicting an event in a given slot of day: the
+    one-row :func:`feature_matrix`."""
+    return FeatureVector.from_row(feature_matrix(db, [slot], now, target)[0])

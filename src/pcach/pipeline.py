@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
-from .boosting import DEFAULT_ROUNDS, AdaBoostModel, adaboost_predict
+from .boosting import DEFAULT_ROUNDS, AdaBoostModel
 from .errors import ConfigError
 from .history import (
     DEFAULT_DELTA,
@@ -26,7 +26,7 @@ from .history import (
     DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
-    extract_features,
+    feature_matrix,
     history_predict_event,
     predict_resume_slot,
     predict_top_k_apps,
@@ -118,9 +118,10 @@ class AdaBoostPredictor:
     """Boosted-stump classifiers over the per-slot context features.
 
     The two models and the resume-scan bounds come from a
-    :class:`PCachConfig`. Resume slots are found by applying the resume
-    classifier to each future slot in turn and taking the first positive,
-    with the same fixed fallback as the history rule.
+    :class:`PCachConfig`. The resume slot is the first future slot the
+    resume classifier labels positive, found from one feature matrix of the
+    scanned slots, with the same fixed fallback as the history rule. A
+    margin tied with a model's threshold is negative.
     """
 
     def __init__(self, config: PCachConfig):
@@ -129,23 +130,21 @@ class AdaBoostPredictor:
         self.config = config
 
     def predict_cut(self, db, target_slot, now, rng):
-        fv = extract_features(db, target_slot, now, EventKind.CUT)
         model = self.config.cut_model
-        margin = float(model.decision_margins(fv.as_array()[None, :])[0])
-        # adaboost_predict's rule: a margin tied with the threshold is -1
+        X = feature_matrix(db, [target_slot], now, EventKind.CUT)
+        margin = float(model.decision_margins(X)[0])
         return margin > model.decision_threshold, margin
 
     def resume_fires(self, db, slot, now, rng):
-        fv = extract_features(db, slot, now, EventKind.RESUME)
-        label, _ = adaboost_predict(self.config.resume_model, fv)
-        return label > 0
+        model = self.config.resume_model
+        X = feature_matrix(db, [slot], now, EventKind.RESUME)
+        return bool(model.decision_margins(X)[0] > model.decision_threshold)
 
     def predict_resume(self, db, current_slot, now, rng):
         c = self.config
-        for s in range(current_slot + 1, current_slot + 1 + c.max_lookahead_slots):
-            if self.resume_fires(db, s, now, rng):
-                return s
-        return current_slot + 1 + c.default_gap_slots
+        slots = np.arange(current_slot + 1, current_slot + 1 + c.max_lookahead_slots)
+        i = c.resume_model.first_positive(feature_matrix(db, slots, now, EventKind.RESUME))
+        return current_slot + 1 + c.default_gap_slots if i is None else int(slots[i])
 
 
 def make_predictor(config: PCachConfig) -> Predictor:

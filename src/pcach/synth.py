@@ -204,6 +204,14 @@ class GeneratorConfig:
                 if not 0.0 <= intensity < math.inf:
                     raise ConfigError(f"{key} intensity must be finite and >= 0, "
                                       f"got {intensity!r}")
+        for key in ("baseline_cuts_per_day", "weekend_surge_scale", "pcachable_gap_rate_mean"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
+        lo, hi = self.evening_gap_window
+        if not 0.0 <= lo <= hi <= 24.0:
+            raise ConfigError("evening_gap_window must hold finite hours in [0, 24] with "
+                              f"start <= end, got {lo!r}, {hi!r}")
         if not 0.0 < self.byte_unit < math.inf:
             raise ConfigError(f"byte_unit must be finite and > 0, got {self.byte_unit!r}")
         if not 0.0 <= self.phone_volume_sigma < math.inf:

@@ -25,13 +25,14 @@ equal when their rows carry the same values, whatever the table order. The
 columns are read-only.
 
 ``Trace.samples`` is a read-only view of the rows as
-:class:`MeasurementSample` objects for the replay code (history updates,
-slot grouping). It is built once, on first access, and cached. The view of a
-normalized trace reuses its source trace's view: every sample that was not
-relabelled is the very same object. The trace-level stages (profile,
-normalization, gap detection, and in :mod:`pcach.mining` the traffic split
-and the pre-cache bound) run as array passes over the columns and never
-build the view.
+:class:`MeasurementSample` objects, for code that walks sample objects. It is
+built once, on first access, and cached. The view of a normalized trace
+reuses its source trace's view: every sample that was not relabelled is the
+very same object. The trace-level stages (profile, normalization, gap
+detection, and in :mod:`pcach.mining` the traffic split and the pre-cache
+bound) run as array passes over the columns, and the replays of
+:mod:`pcach.history` and :mod:`pcach.evaluation` fold the columns; none of
+them builds the view.
 
 Two derived notions drive everything downstream:
 
@@ -361,6 +362,22 @@ class Trace:
         """Rows ``lo:hi`` holding the samples with start <= t < end."""
         lo = int(np.searchsorted(self.t, start, side="left"))
         return lo, max(lo, int(np.searchsorted(self.t, end, side="left")))
+
+    def row_obj(self, i: int) -> dict:
+        """Row ``i`` as the JSONL object :func:`trace_to_jsonl` writes for it."""
+        a0, a1 = int(self.app_offsets[i]), int(self.app_offsets[i + 1])
+        ssid = int(self.ssid[i])
+        app_ids = self.app_ids
+        return {
+            "t": int(self.t[i]),
+            "active": STATES[int(self.state[i])].value,
+            "ssid": None if ssid < 0 else self.ssids[ssid],
+            "visible": sorted(self.visible_sets[int(self.visible[i])]),
+            "apps": [{"id": app_ids[a], "up": up, "down": down, "running": r}
+                     for a, up, down, r in zip(self.app[a0:a1].tolist(), self.up[a0:a1].tolist(),
+                                               self.down[a0:a1].tolist(),
+                                               self.running[a0:a1].tolist())],
+        }
 
     def sample_bytes(self) -> np.ndarray:
         """Each sample's up + down bytes over all its app records (int64)."""
@@ -952,12 +969,6 @@ def write_trace(trace: Trace, path, fmt: Optional[str] = None) -> None:
     p.write_bytes(payload)
 
 
-def _sample_from_obj(obj) -> MeasurementSample:
-    """The sample one JSONL object (as :func:`_sample_to_obj` makes it)
-    holds, checked as :func:`ingest_trace` checks a line."""
-    return ingest_trace(json.dumps(obj).encode(), fmt="jsonl").samples[0]
-
-
 # ---------------------------------------------------------------------------
 # Preferred-network profile and timeline normalization.
 # ---------------------------------------------------------------------------
@@ -1050,23 +1061,6 @@ def normalize_timeline(trace: Trace, profile: PreferredNetworkProfile) -> Trace:
 # Gap detection.
 # ---------------------------------------------------------------------------
 
-def is_cut_transition(prev: MeasurementSample, cur: MeasurementSample) -> bool:
-    """WiFi -> cellular between samples no more than 10 minutes apart."""
-    return (
-        prev.active_network is ActiveNetwork.WIFI
-        and cur.active_network is ActiveNetwork.CELLULAR
-        and cur.timestamp - prev.timestamp <= CUT_MAX_SPACING_S
-    )
-
-
-def is_resume_transition(prev: MeasurementSample, cur: MeasurementSample) -> bool:
-    """Cellular -> WiFi between consecutive samples."""
-    return (
-        prev.active_network is ActiveNetwork.CELLULAR
-        and cur.active_network is ActiveNetwork.WIFI
-    )
-
-
 def detect_gaps(trace: Trace) -> list[WiFiGap]:
     """Pair cut events with the first subsequent resume event.
 
@@ -1097,8 +1091,3 @@ def closed_gaps(gaps: Iterable[WiFiGap]) -> list[WiFiGap]:
     """Gaps admitted to duration statistics: resumed and shorter than a day."""
     return [g for g in gaps if not g.open and not g.excluded]
 
-
-def samples_in_window(trace: Trace, start: int, end: int) -> Sequence[MeasurementSample]:
-    """Samples with start <= timestamp < end (:meth:`Trace.index_range`)."""
-    lo, hi = trace.index_range(start, end)
-    return trace.samples[lo:hi]

@@ -17,9 +17,9 @@ from pcach.trace import (
     MeasurementSample,
     Trace,
     WiFiGap,
-    is_cut_transition,
-    is_resume_transition,
 )
+
+from oracles import is_cut_transition, is_resume_transition
 
 W, C, N = ActiveNetwork.WIFI, ActiveNetwork.CELLULAR, ActiveNetwork.NONE
 

@@ -1,22 +1,171 @@
-"""Sample-walking reference implementations of the trace-level stages.
+"""Sample-walking and pre-columnar reference implementations.
 
-Each function walks ``trace.samples`` one object at a time, the way the
-library computed these stages before its traces became columns. The
-columnar stages must agree with them exactly (see the ``hypothesis``
-properties in ``test_trace.py`` and ``test_mining.py``).
+Each trace-level oracle walks ``trace.samples`` one object at a time, the way
+the library computed these stages before its traces became columns; the
+history oracles walk sample objects the way the replay folded them, and
+``best_stump_oracle`` re-sorts every column every round the way the
+boosting search did before it presorted. The columnar and presorted code
+must agree with them exactly (see the ``hypothesis`` properties in
+``test_trace.py``, ``test_mining.py``, ``test_history.py`` and
+``test_boosting.py``).
 """
 
+import itertools
+import json
 from bisect import bisect_left
 from dataclasses import replace
 
+import numpy as np
+
+from pcach.errors import OrderingError
+from pcach.history import app_ran
 from pcach.trace import (
+    CUT_MAX_SPACING_S,
     ActiveNetwork,
     PreferredNetworkProfile,
     WiFiGap,
-    is_cut_transition,
-    is_resume_transition,
+    ingest_trace,
     local_day_index,
 )
+
+
+def is_cut_transition(prev, cur):
+    """WiFi -> cellular between samples no more than 10 minutes apart."""
+    return (
+        prev.active_network is ActiveNetwork.WIFI
+        and cur.active_network is ActiveNetwork.CELLULAR
+        and cur.timestamp - prev.timestamp <= CUT_MAX_SPACING_S
+    )
+
+
+def is_resume_transition(prev, cur):
+    """Cellular -> WiFi between consecutive samples."""
+    return (
+        prev.active_network is ActiveNetwork.CELLULAR
+        and cur.active_network is ActiveNetwork.WIFI
+    )
+
+
+def samples_in_window(trace, start, end):
+    """Samples with start <= timestamp < end (:meth:`Trace.index_range`)."""
+    lo, hi = trace.index_range(start, end)
+    return trace.samples[lo:hi]
+
+
+def sample_from_obj(obj):
+    """The sample one JSONL object holds, checked as ``ingest_trace`` checks
+    a line."""
+    return ingest_trace(json.dumps(obj).encode(), fmt="jsonl").samples[0]
+
+
+def group_by_slot(db, samples):
+    """Consecutive (absolute_slot, [samples]) groups on ``db``'s slot clock."""
+    return [(slot, list(group)) for slot, group in
+            itertools.groupby(samples, key=lambda s: db.abs_slot(s.timestamp))]
+
+
+class HistoryOracle:
+    """The sample-walking history fold: per-app and event histograms keyed
+    by (day, slot), the open (day, slot)'s dedup state and the newest sample.
+
+    ``to_json`` writes the snapshot ``HistoryDB.to_json`` writes for the
+    same state.
+    """
+
+    def __init__(self, db):
+        self.db = db   # an empty HistoryDB: its clock, apps and profile
+        self.app_hist = {a: np.zeros(db.n_slots, dtype=np.int64) for a in db.tracked_apps}
+        self.cut_hist = np.zeros(db.n_slots, dtype=np.int64)
+        self.resume_hist = np.zeros(db.n_slots, dtype=np.int64)
+        self.slot_observations = np.zeros(db.n_slots, dtype=np.int64)
+        self.latest = None
+        self.open_key = None
+        self.open_apps = set()
+        self.open_cut = False
+        self.open_resume = False
+
+    def update(self, new_samples):
+        new_samples = list(new_samples)
+        last = None if self.latest is None else self.latest.timestamp
+        for sample in new_samples:
+            if last is not None and sample.timestamp <= last:
+                raise OrderingError(f"sample at t={sample.timestamp} not after t={last}")
+            last = sample.timestamp
+
+        prev = self.latest
+        for sample in new_samples:
+            key = divmod(self.db.abs_slot(sample.timestamp), self.db.n_slots)
+            if key != self.open_key:
+                self.open_key = key
+                self.open_apps = set()
+                self.open_cut = False
+                self.open_resume = False
+                self.slot_observations[key[1]] += 1
+            slot = key[1]
+            for rec in sample.apps:
+                if (rec.app_id in self.app_hist and rec.app_id not in self.open_apps
+                        and app_ran(rec)):
+                    self.app_hist[rec.app_id][slot] += 1
+                    self.open_apps.add(rec.app_id)
+            if prev is not None:
+                if not self.open_cut and is_cut_transition(prev, sample):
+                    self.cut_hist[slot] += 1
+                    self.open_cut = True
+                if not self.open_resume and is_resume_transition(prev, sample):
+                    self.resume_hist[slot] += 1
+                    self.open_resume = True
+            prev = sample
+        self.latest = prev
+
+    def to_json(self):
+        db = self.db
+        latest = None
+        if self.latest is not None:
+            s = self.latest
+            latest = {"t": s.timestamp, "active": s.active_network.value,
+                      "ssid": s.connected_ssid, "visible": sorted(s.visible_ssids),
+                      "apps": [{"id": a.app_id, "up": a.up_bytes, "down": a.down_bytes,
+                                "running": a.running} for a in s.apps]}
+        return json.dumps({
+            "slot_minutes": db.slot_minutes,
+            "tracked_apps": list(db.tracked_apps),
+            "utc_offset_s": db.utc_offset_s,
+            "app_hist": {a: h.tolist() for a, h in self.app_hist.items()},
+            "cut_hist": self.cut_hist.tolist(),
+            "resume_hist": self.resume_hist.tolist(),
+            "slot_observations": self.slot_observations.tolist(),
+            "profile": db.profile.to_dict() if db.profile else None,
+            "latest": latest,
+            "open_key": list(self.open_key) if self.open_key else None,
+            "open_apps": sorted(self.open_apps),
+            "open_cut": self.open_cut,
+            "open_resume": self.open_resume,
+        }, sort_keys=True)
+
+
+def best_stump_oracle(X, y, w):
+    """The stump search that argsorts every column every round."""
+    best = None  # (eps, feature_idx0, threshold, polarity)
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        boundaries = np.nonzero(v[1:] > v[:-1])[0]
+        if boundaries.size == 0:
+            continue
+        wy_pos = np.cumsum(w[order] * (y[order] > 0))
+        wy_neg = np.cumsum(w[order] * (y[order] < 0))
+        total_neg = wy_neg[-1]
+        eps_pos = wy_pos[boundaries] + (total_neg - wy_neg[boundaries])
+        eps_neg = 1.0 - eps_pos
+        for eps_arr, polarity in ((eps_pos, 1), (eps_neg, -1)):
+            i = int(np.argmin(eps_arr))
+            eps = float(eps_arr[i])
+            if best is None or eps < best[0] - 1e-15:
+                b = boundaries[i]
+                threshold = (v[b] + v[b + 1]) / 2.0
+                best = (eps, f, threshold, polarity)
+    return best
 
 
 def profile_oracle(trace, night_window=(20, 8), utc_offset_s=0):

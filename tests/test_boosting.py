@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcach import boosting
 from pcach.boosting import (
     AdaBoostModel,
     Stump,
+    _PresortedColumns,
     adaboost_predict,
     train_adaboost_xy,
 )
@@ -14,6 +18,7 @@ from pcach.errors import DegenerateDataError, ModelError, ParameterError
 from pcach.history import FeatureVector
 
 from helpers import seeded_rng
+from oracles import best_stump_oracle
 
 
 def fv(n_visible=0, slot=0, prob=0.0):
@@ -257,3 +262,74 @@ def test_stump_validation():
         Stump(feature_index=1, threshold=0.0, polarity=2, alpha=0.1)
     with pytest.raises(ParameterError):
         Stump(feature_index=1, threshold=0.0, polarity=1, alpha=float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# the presorted stump search against the re-sorting oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _weighted_data(draw):
+    """Feature rows with tied values and constant columns, both labels and
+    positive weights summing to one."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(9):
+        values = draw(st.sampled_from([[0.0], [0.0, 1.0], [0.5, 1.5, 2.5, 7.0], [-3.0, 0.1]]))
+        columns.append([draw(st.sampled_from(values)) for _ in range(n)])
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    labels[0], labels[1] = 1, -1
+    weights = np.array(draw(st.lists(st.integers(1, 50), min_size=n, max_size=n)), dtype=float)
+    return np.array(columns).T.copy(), np.array(labels), weights / weights.sum()
+
+
+def _bits(found):
+    if found is None:
+        return None
+    eps, f, threshold, polarity = found
+    return np.float64(eps).tobytes(), f, np.float64(threshold).tobytes(), polarity
+
+
+@settings(deadline=None, max_examples=300)
+@given(_weighted_data())
+def test_presorted_search_is_bitwise_the_resorting_search(data):
+    X, y, w = data
+    assert _bits(_PresortedColumns(X, y).best_stump(w)) == _bits(best_stump_oracle(X, y, w))
+
+
+class _ResortingColumns:
+    """The training's column search, re-sorting every round."""
+
+    def __init__(self, X, y):
+        self.X, self.y = X, y
+
+    def best_stump(self, w):
+        return best_stump_oracle(self.X, self.y, w)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_weighted_data(), st.integers(1, 12))
+def test_presorted_training_writes_the_resorting_model(data, rounds):
+    X, y, _ = data
+    model = train_adaboost_xy(X, y, rounds=rounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boosting, "_PresortedColumns", _ResortingColumns)
+        oracle = train_adaboost_xy(X, y, rounds=rounds)
+    assert model.to_json() == oracle.to_json()
+    assert model.training_log == oracle.training_log
+
+
+def test_first_positive_matches_one_row_decisions():
+    rng = seeded_rng(8)
+    stumps = tuple(Stump(int(f), float(t), int(p), float(a)) for f, t, p, a in zip(
+        rng.integers(1, 10, 40), rng.normal(size=40).round(1), rng.choice([-1, 1], 40),
+        rng.random(40)))
+    X = rng.normal(size=(300, 9)).round(1)
+    one_row = np.array([AdaBoostModel(stumps, 40).decision_margins(X[i:i + 1])[0]
+                        for i in range(len(X))])
+    # thresholds on the one-row margins themselves: the batched sums may
+    # land a last bit away from them
+    for thr in [*one_row[::7], -100.0, 100.0]:
+        model = AdaBoostModel(stumps, 40, decision_threshold=float(thr))
+        hits = np.flatnonzero(one_row > thr)
+        assert model.first_positive(X) == (int(hits[0]) if hits.size else None)

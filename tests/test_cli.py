@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -425,6 +426,24 @@ def test_generate_config_out_of_range_is_a_clean_error(tmp_path, monkeypatch, ca
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"baseline_cuts_per_day": -5.0}, "baseline_cuts_per_day"),
+    ({"weekend_surge_scale": -3.0}, "weekend_surge_scale"),
+    ({"evening_gap_window": [30.0, 40.0]}, "evening_gap_window"),
+    ({"pcachable_gap_rate_mean": -1.0}, "pcachable_gap_rate_mean"),
+], ids=["negative-baseline-cuts", "negative-weekend-scale", "window-past-24",
+        "negative-gap-rate"])
+def test_generate_config_rate_or_window_out_of_range_is_a_clean_error(
+        tmp_path, monkeypatch, capsys, edit, named):
+    (tmp_path / "bad.json").write_text(json.dumps({**_CONFIG, **edit}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    assert main(["generate", "--config", "bad.json", "--phones", "1", "--out", "g"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--days", "0", "--phones", "2"], "days"),
     (["--days", "-1", "--phones", "2"], "days"),
@@ -438,3 +457,47 @@ def test_generate_rejects_an_empty_corpus(tmp_path, monkeypatch, capsys, flags, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+# sha256 of the replay outputs of a seeded 2-phone x 10-day corpus: the
+# backtest reports, summaries and model files and the K sweep. Any change to
+# the history fold, the predictors, the boosting search or the RNG draws
+# moves them.
+_REPLAY_COMMANDS = (
+    ("bt-history", ["backtest", "--predictor", "history", "--k", "7", "--seed", "3"]),
+    ("bt-ada", ["backtest", "--predictor", "adaboost", "--k", "7", "--seed", "3",
+                "--split", "0.5", "--rounds", "30", "--local-utc-offset", "3600"]),
+    ("sweep", ["sweep-k", "--ks", "1,3,7,12", "--train-days", "5"]),
+)
+_PINNED_REPLAY_DIGESTS = {
+    "bt-ada/models/phone-000.cut.json":
+        "9affce5c2fc038aad978294cd0b4d8ca319bfdac947271ea78fdab71a2669c3b",
+    "bt-ada/models/phone-000.resume.json":
+        "3fc5a795f50bf7be4f44a4f3472b58cd24a30348ebfd4a32a7caaefdc0f0a190",
+    "bt-ada/models/phone-001.cut.json":
+        "039bceb07f483d01bfb0e9ffa57b88717407b3aa53c84c9bfba5db9cf9a1f06b",
+    "bt-ada/models/phone-001.resume.json":
+        "d6215d7889cc8f8de3724ab459b5f6c830f8efea9b21e4caa04df52d78ace5e2",
+    "bt-ada/reports.json": "8239c6bfab20e2df156e2018a9c80dc6b25067277a073cbf8165c834bb755cf4",
+    "bt-ada/summary.json": "efa5c2f155016375367a25634e71edb256ab0815e69a40f8d9fc6cd9c556429a",
+    "bt-history/reports.json": "9b83f913ac227e221c6cb46ec4f80a2d8070bdf68c0bbdaf00ef2f7c9cdaa6f3",
+    "bt-history/summary.json": "daa449a3adc038c37ac9a577eec71628efa6bcac8a93c9a5c9639d776f0c5972",
+    "sweep/summary.json": "2319471617c408066af81be9d0f41a9135ac76f9baf285f38864f3706dd215cf",
+    "sweep/sweep_k.csv": "4b7e9a153b715f19d22a6c58eccd9f090384f6fed67ae31c6c362503a1d54a4a",
+}
+
+
+def _replay_digests(root):
+    assert main(["generate", "--phones", "2", "--days", "10", "--seed", "29",
+                 "--out", str(root / "traces")]) == 0
+    for out, args in _REPLAY_COMMANDS:
+        assert main([*args, "--traces", str(root / "traces"), "--out", str(root / out)]) == 0
+    files = [p for p in sorted(root.rglob("*")) if p.is_file() and (
+        p.name in ("reports.json", "summary.json", "sweep_k.csv") or p.parent.name == "models")]
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in files}
+
+
+def test_replay_outputs_match_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    assert _replay_digests(tmp_path) == _PINNED_REPLAY_DIGESTS

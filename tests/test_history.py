@@ -18,17 +18,27 @@ from pcach.history import (
     HistoryDB,
     app_ran,
     extract_features,
+    feature_matrix,
+    fold_rows,
     history_predict_event,
     predict_resume_slot,
     predict_top_k_apps,
     rank_slot_apps,
     selected_apps,
+    slot_groups,
     update_history,
 )
 from pcach.synth import generate_trace, reference_config
-from pcach.trace import PreferredNetworkProfile, derive_preferred_profile
+from pcach.trace import (
+    MeasurementSample,
+    PreferredNetworkProfile,
+    Trace,
+    derive_preferred_profile,
+    normalize_timeline,
+)
 
-from helpers import C, W, app, sample, seeded_rng
+from helpers import C, N, W, app, sample, seeded_rng
+from oracles import HistoryOracle, group_by_slot, sample_from_obj
 
 import dataclasses
 
@@ -157,7 +167,7 @@ def test_replay_matches_batch_counting_oracle():
                 state["apps"].add(rec.app_id)
         if idx > 0:
             prev = trace.samples[idx - 1]
-            from pcach.trace import is_cut_transition, is_resume_transition
+            from oracles import is_cut_transition, is_resume_transition
             if is_cut_transition(prev, s) and not state["cut"]:
                 cuts[slot] += 1
                 state["cut"] = True
@@ -491,3 +501,154 @@ def test_feature_vector_validation_and_array():
     arr = fv.as_array()
     assert arr.shape == (9,)
     assert arr[0] == 1.0 and arr[3] == 3.0 and arr[8] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the columnar fold against the sample-walking oracle
+# ---------------------------------------------------------------------------
+
+_APPS = ("app0", "app1", "app2", "app3")
+_SSIDS = ("home", "office", "cafe")
+
+
+@st.composite
+def _traces(draw):
+    """Traces with several app records a sample, runs of rows in one slot,
+    cut spacing on both sides of ten minutes, and optionally relabelled."""
+    samples, t = [], draw(st.integers(0, 20_000))
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.sampled_from([60, 120, 300, 540, 660, 3600]))
+        state = draw(st.sampled_from([W, C, N]))
+        visible = set(draw(st.lists(st.sampled_from(_SSIDS), unique=True)))
+        ssid = draw(st.sampled_from(_SSIDS)) if state is W else None
+        apps = tuple(app(a, up=draw(st.integers(0, 3)), down=draw(st.integers(0, 3)),
+                         running=draw(st.booleans()))
+                     for a in draw(st.lists(st.sampled_from(_APPS), unique=True, max_size=3)))
+        samples.append(MeasurementSample(t, state, ssid, frozenset(visible | {ssid} - {None}),
+                                         apps))
+    trace = Trace("fold", samples)
+    if draw(st.booleans()):
+        trace = normalize_timeline(trace, derive_preferred_profile(trace))
+    return trace
+
+
+@st.composite
+def _fold_plans(draw):
+    trace = draw(_traces())
+    db = HistoryDB(slot_minutes=draw(st.sampled_from([5, 15, 60])),
+                   tracked_apps=draw(st.lists(st.sampled_from(_APPS + ("ghost",)), unique=True)),
+                   profile=draw(st.sampled_from([None, derive_preferred_profile(trace)])),
+                   utc_offset_s=draw(st.sampled_from([0, 3600, -7200])))
+    cuts = sorted(draw(st.lists(st.integers(0, len(trace)), max_size=8)))
+    bounds = [0, *cuts, len(trace)]
+    # a batch may also be skipped: the next one then starts after a gap
+    ways = draw(st.lists(st.sampled_from(["rows", "samples", "snapshot", "copy", "skip"]),
+                         min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    return trace, db, list(zip(bounds, bounds[1:], ways))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fold_plans())
+def test_columnar_fold_matches_the_sample_walking_oracle(plan):
+    trace, db, batches = plan
+    oracle = HistoryOracle(db)
+    copy = trace.rows(0, len(trace))   # the same rows in other columns
+    for lo, hi, way in batches:
+        if way == "skip":
+            continue
+        if way == "snapshot":
+            db = HistoryDB.from_json(db.to_json())
+        if way == "samples":
+            update_history(db, trace.samples[lo:hi])
+        else:
+            fold_rows(db, copy if way == "copy" else trace, lo, hi)
+        oracle.update(trace.samples[lo:hi])
+        assert db.to_json() == oracle.to_json()
+        if oracle.latest is not None:
+            assert sample_from_obj(json.loads(db.to_json())["latest"]) == oracle.latest
+
+
+@settings(deadline=None, max_examples=200)
+@given(_fold_plans(), st.data())
+def test_a_batch_out_of_order_raises_and_changes_nothing(plan, data):
+    trace, db, batches = plan
+    done = data.draw(st.integers(1, len(trace)))
+    fold_rows(db, trace, 0, done)
+    before = db.to_json()
+    lo = data.draw(st.integers(0, done - 1))
+    hi = data.draw(st.integers(lo + 1, len(trace)))
+    expected = f"sample at t={trace.t[lo]} not after t={trace.t[done - 1]}"
+    with pytest.raises(OrderingError) as rows_error:
+        fold_rows(db, trace, lo, hi)
+    assert str(rows_error.value) == expected
+    assert db.to_json() == before
+    # a sample batch fails at its first sample out of order, anywhere in it
+    batch = list(trace.samples[done:hi]) + list(trace.samples[lo:hi])
+    oracle = HistoryOracle(db)
+    oracle.latest = trace.samples[done - 1]
+    with pytest.raises(OrderingError) as oracle_error:
+        oracle.update(batch)
+    with pytest.raises(OrderingError) as samples_error:
+        update_history(db, batch)
+    assert str(samples_error.value) == str(oracle_error.value)
+    assert db.to_json() == before
+
+
+@settings(deadline=None, max_examples=100)
+@given(_fold_plans(), st.data())
+def test_slot_groups_are_the_sample_groups(plan, data):
+    trace, db, _ = plan
+    lo = data.draw(st.integers(0, len(trace)))
+    hi = data.draw(st.integers(lo, len(trace)))
+    slots, starts, stops = slot_groups(db, trace, lo, hi)
+    groups = group_by_slot(db, trace.samples[lo:hi])
+    assert slots.tolist() == [slot for slot, _ in groups]
+    assert [trace.samples[a:b] for a, b in zip(starts.tolist(), stops.tolist())] == [
+        tuple(group) for _, group in groups]
+
+
+def test_feature_matrix_rows_are_the_one_row_features():
+    db = make_db(profile=_profile_hw())
+    ts = 2 * 86400 + 21 * 3600
+    update_history(db, [sample(ts, W, ssid="home", visible={"home", "cafe"})])
+    db.slot_observations[:] = 4
+    db.cut_hist[::3] = 1
+    slots = np.arange(80, 180)
+    X = feature_matrix(db, slots, ts, EventKind.CUT)
+    for s, row in zip(slots.tolist(), X):
+        assert extract_features(db, s, ts, EventKind.CUT).as_array().tobytes() == row.tobytes()
+
+
+def test_folds_that_start_inside_a_slot_count_from_their_first_row():
+    # three rows in slot 0: the first is never folded, and the app it ran
+    # counts again at the third row
+    trace = Trace("mid", [sample(0, W, apps=(app("facebook"),)), sample(60, C),
+                          sample(120, C, apps=(app("facebook"),))])
+    db = make_db()
+    oracle = HistoryOracle(make_db())
+    for lo, hi in ((1, 2), (2, 3)):
+        fold_rows(db, trace, lo, hi)
+        oracle.update(trace.samples[lo:hi])
+    assert db.app_hist["facebook"][0] == 1
+    assert db.to_json() == oracle.to_json()
+
+
+@pytest.mark.parametrize("edits, named", [
+    ({"open_key": [0, 1, 2]}, "'open_key'"),
+    ({"open_key": [0, 96]}, "'open_key'"),
+    ({"open_key": "0,1"}, "'open_key'"),
+    ({"open_apps": ["spotify"]}, "'open_apps'"),
+], ids=["open-key-triple", "open-key-slot-past-day", "open-key-string", "untracked-open-app"])
+def test_history_snapshot_open_state_errors_name_the_key(edits, named):
+    with pytest.raises(ModelError) as exc:
+        HistoryDB.from_json(_edited(**edits))
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 1), (0, 4)])
+def test_fold_rows_outside_the_trace_is_a_parameter_error(lo, hi):
+    trace = Trace("p", [sample(t, W) for t in (0, 300, 600)])
+    db = make_db()
+    with pytest.raises(ParameterError):
+        fold_rows(db, trace, lo, hi)
+    assert db.to_json() == make_db().to_json()

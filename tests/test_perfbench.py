@@ -116,3 +116,15 @@ def test_ingest_workers_never_build_the_sample_view(small_corpus, monkeypatch, t
     monkeypatch.setenv("PCACH_THREADS", "1")  # the workers run in this process
     monkeypatch.chdir(small_corpus)
     assert main([*args, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["backtest", "--predictor", "history", "--split", "0.5"],
+    ["backtest", "--predictor", "adaboost", "--split", "0.5"],
+    ["sweep-k", "--train-days", "3"],
+], ids=["backtest-history", "backtest-adaboost", "sweep-k"])
+def test_replay_workers_never_build_the_sample_view(small_corpus, monkeypatch, tmp_path, args):
+    monkeypatch.setattr(trace_mod, "_build_samples", _no_view)
+    monkeypatch.setenv("PCACH_THREADS", "1")  # the workers run in this process
+    monkeypatch.chdir(small_corpus)
+    assert main([*args, "--traces", "jsonl", "--out", str(tmp_path / "out")]) == 0

@@ -150,6 +150,24 @@ def test_config_values_out_of_range_are_config_errors(edit, named):
     assert named in str(exc.value)
 
 
+_GENERATOR_RANGE_ERRORS = [
+    ({"baseline_cuts_per_day": -5.0}, "baseline_cuts_per_day"),
+    ({"weekend_surge_scale": -3.0}, "weekend_surge_scale"),
+    ({"evening_gap_window": [30.0, 40.0]}, "evening_gap_window"),
+    ({"evening_gap_window": [23.0, 21.0]}, "evening_gap_window"),
+    ({"pcachable_gap_rate_mean": -1.0}, "pcachable_gap_rate_mean"),
+]
+_GENERATOR_RANGE_IDS = ["negative-baseline-cuts", "negative-weekend-scale",
+                        "window-past-24", "window-reversed", "negative-gap-rate"]
+
+
+@pytest.mark.parametrize("edit, named", _GENERATOR_RANGE_ERRORS, ids=_GENERATOR_RANGE_IDS)
+def test_generator_rates_and_windows_out_of_range_are_config_errors(edit, named):
+    with pytest.raises(ConfigError) as exc:
+        GeneratorConfig.from_json(json.dumps({**_CONFIG, **edit}))
+    assert named in str(exc.value)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         dataclasses.replace(reference_config(), cellular_share_target=1.5)

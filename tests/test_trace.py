@@ -26,13 +26,18 @@ from pcach.trace import (
     ingest_trace,
     normalize_timeline,
     read_trace,
-    samples_in_window,
     trace_to_csv,
     trace_to_jsonl,
 )
 
 from helpers import C, N, W, app, brute_force_gaps, random_trace, sample, seeded_rng, trace_from_states
-from oracles import gaps_oracle, normalize_oracle, profile_oracle, window_oracle
+from oracles import (
+    gaps_oracle,
+    normalize_oracle,
+    profile_oracle,
+    samples_in_window,
+    window_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
