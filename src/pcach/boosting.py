@@ -134,8 +134,12 @@ class AdaBoostModel:
     def from_json(cls, text: str) -> "AdaBoostModel":
         """The model a :meth:`to_json` text holds. A missing key and a
         non-numeric or non-finite threshold, alpha or decision threshold
-        raise :class:`ModelError` naming it."""
-        d = json.loads(text)
+        raise :class:`ModelError` naming it, and a text that is not valid
+        JSON raises :class:`ModelError` saying so."""
+        try:
+            d = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
+            raise ModelError(f"model is not valid JSON ({exc})") from None
         stumps = tuple(
             Stump(feature_index=_model_field(s, "feature", f"stumps[{i}]"),
                   threshold=_finite_field(s, "threshold", f"stumps[{i}]"),

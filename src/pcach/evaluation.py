@@ -42,7 +42,6 @@ from .history import (
     rank_slot_apps,
     selected_apps,
     slot_groups,
-    update_history,  # noqa: F401  (kept bound here: perfbench patches it by module)
 )
 from .pipeline import (
     PCachConfig,

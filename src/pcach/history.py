@@ -13,8 +13,9 @@ timestamps, per-app dedup is the first occurrence of each (key, app) pair,
 cut and resume transitions are masks over the state column shifted by one
 row, with the newest folded row carried in, and the counts go in with
 ``np.add.at``. Only the (day, slot) left open at the end of a batch carries
-across calls. :func:`update_history` turns a batch of sample objects into the
-same columns and runs the same fold. :func:`slot_groups` splits a row range
+across calls, and the newest folded row is a row of the trace it came from.
+:func:`update_history`, the on-device step's fold, wraps its batch of sample
+objects in a ``Trace`` and folds that. :func:`slot_groups` splits a row range
 into its slots, the chronological slot iterator of every replay.
 
 The predictors read arrays: :func:`feature_matrix` builds the nine context
@@ -33,9 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -52,11 +52,8 @@ from .trace import (
     CUT_MAX_SPACING_S,
     STATE_CELLULAR,
     STATE_WIFI,
-    MeasurementSample,
     PreferredNetworkProfile,
     Trace,
-    _sample_to_obj,
-    _STATE_CODE,
     in_hour_window,
     ingest_trace,
     is_weekday,
@@ -74,31 +71,6 @@ DAY_WINDOW = (8, 20)
 class EventKind(Enum):
     CUT = "cut"
     RESUME = "resume"
-
-
-def app_ran(record) -> bool:
-    """An app counts as used when it appeared running or moved bytes."""
-    return record.running or record.total_bytes > 0
-
-
-class LatestRow(NamedTuple):
-    """The newest folded row: its time, network state and visible networks,
-    and ``obj()``, its JSONL object, made only when a snapshot needs it."""
-
-    timestamp: int
-    state: int
-    visible: frozenset[str]
-    obj: Callable[[], dict]
-
-
-def _trace_row(trace: Trace, i: int) -> LatestRow:
-    return LatestRow(int(trace.t[i]), int(trace.state[i]),
-                     trace.visible_sets[trace.visible[i]], partial(trace.row_obj, i))
-
-
-def _sample_row(sample: MeasurementSample) -> LatestRow:
-    return LatestRow(sample.timestamp, _STATE_CODE[sample.active_network],
-                     sample.visible_ssids, partial(_sample_to_obj, sample))
 
 
 class HistoryDB:
@@ -136,9 +108,8 @@ class HistoryDB:
         self.app_counts = self._usage[:n_apps]
         self.app_hist = MappingProxyType(
             {a: self.app_counts[i] for i, a in enumerate(self.tracked_apps)})
-        # the newest folded row, as (fold columns, row), and its LatestRow
+        # the newest folded row, as (fold columns, row)
         self._newest: Optional[tuple] = None
-        self._latest: tuple = (None, None)
         # dedup state of the absolute slot (day, slot) currently being filled;
         # while _open_rows is set, that state is the OR of those rows
         self._open_key: Optional[int] = None
@@ -160,9 +131,6 @@ class HistoryDB:
         """Absolute slot of a time, elementwise for an array of times."""
         return (timestamp + self.utc_offset_s) // (self.slot_minutes * 60)
 
-    def slot_of_day(self, timestamp: int) -> int:
-        return self.abs_slot(timestamp) % self.n_slots
-
     def event_probability(self, slot: int, kind: EventKind) -> float:
         """Empirical per-slot event probability; 0 for unobserved slots."""
         s = slot % self.n_slots
@@ -180,16 +148,6 @@ class HistoryDB:
         p = np.zeros(len(s))
         np.divide(hist, obs, out=p, where=obs > 0)
         return p
-
-    @property
-    def latest(self) -> Optional[LatestRow]:
-        """The newest folded row, or None before the first fold."""
-        if self._newest is None:
-            return None
-        if self._latest[0] is not self._newest:
-            cols, i = self._newest
-            self._latest = (self._newest, cols.row(i))
-        return self._latest[1]
 
     @property
     def last_timestamp(self) -> Optional[int]:
@@ -212,7 +170,8 @@ class HistoryDB:
             "resume_hist": self.resume_hist.tolist(),
             "slot_observations": self.slot_observations.tolist(),
             "profile": self.profile.to_dict() if self.profile else None,
-            "latest": None if self.latest is None else self.latest.obj(),
+            "latest": None if self._newest is None else self._newest[0].trace.row_obj(
+                self._newest[1]),
             "open_key": open_key,
             "open_apps": sorted(self.tracked_apps[i] for i in self._open_apps),
             "open_cut": self._open_cut,
@@ -226,10 +185,17 @@ class HistoryDB:
         A missing key, an ``app_hist`` whose apps differ from
         ``tracked_apps``, a histogram whose length is not ``n_slots``, a
         negative or non-integer count, an ``open_key`` that is not a
-        (day, slot) pair, an untracked open app and an invalid ``latest``
-        sample raise :class:`ModelError` naming the key.
+        (day, slot) pair, an untracked open app, a non-boolean ``open_cut`` or
+        ``open_resume`` and an invalid ``latest`` sample raise
+        :class:`ModelError` naming the key; so do a text that is not valid
+        JSON and one that is not a JSON object.
         """
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
+            raise ModelError(f"history snapshot is not valid JSON ({exc})") from None
+        if type(d) is not dict:
+            raise ModelError(f"history snapshot must be a JSON object, got {type(d).__name__}")
         try:
             db = cls(
                 slot_minutes=d["slot_minutes"],
@@ -252,7 +218,7 @@ class HistoryDB:
                     row = ingest_trace(json.dumps(d["latest"]).encode(), fmt="jsonl")
                 except PCachError as exc:
                     raise ModelError(f"history snapshot key 'latest': {exc}") from None
-                db._newest = (_FoldColumns.of_trace(db, row), 0)
+                db._newest = (_FoldColumns(db, row), 0)
             open_key = d["open_key"]
             if open_key is not None:
                 if (type(open_key) is not list or len(open_key) != 2
@@ -261,13 +227,19 @@ class HistoryDB:
                     raise ModelError("history snapshot key 'open_key' must be null or "
                                      f"[day, slot] with slot in [0, {db.n_slots})")
                 db._open_key = open_key[0] * db.n_slots + open_key[1]
-            untracked = set(d["open_apps"]) - set(db.tracked_apps)
+            open_apps = d["open_apps"]
+            if type(open_apps) is not list or not all(type(a) is str for a in open_apps):
+                raise ModelError("history snapshot key 'open_apps' must be a list of app ids")
+            untracked = set(open_apps) - set(db.tracked_apps)
             if untracked:
                 raise ModelError(f"history snapshot key 'open_apps': untracked apps "
                                  f"{sorted(untracked)}")
-            db._open_apps = {db._app_index[a] for a in d["open_apps"]}
-            db._open_cut = d["open_cut"]
-            db._open_resume = d["open_resume"]
+            db._open_apps = {db._app_index[a] for a in open_apps}
+            for key in ("open_cut", "open_resume"):
+                if type(d[key]) is not bool:
+                    raise ModelError(f"history snapshot key {key!r} must be a boolean, "
+                                     f"got {d[key]!r}")
+            db._open_cut, db._open_resume = d["open_cut"], d["open_resume"]
         except KeyError as exc:
             raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
         return db
@@ -321,31 +293,23 @@ def _transitions(prev, cur, dt):
 
 
 class _FoldColumns:
-    """The columns a fold reads, on one database's slot clock.
+    """The columns of a trace that a fold reads, on one database's slot clock.
 
     Rows are grouped into runs of one absolute slot: run ``g`` holds rows
     ``run_start[g]:run_start[g + 1]`` of absolute slot ``run_key[g]`` (slot of
     day ``run_slot[g]``), and ``gids`` is each row's run. ``cut``/``resume``
     mark each row's transition from the row before it (never on row 0). The
     records of tracked apps that ran are kept as CSR: row ``i`` owns
-    ``app[app_off[i]:app_off[i + 1]]`` (tracked indices). ``row(i)`` is row
-    ``i`` as a :class:`LatestRow`. The fields are Python lists, which the
-    fold reads a few rows at a time; :meth:`increments` works on arrays.
+    ``app[app_off[i]:app_off[i + 1]]`` (tracked indices). ``visible`` holds
+    each row's id into ``trace.visible_sets``. The fields are Python lists,
+    which the fold and the features read a few rows at a time;
+    :meth:`increments` works on arrays.
     """
 
-    __slots__ = ("times", "states", "cut", "resume", "app", "app_off", "gids", "run_start",
-                 "run_key", "run_slot", "row", "_increments")
+    __slots__ = ("trace", "times", "states", "visible", "cut", "resume", "app", "app_off",
+                 "gids", "run_start", "run_key", "run_slot", "_increments")
 
-    def __init__(self, times, states, cut, resume, app, app_off, gids, run_start, run_key,
-                 run_slot, row):
-        self.times, self.states, self.cut, self.resume = times, states, cut, resume
-        self.app, self.app_off, self.gids = app, app_off, gids
-        self.run_start, self.run_key, self.run_slot = run_start, run_key, run_slot
-        self.row = row
-        self._increments = None
-
-    @classmethod
-    def of_trace(cls, db: HistoryDB, trace: Trace) -> "_FoldColumns":
+    def __init__(self, db: HistoryDB, trace: Trace):
         n = len(trace)
         t, state = trace.t, trace.state
         tracked = np.array([db._app_index.get(a, -1) for a in trace.app_ids],
@@ -355,36 +319,16 @@ class _FoldColumns:
         run_key, run_start, run_stop = slot_groups(db, trace, 0, n)
         cut, resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         cut[1:], resume[1:] = _transitions(state[:-1], state[1:], np.diff(t))
-        return cls(t.tolist(), state.tolist(), cut.tolist(), resume.tolist(),
-                   tracked[ran].tolist(), np.searchsorted(rec_row, np.arange(n + 1)).tolist(),
-                   np.repeat(np.arange(len(run_key)), run_stop - run_start).tolist(),
-                   run_start.tolist() + [n], run_key.tolist(),
-                   (run_key % db.n_slots).tolist(), partial(_trace_row, trace))
-
-    @classmethod
-    def of_samples(cls, db: HistoryDB, samples: Sequence[MeasurementSample]) -> "_FoldColumns":
-        index = db._app_index
-        times, states, cut, resume = [], [], [], []
-        app, app_off, gids, run_start, run_key = [], [0], [], [], []
-        for i, s in enumerate(samples):
-            t, state = s.timestamp, _STATE_CODE[s.active_network]
-            c, r = _transitions(states[-1], state, t - times[-1]) if i else (False, False)
-            times.append(t)
-            states.append(state)
-            cut.append(c)
-            resume.append(r)
-            for rec in s.apps:
-                a = index.get(rec.app_id)
-                if a is not None and app_ran(rec):
-                    app.append(a)
-            app_off.append(len(app))
-            key = db.abs_slot(t)
-            if not run_key or run_key[-1] != key:
-                run_start.append(i)
-                run_key.append(key)
-            gids.append(len(run_key) - 1)
-        return cls(times, states, cut, resume, app, app_off, gids, run_start + [len(times)],
-                   run_key, [k % db.n_slots for k in run_key], lambda i: _sample_row(samples[i]))
+        self.trace = trace
+        self.times, self.states, self.visible = t.tolist(), state.tolist(), trace.visible.tolist()
+        self.cut, self.resume = cut.tolist(), resume.tolist()
+        self.app = tracked[ran].tolist()
+        self.app_off = np.searchsorted(rec_row, np.arange(n + 1)).tolist()
+        self.gids = np.repeat(np.arange(len(run_key)), run_stop - run_start).tolist()
+        self.run_start = run_start.tolist() + [n]
+        self.run_key = run_key.tolist()
+        self.run_slot = (run_key % db.n_slots).tolist()
+        self._increments = None
 
     def increments(self, db: HistoryDB) -> tuple[list[int], np.ndarray]:
         """Each row's increments of ``db._hist`` when every run is folded
@@ -516,28 +460,30 @@ def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None
     if not 0 <= lo <= hi <= len(trace):
         raise ParameterError(f"rows {lo}:{hi} outside the trace's {len(trace)} rows")
     if db._columns[0] is not trace:
-        db._columns = (trace, _FoldColumns.of_trace(db, trace))
+        db._columns = (trace, _FoldColumns(db, trace))
     _fold(db, db._columns[1], lo, hi)
     return db
 
 
-def update_history(db: HistoryDB, new_samples: Iterable[MeasurementSample]) -> HistoryDB:
-    """Fold a batch of samples into the histograms (in place; returns db).
+def update_history(db: HistoryDB, new_samples: Iterable) -> HistoryDB:
+    """Fold a batch of :class:`~pcach.trace.MeasurementSample` objects into
+    the histograms (in place; returns db).
 
-    The samples become the columns of :func:`fold_rows` and go through the
-    same fold. The batch is all-or-nothing: unless its timestamps strictly
-    increase after ``db.last_timestamp``, it raises :class:`OrderingError`
-    and leaves the database untouched.
+    The batch becomes a :class:`~pcach.trace.Trace` and goes through
+    :func:`fold_rows`. It is all-or-nothing: unless its timestamps strictly
+    increase after ``db.last_timestamp``, it raises :class:`OrderingError`,
+    and a batch whose byte counts exceed int64 or sum past 2**62 raises
+    :class:`~pcach.errors.TraceValidationError`; either leaves the database
+    untouched.
     """
-    if not isinstance(new_samples, (list, tuple)):
-        new_samples = list(new_samples)
+    batch = tuple(new_samples)
     last = db.last_timestamp
-    for sample in new_samples:
+    for sample in batch:
         if last is not None and sample.timestamp <= last:
             raise OrderingError(f"sample at t={sample.timestamp} not after t={last}")
         last = sample.timestamp
-    if new_samples:
-        _fold(db, _FoldColumns.of_samples(db, new_samples), 0, len(new_samples))
+    if batch:
+        fold_rows(db, Trace("", batch))
     return db
 
 
@@ -754,7 +700,7 @@ def feature_matrix(
     for the newest row they are computed once per time; the slot index and
     the slot probability, the target event's empirical rate, vary by slot.
     """
-    if db.latest is None:
+    if db._newest is None:
         raise FeatureError("no sample to extract features from")
     if db.profile is None:
         raise FeatureError("history database has no preferred-network profile")
@@ -789,7 +735,8 @@ def _context(db: HistoryDB, flags: np.ndarray, now) -> np.ndarray:
 def _newest_context(db: HistoryDB, now: int) -> tuple[float, ...]:
     """:func:`_context` of the newest row at ``now``; computed once per
     visible set, night flag and weekday flag."""
-    visible = db.latest.visible
+    cols, i = db._newest
+    visible = cols.trace.visible_sets[cols.visible[i]]
     key = (visible, in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s),
            is_weekday(now, db.utc_offset_s))
     context = db._contexts.get(key)

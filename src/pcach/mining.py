@@ -131,17 +131,6 @@ def gap_duration_cdf(gaps: Sequence[WiFiGap]) -> list[tuple[int, float]]:
     return points
 
 
-def cdf_at(points: Sequence[tuple[int, float]], duration_s: float) -> float:
-    """Evaluate an empirical CDF (as returned by gap_duration_cdf)."""
-    value = 0.0
-    for d, frac in points:
-        if d <= duration_s:
-            value = frac
-        else:
-            break
-    return value
-
-
 def event_time_histogram(
     gaps: Iterable[WiFiGap],
     slot_minutes: int = 15,

@@ -199,8 +199,12 @@ def pcach_step(
 ) -> list[str]:
     """One pass of the periodic pre-caching loop.
 
-    Folds ``new_samples`` into the history and returns the apps of
-    :func:`decide`: empty when no cut is predicted for the next slot.
+    Folds ``new_samples`` into the history with :func:`update_history` and
+    returns the apps of :func:`decide`: empty when no cut is predicted for the
+    next slot. A batch out of order raises
+    :class:`~pcach.errors.OrderingError`, and one whose byte counts exceed
+    int64 or sum past 2**62 raises :class:`~pcach.errors.TraceValidationError`;
+    either leaves ``db`` untouched and decides nothing.
     """
     if rng is None:
         rng = np.random.default_rng()

@@ -24,14 +24,16 @@ The tables are tuples; an entry no row uses is allowed, and two traces are
 equal when their rows carry the same values, whatever the table order. The
 columns are read-only.
 
-``Trace.samples`` is a read-only view of the rows as
-:class:`MeasurementSample` objects, for code that walks sample objects. It is
-built once, on first access, and cached. The view of a normalized trace
-reuses its source trace's view: every sample that was not relabelled is the
-very same object. The trace-level stages (profile, normalization, gap
+:class:`MeasurementSample` objects live only at the edge of the columns,
+with one conversion each way: ``Trace(phone_id, samples)`` turns samples into
+columns, and ``Trace.samples`` is a read-only view of the rows as samples,
+built once with the ordinary constructors on first access and cached. The
+view of a normalized trace reuses its source trace's view: every sample that
+was not relabelled is the very same object. ``Trace.row_obj(i)`` is row ``i``
+as its JSONL object. The trace-level stages (profile, normalization, gap
 detection, and in :mod:`pcach.mining` the traffic split and the pre-cache
-bound) run as array passes over the columns, and the replays of
-:mod:`pcach.history` and :mod:`pcach.evaluation` fold the columns; none of
+bound) run as array passes over the columns, and the history folds of
+:mod:`pcach.history` and :mod:`pcach.evaluation` read the columns; none of
 them builds the view.
 
 Two derived notions drive everything downstream:
@@ -159,36 +161,6 @@ def _check_sample(t: int, active: ActiveNetwork, ssid: Optional[str],
             seen.add(app_id)
 
 
-# The view's samples and records come from validated columns: they are built
-# without re-running __post_init__, through the slot descriptors.
-_new = object.__new__
-_SET_SAMPLE = tuple(MeasurementSample.__dict__[f].__set__ for f in (
-    "timestamp", "active_network", "connected_ssid", "visible_ssids", "apps"))
-_SET_RECORD = tuple(AppTrafficRecord.__dict__[f].__set__ for f in (
-    "app_id", "up_bytes", "down_bytes", "running"))
-
-
-def _trusted_sample(t, active, ssid, visible, apps) -> MeasurementSample:
-    s = _new(MeasurementSample)
-    set_t, set_active, set_ssid, set_visible, set_apps = _SET_SAMPLE
-    set_t(s, t)
-    set_active(s, active)
-    set_ssid(s, ssid)
-    set_visible(s, visible)
-    set_apps(s, apps)
-    return s
-
-
-def _trusted_record(app_id, up, down, running) -> AppTrafficRecord:
-    r = _new(AppTrafficRecord)
-    set_id, set_up, set_down, set_running = _SET_RECORD
-    set_id(r, app_id)
-    set_up(r, up)
-    set_down(r, down)
-    set_running(r, running)
-    return r
-
-
 def _int64_column(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=np.int64)
@@ -307,7 +279,7 @@ class Trace:
                      nominal_period_s: int = DEFAULT_PERIOD_S) -> "Trace":
         """A trace of ready columns. Their values are trusted: only the
         period, the timestamp order and the byte total are checked."""
-        trace = _new(cls)
+        trace = object.__new__(cls)
         trace._set_columns(
             phone_id, nominal_period_s, _int64_column(t, "timestamp"),
             np.asarray(state, dtype=np.uint8), np.asarray(ssid, dtype=np.int32),
@@ -451,16 +423,17 @@ def _build_samples(trace: Trace) -> tuple[MeasurementSample, ...]:
         wifi, ssids = ActiveNetwork.WIFI, trace.ssids
         for i, code in zip(relabelled.tolist(), trace.ssid[relabelled].tolist()):
             s = samples[i]
-            samples[i] = _trusted_sample(s.timestamp, wifi, ssids[code], s.visible_ssids, s.apps)
+            samples[i] = MeasurementSample(s.timestamp, wifi, ssids[code], s.visible_ssids,
+                                           s.apps)
         return tuple(samples)
     app_ids = trace.app_ids
-    records = list(map(_trusted_record, [app_ids[i] for i in trace.app.tolist()],
+    records = list(map(AppTrafficRecord, [app_ids[i] for i in trace.app.tolist()],
                        trace.up.tolist(), trace.down.tolist(), trace.running.tolist()))
     offsets = trace.app_offsets.tolist()
     ssids = trace.ssids + (None,)  # id -1 is no SSID
     visible_sets = trace.visible_sets
     return tuple(map(
-        _trusted_sample, trace.t.tolist(), [STATES[c] for c in trace.state.tolist()],
+        MeasurementSample, trace.t.tolist(), [STATES[c] for c in trace.state.tolist()],
         [ssids[i] for i in trace.ssid.tolist()], [visible_sets[i] for i in trace.visible.tolist()],
         [tuple(records[a:b]) for a, b in zip(offsets, offsets[1:])]))
 
@@ -570,21 +543,8 @@ def in_hour_window(timestamp, window: tuple[int, int], utc_offset_s: int = 0):
 _CSV_FIELDS = ("phone_id", "t", "active", "ssid", "visible", "app_id", "up", "down", "running")
 
 
-def _sample_to_obj(sample: MeasurementSample) -> dict:
-    return {
-        "t": sample.timestamp,
-        "active": sample.active_network.value,
-        "ssid": sample.connected_ssid,
-        "visible": sorted(sample.visible_ssids),
-        "apps": [
-            {"id": a.app_id, "up": a.up_bytes, "down": a.down_bytes, "running": a.running}
-            for a in sample.apps
-        ],
-    }
-
-
 def trace_to_jsonl(trace: Trace) -> bytes:
-    """One line per sample, as ``json.dumps(_sample_to_obj(sample),
+    """One line per row ``i``, as ``json.dumps(trace.row_obj(i),
     separators=(",", ":"), ensure_ascii=False)`` writes it; each SSID,
     visible set and app id of the tables is encoded once."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode

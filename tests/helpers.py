@@ -43,6 +43,17 @@ def app(app_id, up=0, down=0, running=True):
     return AppTrafficRecord(app_id=app_id, up_bytes=up, down_bytes=down, running=running)
 
 
+def cdf_at(points, duration_s):
+    """Evaluate an empirical CDF (as returned by ``gap_duration_cdf``)."""
+    value = 0.0
+    for d, frac in points:
+        if d <= duration_s:
+            value = frac
+        else:
+            break
+    return value
+
+
 def trace_from_states(states, spacing=300, start=0, phone_id="phone", bytes_per_sample=0):
     """Build a trace from a list of ActiveNetwork states at fixed spacing."""
     samples = []

@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from pcach.errors import OrderingError
-from pcach.history import app_ran
 from pcach.trace import (
     CUT_MAX_SPACING_S,
     ActiveNetwork,
@@ -27,6 +26,26 @@ from pcach.trace import (
     ingest_trace,
     local_day_index,
 )
+
+
+def app_ran(record):
+    """An app counts as used when it appeared running or moved bytes."""
+    return record.running or record.total_bytes > 0
+
+
+def sample_to_obj(sample):
+    """The JSONL object of one sample, built field by field: the writer
+    oracle of ``trace_to_jsonl`` and ``Trace.row_obj``."""
+    return {
+        "t": sample.timestamp,
+        "active": sample.active_network.value,
+        "ssid": sample.connected_ssid,
+        "visible": sorted(sample.visible_ssids),
+        "apps": [
+            {"id": a.app_id, "up": a.up_bytes, "down": a.down_bytes, "running": a.running}
+            for a in sample.apps
+        ],
+    }
 
 
 def is_cut_transition(prev, cur):

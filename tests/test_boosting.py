@@ -244,14 +244,22 @@ def _model_dict():
     (lambda d: d.update(decision_threshold=float("nan")), "'decision_threshold'"),
     (lambda d: d.update(decision_threshold="0"), "'decision_threshold'"),
     (lambda d: d["stumps"].append(1.0), "stumps[2]"),
+    ('{"stumps": [', "not valid JSON"),
+    ("", "not valid JSON"),
+    (b"\xff", "not valid JSON"),
 ], ids=["no-threshold", "no-alpha", "no-decision-threshold", "no-rounds", "no-stumps",
         "string-threshold", "nan-threshold", "null-threshold", "inf-alpha", "bool-alpha",
-        "nan-decision-threshold", "string-decision-threshold", "non-object-stump"])
+        "nan-decision-threshold", "string-decision-threshold", "non-object-stump",
+        "truncated-json", "empty-text", "invalid-utf8"])
 def test_model_json_errors_name_the_key(edit, named):
-    d = _model_dict()
-    edit(d)
+    if isinstance(edit, (str, bytes)):
+        text = edit
+    else:
+        d = _model_dict()
+        edit(d)
+        text = json.dumps(d)
     with pytest.raises(ModelError) as exc:
-        AdaBoostModel.from_json(json.dumps(d))
+        AdaBoostModel.from_json(text)
     assert named in str(exc.value)
 
 

@@ -11,12 +11,12 @@ from pcach.errors import (
     ModelError,
     OrderingError,
     ParameterError,
+    TraceValidationError,
 )
 from pcach.history import (
     EventKind,
     FeatureVector,
     HistoryDB,
-    app_ran,
     extract_features,
     feature_matrix,
     fold_rows,
@@ -38,7 +38,7 @@ from pcach.trace import (
 )
 
 from helpers import C, N, W, app, sample, seeded_rng
-from oracles import HistoryOracle, group_by_slot, sample_from_obj
+from oracles import HistoryOracle, app_ran, group_by_slot, sample_from_obj
 
 import dataclasses
 
@@ -88,6 +88,21 @@ def test_running_or_traffic_counts_as_ran():
     assert app_ran(app("x", running=True))
     assert app_ran(app("x", running=False, down=1))
     assert not app_ran(app("x", running=False))
+
+
+@pytest.mark.parametrize("up", [2**63, 2**62], ids=["past-int64", "sum-past-2**62"])
+def test_a_batch_whose_bytes_overflow_raises_and_changes_nothing(up):
+    db, clean = make_db(), make_db()
+    for d in (db, clean):
+        update_history(d, [sample(0, W, apps=(app("mail"),))])
+    before = db.to_json()
+    with pytest.raises(TraceValidationError):
+        update_history(db, [sample(300, C, apps=(app("facebook", up=up),)), sample(600, W)])
+    assert db.to_json() == before
+    # the next batch folds as if the failed one had never come
+    for d in (db, clean):
+        update_history(d, [sample(300, C, apps=(app("facebook"),)), sample(600, W)])
+    assert db.to_json() == clean.to_json()
 
 
 def test_out_of_order_samples_rejected():
@@ -441,7 +456,7 @@ def test_features_saturday_evening_home_visible():
     # epoch day 2 is a Saturday; 21:00 local
     ts = 2 * 86400 + 21 * 3600
     update_history(db, [sample(ts, W, ssid="home", visible={"home"})])
-    fv = extract_features(db, db.slot_of_day(ts), ts, EventKind.CUT)
+    fv = extract_features(db, db.abs_slot(ts) % db.n_slots, ts, EventKind.CUT)
     assert fv.home_wifi_night is True
     assert fv.work_wifi_day is False
     assert fv.weekday is False
@@ -638,10 +653,20 @@ def test_folds_that_start_inside_a_slot_count_from_their_first_row():
     ({"open_key": [0, 96]}, "'open_key'"),
     ({"open_key": "0,1"}, "'open_key'"),
     ({"open_apps": ["spotify"]}, "'open_apps'"),
-], ids=["open-key-triple", "open-key-slot-past-day", "open-key-string", "untracked-open-app"])
+    ({"open_apps": "mail"}, "'open_apps'"),
+    ({"open_cut": "yes"}, "'open_cut'"),
+    ({"open_resume": 1}, "'open_resume'"),
+    ("null", "JSON object"),
+    ("[]", "JSON object"),
+    ('{"slot_minutes": 15', "not valid JSON"),
+    (b"\xff", "not valid JSON"),
+], ids=["open-key-triple", "open-key-slot-past-day", "open-key-string", "untracked-open-app",
+        "open-apps-string", "string-open-cut", "int-open-resume", "null-text", "list-text",
+        "truncated-json", "invalid-utf8"])
 def test_history_snapshot_open_state_errors_name_the_key(edits, named):
+    text = edits if isinstance(edits, (str, bytes)) else _edited(**edits)
     with pytest.raises(ModelError) as exc:
-        HistoryDB.from_json(_edited(**edits))
+        HistoryDB.from_json(text)
     assert named in str(exc.value)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pcach.errors import ParameterError
 from pcach.mining import (
     SlotOfDayHistogram,
-    cdf_at,
     event_time_histogram,
     gap_duration_cdf,
     horizon_sweep,
@@ -26,7 +25,7 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import C, N, W, app, random_trace, sample, seeded_rng, trace_from_states
+from helpers import C, N, W, app, cdf_at, random_trace, sample, seeded_rng, trace_from_states
 from oracles import bound_oracle, gaps_oracle, normalize_oracle, traffic_split_oracle
 from test_trace import _traces
 

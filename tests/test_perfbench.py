@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from pcach import evaluation
+from pcach import pipeline
 from pcach import trace as trace_mod
 from pcach.cli import main
 from pcach.pipeline import PredictorKind
@@ -55,7 +55,7 @@ def test_traced_step_drive_runs_for_each_predictor(layers, kind):
     else:
         assert "history.history_predict_event" in names
     # the package's own bindings come back once the block ends
-    assert evaluation.update_history.__module__ == "pcach.history"
+    assert pipeline.update_history.__module__ == "pcach.history"
 
 
 PHONES = ("phone-000", "phone-001")

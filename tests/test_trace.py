@@ -19,7 +19,6 @@ from pcach.trace import (
     MeasurementSample,
     Trace,
     WiFiGap,
-    _sample_to_obj,
     closed_gaps,
     derive_preferred_profile,
     detect_gaps,
@@ -35,6 +34,7 @@ from oracles import (
     gaps_oracle,
     normalize_oracle,
     profile_oracle,
+    sample_to_obj,
     samples_in_window,
     window_oracle,
 )
@@ -351,8 +351,9 @@ _SPECIAL_CELLS = Trace("a,\"b\"", (
 @given(_traces())
 @example(_SPECIAL_CELLS)
 def test_jsonl_writer_matches_per_sample_json_dumps(trace):
-    lines = [json.dumps(_sample_to_obj(s), separators=(",", ":"), ensure_ascii=False)
-             for s in trace.samples]
+    objs = [sample_to_obj(s) for s in trace.samples]
+    assert [trace.row_obj(i) for i in range(len(trace))] == objs
+    lines = [json.dumps(obj, separators=(",", ":"), ensure_ascii=False) for obj in objs]
     assert trace_to_jsonl(trace) == ("\n".join(lines) + "\n").encode("utf-8")
 
 
