@@ -228,11 +228,6 @@ class _PresortedColumns:
         return best
 
 
-def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """One round's stump search on unsorted data (see :class:`_PresortedColumns`)."""
-    return _PresortedColumns(np.asarray(X, dtype=float), np.asarray(y)).best_stump(w)
-
-
 def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
                       decision_threshold: float = 0.0) -> AdaBoostModel:
     """Fit boosted stumps on feature rows X and labels y in {-1, +1}."""

@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -308,21 +308,15 @@ def sweep_points(runs: Sequence[AppPredictionRun]) -> list[KSweepPoint]:
         raise DataError("empty corpus")
     points = []
     for k in sorted(runs[0].counts_by_k):
-        rates = []
-        for run in runs:
-            try:
-                rates.append(tpr_fpr(run.counts_by_k[k]))
-            except UndefinedRateError:
-                continue
-        if not rates:
+        try:
+            tpr, fpr, phones = _macro_rates([run.counts_by_k[k] for run in runs], tpr_fpr)
+        except UndefinedRateError:
             continue
-        tpr = float(np.mean([r[0] for r in rates]))
-        fpr = float(np.mean([r[1] for r in rates]))
         points.append(KSweepPoint(
             k=k,
             point=RocPoint(tpr=tpr, fpr=fpr, parameter=float(k)),
             quality_gap=quality_gap(tpr, fpr),
-            phones=len(rates),
+            phones=phones,
         ))
     return points
 
@@ -620,15 +614,21 @@ def backtest(
 
 def macro_average(reports: Sequence[BacktestReport], which: str = "cut") -> RocPoint:
     """Across-phone mean of per-phone rates; phones with undefined rates drop."""
-    rates = []
-    for r in reports:
+    tpr, fpr, _ = _macro_rates(reports, lambda r: r.rates(which))
+    return RocPoint(tpr=tpr, fpr=fpr)
+
+
+def _macro_rates(phones: Iterable, rates: Callable) -> tuple[float, float, int]:
+    """(mean TPR, mean FPR, phones averaged) of ``rates(phone)`` over the
+    phones in order, skipping phones whose rates are undefined; raises
+    :class:`UndefinedRateError` when no phone's are defined."""
+    defined = []
+    for phone in phones:
         try:
-            rates.append(r.rates(which))
+            defined.append(rates(phone))
         except UndefinedRateError:
             continue
-    if not rates:
+    if not defined:
         raise UndefinedRateError("no phone produced defined rates")
-    return RocPoint(
-        tpr=float(np.mean([t for t, _ in rates])),
-        fpr=float(np.mean([f for _, f in rates])),
-    )
+    return (float(np.mean([tpr for tpr, _ in defined])),
+            float(np.mean([fpr for _, fpr in defined])), len(defined))

@@ -10,10 +10,11 @@ profiles are immutable.
 History is folded from columns. :func:`fold_rows` folds a row range of a
 :class:`~pcach.trace.Trace` as array passes: (day, slot) keys come from the
 timestamps, per-app dedup is the first occurrence of each (key, app) pair,
-cut and resume transitions are masks over the state column shifted by one
-row, with the newest folded row carried in, and the counts go in with
-``np.add.at``. Only the (day, slot) left open at the end of a batch carries
-across calls, and the newest folded row is a row of the trace it came from.
+cut and resume are :func:`~pcach.trace.transitions` masks over the state
+column shifted by one row, with the newest folded row carried in, and the
+counts go in with ``np.add.at``. Only the (day, slot) of the newest folded
+row carries across calls, as the set of count cells it has already counted,
+and the newest folded row is a row of the trace it came from.
 :func:`update_history`, the on-device step's fold, wraps its batch of sample
 objects in a ``Trace`` and folds that. :func:`slot_groups` splits a row range
 into its slots, the chronological slot iterator of every replay.
@@ -46,17 +47,18 @@ from .errors import (
     OrderingError,
     ParameterError,
     PCachError,
+    TraceValidationError,
 )
 from .mining import slots_per_day
 from .trace import (
-    CUT_MAX_SPACING_S,
-    STATE_CELLULAR,
-    STATE_WIFI,
+    DEFAULT_NIGHT_WINDOW,
     PreferredNetworkProfile,
     Trace,
     in_hour_window,
     ingest_trace,
     is_weekday,
+    trace_to_jsonl,
+    transitions,
 )
 
 DEFAULT_SLOT_MINUTES = 15
@@ -64,8 +66,6 @@ DEFAULT_N_DRAWS = 10000
 DEFAULT_DELTA = 0.1
 DEFAULT_MAX_LOOKAHEAD = 96
 DEFAULT_GAP_SLOTS = 2
-NIGHT_WINDOW = (20, 8)
-DAY_WINDOW = (8, 20)
 
 
 class EventKind(Enum):
@@ -110,16 +110,12 @@ class HistoryDB:
             {a: self.app_counts[i] for i, a in enumerate(self.tracked_apps)})
         # the newest folded row, as (fold columns, row)
         self._newest: Optional[tuple] = None
-        # dedup state of the absolute slot (day, slot) currently being filled;
-        # while _open_rows is set, that state is the OR of those rows
-        self._open_key: Optional[int] = None
-        self._open_apps: set[int] = set()   # tracked indices
-        self._open_cut = False
-        self._open_resume = False
-        self._open_rows: Optional[tuple] = None
-        # (columns, since, stop): rows since:stop of those columns were the
-        # last folds, folded as the columns' own runs dictate
-        self._folded: tuple = (None, 0, 0)
+        # the _hist cells the newest row's (day, slot) has counted: a set, or
+        # (columns, first, stop) for the cells those rows' increments hold
+        self._counted: set[int] | tuple = set()
+        # rows _since up to the newest of its columns were folded as the
+        # columns' own runs dictate
+        self._since = 0
         self._columns: tuple = (None, None)   # (trace, its fold columns)
         self._rows_of: dict[tuple[str, ...], np.ndarray] = {}
         self._flags: dict[frozenset[str], tuple[float, ...]] = {}
@@ -159,8 +155,14 @@ class HistoryDB:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        _sync_open(self)
-        open_key = None if self._open_key is None else list(divmod(self._open_key, self.n_slots))
+        # the counted cells share one slot, so each one's row of _hist says
+        # what it counts: 1 the cut, 2 the resume, 3 + j tracked app j
+        counted = {cell // self.n_slots for cell in _counted_cells(self)}
+        latest = open_key = None
+        if self._newest is not None:
+            cols, i = self._newest
+            latest = json.loads(trace_to_jsonl(cols.trace.rows(i, i + 1)))
+            open_key = list(divmod(self.abs_slot(self.last_timestamp), self.n_slots))
         return json.dumps({
             "slot_minutes": self.slot_minutes,
             "tracked_apps": list(self.tracked_apps),
@@ -170,25 +172,30 @@ class HistoryDB:
             "resume_hist": self.resume_hist.tolist(),
             "slot_observations": self.slot_observations.tolist(),
             "profile": self.profile.to_dict() if self.profile else None,
-            "latest": None if self._newest is None else self._newest[0].trace.row_obj(
-                self._newest[1]),
+            "latest": latest,
             "open_key": open_key,
-            "open_apps": sorted(self.tracked_apps[i] for i in self._open_apps),
-            "open_cut": self._open_cut,
-            "open_resume": self._open_resume,
+            "open_apps": sorted(self.tracked_apps[row - 3] for row in counted if row >= 3),
+            "open_cut": 1 in counted,
+            "open_resume": 2 in counted,
         }, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "HistoryDB":
         """The database a :meth:`to_json` text holds.
 
-        A missing key, an ``app_hist`` whose apps differ from
-        ``tracked_apps``, a histogram whose length is not ``n_slots``, a
-        negative or non-integer count, an ``open_key`` that is not a
-        (day, slot) pair, an untracked open app, a non-boolean ``open_cut`` or
-        ``open_resume`` and an invalid ``latest`` sample raise
-        :class:`ModelError` naming the key; so do a text that is not valid
-        JSON and one that is not a JSON object.
+        Every key is checked, and a bad value raises :class:`ModelError`
+        naming the key: a missing key, a ``slot_minutes`` that is not an
+        integer dividing a day, a non-integer ``utc_offset_s``,
+        ``tracked_apps`` that are not distinct app ids, a ``profile`` that is
+        neither null nor a valid profile object, an ``app_hist`` whose apps
+        differ from ``tracked_apps``, a histogram whose length is not
+        ``n_slots``, a negative or non-integer count, an invalid ``latest``
+        sample, an untracked open app and a non-boolean ``open_cut`` or
+        ``open_resume``. The open state is the newest row's: ``open_key``
+        must be the [day, slot] of ``latest``, and a snapshot whose
+        ``latest`` is null must carry no open state (a null ``open_key``, no
+        ``open_apps``, false ``open_cut`` and ``open_resume``). A text that is
+        not valid JSON or not a JSON object raises :class:`ModelError` too.
         """
         try:
             d = json.loads(text)
@@ -197,49 +204,61 @@ class HistoryDB:
         if type(d) is not dict:
             raise ModelError(f"history snapshot must be a JSON object, got {type(d).__name__}")
         try:
-            db = cls(
-                slot_minutes=d["slot_minutes"],
-                tracked_apps=d["tracked_apps"],
-                profile=PreferredNetworkProfile.from_dict(d["profile"]) if d["profile"] else None,
-                utc_offset_s=d["utc_offset_s"],
-            )
+            for key in ("slot_minutes", "utc_offset_s"):
+                if type(d[key]) is not int:
+                    raise ModelError(f"history snapshot key {key!r} must be an integer, "
+                                     f"got {d[key]!r}")
+            try:
+                slots_per_day(d["slot_minutes"])
+            except ParameterError as exc:
+                raise ModelError(f"history snapshot key 'slot_minutes': {exc}") from None
+            tracked = d["tracked_apps"]
+            if not _names(tracked) or len(set(tracked)) != len(tracked):
+                raise ModelError("history snapshot key 'tracked_apps' must be a list of "
+                                 "distinct app ids")
+            db = cls(slot_minutes=d["slot_minutes"], tracked_apps=tracked,
+                     profile=_snapshot_profile(d["profile"]), utc_offset_s=d["utc_offset_s"])
+            n = db.n_slots
             app_hist = d["app_hist"]
             if type(app_hist) is not dict or set(app_hist) != set(db.tracked_apps):
                 raise ModelError(f"history snapshot key 'app_hist': apps {sorted(app_hist)} "
                                  f"differ from tracked_apps {sorted(db.tracked_apps)}")
             for a, h in app_hist.items():
-                db.app_hist[a][:] = _slot_counts(h, db.n_slots, f"app_hist[{a!r}]")
-            db.cut_hist[:] = _slot_counts(d["cut_hist"], db.n_slots, "cut_hist")
-            db.resume_hist[:] = _slot_counts(d["resume_hist"], db.n_slots, "resume_hist")
-            db.slot_observations[:] = _slot_counts(d["slot_observations"], db.n_slots,
-                                                   "slot_observations")
+                db.app_hist[a][:] = _slot_counts(h, n, f"app_hist[{a!r}]")
+            db.cut_hist[:] = _slot_counts(d["cut_hist"], n, "cut_hist")
+            db.resume_hist[:] = _slot_counts(d["resume_hist"], n, "resume_hist")
+            db.slot_observations[:] = _slot_counts(d["slot_observations"], n, "slot_observations")
+            open_key = None
             if d["latest"] is not None:
                 try:
                     row = ingest_trace(json.dumps(d["latest"]).encode(), fmt="jsonl")
                 except PCachError as exc:
                     raise ModelError(f"history snapshot key 'latest': {exc}") from None
                 db._newest = (_FoldColumns(db, row), 0)
-            open_key = d["open_key"]
-            if open_key is not None:
-                if (type(open_key) is not list or len(open_key) != 2
-                        or not all(type(v) is int for v in open_key)
-                        or not 0 <= open_key[1] < db.n_slots):
-                    raise ModelError("history snapshot key 'open_key' must be null or "
-                                     f"[day, slot] with slot in [0, {db.n_slots})")
-                db._open_key = open_key[0] * db.n_slots + open_key[1]
+                open_key = list(divmod(db.abs_slot(db.last_timestamp), n))
+            got = d["open_key"]
+            if got != open_key or not all(type(v) is int for v in got or ()):
+                raise ModelError(f"history snapshot key 'open_key' must be {json.dumps(open_key)}, "
+                                 f"the [day, slot] of 'latest', got {got!r}")
             open_apps = d["open_apps"]
-            if type(open_apps) is not list or not all(type(a) is str for a in open_apps):
+            if not _names(open_apps):
                 raise ModelError("history snapshot key 'open_apps' must be a list of app ids")
             untracked = set(open_apps) - set(db.tracked_apps)
             if untracked:
                 raise ModelError(f"history snapshot key 'open_apps': untracked apps "
                                  f"{sorted(untracked)}")
-            db._open_apps = {db._app_index[a] for a in open_apps}
             for key in ("open_cut", "open_resume"):
                 if type(d[key]) is not bool:
                     raise ModelError(f"history snapshot key {key!r} must be a boolean, "
                                      f"got {d[key]!r}")
-            db._open_cut, db._open_resume = d["open_cut"], d["open_resume"]
+            for key in ("open_apps", "open_cut", "open_resume"):
+                if open_key is None and d[key]:
+                    raise ModelError(f"history snapshot key {key!r} holds open state, "
+                                     "but 'latest' is null")
+            if open_key is not None:
+                rows = [0, *(3 + db._app_index[a] for a in open_apps)]
+                rows += [row for row, key in ((1, "open_cut"), (2, "open_resume")) if d[key]]
+                db._counted = {row * n + open_key[1] for row in rows}
         except KeyError as exc:
             raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
         return db
@@ -272,6 +291,29 @@ class HistoryDB:
         return flags
 
 
+def _names(values) -> bool:
+    """Whether a snapshot value is a list of strings."""
+    return type(values) is list and all(type(v) is str for v in values)
+
+
+def _snapshot_profile(value) -> Optional[PreferredNetworkProfile]:
+    """A snapshot's ``profile``: null, or the object
+    :meth:`PreferredNetworkProfile.to_dict` writes."""
+    if value is None:
+        return None
+    if (type(value) is not dict or not _names(value.get("preferred"))
+            or not _names(value.get("top3"))
+            or not all(type(value.get(key)) in (str, type(None))
+                       for key in ("home_ssid", "work_ssid"))):
+        raise ModelError("history snapshot key 'profile' must be null or an object of "
+                         "'preferred' and 'top3' SSID lists and 'home_ssid' and "
+                         "'work_ssid' SSIDs or nulls")
+    try:
+        return PreferredNetworkProfile.from_dict(value)
+    except TraceValidationError as exc:
+        raise ModelError(f"history snapshot key 'profile': {exc}") from None
+
+
 def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
     """A snapshot histogram: a list of ``n_slots`` non-negative integers."""
     if type(values) is not list or len(values) != n_slots:
@@ -284,13 +326,6 @@ def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the columnar fold
 # ---------------------------------------------------------------------------
-
-def _transitions(prev, cur, dt):
-    """(cut, resume) of a row in state ``cur`` after a row in state
-    ``prev`` ``dt`` seconds earlier; elementwise for arrays."""
-    return ((prev == STATE_WIFI) & (cur == STATE_CELLULAR) & (dt <= CUT_MAX_SPACING_S),
-            (prev == STATE_CELLULAR) & (cur == STATE_WIFI))
-
 
 class _FoldColumns:
     """The columns of a trace that a fold reads, on one database's slot clock.
@@ -318,7 +353,7 @@ class _FoldColumns:
         rec_row = np.repeat(np.arange(n), np.diff(trace.app_offsets))[ran]
         run_key, run_start, run_stop = slot_groups(db, trace, 0, n)
         cut, resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        cut[1:], resume[1:] = _transitions(state[:-1], state[1:], np.diff(t))
+        cut[1:], resume[1:] = transitions(state[:-1], state[1:], np.diff(t))
         self.trace = trace
         self.times, self.states, self.visible = t.tolist(), state.tolist(), trace.visible.tolist()
         self.cut, self.resume = cut.tolist(), resume.tolist()
@@ -361,84 +396,68 @@ class _FoldColumns:
         return self._increments
 
 
-def _sync_open(db: HistoryDB) -> None:
-    """Make the open (day, slot)'s dedup state explicit."""
-    if db._open_rows is not None:
-        cols, first, stop = db._open_rows
-        db._open_apps = set(cols.app[cols.app_off[first]:cols.app_off[stop]])
-        db._open_cut = any(cols.cut[first:stop])
-        db._open_resume = any(cols.resume[first:stop])
-        db._open_rows = None
+def _counted_cells(db: HistoryDB) -> set[int]:
+    """``db._counted`` as a set of flat ``_hist`` indices."""
+    if type(db._counted) is tuple:
+        cols, first, stop = db._counted
+        offsets, index = cols.increments(db)
+        db._counted = set(index[offsets[first]:offsets[stop]].tolist())
+    return db._counted
 
 
 def _fold_head(db: HistoryDB, cols: _FoldColumns, lo: int, stop: int) -> None:
-    """Fold rows ``lo:stop``, all of one run, against the open state: the
-    first rows of a batch that does not continue the columns' own runs."""
-    _sync_open(db)
-    g = cols.gids[lo]
-    slot, carried = cols.run_slot[g], db._open_key == cols.run_key[g]
-    ran = set(cols.app[cols.app_off[lo]:cols.app_off[stop]])
-    counts = db.app_counts
-    for a in ran - db._open_apps if carried else ran:
-        counts[a, slot] += 1
-    if not carried:
-        db.slot_observations[slot] += 1
+    """Fold rows ``lo:stop``, all of one run, against the counted cells: the
+    first rows of a batch that does not continue the columns' own runs.
 
+    The run hits its slot's observation, event and app cells; each hit the
+    newest row's (day, slot) has not counted yet adds 1.
+    """
+    g = cols.gids[lo]
+    n, slot = db.n_slots, cols.run_slot[g]
     # row lo's transitions are from the newest folded row
     newest = db._newest
-    if newest is not None and newest[0] is cols and newest[1] == lo - 1:
-        cut, resume = cols.cut[lo], cols.resume[lo]
-    elif newest is not None:
+    cut = resume = False
+    if newest is not None:
         prev, i = newest
-        cut, resume = _transitions(prev.states[i], cols.states[lo],
-                                   cols.times[lo] - prev.times[i])
-    else:
-        cut = resume = False
-    cut = cut or any(cols.cut[lo + 1:stop])
-    resume = resume or any(cols.resume[lo + 1:stop])
-    if cut and not (carried and db._open_cut):
-        db.cut_hist[slot] += 1
-    if resume and not (carried and db._open_resume):
-        db.resume_hist[slot] += 1
-
-    db._open_key = cols.run_key[g]
-    if carried:
-        db._open_apps = db._open_apps | ran
-        db._open_cut, db._open_resume = cut or db._open_cut, resume or db._open_resume
-    else:
-        db._open_apps, db._open_cut, db._open_resume = ran, cut, resume
+        cut, resume = transitions(prev.states[i], cols.states[lo], cols.times[lo] - prev.times[i])
+    hits = {slot, *(3 * n + a * n + slot for a in cols.app[cols.app_off[lo]:cols.app_off[stop]])}
+    if cut or any(cols.cut[lo + 1:stop]):
+        hits.add(n + slot)
+    if resume or any(cols.resume[lo + 1:stop]):
+        hits.add(2 * n + slot)
+    carried = newest is not None and db.abs_slot(db.last_timestamp) == cols.run_key[g]
+    counted = _counted_cells(db) if carried else set()
+    for cell in hits - counted:
+        db._hist[cell] += 1
+    db._counted = hits | counted
 
 
 def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> None:
     """Fold rows ``lo:hi`` of ``cols`` into ``db``; see :func:`fold_rows`.
 
-    When the batch continues the last one over the same columns, and those
-    folds took the open run from its first row, every row's increments are
-    the columns' own (:meth:`_FoldColumns.increments`) and go in with one
-    ``np.add.at``. Otherwise the rows of the batch's first run are folded
-    against the open state first, and the runs that start inside the batch
-    take the columns' increments.
+    When the batch continues the newest row's columns, and the folds since
+    ``db._since`` took the open run from its first row, every row's
+    increments are the columns' own (:meth:`_FoldColumns.increments`) and go
+    in with one ``np.add.at``. Otherwise the rows of the batch's first run
+    are folded against the counted cells first, and the runs that start
+    inside the batch take the columns' increments.
     """
     if lo >= hi:
         return
     t0, last = cols.times[lo], db.last_timestamp
     if last is not None and t0 <= last:
         raise OrderingError(f"sample at t={t0} not after t={last}")
-    folded, since, stop = db._folded
     g0 = cols.gids[lo]
-    if folded is cols and stop == lo and since <= cols.run_start[g0]:
+    if db._newest == (cols, lo - 1) and db._since <= cols.run_start[g0]:
         head_stop = lo
     else:
-        head_stop = since = min(hi, cols.run_start[g0 + 1])
+        head_stop = db._since = min(hi, cols.run_start[g0 + 1])
         _fold_head(db, cols, lo, head_stop)
     if head_stop < hi:
         offsets, index = cols.increments(db)
         np.add.at(db._hist, index[offsets[head_stop]:offsets[hi]], 1)
-        g = cols.gids[hi - 1]
-        db._open_key = cols.run_key[g]
-        db._open_rows = (cols, cols.run_start[g], hi)
+        db._counted = (cols, cols.run_start[cols.gids[hi - 1]], hi)
     db._newest = (cols, hi - 1)
-    db._folded = (cols, since, hi)
 
 
 def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None) -> HistoryDB:
@@ -723,7 +742,7 @@ def feature_matrix(
 def _context(db: HistoryDB, flags: np.ndarray, now) -> np.ndarray:
     """Features 1-7 from :meth:`HistoryDB._visible_flags` rows and the time
     (elementwise for one row and time per slot)."""
-    at_night = in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s)
+    at_night = in_hour_window(now, DEFAULT_NIGHT_WINDOW, db.utc_offset_s)
     out = np.empty(flags.shape[:-1] + (7,))
     out[..., 0] = at_night * flags[..., 0]
     out[..., 1] = np.logical_not(at_night) * flags[..., 1]
@@ -737,7 +756,7 @@ def _newest_context(db: HistoryDB, now: int) -> tuple[float, ...]:
     visible set, night flag and weekday flag."""
     cols, i = db._newest
     visible = cols.trace.visible_sets[cols.visible[i]]
-    key = (visible, in_hour_window(now, NIGHT_WINDOW, db.utc_offset_s),
+    key = (visible, in_hour_window(now, DEFAULT_NIGHT_WINDOW, db.utc_offset_s),
            is_weekday(now, db.utc_offset_s))
     context = db._contexts.get(key)
     if context is None:

@@ -29,8 +29,8 @@ with one conversion each way: ``Trace(phone_id, samples)`` turns samples into
 columns, and ``Trace.samples`` is a read-only view of the rows as samples,
 built once with the ordinary constructors on first access and cached. The
 view of a normalized trace reuses its source trace's view: every sample that
-was not relabelled is the very same object. ``Trace.row_obj(i)`` is row ``i``
-as its JSONL object. The trace-level stages (profile, normalization, gap
+was not relabelled is the very same object. :func:`trace_to_jsonl` is the
+one JSONL row encoder. The trace-level stages (profile, normalization, gap
 detection, and in :mod:`pcach.mining` the traffic split and the pre-cache
 bound) run as array passes over the columns, and the history folds of
 :mod:`pcach.history` and :mod:`pcach.evaluation` read the columns; none of
@@ -335,22 +335,6 @@ class Trace:
         lo = int(np.searchsorted(self.t, start, side="left"))
         return lo, max(lo, int(np.searchsorted(self.t, end, side="left")))
 
-    def row_obj(self, i: int) -> dict:
-        """Row ``i`` as the JSONL object :func:`trace_to_jsonl` writes for it."""
-        a0, a1 = int(self.app_offsets[i]), int(self.app_offsets[i + 1])
-        ssid = int(self.ssid[i])
-        app_ids = self.app_ids
-        return {
-            "t": int(self.t[i]),
-            "active": STATES[int(self.state[i])].value,
-            "ssid": None if ssid < 0 else self.ssids[ssid],
-            "visible": sorted(self.visible_sets[int(self.visible[i])]),
-            "apps": [{"id": app_ids[a], "up": up, "down": down, "running": r}
-                     for a, up, down, r in zip(self.app[a0:a1].tolist(), self.up[a0:a1].tolist(),
-                                               self.down[a0:a1].tolist(),
-                                               self.running[a0:a1].tolist())],
-        }
-
     def sample_bytes(self) -> np.ndarray:
         """Each sample's up + down bytes over all its app records (int64)."""
         total = np.concatenate(([0], np.cumsum(self.up + self.down)))
@@ -544,7 +528,8 @@ _CSV_FIELDS = ("phone_id", "t", "active", "ssid", "visible", "app_id", "up", "do
 
 
 def trace_to_jsonl(trace: Trace) -> bytes:
-    """One line per row ``i``, as ``json.dumps(trace.row_obj(i),
+    """One line per row: the row's object (``t``, ``active``, ``ssid``, the
+    sorted ``visible`` list and its ``apps`` records) as ``json.dumps(obj,
     separators=(",", ":"), ensure_ascii=False)`` writes it; each SSID,
     visible set and app id of the tables is encoded once."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -1021,6 +1006,17 @@ def normalize_timeline(trace: Trace, profile: PreferredNetworkProfile) -> Trace:
 # Gap detection.
 # ---------------------------------------------------------------------------
 
+def transitions(prev, cur, dt):
+    """(cut, resume) of a row in state ``cur`` after a row in state ``prev``
+    ``dt`` seconds earlier; elementwise for arrays.
+
+    A cut is WiFi -> cellular with the rows at most ``CUT_MAX_SPACING_S``
+    apart; a resume is cellular -> WiFi at any spacing.
+    """
+    return ((prev == STATE_WIFI) & (cur == STATE_CELLULAR) & (dt <= CUT_MAX_SPACING_S),
+            (prev == STATE_CELLULAR) & (cur == STATE_WIFI))
+
+
 def detect_gaps(trace: Trace) -> list[WiFiGap]:
     """Pair cut events with the first subsequent resume event.
 
@@ -1032,13 +1028,11 @@ def detect_gaps(trace: Trace) -> list[WiFiGap]:
     no second cut can come first, since every sample in between is cellular.
     """
     t, state = trace.t, trace.state
-    prev, cur = state[:-1], state[1:]
-    cuts = np.flatnonzero((prev == STATE_WIFI) & (cur == STATE_CELLULAR)
-                          & (np.diff(t) <= CUT_MAX_SPACING_S)) + 1
+    cut, resume = transitions(state[:-1], state[1:], np.diff(t))
+    cuts = np.flatnonzero(cut) + 1
     if not cuts.size:
         return []
-    stops = np.flatnonzero((cur == STATE_NONE)
-                           | ((prev == STATE_CELLULAR) & (cur == STATE_WIFI))) + 1
+    stops = np.flatnonzero((state[1:] == STATE_NONE) | resume) + 1
     stop = np.append(stops, len(t))[np.searchsorted(stops, cuts, side="right")]
     resumed = stop < len(t)
     resumed[resumed] = state[stop[resumed]] == STATE_WIFI

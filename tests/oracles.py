@@ -35,7 +35,7 @@ def app_ran(record):
 
 def sample_to_obj(sample):
     """The JSONL object of one sample, built field by field: the writer
-    oracle of ``trace_to_jsonl`` and ``Trace.row_obj``."""
+    oracle of ``trace_to_jsonl``."""
     return {
         "t": sample.timestamp,
         "active": sample.active_network.value,

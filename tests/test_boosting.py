@@ -75,9 +75,10 @@ def test_each_round_matches_brute_force_stump_search():
     if (y == y[0]).all():
         y[0] = -y[0]
     w = np.full(40, 1 / 40)
-    from pcach.boosting import _best_stump
+    from pcach.boosting import _PresortedColumns
+    columns = _PresortedColumns(X, y)
     for _ in range(5):
-        got = _best_stump(X, y, w)
+        got = columns.best_stump(w)
         want = brute_force_best_stump(X, y, w)
         assert got[0] == pytest.approx(want[0])
         # re-weight with the found stump to follow the boosting trajectory

@@ -239,9 +239,19 @@ def _edited(**edits):
     ({"app_hist_facebook": [0] * 95 + [True]}, "app_hist['facebook']"),
     ({"cut_hist": "0" * 96}, "'cut_hist'"),
     ({"latest": {"t": 5, "active": "WIFI"}}, "'latest'"),
+    ({"profile": "x"}, "'profile'"),
+    ({"profile": {"preferred": ["home"], "top3": ["cafe"], "home_ssid": "home",
+                  "work_ssid": "home"}}, "'profile'"),
+    ({"tracked_apps": 5}, "'tracked_apps'"),
+    ({"tracked_apps": ["facebook", "mail", "mail"]}, "'tracked_apps'"),
+    ({"slot_minutes": "15"}, "'slot_minutes'"),
+    ({"slot_minutes": 7}, "'slot_minutes'"),
+    ({"utc_offset_s": "x"}, "'utc_offset_s'"),
 ], ids=["untracked-app", "missing-app", "short-app-row", "short-cut-hist",
         "long-resume-hist", "negative-count", "float-count", "bool-count",
-        "string-hist", "wifi-without-ssid"])
+        "string-hist", "wifi-without-ssid", "string-profile", "top3-not-preferred",
+        "int-tracked-apps", "repeated-tracked-app", "string-slot-minutes",
+        "slot-minutes-not-dividing-a-day", "string-utc-offset"])
 def test_history_snapshot_errors_name_the_key(edits, named):
     with pytest.raises(ModelError) as exc:
         HistoryDB.from_json(_edited(**edits))
@@ -656,13 +666,19 @@ def test_folds_that_start_inside_a_slot_count_from_their_first_row():
     ({"open_apps": "mail"}, "'open_apps'"),
     ({"open_cut": "yes"}, "'open_cut'"),
     ({"open_resume": 1}, "'open_resume'"),
+    ({"open_key": [0, 1]}, "'open_key'"),
+    ({"open_key": [0, 0.0]}, "'open_key'"),
+    ({"latest": None}, "'open_key'"),
+    ({"latest": None, "open_key": None}, "'open_apps'"),
+    ({"latest": None, "open_key": None, "open_apps": []}, "'open_cut'"),
     ("null", "JSON object"),
     ("[]", "JSON object"),
     ('{"slot_minutes": 15', "not valid JSON"),
     (b"\xff", "not valid JSON"),
 ], ids=["open-key-triple", "open-key-slot-past-day", "open-key-string", "untracked-open-app",
-        "open-apps-string", "string-open-cut", "int-open-resume", "null-text", "list-text",
-        "truncated-json", "invalid-utf8"])
+        "open-apps-string", "string-open-cut", "int-open-resume", "open-key-not-latest-slot",
+        "float-open-key", "open-key-without-latest", "open-apps-without-latest",
+        "open-cut-without-latest", "null-text", "list-text", "truncated-json", "invalid-utf8"])
 def test_history_snapshot_open_state_errors_name_the_key(edits, named):
     text = edits if isinstance(edits, (str, bytes)) else _edited(**edits)
     with pytest.raises(ModelError) as exc:

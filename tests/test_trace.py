@@ -352,7 +352,7 @@ _SPECIAL_CELLS = Trace("a,\"b\"", (
 @example(_SPECIAL_CELLS)
 def test_jsonl_writer_matches_per_sample_json_dumps(trace):
     objs = [sample_to_obj(s) for s in trace.samples]
-    assert [trace.row_obj(i) for i in range(len(trace))] == objs
+    assert [json.loads(trace_to_jsonl(trace.rows(i, i + 1))) for i in range(len(trace))] == objs
     lines = [json.dumps(obj, separators=(",", ":"), ensure_ascii=False) for obj in objs]
     assert trace_to_jsonl(trace) == ("\n".join(lines) + "\n").encode("utf-8")
 
