@@ -22,15 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import PCachError, UndefinedRateError
+from .errors import ParameterError, PCachError, UndefinedRateError
 from .evaluation import (
     PAPER_K_SET,
     app_prediction_run,
     backtest,
     macro_average,
-    quality_gap,
+    rate_record,
     sweep_points,
 )
+from .history import HistoryDB
 from .mining import (
     DEFAULT_HORIZONS_MIN,
     event_time_histogram,
@@ -41,7 +42,6 @@ from .mining import (
 from .pipeline import PCachConfig, PredictorKind
 from .synth import GeneratorConfig, generate_trace, reference_config
 from .trace import (
-    WiFiGap,
     closed_gaps,
     derive_preferred_profile,
     detect_gaps,
@@ -126,6 +126,16 @@ def _per_phone(fn, paths: list[Path], **params) -> list:
     return [result for _, result in sorted(results, key=lambda pair: pair[0])]
 
 
+def _checked_utc_offset(args) -> int:
+    """``--local-utc-offset``, in the range the history database accepts;
+    checked before any worker runs."""
+    try:
+        HistoryDB(utc_offset_s=args.local_utc_offset)
+    except ParameterError as exc:
+        raise PCachError(f"--local-utc-offset: {exc}") from None
+    return args.local_utc_offset
+
+
 def _normalized(trace):
     """The trace's normalized timeline and gaps. Normalization reads only the
     preferred SSIDs, which no time-of-day setting changes."""
@@ -191,7 +201,7 @@ def _mine_phone(trace, *, horizons, slot_minutes, local_utc_offset):
         "cellular_bytes": split.cellular_bytes,
         "wifi_bytes": split.wifi_bytes,
         "cellular_fraction": split.cellular_fraction,
-        "durations": [g.duration_s for g in closed],
+        "closed_gaps": closed,
         "n_gaps": len(gaps),
         "n_open": sum(1 for g in gaps if g.open),
         "n_excluded": sum(1 for g in gaps if g.excluded),
@@ -229,13 +239,11 @@ def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
         summary["cellular_share_median_phone"] = float(np.median(fractions)) if fractions else None
 
     if "gap_cdf" in emit:
-        durations = [d for r in results for d in r["durations"]]
-        points = gap_duration_cdf(
-            [WiFiGap(cut_time=0, resume_time=d) for d in durations])
+        closed = [g for r in results for g in r["closed_gaps"]]
         _write_csv(out_dir / "gap_cdf.csv", ["duration_s", "fraction"],
-                   [[d, f"{f:.6f}"] for d, f in points])
+                   [[d, f"{f:.6f}"] for d, f in gap_duration_cdf(closed)])
         outputs.append("gap_cdf.csv")
-        summary["gaps_in_cdf"] = len(durations)
+        summary["gaps_in_cdf"] = len(closed)
 
     if "histogram" in emit:
         n = len(results[0]["cut_hist"])
@@ -281,7 +289,7 @@ def cmd_mine(args) -> int:
     return _run_mining(args, "mine", _mine_phone,
                        {"traffic", "gap_cdf", "histogram", "bound", "gaps"},
                        slot_minutes=args.slot_minutes,
-                       local_utc_offset=args.local_utc_offset)
+                       local_utc_offset=_checked_utc_offset(args))
 
 
 def cmd_bound(args) -> int:
@@ -344,7 +352,7 @@ def cmd_backtest(args) -> int:
     )
     reports = _per_phone(backtest, paths, config=config, split=args.split,
                          seed=args.seed if args.seed is not None else 0,
-                         utc_offset_s=args.local_utc_offset)
+                         utc_offset_s=_checked_utc_offset(args))
     out_dir = _out_dir(args.out)
 
     outputs = []
@@ -363,8 +371,7 @@ def cmd_backtest(args) -> int:
             point = macro_average(reports, which)
         except UndefinedRateError:
             return None
-        return {"tpr": point.tpr, "fpr": point.fpr,
-                "quality_gap": quality_gap(point.tpr, point.fpr)}
+        return rate_record(point.tpr, point.fpr)
 
     summary = {
         "predictor": args.predictor,
@@ -402,7 +409,7 @@ def cmd_sweep_k(args) -> int:
         raise PCachError(f"no feasible K values in {ks} for {len(s_apps)} apps")
     runs = _per_phone(app_prediction_run, _trace_paths(args.traces),
                       s_apps=s_apps, ks=feasible, slot_minutes=args.slot_minutes,
-                      train_days=args.train_days, utc_offset_s=args.local_utc_offset)
+                      train_days=args.train_days, utc_offset_s=_checked_utc_offset(args))
     out_dir = _out_dir(args.out)
     rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
              f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]

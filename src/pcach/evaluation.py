@@ -7,12 +7,15 @@ apps that actually moved bytes over cellular during the gap; gaps whose
 ground-truth set is empty are skipped and counted. Rates are macro-averaged
 across phones.
 
-Replays read the normalized trace's columns end to end and never build its
-sample view. The history folds the whole training prefix in one
-:func:`~pcach.history.fold_rows` call; the backtest then folds each test
-slot's rows (split by :func:`~pcach.history.slot_groups`) before that slot's
-decision, and the K sweep folds the rows between consecutive test gaps. The
-AdaBoost training features of every training slot come from one
+The backtest and the K sweep start each phone from one replay state: the
+training rows' preferred-network profile, the normalized timeline, an empty
+history database, and the gaps with their cut and resume slots on that
+database's slot clock. Replays read the normalized trace's columns end to
+end and never build its sample view. The history folds the whole training
+prefix in one :func:`~pcach.history.fold_rows` call; the backtest then folds
+each test slot's rows (split by :func:`~pcach.history.slot_groups`) before
+that slot's decision, and the K sweep folds the rows between consecutive test
+gaps. The AdaBoost training features of every training slot come from one
 :func:`~pcach.history.feature_matrix` call per event kind.
 """
 
@@ -129,6 +132,11 @@ def quality_gap(tpr: float, fpr: float) -> float:
     return math.sqrt(fpr * fpr + (1.0 - tpr) * (1.0 - tpr)) / math.sqrt(2.0)
 
 
+def rate_record(tpr: float, fpr: float) -> dict:
+    """The ``{tpr, fpr, quality_gap}`` record that reports and summaries carry."""
+    return {"tpr": tpr, "fpr": fpr, "quality_gap": quality_gap(tpr, fpr)}
+
+
 def score_app_prediction(
     predicted: Iterable[str],
     actually_used: Iterable[str],
@@ -158,45 +166,52 @@ def score_app_prediction(
 # shared replay machinery
 # ---------------------------------------------------------------------------
 
-def _gap_used_apps(norm: Trace, gap: WiFiGap, universe: set[str]) -> frozenset[str]:
-    """Pre-cachable apps that moved bytes during a closed gap.
-
-    Every sample in [cut, resume) of a closed gap is cellular: a WiFi sample
-    would have resumed the gap and an off-network one would have left it
-    open. An open gap has no ground-truth window and yields the empty set,
-    so callers skip it like a gap in which no pre-cachable app was used.
-    """
-    if gap.resume_time is None:
-        return frozenset()
-    lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
-    records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
-    moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
-    return frozenset(norm.app_ids[a] for a in np.unique(moved).tolist()) & universe
-
-
 @dataclass
-class _Truth:
-    """Ground-truth event structures of one normalized trace."""
+class _Replay:
+    """One phone's replay state: the normalized timeline, its history
+    database and its ground truth on the database's slot clock. The cut
+    slots are the keys of ``gap_by_cut_slot``, each with its first gap."""
 
+    norm: Trace
+    db: HistoryDB
     gaps: list[WiFiGap]
-    cut_slots: set[int]
-    resume_slots: set[int]
     gap_by_cut_slot: dict[int, WiFiGap]
+    resume_slots: set[int]
 
     @classmethod
-    def build(cls, norm: Trace, db: HistoryDB) -> "_Truth":
-        """Event slots on ``db``'s slot clock."""
+    def start(cls, trace: Trace, n_train: int, s_apps: Sequence[str],
+              slot_minutes: int, utc_offset_s: int) -> "_Replay":
+        """The state before any row is folded: the profile comes from the
+        first ``n_train`` rows alone, and the history database is empty."""
+        profile = derive_preferred_profile(trace.rows(0, n_train), utc_offset_s=utc_offset_s)
+        norm = normalize_timeline(trace, profile)
+        db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
+                       utc_offset_s=utc_offset_s)
         gaps = detect_gaps(norm)
-        cut_slots = set()
-        resume_slots = set()
-        by_slot: dict[int, WiFiGap] = {}
+        by_cut_slot: dict[int, WiFiGap] = {}
         for g in gaps:
-            cs = db.abs_slot(g.cut_time)
-            cut_slots.add(cs)
-            by_slot.setdefault(cs, g)
-            if g.resume_time is not None:
-                resume_slots.add(db.abs_slot(g.resume_time))
-        return cls(gaps, cut_slots, resume_slots, by_slot)
+            by_cut_slot.setdefault(db.abs_slot(g.cut_time), g)
+        resume_slots = {db.abs_slot(g.resume_time) for g in gaps if g.resume_time is not None}
+        return cls(norm, db, gaps, by_cut_slot, resume_slots)
+
+    def used_apps(self, gap: WiFiGap) -> frozenset[str]:
+        """Pre-cachable apps (the database's tracked apps) that moved bytes
+        during a closed gap.
+
+        Every sample in [cut, resume) of a closed gap is cellular: a WiFi
+        sample would have resumed the gap and an off-network one would have
+        left it open. An open gap has no ground-truth window and yields the
+        empty set, so callers skip it like a gap in which no pre-cachable app
+        was used.
+        """
+        if gap.resume_time is None:
+            return frozenset()
+        norm = self.norm
+        lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
+        records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
+        moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
+        used = frozenset(norm.app_ids[a] for a in np.unique(moved).tolist())
+        return used.intersection(self.db.tracked_apps)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +252,8 @@ def app_prediction_run(
     if not n_train or boundary >= trace.end_time:
         raise DataError(f"trace {trace.phone_id!r}: too short for the training prefix")
 
-    profile = derive_preferred_profile(trace.rows(0, n_train))
-    norm = normalize_timeline(trace, profile)
-    db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
-                   utc_offset_s=utc_offset_s)
-    truth = _Truth.build(norm, db)
-    universe = set(s_apps)
+    replay = _Replay.start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
+    norm, db = replay.norm, replay.db
     counts = {k: ConfusionCounts() for k in ks}
     scored = skipped = 0
 
@@ -250,10 +261,10 @@ def app_prediction_run(
     slots, starts, _ = slot_groups(db, norm, 0, len(norm))
     folded = 0
     for slot, start in zip(slots.tolist(), starts.tolist()):
-        gap = truth.gap_by_cut_slot.get(slot)
+        gap = replay.gap_by_cut_slot.get(slot)
         if gap is None or gap.cut_time < boundary:
             continue
-        used = _gap_used_apps(norm, gap, universe)
+        used = replay.used_apps(gap)
         if not used:
             skipped += 1
             continue
@@ -331,10 +342,6 @@ class ThresholdPoint:
     train: ConfusionCounts
     test: ConfusionCounts
 
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold,
-                "train": self.train.to_dict(), "test": self.test.to_dict()}
-
 
 @dataclass(frozen=True)
 class BacktestReport:
@@ -365,35 +372,15 @@ class BacktestReport:
         return tpr_fpr(getattr(self, which))
 
     def to_dict(self) -> dict:
-        def safe_rates(counts):
+        """Every field but the model texts; each confusion with its rates."""
+        d = dataclasses.asdict(self)
+        del d["cut_model_json"], d["resume_model_json"]
+        for which in ("cut", "resume", "apps"):
             try:
-                t, f = tpr_fpr(counts)
-                return {"tpr": t, "fpr": f, "quality_gap": quality_gap(t, f)}
+                d[which].update(rate_record(*self.rates(which)))
             except UndefinedRateError:
-                return {"tpr": None, "fpr": None, "quality_gap": None}
-
-        return {
-            "phone_id": self.phone_id,
-            "predictor": self.predictor,
-            "k": self.k,
-            "slot_minutes": self.slot_minutes,
-            "split_index": self.split_index,
-            "train_slots": self.train_slots,
-            "test_slots": self.test_slots,
-            "cut": {**self.cut.to_dict(), **safe_rates(self.cut)},
-            "resume": {**self.resume.to_dict(), **safe_rates(self.resume)},
-            "apps": {**self.apps.to_dict(), **safe_rates(self.apps)},
-            "scored_gaps": self.scored_gaps,
-            "skipped_gaps": self.skipped_gaps,
-            "true_test_gaps": self.true_test_gaps,
-            "predicted_cut_slots": self.predicted_cut_slots,
-            "resume_evaluated": self.resume_evaluated,
-            "resume_within_one": self.resume_within_one,
-            "trained_digest": self.trained_digest,
-            "selected_cut_threshold": self.selected_cut_threshold,
-            "selected_resume_threshold": self.selected_resume_threshold,
-            "cut_panel": [p.to_dict() for p in self.cut_panel],
-        }
+                d[which].update(dict.fromkeys(("tpr", "fpr", "quality_gap")))
+        return d
 
 
 def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> int:
@@ -413,9 +400,8 @@ def _split_index(trace: Trace, config: PCachConfig, split: Optional[float]) -> i
     return idx
 
 
-def _train_feature_pass(norm: Trace, idx: int, db: HistoryDB, truth: _Truth,
-                        last_train_slot: int):
-    """Per-slot features/labels over the training rows ``norm[:idx]``.
+def _train_feature_pass(replay: _Replay, idx: int, last_train_slot: int):
+    """Per-slot features/labels over the training rows ``replay.norm[:idx]``.
 
     Each training slot predicts the next one, up to the last training slot.
     Features use the training period's final histograms (frozen), so the
@@ -423,6 +409,7 @@ def _train_feature_pass(norm: Trace, idx: int, db: HistoryDB, truth: _Truth,
     nothing from the test period is touched. Each slot's newest row is its
     last one.
     """
+    norm, db = replay.norm, replay.db
     slots, _, stops = slot_groups(db, norm, 0, idx)
     targets = slots + 1
     keep = targets <= last_train_slot
@@ -431,8 +418,8 @@ def _train_feature_pass(norm: Trace, idx: int, db: HistoryDB, truth: _Truth,
     visible = [norm.visible_sets[v] for v in norm.visible[last].tolist()]
     X_cut = feature_matrix(db, targets, now, EventKind.CUT, visible)
     X_res = feature_matrix(db, targets, now, EventKind.RESUME, visible)
-    y_cut = np.where(np.isin(targets, list(truth.cut_slots)), 1, -1)
-    y_res = np.where(np.isin(targets, list(truth.resume_slots)), 1, -1)
+    y_cut = np.where(np.isin(targets, list(replay.gap_by_cut_slot)), 1, -1)
+    y_res = np.where(np.isin(targets, list(replay.resume_slots)), 1, -1)
     return X_cut, y_cut, X_res, y_res, targets
 
 
@@ -499,12 +486,8 @@ def backtest(
         raise DataError(f"trace {trace.phone_id!r}: shorter than two days")
     idx = _split_index(trace, config, split)
 
-    profile = derive_preferred_profile(trace.rows(0, idx), utc_offset_s=utc_offset_s)
-    norm = normalize_timeline(trace, profile)
-    db = HistoryDB(config.slot_minutes, tracked_apps=config.s_apps,
-                   profile=profile, utc_offset_s=utc_offset_s)
-    truth = _Truth.build(norm, db)
-    universe = set(config.s_apps)
+    replay = _Replay.start(trace, idx, config.s_apps, config.slot_minutes, utc_offset_s)
+    norm, db = replay.norm, replay.db
     fold_rows(db, norm, 0, idx)
     last_train_slot = db.abs_slot(db.last_timestamp)
 
@@ -513,7 +496,7 @@ def backtest(
     cut_margins_train = cut_labels_train = None
     if predictor_override is None and config.predictor_kind is PredictorKind.ADABOOST:
         X_cut, y_cut, X_res, y_res, target_slots = _train_feature_pass(
-            norm, idx, db, truth, last_train_slot)
+            replay, idx, last_train_slot)
         cut_model = train_adaboost_xy(X_cut, y_cut, rounds=config.adaboost_rounds)
         resume_model = train_adaboost_xy(X_res, y_res, rounds=config.adaboost_rounds)
 
@@ -551,14 +534,14 @@ def backtest(
         fold_rows(db, norm, lo, hi)
         decisions.append(decide(db, config, predictor, slot, db.last_timestamp, rng_test))
 
-    cut_truths = [d.target_slot in truth.cut_slots for d in decisions]
+    cut_truths = [d.target_slot in replay.gap_by_cut_slot for d in decisions]
     app_counts = ConfusionCounts()
     scored = skipped = resume_eval = resume_hits = 0
     for d in decisions:
-        gap = truth.gap_by_cut_slot.get(d.target_slot) if d.cut else None
+        gap = replay.gap_by_cut_slot.get(d.target_slot) if d.cut else None
         if gap is None:
             continue
-        used = _gap_used_apps(norm, gap, universe)
+        used = replay.used_apps(gap)
         if not used:
             skipped += 1
         else:
@@ -583,7 +566,7 @@ def backtest(
         )
 
     test_start = int(norm.t[idx])
-    true_test_gaps = sum(1 for g in truth.gaps if g.cut_time >= test_start)
+    true_test_gaps = sum(1 for g in replay.gaps if g.cut_time >= test_start)
     return BacktestReport(
         phone_id=trace.phone_id,
         predictor=config.predictor_kind.value if predictor_override is None else "override",
@@ -595,7 +578,7 @@ def backtest(
         cut=ConfusionCounts.tally([d.cut for d in decisions], cut_truths),
         resume=ConfusionCounts.tally(
             [d.resume_next for d in decisions],
-            [d.target_slot in truth.resume_slots for d in decisions]),
+            [d.target_slot in replay.resume_slots for d in decisions]),
         apps=app_counts,
         scored_gaps=scored,
         skipped_gaps=skipped,

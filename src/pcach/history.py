@@ -52,6 +52,7 @@ from .errors import (
 from .mining import slots_per_day
 from .trace import (
     DEFAULT_NIGHT_WINDOW,
+    SECONDS_PER_DAY,
     PreferredNetworkProfile,
     Trace,
     in_hour_window,
@@ -80,7 +81,8 @@ class HistoryDB:
     app and slot of day, the distinct (day, slot) pairs in which the app ran;
     ``app_hist`` maps each tracked app to its row (a view). ``cut_hist`` and
     ``resume_hist`` count (day, slot) pairs containing at least one event, so
-    they never exceed ``slot_observations``.
+    they never exceed ``slot_observations``. ``utc_offset_s`` must lie within
+    a day either way: real offsets lie within 14 hours.
     """
 
     def __init__(
@@ -90,6 +92,9 @@ class HistoryDB:
         profile: Optional[PreferredNetworkProfile] = None,
         utc_offset_s: int = 0,
     ):
+        if not -SECONDS_PER_DAY <= utc_offset_s <= SECONDS_PER_DAY:
+            raise ParameterError(f"utc_offset_s={utc_offset_s} outside "
+                                 f"[{-SECONDS_PER_DAY}, {SECONDS_PER_DAY}]")
         self.slot_minutes = slot_minutes
         self.n_slots = slots_per_day(slot_minutes)
         self.tracked_apps = tuple(tracked_apps)
@@ -185,17 +190,18 @@ class HistoryDB:
 
         Every key is checked, and a bad value raises :class:`ModelError`
         naming the key: a missing key, a ``slot_minutes`` that is not an
-        integer dividing a day, a non-integer ``utc_offset_s``,
-        ``tracked_apps`` that are not distinct app ids, a ``profile`` that is
-        neither null nor a valid profile object, an ``app_hist`` whose apps
-        differ from ``tracked_apps``, a histogram whose length is not
-        ``n_slots``, a negative or non-integer count, an invalid ``latest``
-        sample, an untracked open app and a non-boolean ``open_cut`` or
-        ``open_resume``. The open state is the newest row's: ``open_key``
-        must be the [day, slot] of ``latest``, and a snapshot whose
-        ``latest`` is null must carry no open state (a null ``open_key``, no
-        ``open_apps``, false ``open_cut`` and ``open_resume``). A text that is
-        not valid JSON or not a JSON object raises :class:`ModelError` too.
+        integer dividing a day, a ``utc_offset_s`` that is not an integer
+        within a day, ``tracked_apps`` that are not distinct app ids, a
+        ``profile`` that is neither null nor a valid profile object, an
+        ``app_hist`` whose apps differ from ``tracked_apps``, a histogram
+        whose length is not ``n_slots``, a negative or non-integer count, an
+        invalid ``latest`` sample, an untracked open app and a non-boolean
+        ``open_cut`` or ``open_resume``. The open state is the newest row's:
+        ``open_key`` must be the [day, slot] of ``latest``, and a snapshot
+        whose ``latest`` is null must carry no open state (a null
+        ``open_key``, no ``open_apps``, false ``open_cut`` and
+        ``open_resume``). A text that is not valid JSON or not a JSON object
+        raises :class:`ModelError` too.
         """
         try:
             d = json.loads(text)
@@ -216,8 +222,12 @@ class HistoryDB:
             if not _names(tracked) or len(set(tracked)) != len(tracked):
                 raise ModelError("history snapshot key 'tracked_apps' must be a list of "
                                  "distinct app ids")
-            db = cls(slot_minutes=d["slot_minutes"], tracked_apps=tracked,
-                     profile=_snapshot_profile(d["profile"]), utc_offset_s=d["utc_offset_s"])
+            profile = _snapshot_profile(d["profile"])
+            try:
+                db = cls(slot_minutes=d["slot_minutes"], tracked_apps=tracked,
+                         profile=profile, utc_offset_s=d["utc_offset_s"])
+            except ParameterError as exc:
+                raise ModelError(f"history snapshot key 'utc_offset_s': {exc}") from None
             n = db.n_slots
             app_hist = d["app_hist"]
             if type(app_hist) is not dict or set(app_hist) != set(db.tracked_apps):

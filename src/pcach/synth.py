@@ -36,10 +36,12 @@ import numpy as np
 
 from .errors import ConfigError, EmptyTraceError
 from .trace import (
+    DEFAULT_NIGHT_WINDOW,
     STATE_CELLULAR,
     STATE_WIFI,
     Trace,
     WiFiGap,
+    in_hour_window,
     is_weekday,
 )
 
@@ -570,7 +572,7 @@ def generate_trace_with_schedule(config: GeneratorConfig,
 
     hours = (np.arange(spd) * period) / 3600.0
     diurnal = np.array([diurnal_weight(h) for h in hours])
-    night_mask = (hours >= 20.0) | (hours < 8.0)
+    night_mask = in_hour_window(np.arange(spd) * period, DEFAULT_NIGHT_WINDOW)
 
     running = np.empty((n_samples, n_apps), dtype=bool)
     scan_u = np.empty((n_samples, 2))

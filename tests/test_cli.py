@@ -167,6 +167,17 @@ def test_backtest_k_beyond_the_app_list_names_the_flag(corpus, tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_utc_offset_beyond_a_day_names_the_flag(corpus, tmp_path, capsys):
+    for command in (["mine"], ["backtest", "--predictor", "history"], ["sweep-k"]):
+        out = tmp_path / command[0]
+        rc = main([*command, "--traces", str(corpus / "traces"), "--out", str(out),
+                   "--local-utc-offset", "99999999999999999999"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --local-utc-offset: utc_offset_s=99999999999999999999 outside")
+        assert not out.exists()
+
+
 def test_mine_empty_dir_fails_with_nonzero_exit(tmp_path):
     (tmp_path / "empty").mkdir()
     res = run_cli(["mine", "--traces", "empty", "--out", "out"], cwd=tmp_path)
@@ -460,7 +471,8 @@ def test_generate_rejects_an_empty_corpus(tmp_path, monkeypatch, capsys, flags, 
 
 
 # sha256 of the replay outputs of a seeded 2-phone x 10-day corpus: the
-# backtest reports, summaries and model files and the K sweep. Any change to
+# backtest reports, summaries and model files and the K sweep, also at a
+# non-zero local offset (where it reads the same bytes). Any change to
 # the history fold, the predictors, the boosting search or the RNG draws
 # moves them.
 _REPLAY_COMMANDS = (
@@ -468,6 +480,8 @@ _REPLAY_COMMANDS = (
     ("bt-ada", ["backtest", "--predictor", "adaboost", "--k", "7", "--seed", "3",
                 "--split", "0.5", "--rounds", "30", "--local-utc-offset", "3600"]),
     ("sweep", ["sweep-k", "--ks", "1,3,7,12", "--train-days", "5"]),
+    ("sweep-utc", ["sweep-k", "--ks", "1,3,7,12", "--train-days", "5",
+                   "--local-utc-offset", "-18000"]),
 )
 _PINNED_REPLAY_DIGESTS = {
     "bt-ada/models/phone-000.cut.json":
@@ -484,6 +498,8 @@ _PINNED_REPLAY_DIGESTS = {
     "bt-history/summary.json": "daa449a3adc038c37ac9a577eec71628efa6bcac8a93c9a5c9639d776f0c5972",
     "sweep/summary.json": "2319471617c408066af81be9d0f41a9135ac76f9baf285f38864f3706dd215cf",
     "sweep/sweep_k.csv": "4b7e9a153b715f19d22a6c58eccd9f090384f6fed67ae31c6c362503a1d54a4a",
+    "sweep-utc/summary.json": "2319471617c408066af81be9d0f41a9135ac76f9baf285f38864f3706dd215cf",
+    "sweep-utc/sweep_k.csv": "4b7e9a153b715f19d22a6c58eccd9f090384f6fed67ae31c6c362503a1d54a4a",
 }
 
 

@@ -247,11 +247,12 @@ def _edited(**edits):
     ({"slot_minutes": "15"}, "'slot_minutes'"),
     ({"slot_minutes": 7}, "'slot_minutes'"),
     ({"utc_offset_s": "x"}, "'utc_offset_s'"),
+    ({"utc_offset_s": 2**70}, "'utc_offset_s'"),
 ], ids=["untracked-app", "missing-app", "short-app-row", "short-cut-hist",
         "long-resume-hist", "negative-count", "float-count", "bool-count",
         "string-hist", "wifi-without-ssid", "string-profile", "top3-not-preferred",
         "int-tracked-apps", "repeated-tracked-app", "string-slot-minutes",
-        "slot-minutes-not-dividing-a-day", "string-utc-offset"])
+        "slot-minutes-not-dividing-a-day", "string-utc-offset", "huge-utc-offset"])
 def test_history_snapshot_errors_name_the_key(edits, named):
     with pytest.raises(ModelError) as exc:
         HistoryDB.from_json(_edited(**edits))
