@@ -27,6 +27,7 @@ from .evaluation import (
     PAPER_K_SET,
     app_prediction_run,
     backtest,
+    check_train_days,
     macro_average,
     rate_record,
     sweep_points,
@@ -37,6 +38,7 @@ from .mining import (
     event_time_histogram,
     gap_duration_cdf,
     horizon_sweep,
+    slots_per_day,
     traffic_split,
 )
 from .pipeline import PCachConfig, PredictorKind
@@ -126,14 +128,26 @@ def _per_phone(fn, paths: list[Path], **params) -> list:
     return [result for _, result in sorted(results, key=lambda pair: pair[0])]
 
 
-def _checked_utc_offset(args) -> int:
-    """``--local-utc-offset``, in the range the history database accepts;
-    checked before any worker runs."""
+def _checked(flag: str, check, value):
+    """``value`` once ``check(value)`` has passed; the ParameterError it
+    raises is reported under ``flag``. Commands check their flags before any
+    worker runs, so a rejected run creates no ``--out`` directory."""
     try:
-        HistoryDB(utc_offset_s=args.local_utc_offset)
+        check(value)
     except ParameterError as exc:
-        raise PCachError(f"--local-utc-offset: {exc}") from None
-    return args.local_utc_offset
+        raise PCachError(f"{flag}: {exc}") from None
+    return value
+
+
+def _checked_utc_offset(args) -> int:
+    """``--local-utc-offset``, in the range the history database accepts."""
+    return _checked("--local-utc-offset", lambda v: HistoryDB(utc_offset_s=v),
+                    args.local_utc_offset)
+
+
+def _checked_slot_minutes(args) -> int:
+    """``--slot-minutes``, a slot length that divides a day."""
+    return _checked("--slot-minutes", slots_per_day, args.slot_minutes)
 
 
 def _normalized(trace):
@@ -220,6 +234,8 @@ def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
     """Run ``worker`` per phone and write the ``emit`` outputs; ``flags`` are
     the command's own flags, passed to the worker and recorded."""
     horizons = _parse_int_list(args.horizons, "--horizons")
+    if min(horizons) < 0:
+        raise PCachError(f"--horizons: horizons must be non-negative, got {min(horizons)}")
     results = _per_phone(worker, _trace_paths(args.traces), horizons=horizons, **flags)
     out_dir = _out_dir(args.out)
 
@@ -288,7 +304,7 @@ def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
 def cmd_mine(args) -> int:
     return _run_mining(args, "mine", _mine_phone,
                        {"traffic", "gap_cdf", "histogram", "bound", "gaps"},
-                       slot_minutes=args.slot_minutes,
+                       slot_minutes=_checked_slot_minutes(args),
                        local_utc_offset=_checked_utc_offset(args))
 
 
@@ -345,9 +361,13 @@ def cmd_backtest(args) -> int:
     if not 1 <= args.k <= len(s_apps):
         raise PCachError(f"--k {args.k} outside [1, {len(s_apps)}]: "
                          f"the pre-cachable app list has {len(s_apps)} apps")
+    if args.split is not None and not 0.0 < args.split < 1.0:
+        raise PCachError(f"--split: split ratio must lie in (0, 1), got {args.split}")
+    if args.rounds < 1:
+        raise PCachError(f"--rounds: rounds must be at least 1, got {args.rounds}")
     paths = _trace_paths(args.traces)
     config = PCachConfig(
-        k=args.k, s_apps=s_apps, slot_minutes=args.slot_minutes,
+        k=args.k, s_apps=s_apps, slot_minutes=_checked_slot_minutes(args),
         predictor_kind=PredictorKind(args.predictor), adaboost_rounds=args.rounds,
     )
     reports = _per_phone(backtest, paths, config=config, split=args.split,
@@ -408,8 +428,9 @@ def cmd_sweep_k(args) -> int:
     if not feasible:
         raise PCachError(f"no feasible K values in {ks} for {len(s_apps)} apps")
     runs = _per_phone(app_prediction_run, _trace_paths(args.traces),
-                      s_apps=s_apps, ks=feasible, slot_minutes=args.slot_minutes,
-                      train_days=args.train_days, utc_offset_s=_checked_utc_offset(args))
+                      s_apps=s_apps, ks=feasible, slot_minutes=_checked_slot_minutes(args),
+                      train_days=_checked("--train-days", check_train_days, args.train_days),
+                      utc_offset_s=_checked_utc_offset(args))
     out_dir = _out_dir(args.out)
     rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
              f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]
@@ -443,6 +464,8 @@ def cmd_sweep_k(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers, blank entries skipped; a list
+    with no integer is an error."""
     values = []
     for entry in text.split(","):
         if not entry.strip():
@@ -450,7 +473,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         try:
             values.append(int(entry))
         except ValueError:
-            raise PCachError(f"{flag} entry {entry!r} is not an integer") from None
+            raise PCachError(f"{flag}: entry {entry!r} is not an integer") from None
+    if not values:
+        raise PCachError(f"{flag}: no values in {text!r}")
     return values
 
 

@@ -225,6 +225,13 @@ class AppPredictionRun:
     skipped_gaps: int
 
 
+def check_train_days(train_days: float) -> None:
+    """Raise :class:`ParameterError` unless ``train_days`` is finite and
+    above 0."""
+    if not 0 < train_days < math.inf:
+        raise ParameterError(f"train_days={train_days} must be finite and above 0")
+
+
 def app_prediction_run(
     trace: Trace,
     s_apps: Sequence[str],
@@ -239,13 +246,15 @@ def app_prediction_run(
     online; each test-period gap is scored for every K against the apps
     actually used during the gap, from the history of every row before its
     cut slot. Gaps with empty ground truth or no resume are skipped and
-    counted.
+    counted. A ``train_days`` that is not finite and above 0 raises
+    :class:`ParameterError`.
     """
     ks = sorted(set(ks))
     if not ks:
         raise ParameterError("ks must not be empty")
     if ks[0] < 1 or ks[-1] > len(s_apps):
         raise ParameterError(f"K values must lie in [1, {len(s_apps)}]")
+    check_train_days(train_days)
 
     boundary = trace.start_time + int(train_days * 86400)
     n_train = int(np.searchsorted(trace.t, boundary))

@@ -8,13 +8,14 @@ read. Updates are strictly chronological and single-owner; trained models and
 profiles are immutable.
 
 History is folded from columns. :func:`fold_rows` folds a row range of a
-:class:`~pcach.trace.Trace` as array passes: (day, slot) keys come from the
-timestamps, per-app dedup is the first occurrence of each (key, app) pair,
-cut and resume are :func:`~pcach.trace.transitions` masks over the state
-column shifted by one row, with the newest folded row carried in, and the
-counts go in with ``np.add.at``. Only the (day, slot) of the newest folded
-row carries across calls, as the set of count cells it has already counted,
-and the newest folded row is a row of the trace it came from.
+:class:`~pcach.trace.Trace` run by run, a run being the rows of one (day,
+slot): each run hits its observation cell, its cut and resume cells (from
+:func:`~pcach.trace.transitions` over the state column, the range's first
+row's taken from the newest folded row) and the cells of the tracked apps
+that ran, and each cell counts at most once per (day, slot). Only the (day,
+slot) of the newest folded row carries across calls, as the set of count
+cells it has already counted, and the newest folded row is a row of the
+trace it came from.
 :func:`update_history`, the on-device step's fold, wraps its batch of sample
 objects in a ``Trace`` and folds that. :func:`slot_groups` splits a row range
 into its slots, the chronological slot iterator of every replay.
@@ -102,7 +103,7 @@ class HistoryDB:
         self.utc_offset_s = utc_offset_s
         self._app_index = {a: i for i, a in enumerate(self.tracked_apps)}
         n, n_apps = self.n_slots, len(self.tracked_apps)
-        # every count in one buffer, so that one np.add.at folds a row range:
+        # every count in one buffer, so that the fold names each by one index:
         # observations, cuts, resumes, one row of slots per tracked app, and
         # a row of zeros that stands for every untracked app
         self._hist = np.zeros((4 + n_apps) * n, dtype=np.int64)
@@ -115,12 +116,8 @@ class HistoryDB:
             {a: self.app_counts[i] for i, a in enumerate(self.tracked_apps)})
         # the newest folded row, as (fold columns, row)
         self._newest: Optional[tuple] = None
-        # the _hist cells the newest row's (day, slot) has counted: a set, or
-        # (columns, first, stop) for the cells those rows' increments hold
-        self._counted: set[int] | tuple = set()
-        # rows _since up to the newest of its columns were folded as the
-        # columns' own runs dictate
-        self._since = 0
+        # the _hist cells the newest row's (day, slot) has counted
+        self._counted: set[int] = set()
         self._columns: tuple = (None, None)   # (trace, its fold columns)
         self._rows_of: dict[tuple[str, ...], np.ndarray] = {}
         self._flags: dict[frozenset[str], tuple[float, ...]] = {}
@@ -162,7 +159,7 @@ class HistoryDB:
     def to_json(self) -> str:
         # the counted cells share one slot, so each one's row of _hist says
         # what it counts: 1 the cut, 2 the resume, 3 + j tracked app j
-        counted = {cell // self.n_slots for cell in _counted_cells(self)}
+        counted = {cell // self.n_slots for cell in self._counted}
         latest = open_key = None
         if self._newest is not None:
             cols, i = self._newest
@@ -344,15 +341,15 @@ class _FoldColumns:
     ``run_start[g]:run_start[g + 1]`` of absolute slot ``run_key[g]`` (slot of
     day ``run_slot[g]``), and ``gids`` is each row's run. ``cut``/``resume``
     mark each row's transition from the row before it (never on row 0). The
-    records of tracked apps that ran are kept as CSR: row ``i`` owns
-    ``app[app_off[i]:app_off[i + 1]]`` (tracked indices). ``visible`` holds
-    each row's id into ``trace.visible_sets``. The fields are Python lists,
-    which the fold and the features read a few rows at a time;
-    :meth:`increments` works on arrays.
+    records of tracked apps that ran are kept as CSR of their usage cells in
+    ``db._hist``: row ``i`` owns ``app_cell[app_off[i]:app_off[i + 1]]``.
+    ``visible`` holds each row's id into ``trace.visible_sets``. The fields
+    are Python lists, which the fold reads a run at a time and the features
+    a row at a time.
     """
 
-    __slots__ = ("trace", "times", "states", "visible", "cut", "resume", "app", "app_off",
-                 "gids", "run_start", "run_key", "run_slot", "_increments")
+    __slots__ = ("trace", "times", "states", "visible", "cut", "resume", "app_cell", "app_off",
+                 "gids", "run_start", "run_key", "run_slot")
 
     def __init__(self, db: HistoryDB, trace: Trace):
         n = len(trace)
@@ -367,106 +364,54 @@ class _FoldColumns:
         self.trace = trace
         self.times, self.states, self.visible = t.tolist(), state.tolist(), trace.visible.tolist()
         self.cut, self.resume = cut.tolist(), resume.tolist()
-        self.app = tracked[ran].tolist()
+        gids = np.repeat(np.arange(len(run_key)), run_stop - run_start)
+        run_slot = run_key % db.n_slots
+        self.app_cell = ((3 + tracked[ran]) * db.n_slots + run_slot[gids[rec_row]]).tolist()
         self.app_off = np.searchsorted(rec_row, np.arange(n + 1)).tolist()
-        self.gids = np.repeat(np.arange(len(run_key)), run_stop - run_start).tolist()
+        self.gids = gids.tolist()
         self.run_start = run_start.tolist() + [n]
         self.run_key = run_key.tolist()
-        self.run_slot = (run_key % db.n_slots).tolist()
-        self._increments = None
-
-    def increments(self, db: HistoryDB) -> tuple[list[int], np.ndarray]:
-        """Each row's increments of ``db._hist`` when every run is folded
-        from its first row, as CSR (offsets, flat indices).
-
-        A run's first row observes its slot; its first cut and first resume
-        row count the event; each app's first record in the run counts the
-        app. Built on first use.
-        """
-        if self._increments is None:
-            n, n_apps = db.n_slots, len(db.tracked_apps)
-            gid = np.asarray(self.gids, dtype=np.int64)
-            run_slot = np.asarray(self.run_slot, dtype=np.int64)
-            rows, index = [np.asarray(self.run_start[:-1], dtype=np.int64)], [run_slot]
-            for base, events in ((n, self.cut), (2 * n, self.resume)):
-                hit = np.flatnonzero(events)
-                first = hit[np.unique(gid[hit], return_index=True)[1]]
-                rows.append(first)
-                index.append(base + run_slot[gid[first]])
-            app = np.asarray(self.app, dtype=np.int64)
-            rec_row = np.repeat(np.arange(len(gid)), np.diff(self.app_off))
-            rec_gid = gid[rec_row]
-            first = np.unique(rec_gid * n_apps + app, return_index=True)[1]
-            rows.append(rec_row[first])
-            index.append(3 * n + app[first] * n + run_slot[rec_gid[first]])
-            rows, index = np.concatenate(rows), np.concatenate(index)
-            order = np.argsort(rows, kind="stable")
-            offsets = np.searchsorted(rows[order], np.arange(len(gid) + 1)).tolist()
-            self._increments = (offsets, index[order])
-        return self._increments
-
-
-def _counted_cells(db: HistoryDB) -> set[int]:
-    """``db._counted`` as a set of flat ``_hist`` indices."""
-    if type(db._counted) is tuple:
-        cols, first, stop = db._counted
-        offsets, index = cols.increments(db)
-        db._counted = set(index[offsets[first]:offsets[stop]].tolist())
-    return db._counted
-
-
-def _fold_head(db: HistoryDB, cols: _FoldColumns, lo: int, stop: int) -> None:
-    """Fold rows ``lo:stop``, all of one run, against the counted cells: the
-    first rows of a batch that does not continue the columns' own runs.
-
-    The run hits its slot's observation, event and app cells; each hit the
-    newest row's (day, slot) has not counted yet adds 1.
-    """
-    g = cols.gids[lo]
-    n, slot = db.n_slots, cols.run_slot[g]
-    # row lo's transitions are from the newest folded row
-    newest = db._newest
-    cut = resume = False
-    if newest is not None:
-        prev, i = newest
-        cut, resume = transitions(prev.states[i], cols.states[lo], cols.times[lo] - prev.times[i])
-    hits = {slot, *(3 * n + a * n + slot for a in cols.app[cols.app_off[lo]:cols.app_off[stop]])}
-    if cut or any(cols.cut[lo + 1:stop]):
-        hits.add(n + slot)
-    if resume or any(cols.resume[lo + 1:stop]):
-        hits.add(2 * n + slot)
-    carried = newest is not None and db.abs_slot(db.last_timestamp) == cols.run_key[g]
-    counted = _counted_cells(db) if carried else set()
-    for cell in hits - counted:
-        db._hist[cell] += 1
-    db._counted = hits | counted
+        self.run_slot = run_slot.tolist()
 
 
 def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> None:
-    """Fold rows ``lo:hi`` of ``cols`` into ``db``; see :func:`fold_rows`.
+    """Fold rows ``lo:hi`` of ``cols`` into ``db``, run by run; see
+    :func:`fold_rows`.
 
-    When the batch continues the newest row's columns, and the folds since
-    ``db._since`` took the open run from its first row, every row's
-    increments are the columns' own (:meth:`_FoldColumns.increments`) and go
-    in with one ``np.add.at``. Otherwise the rows of the batch's first run
-    are folded against the counted cells first, and the runs that start
-    inside the batch take the columns' increments.
+    A run hits its slot's observation cell, its event cells and the cells of
+    the tracked apps that ran in it; each hit its (day, slot) has not counted
+    yet adds 1. Row ``lo``'s transitions are from the newest folded row, and
+    the first run counts against the cells the newest row's (day, slot) has
+    counted when it shares that (day, slot).
     """
     if lo >= hi:
         return
-    t0, last = cols.times[lo], db.last_timestamp
-    if last is not None and t0 <= last:
-        raise OrderingError(f"sample at t={t0} not after t={last}")
-    g0 = cols.gids[lo]
-    if db._newest == (cols, lo - 1) and db._since <= cols.run_start[g0]:
-        head_stop = lo
-    else:
-        head_stop = db._since = min(hi, cols.run_start[g0 + 1])
-        _fold_head(db, cols, lo, head_stop)
-    if head_stop < hi:
-        offsets, index = cols.increments(db)
-        np.add.at(db._hist, index[offsets[head_stop]:offsets[hi]], 1)
-        db._counted = (cols, cols.run_start[cols.gids[hi - 1]], hi)
+    last = db.last_timestamp
+    if last is not None and cols.times[lo] <= last:
+        raise OrderingError(f"sample at t={cols.times[lo]} not after t={last}")
+    n, hist = db.n_slots, db._hist
+    cut = resume = False
+    counted: set[int] = set()
+    if last is not None:
+        prev, i = db._newest
+        cut, resume = transitions(prev.states[i], cols.states[lo], cols.times[lo] - last)
+        if db.abs_slot(last) == cols.run_key[cols.gids[lo]]:
+            counted = db._counted
+    start = lo
+    for g in range(cols.gids[lo], cols.gids[hi - 1] + 1):
+        stop, slot = min(hi, cols.run_start[g + 1]), cols.run_slot[g]
+        hits = {slot, *cols.app_cell[cols.app_off[start]:cols.app_off[stop]]}
+        if cut or True in cols.cut[start + 1:stop]:
+            hits.add(n + slot)
+        if resume or True in cols.resume[start + 1:stop]:
+            hits.add(2 * n + slot)
+        for cell in hits - counted:
+            hist[cell] += 1
+        counted = hits | counted
+        start = stop
+        if start < hi:
+            cut, resume, counted = cols.cut[start], cols.resume[start], set()
+    db._counted = counted
     db._newest = (cols, hi - 1)
 
 
@@ -477,7 +422,8 @@ def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None
     once; cut/resume transitions increment the event histograms at the
     event row's slot of day, at most once per (day, slot); every (day, slot)
     holding a row counts as observed. The first row's transitions are taken
-    from the database's newest row.
+    from the database's newest row, and rows of the newest row's (day, slot)
+    count only the cells it has not counted yet.
 
     The fold is all-or-nothing: unless the rows start after
     ``db.last_timestamp`` it raises :class:`OrderingError` and leaves the

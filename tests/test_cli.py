@@ -178,6 +178,28 @@ def test_utc_offset_beyond_a_day_names_the_flag(corpus, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["sweep-k"], "--train-days", "-1"),
+    (["sweep-k"], "--train-days", "0"),
+    (["sweep-k"], "--train-days", "nan"),
+    (["sweep-k"], "--train-days", "inf"),
+    (["mine"], "--slot-minutes", "7"),
+    (["backtest", "--predictor", "history"], "--slot-minutes", "7"),
+    (["sweep-k"], "--slot-minutes", "0"),
+    (["backtest", "--predictor", "history"], "--split", "1.5"),
+    (["backtest", "--predictor", "adaboost"], "--rounds", "0"),
+    (["mine"], "--horizons", ","),
+    (["bound"], "--horizons", "-5"),
+])
+def test_bad_flag_value_names_the_flag(corpus, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    rc = main([*command, "--traces", str(corpus / "traces"), "--out", str(out),
+               f"{flag}={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_mine_empty_dir_fails_with_nonzero_exit(tmp_path):
     (tmp_path / "empty").mkdir()
     res = run_cli(["mine", "--traces", "empty", "--out", "out"], cwd=tmp_path)

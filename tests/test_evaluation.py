@@ -283,6 +283,13 @@ def test_k_sweep_rejects_bad_k(medium_trace):
         app_prediction_run(trace, cfg.pcachable_apps, [len(cfg.pcachable_apps) + 1])
 
 
+@pytest.mark.parametrize("train_days", [-1.0, 0, float("nan"), float("inf")])
+def test_k_sweep_rejects_bad_train_days(medium_trace, train_days):
+    trace, cfg = medium_trace
+    with pytest.raises(ParameterError, match="train_days"):
+        app_prediction_run(trace, cfg.pcachable_apps, [1], train_days=train_days)
+
+
 def test_full_k_yields_tpr_one(medium_trace):
     trace, cfg = medium_trace
     s_apps = cfg.pcachable_apps
