@@ -12,8 +12,9 @@ alpha finite (Freund & Schapire, 1997).
 Only the example weights change between rounds, so each feature column is
 sorted once per training and every round's exhaustive search reuses the
 orders, sorted labels and split boundaries (the pre-sorted column block of
-exact greedy split finding). :meth:`AdaBoostModel.first_positive` labels
-many rows with one margins call, exactly as one-row calls would.
+exact greedy split finding). :meth:`AdaBoostModel.exact_margins` scores
+many rows with one margins call, such that every comparison with a given
+threshold answers as one-row calls would.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -98,22 +98,23 @@ class AdaBoostModel:
         preds = np.where(X[:, feats] > thresholds, polarities, negated)
         return preds @ alphas
 
-    def first_positive(self, X: np.ndarray) -> Optional[int]:
-        """The first row labelled +1, as a one-row :meth:`decision_margins`
-        call labels it (a margin tied with the threshold is -1), else None.
+    def exact_margins(self, X: np.ndarray, values) -> np.ndarray:
+        """:meth:`decision_margins` of the rows of ``X`` from one batched
+        call, such that comparing row ``i``'s margin with any of ``values``
+        gives the answer of a one-row call on ``X[i:i + 1]``.
 
-        One batched call decides every row whose margin is clear of the
-        threshold. A batched margin and a one-row margin may differ in the
-        last bits (the sums run in another order), so a row within rounding
-        distance of the threshold is decided by its own one-row call.
+        A batched margin and a one-row margin may differ in the last bits
+        (the sums run in another order), so a margin within rounding
+        distance of one of ``values`` is replaced by its one-row margin.
         """
         margins = self.decision_margins(X)
-        thr = self.decision_threshold
-        near = np.abs(margins - thr) <= _MARGIN_TOLERANCE * (self._alpha_total + abs(thr))
-        for i in np.flatnonzero((margins > thr) | near).tolist():
-            if not near[i] or self.decision_margins(X[i:i + 1])[0] > thr:
-                return i
-        return None
+        near = np.zeros(len(margins), dtype=bool)
+        for value in values:
+            near |= np.abs(margins - value) <= _MARGIN_TOLERANCE * (self._alpha_total
+                                                                     + abs(value))
+        for i in np.flatnonzero(near).tolist():
+            margins[i] = self.decision_margins(X[i:i + 1])[0]
+        return margins
 
     @cached_property
     def _alpha_total(self) -> float:
@@ -132,22 +133,31 @@ class AdaBoostModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AdaBoostModel":
-        """The model a :meth:`to_json` text holds. A missing key and a
-        non-numeric or non-finite threshold, alpha or decision threshold
-        raise :class:`ModelError` naming it, and a text that is not valid
-        JSON raises :class:`ModelError` saying so."""
+        """The model a :meth:`to_json` text holds. A bad value raises
+        :class:`ModelError` naming its key: a missing key, a ``stumps`` that
+        is not a list of objects, a ``feature`` that is not an integer in
+        1..9, a ``polarity`` that is not the integer +1 or -1, a ``rounds``
+        that is not an integer at least the number of stumps, and a
+        non-numeric or non-finite threshold, alpha or decision threshold. A
+        text that is not valid JSON raises :class:`ModelError` saying so."""
         try:
             d = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
             raise ModelError(f"model is not valid JSON ({exc})") from None
+        stumps = _model_field(d, "stumps", "model")
+        if type(stumps) is not list:
+            raise ModelError(f"model key 'stumps' must be a list, got {stumps!r}")
         stumps = tuple(
-            Stump(feature_index=_model_field(s, "feature", f"stumps[{i}]"),
+            Stump(feature_index=_int_field(s, "feature", f"stumps[{i}]", range(1, N_FEATURES + 1),
+                                           f"an integer in 1..{N_FEATURES}"),
                   threshold=_finite_field(s, "threshold", f"stumps[{i}]"),
-                  polarity=_model_field(s, "polarity", f"stumps[{i}]"),
+                  polarity=_int_field(s, "polarity", f"stumps[{i}]", (-1, 1), "1 or -1"),
                   alpha=_finite_field(s, "alpha", f"stumps[{i}]"))
-            for i, s in enumerate(_model_field(d, "stumps", "model"))
+            for i, s in enumerate(stumps)
         )
-        return cls(stumps=stumps, rounds=_model_field(d, "rounds", "model"),
+        rounds = _int_field(d, "rounds", "model", range(len(stumps), 2**63),
+                            f"an integer of at least {len(stumps)}, the number of stumps")
+        return cls(stumps=stumps, rounds=rounds,
                    decision_threshold=_finite_field(d, "decision_threshold", "model"))
 
 
@@ -159,9 +169,20 @@ def _model_field(obj, key: str, where: str):
     return obj[key]
 
 
+def _int_field(obj, key: str, where: str, allowed, requirement: str):
+    value = _model_field(obj, key, where)
+    if type(value) is not int or value not in allowed:
+        raise ModelError(f"{where} key {key!r} must be {requirement}, got {value!r}")
+    return value
+
+
 def _finite_field(obj, key: str, where: str):
     value = _model_field(obj, key, where)
-    if type(value) not in (int, float) or (type(value) is float and not math.isfinite(value)):
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ModelError(f"{where} key {key!r} must be a finite number, got {value!r}")
     return value
 

@@ -11,12 +11,17 @@ The backtest and the K sweep start each phone from one replay state: the
 training rows' preferred-network profile, the normalized timeline, an empty
 history database, and the gaps with their cut and resume slots on that
 database's slot clock. Replays read the normalized trace's columns end to
-end and never build its sample view. The history folds the whole training
-prefix in one :func:`~pcach.history.fold_rows` call; the backtest then folds
-each test slot's rows (split by :func:`~pcach.history.slot_groups`) before
-that slot's decision, and the K sweep folds the rows between consecutive test
-gaps. The AdaBoost training features of every training slot come from one
-:func:`~pcach.history.feature_matrix` call per event kind.
+end and never build its sample view. The AdaBoost training features of every
+training slot come from one :func:`~pcach.history.feature_matrix` call per
+event kind.
+
+The backtest folds the training prefix with
+:func:`~pcach.history.fold_rows`, then the test rows with
+:func:`~pcach.history.fold_runs`, and decides every test slot in one
+:func:`~pcach.pipeline.decide` call, each slot seeing the history of every
+row up to its own last one. The K sweep folds the rows between consecutive
+scored gaps with :func:`~pcach.history.fold_rows` and ranks each gap's apps
+from the history of every row before its cut slot.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .history import (
     HistoryDB,
     feature_matrix,
     fold_rows,
+    fold_runs,
     history_votes,
     rank_slot_apps,
     selected_apps,
@@ -227,9 +233,11 @@ class AppPredictionRun:
 
 def check_train_days(train_days: float) -> None:
     """Raise :class:`ParameterError` unless ``train_days`` is finite and
-    above 0."""
-    if not 0 < train_days < math.inf:
-        raise ParameterError(f"train_days={train_days} must be finite and above 0")
+    spans at least one whole second (the prefix is ``int(train_days *
+    86400)`` seconds long)."""
+    if not 0 < train_days < math.inf or int(train_days * 86400) < 1:
+        raise ParameterError(f"train_days={train_days} must be finite and span at least "
+                             "one second")
 
 
 def app_prediction_run(
@@ -246,7 +254,7 @@ def app_prediction_run(
     online; each test-period gap is scored for every K against the apps
     actually used during the gap, from the history of every row before its
     cut slot. Gaps with empty ground truth or no resume are skipped and
-    counted. A ``train_days`` that is not finite and above 0 raises
+    counted. A ``train_days`` that :func:`check_train_days` rejects raises
     :class:`ParameterError`.
     """
     ks = sorted(set(ks))
@@ -488,8 +496,9 @@ def backtest(
     """Chronological train/test replay of the full pre-caching pipeline.
 
     The preferred-network profile, histograms, boosted models and operating
-    thresholds all come from the training period alone; the test period is
-    replayed slot by slot with online history updates and no lookahead.
+    thresholds all come from the training period alone; every test slot is
+    decided from the history of the rows up to its own last one (online
+    updates, no lookahead), in one batch.
     """
     if trace.end_time - trace.start_time < 2 * 86400:
         raise DataError(f"trace {trace.phone_id!r}: shorter than two days")
@@ -536,42 +545,43 @@ def backtest(
     trained_digest = hashlib.sha256("\n".join(digest_parts).encode()).hexdigest()
 
     rng_test = stream_rng(seed, trace.phone_id, 0, "test-replay")
-    decisions = []
-    # the final slot's target lies past the test period: it is not replayed
-    slots, starts, stops = slot_groups(db, norm, idx, len(norm))
-    for slot, lo, hi in zip(slots[:-1].tolist(), starts.tolist(), stops.tolist()):
-        fold_rows(db, norm, lo, hi)
-        decisions.append(decide(db, config, predictor, slot, db.last_timestamp, rng_test))
+    # the final slot's target lies past the test period: its rows are not folded
+    _, starts, _ = slot_groups(db, norm, idx, len(norm))
+    runs = fold_runs(db, norm, idx, int(starts[-1]))
+    decisions = decide(runs, config, predictor, rng_test)
+    targets = decisions.target_slot
 
-    cut_truths = [d.target_slot in replay.gap_by_cut_slot for d in decisions]
+    cut_truths = np.isin(targets, list(replay.gap_by_cut_slot))
     app_counts = ConfusionCounts()
     scored = skipped = resume_eval = resume_hits = 0
-    for d in decisions:
-        gap = replay.gap_by_cut_slot.get(d.target_slot) if d.cut else None
+    for j in np.flatnonzero(decisions.cut).tolist():
+        gap = replay.gap_by_cut_slot.get(int(targets[j]))
         if gap is None:
             continue
         used = replay.used_apps(gap)
         if not used:
             skipped += 1
         else:
-            app_counts = app_counts + score_app_prediction(d.apps, used, config.s_apps)
+            app_counts = app_counts + score_app_prediction(decisions.apps[j], used, config.s_apps)
             scored += 1
         if gap.resume_time is None:
             continue  # open gap: the ground-truth window never closed
         resume_eval += 1
-        if abs(d.resume_slot - db.abs_slot(gap.resume_time)) <= 1:
+        if abs(int(decisions.resume_slot[j]) - db.abs_slot(gap.resume_time)) <= 1:
             resume_hits += 1
 
     panel = ()
     if cut_margins_train is not None:
-        test_margins = np.array([d.cut_score for d in decisions])
+        thetas = _threshold_candidates(cut_margins_train)
+        test_margins = cut_model.exact_margins(
+            runs.features(targets, np.arange(len(runs)), EventKind.CUT), thetas)
         panel = tuple(
             ThresholdPoint(
                 threshold=theta,
                 train=ConfusionCounts.tally(cut_margins_train > theta, cut_labels_train > 0),
                 test=ConfusionCounts.tally(test_margins > theta, cut_truths),
             )
-            for theta in _threshold_candidates(cut_margins_train)
+            for theta in thetas
         )
 
     test_start = int(norm.t[idx])
@@ -584,15 +594,14 @@ def backtest(
         split_index=idx,
         train_slots=len(np.unique(db.abs_slot(norm.t[:idx]))),
         test_slots=len(decisions),
-        cut=ConfusionCounts.tally([d.cut for d in decisions], cut_truths),
-        resume=ConfusionCounts.tally(
-            [d.resume_next for d in decisions],
-            [d.target_slot in replay.resume_slots for d in decisions]),
+        cut=ConfusionCounts.tally(decisions.cut, cut_truths),
+        resume=ConfusionCounts.tally(decisions.resume_next,
+                                     np.isin(targets, list(replay.resume_slots))),
         apps=app_counts,
         scored_gaps=scored,
         skipped_gaps=skipped,
         true_test_gaps=true_test_gaps,
-        predicted_cut_slots=sum(d.cut for d in decisions),
+        predicted_cut_slots=int(decisions.cut.sum()),
         resume_evaluated=resume_eval,
         resume_within_one=resume_hits,
         trained_digest=trained_digest,

@@ -8,23 +8,31 @@ read. Updates are strictly chronological and single-owner; trained models and
 profiles are immutable.
 
 History is folded from columns. :func:`fold_rows` folds a row range of a
-:class:`~pcach.trace.Trace` run by run, a run being the rows of one (day,
-slot): each run hits its observation cell, its cut and resume cells (from
-:func:`~pcach.trace.transitions` over the state column, the range's first
-row's taken from the newest folded row) and the cells of the tracked apps
-that ran, and each cell counts at most once per (day, slot). Only the (day,
-slot) of the newest folded row carries across calls, as the set of count
-cells it has already counted, and the newest folded row is a row of the
-trace it came from.
+:class:`~pcach.trace.Trace` in one pass over its runs, a run being the rows
+of one (day, slot): each run hits its observation cell, its cut and resume
+cells (from :func:`~pcach.trace.transitions` over the state column, the
+range's first row's taken from the newest folded row) and the cells of the
+tracked apps that ran, and each cell counts at most once per (day, slot).
+The pass yields every run's newly counted cells as (run, cell) hits, which
+the fold then adds. Only the (day, slot) of the newest folded row carries
+across calls, as the set of count cells it has already counted, and the
+newest folded row is a row of the trace it came from.
 :func:`update_history`, the on-device step's fold, wraps its batch of sample
 objects in a ``Trace`` and folds that. :func:`slot_groups` splits a row range
-into its slots, the chronological slot iterator of every replay.
+into its slots.
+
+:func:`fold_runs` folds like :func:`fold_rows` and keeps the hits: its
+:class:`FoldedRuns` reads any count as it stood after any run (the counts
+before the fold plus the hits up to that run), in bulk or run by run, so a
+replay decides all its slots from one fold. :func:`newest_run` is the
+database as it stands, as a batch of one.
 
 The predictors read arrays: :func:`feature_matrix` builds the nine context
-features of any number of slots at once from per-visible-set flags, and the
-history rule's resume scan computes every scanned slot's probability in one
-call. :func:`extract_features` and :class:`FeatureVector` are its one-row
-view.
+features of any number of slots at once from per-visible-set flags
+(:meth:`FoldedRuns.features` from the counts as of each slot's run), and
+:func:`history_rule` takes every target slot's probabilities from one call
+and walks the runs only to draw. :func:`extract_features` and
+:class:`FeatureVector` are the one-row view of the features.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -36,8 +44,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -141,18 +150,15 @@ class HistoryDB:
     def event_probabilities(self, slots: np.ndarray, kind: EventKind) -> np.ndarray:
         """:meth:`event_probability` of every slot of an int array."""
         s = slots % self.n_slots
-        obs = self.slot_observations[s]
-        hist = (self.cut_hist if kind is EventKind.CUT else self.resume_hist)[s]
-        p = np.zeros(len(s))
-        np.divide(hist, obs, out=p, where=obs > 0)
-        return p
+        hist = self.cut_hist if kind is EventKind.CUT else self.resume_hist
+        return _rates(hist[s], self.slot_observations[s])
 
     @property
     def last_timestamp(self) -> Optional[int]:
         if self._newest is None:
             return None
         cols, i = self._newest
-        return cols.times[i]
+        return int(cols.times[i])
 
     # -- serialization -----------------------------------------------------
 
@@ -298,6 +304,13 @@ class HistoryDB:
         return flags
 
 
+def _rates(events: np.ndarray, observations: np.ndarray) -> np.ndarray:
+    """Event counts over observation counts, elementwise; 0 where unobserved."""
+    p = np.zeros(np.shape(events))
+    np.divide(events, observations, out=p, where=observations > 0)
+    return p
+
+
 def _names(values) -> bool:
     """Whether a snapshot value is a list of strings."""
     return type(values) is list and all(type(v) is str for v in values)
@@ -341,15 +354,14 @@ class _FoldColumns:
     ``run_start[g]:run_start[g + 1]`` of absolute slot ``run_key[g]`` (slot of
     day ``run_slot[g]``), and ``gids`` is each row's run. ``cut``/``resume``
     mark each row's transition from the row before it (never on row 0). The
-    records of tracked apps that ran are kept as CSR of their usage cells in
-    ``db._hist``: row ``i`` owns ``app_cell[app_off[i]:app_off[i + 1]]``.
-    ``visible`` holds each row's id into ``trace.visible_sets``. The fields
-    are Python lists, which the fold reads a run at a time and the features
-    a row at a time.
+    records of tracked apps that ran are kept as CSR of their runs and usage
+    cells in ``db._hist``: row ``i`` owns records ``app_off[i]:app_off[i + 1]``
+    of ``app_run`` and ``app_cell``. ``visible`` holds each row's id into
+    ``trace.visible_sets``.
     """
 
-    __slots__ = ("trace", "times", "states", "visible", "cut", "resume", "app_cell", "app_off",
-                 "gids", "run_start", "run_key", "run_slot")
+    __slots__ = ("trace", "times", "states", "visible", "cut", "resume", "app_run", "app_cell",
+                 "app_off", "gids", "run_start", "run_key", "run_slot")
 
     def __init__(self, db: HistoryDB, trace: Trace):
         n = len(trace)
@@ -359,60 +371,72 @@ class _FoldColumns:
         ran = (tracked >= 0) & (trace.running | (trace.up + trace.down > 0))
         rec_row = np.repeat(np.arange(n), np.diff(trace.app_offsets))[ran]
         run_key, run_start, run_stop = slot_groups(db, trace, 0, n)
-        cut, resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        cut[1:], resume[1:] = transitions(state[:-1], state[1:], np.diff(t))
-        self.trace = trace
-        self.times, self.states, self.visible = t.tolist(), state.tolist(), trace.visible.tolist()
-        self.cut, self.resume = cut.tolist(), resume.tolist()
-        gids = np.repeat(np.arange(len(run_key)), run_stop - run_start)
-        run_slot = run_key % db.n_slots
-        self.app_cell = ((3 + tracked[ran]) * db.n_slots + run_slot[gids[rec_row]]).tolist()
-        self.app_off = np.searchsorted(rec_row, np.arange(n + 1)).tolist()
-        self.gids = gids.tolist()
-        self.run_start = run_start.tolist() + [n]
-        self.run_key = run_key.tolist()
-        self.run_slot = run_slot.tolist()
+        self.cut, self.resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.cut[1:], self.resume[1:] = transitions(state[:-1], state[1:], np.diff(t))
+        self.trace, self.times, self.states, self.visible = trace, t, state, trace.visible
+        self.gids = np.repeat(np.arange(len(run_key)), run_stop - run_start)
+        self.run_start = np.append(run_start, n)
+        self.run_key, self.run_slot = run_key, run_key % db.n_slots
+        self.app_run = self.gids[rec_row]
+        self.app_cell = (3 + tracked[ran]) * db.n_slots + self.run_slot[self.app_run]
+        self.app_off = np.searchsorted(rec_row, np.arange(n + 1))
 
 
-def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> None:
-    """Fold rows ``lo:hi`` of ``cols`` into ``db``, run by run; see
-    :func:`fold_rows`.
+def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold rows ``lo:hi`` of ``cols`` into ``db``; see :func:`fold_rows`.
 
-    A run hits its slot's observation cell, its event cells and the cells of
-    the tracked apps that ran in it; each hit its (day, slot) has not counted
-    yet adds 1. Row ``lo``'s transitions are from the newest folded row, and
-    the first run counts against the cells the newest row's (day, slot) has
-    counted when it shares that (day, slot).
+    Returns the hits as (runs, cells), ordered by run and then cell: each run
+    of the rows with each ``_hist`` cell it newly counted. A run hits its
+    slot's observation cell, its event cells and the cells of the tracked
+    apps that ran in it, each once, since a run is one (day, slot). Row
+    ``lo``'s transitions are from the newest folded row, and a first run
+    that shares the newest row's (day, slot) does not hit the cells that
+    (day, slot) has counted already.
     """
-    if lo >= hi:
-        return
     last = db.last_timestamp
     if last is not None and cols.times[lo] <= last:
         raise OrderingError(f"sample at t={cols.times[lo]} not after t={last}")
-    n, hist = db.n_slots, db._hist
-    cut = resume = False
-    counted: set[int] = set()
-    if last is not None:
+    n, size = db.n_slots, len(db._hist)
+    g0, g1 = int(cols.gids[lo]), int(cols.gids[hi - 1]) + 1
+    heads = cols.run_start[g0:g1] - lo
+    heads[0] = 0
+    cut, resume = cols.cut[lo:hi].copy(), cols.resume[lo:hi].copy()
+    carried: set[int] = set()
+    if last is None:
+        cut[0] = resume[0] = False
+    else:
         prev, i = db._newest
-        cut, resume = transitions(prev.states[i], cols.states[lo], cols.times[lo] - last)
-        if db.abs_slot(last) == cols.run_key[cols.gids[lo]]:
-            counted = db._counted
-    start = lo
-    for g in range(cols.gids[lo], cols.gids[hi - 1] + 1):
-        stop, slot = min(hi, cols.run_start[g + 1]), cols.run_slot[g]
-        hits = {slot, *cols.app_cell[cols.app_off[start]:cols.app_off[stop]]}
-        if cut or True in cols.cut[start + 1:stop]:
-            hits.add(n + slot)
-        if resume or True in cols.resume[start + 1:stop]:
-            hits.add(2 * n + slot)
-        for cell in hits - counted:
-            hist[cell] += 1
-        counted = hits | counted
-        start = stop
-        if start < hi:
-            cut, resume, counted = cols.cut[start], cols.resume[start], set()
-    db._counted = counted
+        cut[0], resume[0] = transitions(prev.states[i], cols.states[lo], cols.times[lo] - last)
+        if db.abs_slot(last) == cols.run_key[g0]:
+            carried = db._counted
+    runs, slot = np.arange(g0, g1), cols.run_slot[g0:g1]
+    run_cut = np.logical_or.reduceat(cut, heads)
+    run_resume = np.logical_or.reduceat(resume, heads)
+    apps = slice(cols.app_off[lo], cols.app_off[hi])
+    hits = np.unique(np.concatenate((
+        runs * size + slot,
+        runs[run_cut] * size + n + slot[run_cut],
+        runs[run_resume] * size + 2 * n + slot[run_resume],
+        cols.app_run[apps] * size + cols.app_cell[apps])))
+    if carried:
+        hits = hits[~np.isin(hits, [g0 * size + cell for cell in carried])]
+    runs, cells = np.divmod(hits, size)
+    np.add.at(db._hist, cells, 1)
+    counted = set(cells[runs == g1 - 1].tolist())
+    db._counted = counted | carried if g1 - 1 == g0 else counted
     db._newest = (cols, hi - 1)
+    return runs, cells
+
+
+def _columns(db: HistoryDB, trace: Trace, lo: int, hi: Optional[int]) -> tuple:
+    """(fold columns of the trace, hi): the columns are built on the first
+    call and reused while the same trace is folded."""
+    hi = len(trace) if hi is None else hi
+    if not 0 <= lo <= hi <= len(trace):
+        raise ParameterError(f"rows {lo}:{hi} outside the trace's {len(trace)} rows")
+    if db._columns[0] is not trace:
+        db._columns = (trace, _FoldColumns(db, trace))
+    return db._columns[1], hi
 
 
 def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None) -> HistoryDB:
@@ -431,13 +455,134 @@ def fold_rows(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None
     :class:`ParameterError`. The trace's fold columns are built on the first
     call and reused while the same trace is folded.
     """
-    hi = len(trace) if hi is None else hi
-    if not 0 <= lo <= hi <= len(trace):
-        raise ParameterError(f"rows {lo}:{hi} outside the trace's {len(trace)} rows")
-    if db._columns[0] is not trace:
-        db._columns = (trace, _FoldColumns(db, trace))
-    _fold(db, db._columns[1], lo, hi)
+    cols, hi = _columns(db, trace, lo, hi)
+    if lo < hi:
+        _fold(db, cols, lo, hi)
     return db
+
+
+def fold_runs(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None) -> "FoldedRuns":
+    """Fold rows ``lo:hi`` as :func:`fold_rows` does and return the fold's
+    runs, each with the counts as they stood once its rows were folded."""
+    cols, hi = _columns(db, trace, lo, hi)
+    if lo >= hi:
+        return FoldedRuns(db, cols.run_key[:0], (cols, np.zeros(0, dtype=np.int64)))
+    runs, cells = _fold(db, cols, lo, hi)
+    g0, g1 = int(cols.gids[lo]), int(cols.gids[hi - 1]) + 1
+    newest = cols.run_start[g0 + 1:g1 + 1] - 1
+    newest[-1] = hi - 1
+    return FoldedRuns(db, cols.run_key[g0:g1], (cols, newest), (runs - g0, cells))
+
+
+def newest_run(db: HistoryDB, current_slot: int) -> "FoldedRuns":
+    """The database as it stands, as one run in ``current_slot`` whose newest
+    row is the database's newest row."""
+    newest = None
+    if db._newest is not None:
+        cols, i = db._newest
+        newest = (cols, np.array([i]))
+    return FoldedRuns(db, np.array([current_slot], dtype=np.int64), newest)
+
+
+class FoldedRuns:
+    """A run of slots to decide in, each seen with the counts as of its own
+    newest row.
+
+    Run ``j`` is in absolute slot ``slots[j]``; its newest row gives the time
+    ``now[j]`` and the visible set that features read. :meth:`counts` reads
+    the database's ``_hist`` cells as they stood once run ``j``'s rows were
+    folded: the counts before the fold plus the hits of runs ``0..j``. Only
+    the hits are kept, in run order and as keys sorted by (cell, run), so a
+    lookup is one binary search and no table of counts per run is built.
+    """
+
+    def __init__(self, db: HistoryDB, slots: np.ndarray, newest: Optional[tuple] = None,
+                 hits: Optional[tuple] = None):
+        self.db = db
+        self.slots = slots
+        self._newest = newest     # (fold columns, newest row of each run), or None
+        self.now = (np.zeros(len(slots), dtype=np.int64) if newest is None
+                    else newest[0].times[newest[1]])
+        runs, cells = hits if hits is not None else (np.zeros(0, dtype=np.int64),) * 2
+        self._runs, self._cells = runs, cells     # the hits, ordered by run
+        hit_counts = np.bincount(cells, minlength=len(db._hist))
+        self._before = db._hist - hit_counts      # the counts before the fold
+        self._width = max(len(slots), 1)
+        # a cell's count as of run j: _base[cell] + the hits of keys up to
+        # cell * width + j, where _base takes back the hits of every lower cell
+        self._keys = np.sort(cells * self._width + runs)
+        self._base = self._before - (np.cumsum(hit_counts) - hit_counts)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def counts(self, cells: np.ndarray, at) -> np.ndarray:
+        """The counts of ``_hist`` cells as of runs ``at`` (elementwise); run
+        -1 reads the counts before the fold."""
+        return self._base[cells] + np.searchsorted(self._keys, cells * self._width + at,
+                                                   side="right")
+
+    def running_counts(self, cells: np.ndarray) -> Callable[[int], list[int]]:
+        """A function of a run ``j`` that returns the counts of ``cells`` as
+        of run ``j``, as one list it advances in place by the hits of the
+        runs since its last call; ``j`` must not decrease between calls."""
+        counts = self._before[cells].tolist()
+        position = np.full(len(self.db._hist), -1)
+        position[cells] = np.arange(len(cells))
+        at = position[self._cells]
+        runs, at = self._runs[at >= 0].tolist(), at[at >= 0].tolist()
+        k = 0
+
+        def as_of(j: int) -> list[int]:
+            nonlocal k
+            while k < len(runs) and runs[k] <= j:
+                counts[at[k]] += 1
+                k += 1
+            return counts
+        return as_of
+
+    def databases(self) -> Callable[[int], HistoryDB]:
+        """A function of a run ``j`` that returns a database holding the
+        counts as of run ``j``: one copy of the counts before the fold, made
+        on the first call and advanced in place by the hits of the runs
+        since the previous call, so ``j`` must not decrease between calls.
+        The copy has no newest row."""
+        copy, done = None, 0
+
+        def as_of(j: int) -> HistoryDB:
+            nonlocal copy, done
+            if copy is None:
+                db = self.db
+                copy = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
+                copy._hist[:] = self._before
+            stop = int(np.searchsorted(self._runs, j, side="right"))
+            np.add.at(copy._hist, self._cells[done:stop], 1)
+            done = stop
+            return copy
+        return as_of
+
+    def event_probabilities(self, slots: np.ndarray, at, kind: EventKind) -> np.ndarray:
+        """:meth:`HistoryDB.event_probabilities` as of runs ``at``."""
+        n = self.db.n_slots
+        s = slots % n
+        row = 1 if kind is EventKind.CUT else 2
+        events, observations = self.counts(np.stack((row * n + s, s)), at)
+        return _rates(events, observations)
+
+    def features(self, slots: np.ndarray, at: np.ndarray, kind: EventKind) -> np.ndarray:
+        """:func:`feature_matrix` of ``slots``, slot ``i`` read from run
+        ``at[i]``'s newest row and counts."""
+        _check_features(self.db)
+        return _slot_features(self.db, self._context[at], slots,
+                              self.event_probabilities(slots, at, kind))
+
+    @cached_property
+    def _context(self) -> np.ndarray:
+        """Each run's context features (1-7), from its newest row."""
+        db = self.db
+        cols, rows = self._newest
+        flags = [db._visible_flags(cols.trace.visible_sets[v]) for v in cols.visible[rows].tolist()]
+        return _context(db, np.array(flags).reshape(-1, 6), self.now)
 
 
 def update_history(db: HistoryDB, new_samples: Iterable) -> HistoryDB:
@@ -498,7 +643,6 @@ def rank_slot_apps(
         raise ParameterError(f"k={k} outside [1, {len(s_apps)}]")
     if first_slot > last_slot:
         raise ParameterError("first_slot must not exceed last_slot")
-
     counts = db._usage[db._usage_rows(s_apps), np.arange(first_slot, last_slot + 1) % db.n_slots]
     # the stable sort keeps ties in s_apps order
     return np.argsort(-counts, axis=0, kind="stable")[:k]
@@ -601,14 +745,67 @@ def predict_resume_slot(
     if rng is None:
         rng = np.random.default_rng()
     slots = np.arange(current_slot + 1, current_slot + 1 + max_lookahead)
-    if len(slots):
+    if max_lookahead > 0:
         _check_rule(n_draws, delta)
-    p = db.event_probabilities(slots, EventKind.RESUME)
-    live = np.flatnonzero(p)
-    for s, ps in zip(slots[live].tolist(), p[live].tolist()):
-        if _rule_fires(ps, n_draws, delta, rng):
-            return s
-    return current_slot + 1 + default_gap_slots
+    counts = np.concatenate((db.slot_observations, db.resume_hist)).tolist()
+    found = _resume_scan(current_slot + 1, max_lookahead, counts, n_draws, delta, rng)
+    return current_slot + 1 + default_gap_slots if found is None else found
+
+
+def _resume_scan(first: int, max_lookahead: int, counts: list[int], n_draws: int,
+                 delta: float, rng: np.random.Generator) -> Optional[int]:
+    """The first of ``max_lookahead`` slots from ``first`` on whose resume
+    rule fires, else None. ``counts`` holds the observations of each slot of
+    day and then its resumes; only slots with p > 0 draw."""
+    n = len(counts) // 2
+    for slot in range(first, first + max_lookahead):
+        s = slot % n
+        if counts[n + s] and counts[s] and _rule_fires(counts[n + s] / counts[s], n_draws,
+                                                       delta, rng):
+            return slot
+    return None
+
+
+def history_rule(
+    runs: FoldedRuns,
+    n_draws: int,
+    delta: float,
+    max_lookahead: int,
+    default_gap_slots: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The event rule's verdicts on the slot after each run's slot, from the
+    counts as of that run.
+
+    Returns (cut, cut p, resume next, resume slot): whether a cut is
+    predicted for the target slot, the probability that verdict tested,
+    whether the resume rule fires for the target slot itself, and, where a
+    cut is predicted, the :func:`predict_resume_slot` scan from the run's
+    slot. Every probability comes from one call, and the runs are walked in
+    order only to draw: per run the cut rule, the resume rule for the target
+    slot, then, on a cut, the scan, as one call each per slot in that order
+    would draw.
+    """
+    targets = runs.slots + 1
+    at = np.arange(len(runs))
+    p_cut = runs.event_probabilities(targets, at, EventKind.CUT)
+    p_resume = runs.event_probabilities(targets, at, EventKind.RESUME)
+    pc, pr, current = p_cut.tolist(), p_resume.tolist(), runs.slots.tolist()
+    cut, resume_next = [False] * len(runs), [False] * len(runs)
+    resume_slot = (targets + default_gap_slots).tolist()
+    # the scans read each slot of day's observation and resume counts
+    n = runs.db.n_slots
+    scan_counts = runs.running_counts(np.concatenate((np.arange(n), 2 * n + np.arange(n))))
+    for j in np.flatnonzero(p_cut + p_resume).tolist():
+        cut[j] = history_predict_event(pc[j], n_draws, delta, rng)
+        resume_next[j] = history_predict_event(pr[j], n_draws, delta, rng)
+        if cut[j]:
+            found = _resume_scan(current[j] + 1, max_lookahead, scan_counts(j), n_draws, delta,
+                                 rng)
+            if found is not None:
+                resume_slot[j] = found
+    return np.array(cut, dtype=bool), p_cut, np.array(resume_next, dtype=bool), \
+        np.array(resume_slot, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -674,24 +871,36 @@ def feature_matrix(
     first seven features depend only on the visible set and the time, and
     for the newest row they are computed once per time; the slot index and
     the slot probability, the target event's empirical rate, vary by slot.
+    :meth:`FoldedRuns.features` builds the same rows from the counts as of
+    each slot's run.
     """
-    if db._newest is None:
-        raise FeatureError("no sample to extract features from")
-    if db.profile is None:
-        raise FeatureError("history database has no preferred-network profile")
+    _check_features(db)
     if visible is None:
         context = _newest_context(db, now)
-        if len(slots) == 1:   # a replay's per-slot call: no array passes
+        if len(slots) == 1:   # a one-row call: no array passes
             s = int(slots[0])
             return np.array([(*context, s % db.n_slots, db.event_probability(s, kind))])
     else:
         context = _context(db, np.array([db._visible_flags(v) for v in visible]).reshape(-1, 6),
                            now)
     slots = np.asarray(slots, dtype=np.int64)
+    return _slot_features(db, context, slots, db.event_probabilities(slots, kind))
+
+
+def _check_features(db: HistoryDB) -> None:
+    if db._newest is None:
+        raise FeatureError("no sample to extract features from")
+    if db.profile is None:
+        raise FeatureError("history database has no preferred-network profile")
+
+
+def _slot_features(db: HistoryDB, context, slots: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Feature rows of ``slots``: the context features (one row, or one per
+    slot), each slot's slot of day and its probability ``p``."""
     X = np.empty((len(slots), N_FEATURES))
     X[:, :7] = context
     X[:, 7] = slots % db.n_slots
-    X[:, 8] = db.event_probabilities(slots, kind)
+    X[:, 8] = p
     return X
 
 

@@ -1,11 +1,13 @@
-"""The periodic pre-caching decision step and its pluggable predictors.
+"""The periodic pre-caching decision and its pluggable predictors.
 
 Each slot, the pipeline folds the newly collected samples into the history
 database, asks a predictor whether a WiFi cut is coming in the next slot and,
 if so, for the slot WiFi will resume in, then selects the per-slot top-K
 pre-cachable apps over the predicted gap and returns their union as the
-pre-cache list. :func:`decide` is that per-slot decision; the backtest
-replays it unchanged.
+pre-cache list. :func:`decide` makes that decision for a run of slots at once,
+each slot seen with the history as of its own newest row (a
+:class:`~pcach.history.FoldedRuns`): the backtest decides its whole test
+period in one call, and :func:`pcach_step` is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .history import (
     DEFAULT_N_DRAWS,
     DEFAULT_SLOT_MINUTES,
     EventKind,
+    FoldedRuns,
     HistoryDB,
-    feature_matrix,
-    history_predict_event,
-    predict_resume_slot,
+    history_rule,
+    newest_run,
     predict_top_k_apps,
     update_history,
 )
@@ -68,60 +70,49 @@ class PCachConfig:
 
 class Predictor(Protocol):
     """Cut/resume predictor driving the pipeline; implementations must not
-    read anything beyond the history database handed to them.
+    read anything beyond the runs handed to them: each run's slot, its
+    newest row and the history as of that row.
 
-    ``predict_cut`` returns the verdict and the score it thresholds (the
-    history rule's p, the boosted margin); ``resume_fires`` is the resume
-    decision for one slot; ``predict_resume`` returns the slot WiFi is
-    predicted to resume in.
+    ``predict`` returns four arrays, one entry per run, on the slot after the
+    run's slot (its target): the cut verdict, the score that verdict
+    thresholds (the history rule's p, the boosted margin), the resume
+    verdict for the target slot itself and the slot WiFi is predicted to
+    resume in, which is read only where a cut is predicted.
     """
 
-    def predict_cut(self, db: HistoryDB, target_slot: int, now: int,
-                    rng: np.random.Generator) -> tuple[bool, float]: ...
-
-    def resume_fires(self, db: HistoryDB, slot: int, now: int,
-                     rng: np.random.Generator) -> bool: ...
-
-    def predict_resume(self, db: HistoryDB, current_slot: int, now: int,
-                       rng: np.random.Generator) -> int: ...
+    def predict(self, runs: FoldedRuns, rng: np.random.Generator) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 class HistoryPredictor:
-    """Monte-Carlo acceptance rule on the per-slot event probabilities, with
-    the draw count, tolerance and resume-scan bounds of a :class:`PCachConfig`.
+    """Monte-Carlo acceptance rule on the per-slot event probabilities
+    (:func:`~pcach.history.history_rule`), with the draw count, tolerance and
+    resume-scan bounds of a :class:`PCachConfig`.
     """
 
     def __init__(self, config: PCachConfig):
         self.config = config
 
-    def predict_cut(self, db, target_slot, now, rng):
-        p = db.event_probability(target_slot, EventKind.CUT)
-        return history_predict_event(p, self.config.n_draws, self.config.delta, rng), p
-
-    def resume_fires(self, db, slot, now, rng):
-        p = db.event_probability(slot, EventKind.RESUME)
-        return history_predict_event(p, self.config.n_draws, self.config.delta, rng)
-
-    def predict_resume(self, db, current_slot, now, rng):
+    def predict(self, runs, rng):
         c = self.config
-        return predict_resume_slot(
-            db, current_slot,
-            max_lookahead=c.max_lookahead_slots,
-            n_draws=c.n_draws,
-            delta=c.delta,
-            rng=rng,
-            default_gap_slots=c.default_gap_slots,
-        )
+        return history_rule(runs, c.n_draws, c.delta, c.max_lookahead_slots,
+                            c.default_gap_slots, rng)
+
+
+# rows of resume-scan features scored per margins call
+_SCAN_ROWS = 2048
 
 
 class AdaBoostPredictor:
     """Boosted-stump classifiers over the per-slot context features.
 
     The two models and the resume-scan bounds come from a
-    :class:`PCachConfig`. The resume slot is the first future slot the
-    resume classifier labels positive, found from one feature matrix of the
-    scanned slots, with the same fixed fallback as the history rule. A
-    margin tied with a model's threshold is negative.
+    :class:`PCachConfig`. The cut and resume margins of every target slot
+    come from one margins call per model. The resume slot is the first
+    future slot the resume classifier labels positive, scanned for every
+    predicted cut a block of runs per margins call, with the same fixed
+    fallback as the history rule. A margin tied with a model's threshold is
+    negative, and every verdict is the one a one-row margins call gives.
     """
 
     def __init__(self, config: PCachConfig):
@@ -129,22 +120,32 @@ class AdaBoostPredictor:
             raise ConfigError("boosted predictor requires trained cut and resume models")
         self.config = config
 
-    def predict_cut(self, db, target_slot, now, rng):
-        model = self.config.cut_model
-        X = feature_matrix(db, [target_slot], now, EventKind.CUT)
-        margin = float(model.decision_margins(X)[0])
-        return margin > model.decision_threshold, margin
-
-    def resume_fires(self, db, slot, now, rng):
-        model = self.config.resume_model
-        X = feature_matrix(db, [slot], now, EventKind.RESUME)
-        return bool(model.decision_margins(X)[0] > model.decision_threshold)
-
-    def predict_resume(self, db, current_slot, now, rng):
+    def predict(self, runs, rng):
         c = self.config
-        slots = np.arange(current_slot + 1, current_slot + 1 + c.max_lookahead_slots)
-        i = c.resume_model.first_positive(feature_matrix(db, slots, now, EventKind.RESUME))
-        return current_slot + 1 + c.default_gap_slots if i is None else int(slots[i])
+        targets = runs.slots + 1
+        at = np.arange(len(runs))
+        cut, cut_margins = _labels(c.cut_model, runs.features(targets, at, EventKind.CUT))
+        resume_next, _ = _labels(c.resume_model, runs.features(targets, at, EventKind.RESUME))
+        resume_slot = targets + c.default_gap_slots
+        ahead = np.arange(1, c.max_lookahead_slots + 1)
+        # with no slot to scan, every cut takes the fallback
+        cuts = np.flatnonzero(cut) if len(ahead) else np.zeros(0, dtype=np.int64)
+        block = max(1, _SCAN_ROWS // max(len(ahead), 1))
+        for lo in range(0, len(cuts), block):
+            j = cuts[lo:lo + block]
+            slots = runs.slots[j, None] + ahead
+            fires, _ = _labels(c.resume_model, runs.features(
+                slots.ravel(), np.repeat(j, len(ahead)), EventKind.RESUME))
+            fires = fires.reshape(slots.shape)
+            found = fires.any(axis=1)
+            resume_slot[j[found]] = slots[found, fires[found].argmax(axis=1)]
+        return cut, cut_margins, resume_next, resume_slot
+
+
+def _labels(model: AdaBoostModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(label is +1, margin) of each row, as one-row margins calls decide."""
+    margins = model.exact_margins(X, [model.decision_threshold])
+    return margins > model.decision_threshold, margins
 
 
 def make_predictor(config: PCachConfig) -> Predictor:
@@ -171,22 +172,51 @@ class StepDecision:
     apps: tuple[str, ...]
 
 
-def decide(db: HistoryDB, config: PCachConfig, predictor: Predictor,
-           current_slot: int, now: int, rng: np.random.Generator) -> StepDecision:
-    """The pre-caching decision for the slot after ``current_slot``.
+@dataclass(frozen=True)
+class Decisions:
+    """The decisions of a run of slots, as columns; ``decisions[i]`` is the
+    i-th as a :class:`StepDecision`. ``resume_slot`` is read only where
+    ``cut`` holds."""
 
-    Draws from ``rng`` in a fixed order: the cut rule, the resume rule for
-    the target slot, then, on a cut, the resume scan. The apps are the
-    union of per-slot top-K selections over [target, predicted resume].
+    target_slot: np.ndarray
+    cut: np.ndarray
+    cut_score: np.ndarray
+    resume_next: np.ndarray
+    resume_slot: np.ndarray
+    apps: list[tuple[str, ...]]
+
+    def __len__(self) -> int:
+        return len(self.target_slot)
+
+    def __getitem__(self, i: int) -> StepDecision:
+        cut = bool(self.cut[i])
+        return StepDecision(int(self.target_slot[i]), cut, float(self.cut_score[i]),
+                            bool(self.resume_next[i]),
+                            int(self.resume_slot[i]) if cut else None, self.apps[i])
+
+
+def decide(runs: FoldedRuns, config: PCachConfig, predictor: Predictor,
+           rng: np.random.Generator) -> Decisions:
+    """The pre-caching decision for the slot after each run's slot.
+
+    The predictor gives every verdict from the history as of each run (the
+    history rule draws from ``rng`` run by run in a fixed order: the cut
+    rule, the resume rule for the target slot, then, on a cut, the resume
+    scan). On a cut the resume slot is clamped to the target slot, and the
+    apps are the union of per-slot top-K selections over [target, resume
+    slot], ranked from the usage counts as of the run.
     """
-    target = current_slot + 1
-    cut, cut_score = predictor.predict_cut(db, target, now, rng)
-    resume_next = predictor.resume_fires(db, target, now, rng)
-    if not cut:
-        return StepDecision(target, False, cut_score, resume_next, None, ())
-    resume_slot = max(predictor.predict_resume(db, current_slot, now, rng), target)
-    apps = predict_top_k_apps(db, config.s_apps, config.k, target, resume_slot)
-    return StepDecision(target, True, cut_score, resume_next, resume_slot, tuple(apps))
+    cut, cut_score, resume_next, resume_slot = predictor.predict(runs, rng)
+    targets = runs.slots + 1
+    cut = np.asarray(cut, dtype=bool)
+    resume_slot = np.maximum(np.asarray(resume_slot, dtype=np.int64), targets)
+    apps: list[tuple[str, ...]] = [()] * len(runs)
+    as_of = runs.databases()
+    for j in np.flatnonzero(cut).tolist():
+        apps[j] = tuple(predict_top_k_apps(as_of(j), config.s_apps, config.k,
+                                           int(targets[j]), int(resume_slot[j])))
+    return Decisions(targets, cut, np.asarray(cut_score, dtype=float),
+                     np.asarray(resume_next, dtype=bool), resume_slot, apps)
 
 
 def pcach_step(
@@ -200,8 +230,9 @@ def pcach_step(
     """One pass of the periodic pre-caching loop.
 
     Folds ``new_samples`` into the history with :func:`update_history` and
-    returns the apps of :func:`decide`: empty when no cut is predicted for the
-    next slot. A batch out of order raises
+    returns the apps :func:`decide` selects for the database as it then
+    stands (:func:`~pcach.history.newest_run`): empty when no cut is
+    predicted for the next slot. A batch out of order raises
     :class:`~pcach.errors.OrderingError`, and one whose byte counts exceed
     int64 or sum past 2**62 raises :class:`~pcach.errors.TraceValidationError`;
     either leaves ``db`` untouched and decides nothing.
@@ -212,5 +243,4 @@ def pcach_step(
         predictor = make_predictor(config)
 
     update_history(db, new_samples)
-    now = db.last_timestamp if db.last_timestamp is not None else 0
-    return list(decide(db, config, predictor, current_slot, now, rng).apps)
+    return list(decide(newest_run(db, current_slot), config, predictor, rng).apps[0])

@@ -248,10 +248,20 @@ def _model_dict():
     ('{"stumps": [', "not valid JSON"),
     ("", "not valid JSON"),
     (b"\xff", "not valid JSON"),
+    (lambda d: d.update(stumps=5), "'stumps'"),
+    (lambda d: d["stumps"][0].update(feature="4"), "'feature'"),
+    (lambda d: d.update(rounds="3"), "'rounds'"),
+    (lambda d: d["stumps"][0].update(feature=12), "'feature'"),
+    (lambda d: d["stumps"][1].update(polarity=2), "'polarity'"),
+    (lambda d: d["stumps"][0].update(feature=True), "'feature'"),
+    (lambda d: d.update(rounds=1), "'rounds'"),
+    (lambda d: d["stumps"][1].update(alpha=10**400), "'alpha'"),
 ], ids=["no-threshold", "no-alpha", "no-decision-threshold", "no-rounds", "no-stumps",
         "string-threshold", "nan-threshold", "null-threshold", "inf-alpha", "bool-alpha",
         "nan-decision-threshold", "string-decision-threshold", "non-object-stump",
-        "truncated-json", "empty-text", "invalid-utf8"])
+        "truncated-json", "empty-text", "invalid-utf8", "number-stumps", "string-feature",
+        "string-rounds", "feature-past-nine", "polarity-two", "bool-feature",
+        "fewer-rounds-than-stumps", "alpha-past-float-range"])
 def test_model_json_errors_name_the_key(edit, named):
     if isinstance(edit, (str, bytes)):
         text = edit
@@ -262,6 +272,47 @@ def test_model_json_errors_name_the_key(edit, named):
     with pytest.raises(ModelError) as exc:
         AdaBoostModel.from_json(text)
     assert named in str(exc.value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _places(value):
+    """Every (container, key) inside a JSON value, depth first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    out = []
+    for key, inner in list(items):
+        out += [(value, key), *_places(inner)]
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_model_texts_raise_only_model_errors(data):
+    d = _model_dict()
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = _places(d)
+        if not places:
+            break
+        container, key = data.draw(st.sampled_from(places))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(_JSON_VALUES)
+    text = json.dumps(d)
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    try:
+        model = AdaBoostModel.from_json(text)
+    except ModelError:
+        return
+    assert AdaBoostModel.from_json(model.to_json()).to_json() == model.to_json()
 
 
 def test_stump_validation():
@@ -328,17 +379,22 @@ def test_presorted_training_writes_the_resorting_model(data, rounds):
     assert model.training_log == oracle.training_log
 
 
-def test_first_positive_matches_one_row_decisions():
+def test_exact_margins_match_one_row_decisions():
     rng = seeded_rng(8)
     stumps = tuple(Stump(int(f), float(t), int(p), float(a)) for f, t, p, a in zip(
         rng.integers(1, 10, 40), rng.normal(size=40).round(1), rng.choice([-1, 1], 40),
         rng.random(40)))
     X = rng.normal(size=(300, 9)).round(1)
-    one_row = np.array([AdaBoostModel(stumps, 40).decision_margins(X[i:i + 1])[0]
-                        for i in range(len(X))])
+    model = AdaBoostModel(stumps, 40)
+    one_row = np.array([model.decision_margins(X[i:i + 1])[0] for i in range(len(X))])
     # thresholds on the one-row margins themselves: the batched sums may
     # land a last bit away from them
-    for thr in [*one_row[::7], -100.0, 100.0]:
-        model = AdaBoostModel(stumps, 40, decision_threshold=float(thr))
-        hits = np.flatnonzero(one_row > thr)
-        assert model.first_positive(X) == (int(hits[0]) if hits.size else None)
+    thresholds = [*one_row[::7], -100.0, 100.0]
+    for thr in thresholds:
+        margins = model.exact_margins(X, [thr])
+        assert np.array_equal(margins > thr, one_row > thr)
+    # one call serves every compared value at once
+    margins = model.exact_margins(X, thresholds)
+    for thr in thresholds:
+        assert np.array_equal(margins > thr, one_row > thr)
+        assert np.array_equal(margins == thr, one_row == thr)

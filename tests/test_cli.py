@@ -190,6 +190,7 @@ def test_utc_offset_beyond_a_day_names_the_flag(corpus, tmp_path, capsys):
     (["backtest", "--predictor", "adaboost"], "--rounds", "0"),
     (["mine"], "--horizons", ","),
     (["bound"], "--horizons", "-5"),
+    (["sweep-k"], "--train-days", "1e-9"),
 ])
 def test_bad_flag_value_names_the_flag(corpus, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from pcach.errors import DataError, ParameterError, UndefinedRateError
@@ -123,14 +124,9 @@ def test_roc_point_validation():
 # ---------------------------------------------------------------------------
 
 class NeverCut:
-    def predict_cut(self, db, target, now, rng):
-        return False, 0.0
-
-    def resume_fires(self, db, slot, now, rng):
-        return False
-
-    def predict_resume(self, db, current_slot, now, rng):
-        return current_slot + 1
+    def predict(self, runs, rng):
+        n = len(runs)
+        return np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool), runs.slots + 1
 
 
 class OracleFromTruth:
@@ -146,14 +142,12 @@ class OracleFromTruth:
             if g.resume_time is not None and cs not in self.resume_by_cut_slot:
                 self.resume_by_cut_slot[cs] = g.resume_time // self.slot_s
 
-    def predict_cut(self, db, target, now, rng):
-        return target in self.cut_slots, 0.0
-
-    def resume_fires(self, db, slot, now, rng):
-        return False
-
-    def predict_resume(self, db, current_slot, now, rng):
-        return self.resume_by_cut_slot.get(current_slot + 1, current_slot + 3)
+    def predict(self, runs, rng):
+        n = len(runs)
+        current = runs.slots.tolist()
+        cut = [slot + 1 in self.cut_slots for slot in current]
+        resume = [self.resume_by_cut_slot.get(slot + 1, slot + 3) for slot in current]
+        return np.array(cut, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool), np.array(resume)
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +277,7 @@ def test_k_sweep_rejects_bad_k(medium_trace):
         app_prediction_run(trace, cfg.pcachable_apps, [len(cfg.pcachable_apps) + 1])
 
 
-@pytest.mark.parametrize("train_days", [-1.0, 0, float("nan"), float("inf")])
+@pytest.mark.parametrize("train_days", [-1.0, 0, float("nan"), float("inf"), 1e-9])
 def test_k_sweep_rejects_bad_train_days(medium_trace, train_days):
     trace, cfg = medium_trace
     with pytest.raises(ParameterError, match="train_days"):

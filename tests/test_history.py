@@ -20,6 +20,7 @@ from pcach.history import (
     extract_features,
     feature_matrix,
     fold_rows,
+    fold_runs,
     history_predict_event,
     predict_resume_slot,
     predict_top_k_apps,
@@ -694,3 +695,51 @@ def test_fold_rows_outside_the_trace_is_a_parameter_error(lo, hi):
     with pytest.raises(ParameterError):
         fold_rows(db, trace, lo, hi)
     assert db.to_json() == make_db().to_json()
+
+
+@st.composite
+def _as_of_plans(draw):
+    """A small generated trace or a drawn one, a database, and the split
+    and end of the rows that one fold takes past the split."""
+    if draw(st.booleans()):
+        config = reference_config(seed=draw(st.integers(0, 2**16)), days=draw(st.integers(1, 2)))
+        trace = generate_trace(config, "as-of")
+        apps = config.pcachable_apps[:draw(st.integers(0, len(config.pcachable_apps)))]
+        db = HistoryDB(slot_minutes=draw(st.sampled_from([15, 60])), tracked_apps=apps,
+                       utc_offset_s=draw(st.sampled_from([0, -18000])))
+    else:
+        trace, db, _ = draw(_fold_plans())
+    split = draw(st.integers(0, len(trace)))
+    return trace, db, split, draw(st.integers(split, len(trace)))
+
+
+def _all_counts(db):
+    """Observation, cut, resume and app rows, in the order of the cells."""
+    return np.concatenate((db.slot_observations, db.cut_hist, db.resume_hist,
+                           db.app_counts.ravel())).tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_as_of_plans())
+def test_as_of_counts_are_a_fresh_fold_of_every_row_up_to_the_run(plan):
+    trace, db, split, hi = plan
+    fold_rows(db, trace, 0, split)
+    before = _all_counts(db)
+    runs = fold_runs(db, trace, split, hi)
+    slots, _, stops = slot_groups(db, trace, split, hi)
+    assert runs.slots.tolist() == slots.tolist()
+    assert runs.now.tolist() == trace.t[stops - 1].tolist()
+    cells = np.arange(len(before))
+    assert runs.counts(cells, -1).tolist() == before
+    running = runs.running_counts(cells)
+    for j, stop in enumerate(stops.tolist()):
+        fresh = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
+        fold_rows(fresh, trace, 0, stop)
+        assert runs.counts(cells, j).tolist() == _all_counts(fresh)
+        if j % 3 == 1 or j == len(stops) - 1:   # runs in between are skipped
+            assert running(j) == _all_counts(fresh)
+    # the fold itself leaves the database as fold_rows would
+    again = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
+    fold_rows(again, trace, 0, split)
+    fold_rows(again, trace, split, hi)
+    assert again.to_json() == db.to_json()

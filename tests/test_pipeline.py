@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 from pcach.boosting import AdaBoostModel, Stump
 from pcach.errors import ConfigError
 from pcach.evaluation import backtest
-from pcach.history import HistoryDB, update_history
+from pcach.history import (
+    EventKind,
+    HistoryDB,
+    fold_rows,
+    fold_runs,
+    history_predict_event,
+    history_rule,
+    newest_run,
+    predict_resume_slot,
+    slot_groups,
+    update_history,
+)
 from pcach.pipeline import (
     AdaBoostPredictor,
     HistoryPredictor,
@@ -53,14 +64,10 @@ class ForcedPredictor:
         self.cut = cut
         self.resume_slot = resume_slot
 
-    def predict_cut(self, db, target, now, rng):
-        return self.cut, 0.0
-
-    def resume_fires(self, db, slot, now, rng):
-        return False
-
-    def predict_resume(self, db, current_slot, now, rng):
-        return self.resume_slot
+    def predict(self, runs, rng):
+        n = len(runs)
+        return (np.full(n, self.cut), np.zeros(n), np.zeros(n, dtype=bool),
+                np.full(n, self.resume_slot))
 
 
 def test_config_validation():
@@ -150,7 +157,8 @@ def test_adaboost_predictor_scans_for_resume():
     db.slot_observations[:] = 10
     db.resume_hist[14] = 8        # probability 0.8 at slot 14
     pred = AdaBoostPredictor(_config(cut_model=always, resume_model=resume))
-    assert pred.predict_resume(db, 10, 10 * 900, seeded_rng(0)) == 14
+    cut, _, _, resume_slot = pred.predict(newest_run(db, 10), seeded_rng(0))
+    assert cut[0] and resume_slot[0] == 14
     out = pcach_step(db, _config(k=1), 10,
                      [sample(10 * 900 + 300, W, ssid="home", visible={"home"})],
                      rng=seeded_rng(0), predictor=pred)
@@ -165,7 +173,21 @@ def test_adaboost_predictor_resume_fallback():
     never = AdaBoostModel(stumps=(Stump(4, 1e9, 1, 1.0),), rounds=1)
     pred = AdaBoostPredictor(_config(cut_model=always, resume_model=never,
                                      max_lookahead_slots=10, default_gap_slots=2))
-    assert pred.predict_resume(db, 5, 0, seeded_rng(0)) == 8
+    cut, _, _, resume_slot = pred.predict(newest_run(db, 5), seeded_rng(0))
+    assert cut[0] and resume_slot[0] == 8
+
+
+def test_predictors_without_lookahead_take_the_fallback():
+    db = _db()
+    update_history(db, [sample(0, W, ssid="home", visible={"home"})])
+    db.slot_observations[:] = 10
+    db.cut_hist[:] = db.resume_hist[:] = 10
+    always = AdaBoostModel(stumps=(Stump(4, -1.0, 1, 1.0),), rounds=1)
+    config = _config(cut_model=always, resume_model=always, max_lookahead_slots=0,
+                     default_gap_slots=2)
+    for predictor in (AdaBoostPredictor(config), HistoryPredictor(config)):
+        cut, _, _, resume_slot = predictor.predict(newest_run(db, 5), seeded_rng(0))
+        assert cut[0] and resume_slot[0] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -173,42 +195,34 @@ def test_adaboost_predictor_resume_fallback():
 # ---------------------------------------------------------------------------
 
 class RecordingPredictor:
-    """Stub that logs every protocol call in order."""
+    """Stub that logs the slots of every batch it is asked about."""
 
     def __init__(self, cut):
         self.cut = cut
         self.calls = []
 
-    def predict_cut(self, db, target, now, rng):
-        self.calls.append(("predict_cut", target))
-        return self.cut, 0.5
-
-    def resume_fires(self, db, slot, now, rng):
-        self.calls.append(("resume_fires", slot))
-        return True
-
-    def predict_resume(self, db, current_slot, now, rng):
-        self.calls.append(("predict_resume", current_slot))
-        return current_slot + 2
+    def predict(self, runs, rng):
+        self.calls.append(runs.slots.tolist())
+        n = len(runs)
+        return np.full(n, self.cut), np.full(n, 0.5), np.ones(n, dtype=bool), runs.slots + 2
 
 
-def test_decide_calls_cut_then_target_resume_then_scan():
+def test_decide_asks_the_predictor_once_per_batch():
     db = _db()
     db.app_hist["c"][11] = 3
     pred = RecordingPredictor(cut=True)
-    d = decide(db, _config(k=1), pred, 10, 10 * 900, seeded_rng(0))
-    assert pred.calls == [("predict_cut", 11), ("resume_fires", 11),
-                          ("predict_resume", 10)]
-    assert d == StepDecision(target_slot=11, cut=True, cut_score=0.5,
-                             resume_next=True, resume_slot=12, apps=("c", "a"))
+    d = decide(newest_run(db, 10), _config(k=1), pred, seeded_rng(0))
+    assert pred.calls == [[10]]
+    assert d[0] == StepDecision(target_slot=11, cut=True, cut_score=0.5,
+                                resume_next=True, resume_slot=12, apps=("c", "a"))
 
 
-def test_decide_scans_for_resume_only_on_a_cut():
+def test_decide_reads_no_resume_slot_and_ranks_no_apps_without_a_cut():
     pred = RecordingPredictor(cut=False)
-    d = decide(_db(), _config(), pred, 10, 10 * 900, seeded_rng(0))
-    assert pred.calls == [("predict_cut", 11), ("resume_fires", 11)]
-    assert d == StepDecision(target_slot=11, cut=False, cut_score=0.5,
-                             resume_next=True, resume_slot=None, apps=())
+    d = decide(newest_run(_db(), 10), _config(), pred, seeded_rng(0))
+    assert pred.calls == [[10]]
+    assert d[0] == StepDecision(target_slot=11, cut=False, cut_score=0.5,
+                                resume_next=True, resume_slot=None, apps=())
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,10 +261,11 @@ def _replay(train_days=6, kind=PredictorKind.HISTORY):
 
 
 def _decisions(db, config, predictor, groups, rng):
+    """One decision per slot group, each folded and decided on its own."""
     out = []
     for slot, samples in groups:
         update_history(db, samples)
-        out.append(decide(db, config, predictor, slot, db.last_timestamp, rng))
+        out.append(decide(newest_run(db, slot), config, predictor, rng)[0])
     return out
 
 
@@ -284,3 +299,57 @@ def test_snapshot_restored_mid_stream_gives_identical_decisions(kind, first, eve
         restored += _decisions(db, config, predictor, groups[done:split], rng)
         db, rng, done = HistoryDB.from_json(db.to_json()), copy.deepcopy(rng), split
     assert restored == straight
+
+
+@pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
+def test_one_batch_decides_as_one_slot_at_a_time(kind):
+    db, config, groups = _replay(kind=kind)
+    predictor = make_predictor(config)
+    one_at_a_time = _decisions(HistoryDB.from_json(db.to_json()), config, predictor, groups,
+                               seeded_rng(5))
+    test_rows = Trace("test", [s for _, samples in groups for s in samples])
+    batch = decide(fold_runs(db, test_rows), config, predictor, seeded_rng(5))
+    assert len(batch) == len(one_at_a_time) == len(groups)
+    assert sum(d.cut for d in one_at_a_time) > 0
+    for got, want in zip(batch, one_at_a_time):
+        # a batched margin may differ from a one-row margin in its last bits
+        assert got.cut_score == pytest.approx(want.cut_score, rel=1e-12, abs=1e-12)
+        assert dataclasses.replace(got, cut_score=want.cut_score) == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), days=st.integers(2, 4), slot_minutes=st.sampled_from([15, 60]),
+       split=st.floats(0.05, 0.95), n_draws=st.sampled_from([5, 10, 10000]),
+       max_lookahead=st.sampled_from([0, 5, 96, 300]), rng_seed=st.integers(0, 2**32 - 1))
+@example(seed=4, days=14, slot_minutes=15, split=0.5, n_draws=10, max_lookahead=300, rng_seed=6)
+@example(seed=5, days=14, slot_minutes=60, split=0.3, n_draws=5, max_lookahead=96, rng_seed=7)
+def test_history_rule_draws_cut_then_target_resume_then_scan(seed, days, slot_minutes, split,
+                                                             n_draws, max_lookahead, rng_seed):
+    """The batched rule draws as per-slot calls on a database folded up to
+    each slot would: per slot the cut rule, the resume rule for the target
+    slot, then on a cut the scan."""
+    config = reference_config(seed=seed, days=days)
+    trace = generate_trace(config, "rule")
+    lo = int(len(trace) * split)
+    db = HistoryDB(slot_minutes, tracked_apps=config.pcachable_apps)
+    ref = HistoryDB(slot_minutes, tracked_apps=config.pcachable_apps)
+    fold_rows(db, trace, 0, lo)
+    fold_rows(ref, trace, 0, lo)
+    slots, starts, stops = slot_groups(db, trace, lo, len(trace))
+    runs = fold_runs(db, trace, lo)
+    delta, gap = 0.25, 2
+    batch_rng, rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    cut, p_cut, resume_next, resume_slot = history_rule(runs, n_draws, delta, max_lookahead, gap,
+                                                        batch_rng)
+    for j, (slot, start, stop) in enumerate(zip(slots.tolist(), starts.tolist(), stops.tolist())):
+        fold_rows(ref, trace, start, stop)
+        p = ref.event_probability(slot + 1, EventKind.CUT)
+        assert p_cut[j] == p
+        assert cut[j] == history_predict_event(p, n_draws, delta, rng)
+        assert resume_next[j] == history_predict_event(
+            ref.event_probability(slot + 1, EventKind.RESUME), n_draws, delta, rng)
+        if cut[j]:
+            assert resume_slot[j] == predict_resume_slot(ref, slot, max_lookahead, n_draws,
+                                                         delta, rng, gap)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
+    assert ref.to_json() == db.to_json()
