@@ -18,7 +18,6 @@ from .history import (
     FeatureVector,
     HistoryDB,
     extract_features,
-    feature_matrix,
     fold_rows,
     history_predict_event,
     predict_resume_slot,

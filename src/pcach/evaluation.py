@@ -11,17 +11,17 @@ The backtest and the K sweep start each phone from one replay state: the
 training rows' preferred-network profile, the normalized timeline, an empty
 history database, and the gaps with their cut and resume slots on that
 database's slot clock. Replays read the normalized trace's columns end to
-end and never build its sample view. The AdaBoost training features of every
-training slot come from one :func:`~pcach.history.feature_matrix` call per
-event kind.
+end and never build its sample view.
 
-The backtest folds the training prefix with
-:func:`~pcach.history.fold_rows`, then the test rows with
-:func:`~pcach.history.fold_runs`, and decides every test slot in one
-:func:`~pcach.pipeline.decide` call, each slot seeing the history of every
-row up to its own last one. The K sweep folds the rows between consecutive
-scored gaps with :func:`~pcach.history.fold_rows` and ranks each gap's apps
-from the history of every row before its cut slot.
+Both read history as :class:`~pcach.history.FoldedRuns`. The backtest folds
+the training prefix with :func:`~pcach.history.fold_rows`; AdaBoost trains on
+the features of the training slots as the database then stands
+(:func:`~pcach.history.newest_run`, each slot read from its last row). It then
+folds the test rows once with :func:`~pcach.history.fold_runs` and decides
+every test slot in one :func:`~pcach.pipeline.decide` call, each slot seeing
+the history of every row up to its own last one. The K sweep folds the whole
+timeline once with :func:`~pcach.history.fold_runs` and ranks each gap's apps
+from the counts as of the run before its cut slot.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .history import (
     DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
-    feature_matrix,
     fold_rows,
     fold_runs,
     history_votes,
+    newest_run,
     rank_slot_apps,
     selected_apps,
     slot_groups,
@@ -274,10 +274,10 @@ def app_prediction_run(
     counts = {k: ConfusionCounts() for k in ks}
     scored = skipped = 0
 
-    # the history folds up to each test gap's cut slot, one row range a gap
-    slots, starts, _ = slot_groups(db, norm, 0, len(norm))
-    folded = 0
-    for slot, start in zip(slots.tolist(), starts.tolist()):
+    # one fold; each gap ranks from the counts as of the run before its cut slot
+    runs = fold_runs(db, norm)
+    as_of = runs.databases()
+    for j, slot in enumerate(runs.slots.tolist()):
         gap = replay.gap_by_cut_slot.get(slot)
         if gap is None or gap.cut_time < boundary:
             continue
@@ -285,10 +285,7 @@ def app_prediction_run(
         if not used:
             skipped += 1
             continue
-        fold_rows(db, norm, folded, start)
-        folded = start
-        last_slot = db.abs_slot(gap.resume_time)
-        ranked = rank_slot_apps(db, s_apps, ks[-1], slot, last_slot)
+        ranked = rank_slot_apps(as_of(j - 1), s_apps, ks[-1], slot, db.abs_slot(gap.resume_time))
         for k in ks:
             predicted = selected_apps(s_apps, ranked[:k])
             counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
@@ -424,20 +421,19 @@ def _train_feature_pass(replay: _Replay, idx: int, last_train_slot: int):
     Features use the training period's final histograms (frozen), so the
     classifier trains on the probability estimates it will actually see;
     nothing from the test period is touched. Each slot's newest row is its
-    last one.
+    last one. Returns the features and labels of both kinds and the runs
+    they were read from.
     """
     norm, db = replay.norm, replay.db
     slots, _, stops = slot_groups(db, norm, 0, idx)
-    targets = slots + 1
-    keep = targets <= last_train_slot
-    targets, last = targets[keep], stops[keep] - 1
-    now = norm.t[last]
-    visible = [norm.visible_sets[v] for v in norm.visible[last].tolist()]
-    X_cut = feature_matrix(db, targets, now, EventKind.CUT, visible)
-    X_res = feature_matrix(db, targets, now, EventKind.RESUME, visible)
+    keep = slots < last_train_slot
+    runs = newest_run(db, slots[keep], stops[keep] - 1)
+    targets, at = runs.slots + 1, np.arange(len(runs))
+    X_cut = runs.features(targets, at, EventKind.CUT)
+    X_res = runs.features(targets, at, EventKind.RESUME)
     y_cut = np.where(np.isin(targets, list(replay.gap_by_cut_slot)), 1, -1)
     y_res = np.where(np.isin(targets, list(replay.resume_slots)), 1, -1)
-    return X_cut, y_cut, X_res, y_res, targets
+    return X_cut, y_cut, X_res, y_res, runs
 
 
 def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[float]:
@@ -513,19 +509,17 @@ def backtest(
     sel_cut_thr = sel_res_thr = None
     cut_margins_train = cut_labels_train = None
     if predictor_override is None and config.predictor_kind is PredictorKind.ADABOOST:
-        X_cut, y_cut, X_res, y_res, target_slots = _train_feature_pass(
+        X_cut, y_cut, X_res, y_res, train_runs = _train_feature_pass(
             replay, idx, last_train_slot)
         cut_model = train_adaboost_xy(X_cut, y_cut, rounds=config.adaboost_rounds)
         resume_model = train_adaboost_xy(X_res, y_res, rounds=config.adaboost_rounds)
 
         # the history rule's train-period confusion is the recall to beat
         rng_ref = stream_rng(seed, trace.phone_id, 0, "train-reference")
-        ref_cut = ConfusionCounts.tally(
-            history_votes(db, target_slots, EventKind.CUT, config.n_draws, config.delta,
-                          rng_ref), y_cut > 0)
-        ref_res = ConfusionCounts.tally(
-            history_votes(db, target_slots, EventKind.RESUME, config.n_draws, config.delta,
-                          rng_ref), y_res > 0)
+        ref_cut = ConfusionCounts.tally(history_votes(
+            train_runs, EventKind.CUT, config.n_draws, config.delta, rng_ref), y_cut > 0)
+        ref_res = ConfusionCounts.tally(history_votes(
+            train_runs, EventKind.RESUME, config.n_draws, config.delta, rng_ref), y_res > 0)
         cut_margins_train = cut_model.decision_margins(X_cut)
         cut_labels_train = y_cut
         sel_cut_thr = _select_threshold(cut_margins_train, y_cut, ref_cut)

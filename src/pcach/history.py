@@ -21,18 +21,15 @@ newest folded row is a row of the trace it came from.
 objects in a ``Trace`` and folds that. :func:`slot_groups` splits a row range
 into its slots.
 
-:func:`fold_runs` folds like :func:`fold_rows` and keeps the hits: its
-:class:`FoldedRuns` reads any count as it stood after any run (the counts
-before the fold plus the hits up to that run), in bulk or run by run, so a
-replay decides all its slots from one fold. :func:`newest_run` is the
-database as it stands, as a batch of one.
-
-The predictors read arrays: :func:`feature_matrix` builds the nine context
-features of any number of slots at once from per-visible-set flags
-(:meth:`FoldedRuns.features` from the counts as of each slot's run), and
+Every prediction reads history as a :class:`FoldedRuns`: runs of slots,
+each seen with its newest row and the counts as of that row. :func:`fold_runs`
+folds like :func:`fold_rows` and keeps the hits, so a replay decides all its
+slots from one fold; :func:`newest_run` is the database as it stands, runs
+with no hits (training's slots on the frozen counts, or the on-device step's
+one slot). :meth:`FoldedRuns.features` is the one feature builder, and
 :func:`history_rule` takes every target slot's probabilities from one call
 and walks the runs only to draw. :func:`extract_features` and
-:class:`FeatureVector` are the one-row view of the features.
+:class:`FeatureVector` are a one-row view built by the same helpers.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -130,7 +127,6 @@ class HistoryDB:
         self._columns: tuple = (None, None)   # (trace, its fold columns)
         self._rows_of: dict[tuple[str, ...], np.ndarray] = {}
         self._flags: dict[frozenset[str], tuple[float, ...]] = {}
-        self._contexts: dict[tuple, tuple[float, ...]] = {}
 
     # -- slot arithmetic ---------------------------------------------------
 
@@ -146,12 +142,6 @@ class HistoryDB:
             return 0.0
         hist = self.cut_hist if kind is EventKind.CUT else self.resume_hist
         return float(hist[s]) / obs
-
-    def event_probabilities(self, slots: np.ndarray, kind: EventKind) -> np.ndarray:
-        """:meth:`event_probability` of every slot of an int array."""
-        s = slots % self.n_slots
-        hist = self.cut_hist if kind is EventKind.CUT else self.resume_hist
-        return _rates(hist[s], self.slot_observations[s])
 
     @property
     def last_timestamp(self) -> Optional[int]:
@@ -199,7 +189,11 @@ class HistoryDB:
         ``app_hist`` whose apps differ from ``tracked_apps``, a histogram
         whose length is not ``n_slots``, a negative or non-integer count, an
         invalid ``latest`` sample, an untracked open app and a non-boolean
-        ``open_cut`` or ``open_resume``. The open state is the newest row's:
+        ``open_cut`` or ``open_resume``. A count counts (day, slot) pairs, so
+        no ``cut_hist``, ``resume_hist`` or ``app_hist`` entry may exceed
+        ``slot_observations`` for its slot, and in the open slot the open (day,
+        slot) counts in ``slot_observations`` and in the counts its open state
+        names, and in no other. The open state is the newest row's:
         ``open_key`` must be the [day, slot] of ``latest``, and a snapshot
         whose ``latest`` is null must carry no open state (a null
         ``open_key``, no ``open_apps``, false ``open_cut`` and
@@ -234,8 +228,8 @@ class HistoryDB:
             n = db.n_slots
             app_hist = d["app_hist"]
             if type(app_hist) is not dict or set(app_hist) != set(db.tracked_apps):
-                raise ModelError(f"history snapshot key 'app_hist': apps {sorted(app_hist)} "
-                                 f"differ from tracked_apps {sorted(db.tracked_apps)}")
+                raise ModelError("history snapshot key 'app_hist' must be an object of the "
+                                 f"tracked_apps {sorted(db.tracked_apps)}")
             for a, h in app_hist.items():
                 db.app_hist[a][:] = _slot_counts(h, n, f"app_hist[{a!r}]")
             db.cut_hist[:] = _slot_counts(d["cut_hist"], n, "cut_hist")
@@ -272,6 +266,19 @@ class HistoryDB:
                 rows = [0, *(3 + db._app_index[a] for a in open_apps)]
                 rows += [row for row, key in ((1, "open_cut"), (2, "open_resume")) if d[key]]
                 db._counted = {row * n + open_key[1] for row in rows}
+            # each closed (day, slot) counts once in slot_observations and at
+            # most once in every other count, so no count exceeds them
+            closed = db._hist.copy()
+            closed[list(db._counted)] -= 1
+            closed = closed.reshape(-1, n)
+            bad = (closed < 0) | (closed > closed[0])
+            if bad.any():
+                row, slot = divmod(int(np.argmax(bad)), n)
+                key = (["slot_observations", "cut_hist", "resume_hist"]
+                       + [f"app_hist[{a!r}]" for a in db.tracked_apps])[row]
+                raise ModelError(f"history snapshot key {key!r}: slot {slot} counts more "
+                                 "(day, slot) pairs than 'slot_observations' or fewer than "
+                                 "the open state")
         except KeyError as exc:
             raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
         return db
@@ -474,14 +481,16 @@ def fold_runs(db: HistoryDB, trace: Trace, lo: int = 0, hi: Optional[int] = None
     return FoldedRuns(db, cols.run_key[g0:g1], (cols, newest), (runs - g0, cells))
 
 
-def newest_run(db: HistoryDB, current_slot: int) -> "FoldedRuns":
-    """The database as it stands, as one run in ``current_slot`` whose newest
-    row is the database's newest row."""
+def newest_run(db: HistoryDB, slots, rows: Optional[np.ndarray] = None) -> "FoldedRuns":
+    """The database as it stands, as runs in ``slots`` (one slot or an int
+    array) with no hits: run ``j``'s newest row is row ``rows[j]`` of the
+    trace the database last folded, by default the database's newest row."""
+    slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))
     newest = None
     if db._newest is not None:
         cols, i = db._newest
-        newest = (cols, np.array([i]))
-    return FoldedRuns(db, np.array([current_slot], dtype=np.int64), newest)
+        newest = (cols, np.full(len(slots), i) if rows is None else np.asarray(rows))
+    return FoldedRuns(db, slots, newest)
 
 
 class FoldedRuns:
@@ -562,7 +571,8 @@ class FoldedRuns:
         return as_of
 
     def event_probabilities(self, slots: np.ndarray, at, kind: EventKind) -> np.ndarray:
-        """:meth:`HistoryDB.event_probabilities` as of runs ``at``."""
+        """:meth:`HistoryDB.event_probability` of each of ``slots`` as of
+        runs ``at`` (elementwise)."""
         n = self.db.n_slots
         s = slots % n
         row = 1 if kind is EventKind.CUT else 2
@@ -570,8 +580,11 @@ class FoldedRuns:
         return _rates(events, observations)
 
     def features(self, slots: np.ndarray, at: np.ndarray, kind: EventKind) -> np.ndarray:
-        """:func:`feature_matrix` of ``slots``, slot ``i`` read from run
-        ``at[i]``'s newest row and counts."""
+        """The (len(slots) x 9) context features for predicting ``kind`` in
+        each of ``slots`` (absolute), in :class:`FeatureVector` order, slot
+        ``i`` read from run ``at[i]``'s newest row and counts. The first
+        seven depend only on the run's newest row; the slot index and the
+        slot probability, the target event's empirical rate, vary by slot."""
         _check_features(self.db)
         return _slot_features(self.db, self._context[at], slots,
                               self.event_probabilities(slots, at, kind))
@@ -707,18 +720,18 @@ def history_predict_event(
 
 
 def history_votes(
-    db: HistoryDB,
-    slots: np.ndarray,
+    runs: FoldedRuns,
     kind: EventKind,
     n_draws: int,
     delta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The event rule's verdict for each of ``slots``, as one
-    :func:`history_predict_event` call per slot in order would give it: the
-    probabilities come from one call, and only slots with p > 0 draw."""
+    """The event rule's verdict on the slot after each run's slot, from the
+    counts as of that run, as one :func:`history_predict_event` call per run
+    in order would give it: the probabilities come from one call, and only
+    runs with p > 0 draw."""
     _check_rule(n_draws, delta)
-    p = db.event_probabilities(slots, kind)
+    p = runs.event_probabilities(runs.slots + 1, np.arange(len(runs)), kind)
     votes = np.zeros(len(p), dtype=bool)
     live = np.flatnonzero(p)
     for i, ps in zip(live.tolist(), p[live].tolist()):
@@ -744,7 +757,6 @@ def predict_resume_slot(
     """
     if rng is None:
         rng = np.random.default_rng()
-    slots = np.arange(current_slot + 1, current_slot + 1 + max_lookahead)
     if max_lookahead > 0:
         _check_rule(n_draws, delta)
     counts = np.concatenate((db.slot_observations, db.resume_hist)).tolist()
@@ -815,7 +827,7 @@ def history_rule(
 @dataclass(frozen=True)
 class FeatureVector:
     """The nine per-slot context features feeding the boosted classifier:
-    one row of :func:`feature_matrix`."""
+    one row of :meth:`FoldedRuns.features`."""
 
     home_wifi_night: bool     # night time and home network in sight
     work_wifi_day: bool       # day time and work network in sight
@@ -856,37 +868,6 @@ class FeatureVector:
 N_FEATURES = 9
 
 
-def feature_matrix(
-    db: HistoryDB,
-    slots,
-    now,
-    kind: EventKind,
-    visible: Optional[Sequence[frozenset[str]]] = None,
-) -> np.ndarray:
-    """The (len(slots) x 9) context features for predicting ``kind`` in
-    each of ``slots`` (absolute), in :class:`FeatureVector` order.
-
-    Visibility comes from the database's newest row, or, given ``visible``,
-    from one visible set per slot; ``now`` is one time or one per slot. The
-    first seven features depend only on the visible set and the time, and
-    for the newest row they are computed once per time; the slot index and
-    the slot probability, the target event's empirical rate, vary by slot.
-    :meth:`FoldedRuns.features` builds the same rows from the counts as of
-    each slot's run.
-    """
-    _check_features(db)
-    if visible is None:
-        context = _newest_context(db, now)
-        if len(slots) == 1:   # a one-row call: no array passes
-            s = int(slots[0])
-            return np.array([(*context, s % db.n_slots, db.event_probability(s, kind))])
-    else:
-        context = _context(db, np.array([db._visible_flags(v) for v in visible]).reshape(-1, 6),
-                           now)
-    slots = np.asarray(slots, dtype=np.int64)
-    return _slot_features(db, context, slots, db.event_probabilities(slots, kind))
-
-
 def _check_features(db: HistoryDB) -> None:
     if db._newest is None:
         raise FeatureError("no sample to extract features from")
@@ -916,26 +897,18 @@ def _context(db: HistoryDB, flags: np.ndarray, now) -> np.ndarray:
     return out
 
 
-def _newest_context(db: HistoryDB, now: int) -> tuple[float, ...]:
-    """:func:`_context` of the newest row at ``now``; computed once per
-    visible set, night flag and weekday flag."""
-    cols, i = db._newest
-    visible = cols.trace.visible_sets[cols.visible[i]]
-    key = (visible, in_hour_window(now, DEFAULT_NIGHT_WINDOW, db.utc_offset_s),
-           is_weekday(now, db.utc_offset_s))
-    context = db._contexts.get(key)
-    if context is None:
-        context = db._contexts[key] = tuple(
-            _context(db, np.array(db._visible_flags(visible)), now).tolist())
-    return context
-
-
 def extract_features(
     db: HistoryDB,
     slot: int,
     now: int,
     target: EventKind,
 ) -> FeatureVector:
-    """Context features for predicting an event in a given slot of day: the
-    one-row :func:`feature_matrix`."""
-    return FeatureVector.from_row(feature_matrix(db, [slot], now, target)[0])
+    """Context features for predicting an event in a given slot at time
+    ``now``, from the database's newest row and counts: one row of
+    :meth:`FoldedRuns.features`."""
+    _check_features(db)
+    cols, i = db._newest
+    context = _context(db, np.array(db._visible_flags(cols.trace.visible_sets[cols.visible[i]])),
+                       now)
+    return FeatureVector.from_row(_slot_features(
+        db, context, np.array([slot]), np.array([db.event_probability(slot, target)]))[0])

@@ -6,9 +6,11 @@ library's implementation paths.
 """
 
 import hashlib
+import json
 import os
 
 import numpy as np
+from hypothesis import strategies as st
 
 import pcach
 from pcach.trace import (
@@ -123,6 +125,44 @@ def brute_force_gaps(trace):
                 break
         gaps.append(WiFiGap(cut_time=samples[x].timestamp, resume_time=resume_time))
     return gaps
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _places(value):
+    """Every (container, key) inside a JSON value, depth first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    out = []
+    for key, inner in list(items):
+        out += [(value, key), *_places(inner)]
+    return out
+
+
+@st.composite
+def mutated_json(draw, make):
+    """The JSON text of ``make()`` after one to three mutations (a value
+    deleted or replaced by any JSON value), sometimes truncated."""
+    d = make()
+    for _ in range(draw(st.integers(1, 3))):
+        places = _places(d)
+        if not places:
+            break
+        container, key = draw(st.sampled_from(places))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    text = json.dumps(d)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
 
 
 def seeded_rng(seed):

@@ -17,7 +17,7 @@ from pcach.boosting import (
 from pcach.errors import DegenerateDataError, ModelError, ParameterError
 from pcach.history import FeatureVector
 
-from helpers import seeded_rng
+from helpers import mutated_json, seeded_rng
 from oracles import best_stump_oracle
 
 
@@ -274,40 +274,9 @@ def test_model_json_errors_name_the_key(edit, named):
     assert named in str(exc.value)
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.sampled_from([10**400, -10**400])
-    | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
-                                                                max_size=3),
-    max_leaves=6)
-
-
-def _places(value):
-    """Every (container, key) inside a JSON value, depth first."""
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    out = []
-    for key, inner in list(items):
-        out += [(value, key), *_places(inner)]
-    return out
-
-
 @settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_mutated_model_texts_raise_only_model_errors(data):
-    d = _model_dict()
-    for _ in range(data.draw(st.integers(1, 3))):
-        places = _places(d)
-        if not places:
-            break
-        container, key = data.draw(st.sampled_from(places))
-        if data.draw(st.booleans()):
-            del container[key]
-        else:
-            container[key] = data.draw(_JSON_VALUES)
-    text = json.dumps(d)
-    if data.draw(st.booleans()):
-        text = text[:data.draw(st.integers(0, len(text)))]
+@given(mutated_json(_model_dict))
+def test_mutated_model_texts_raise_only_model_errors(text):
     try:
         model = AdaBoostModel.from_json(text)
     except ModelError:

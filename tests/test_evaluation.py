@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcach.errors import DataError, ParameterError, UndefinedRateError
 from pcach.evaluation import (
+    AppPredictionRun,
     ConfusionCounts,
     RocPoint,
+    _Replay,
     app_prediction_run,
     backtest,
     k_sweep,
@@ -15,6 +19,7 @@ from pcach.evaluation import (
     score_app_prediction,
     tpr_fpr,
 )
+from pcach.history import fold_rows, rank_slot_apps, selected_apps, slot_groups
 from pcach.pipeline import PCachConfig, PredictorKind
 from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
@@ -305,6 +310,52 @@ def test_per_phone_tpr_monotone_in_k(medium_trace):
     assert all(a <= b + 1e-12 for a, b in zip(tprs, tprs[1:]))
     fps = [run.counts_by_k[k].fp for k in ks]
     assert all(a <= b for a, b in zip(fps, fps[1:]))
+
+
+def _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days,
+                                     utc_offset_s):
+    """The K sweep folding as it goes: before each scored gap, a fold_rows
+    of the rows up to the start of its cut slot, then rank_slot_apps."""
+    ks = sorted(set(ks))
+    boundary = trace.start_time + int(train_days * 86400)
+    replay = _Replay.start(trace, int(np.searchsorted(trace.t, boundary)), s_apps,
+                           slot_minutes, utc_offset_s)
+    norm, db = replay.norm, replay.db
+    counts = {k: ConfusionCounts() for k in ks}
+    scored = skipped = folded = 0
+    slots, starts, _ = slot_groups(db, norm, 0, len(norm))
+    for slot, start in zip(slots.tolist(), starts.tolist()):
+        gap = replay.gap_by_cut_slot.get(slot)
+        if gap is None or gap.cut_time < boundary:
+            continue
+        used = replay.used_apps(gap)
+        if not used:
+            skipped += 1
+            continue
+        fold_rows(db, norm, folded, start)
+        folded = start
+        ranked = rank_slot_apps(db, s_apps, ks[-1], slot, db.abs_slot(gap.resume_time))
+        for k in ks:
+            counts[k] = counts[k] + score_app_prediction(selected_apps(s_apps, ranked[:k]),
+                                                         used, s_apps)
+        scored += 1
+    return AppPredictionRun(counts_by_k=counts, scored_gaps=scored, skipped_gaps=skipped)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), days=st.integers(2, 6), train_days=st.floats(2e-5, 1.9),
+       slot_minutes=st.sampled_from([15, 30, 60]),
+       utc_offset_s=st.sampled_from([0, 3600, -18000]), data=st.data())
+def test_one_fold_k_sweep_is_the_fold_by_fold_sweep(seed, days, train_days, slot_minutes,
+                                                    utc_offset_s, data):
+    config = reference_config(seed=seed, days=days)
+    trace = generate_trace(config, "sweep")
+    s_apps = data.draw(st.permutations(config.pcachable_apps + ("ghost",)))[
+        :data.draw(st.integers(1, len(config.pcachable_apps) + 1))]
+    ks = data.draw(st.lists(st.integers(1, len(s_apps)), min_size=1, max_size=4))
+    got = app_prediction_run(trace, s_apps, ks, slot_minutes, train_days, utc_offset_s)
+    assert got == _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days,
+                                                   utc_offset_s)
 
 
 def test_k_sweep_macro_averages_over_phones():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcach.errors import (
@@ -18,10 +18,11 @@ from pcach.history import (
     FeatureVector,
     HistoryDB,
     extract_features,
-    feature_matrix,
     fold_rows,
     fold_runs,
     history_predict_event,
+    history_votes,
+    newest_run,
     predict_resume_slot,
     predict_top_k_apps,
     rank_slot_apps,
@@ -29,6 +30,7 @@ from pcach.history import (
     slot_groups,
     update_history,
 )
+from pcach.pipeline import PCachConfig, pcach_step
 from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
     MeasurementSample,
@@ -38,7 +40,7 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import C, N, W, app, sample, seeded_rng
+from helpers import C, N, W, app, mutated_json, sample, seeded_rng
 from oracles import HistoryOracle, app_ran, group_by_slot, sample_from_obj
 
 import dataclasses
@@ -219,6 +221,15 @@ def _snapshot():
     return json.loads(db.to_json())
 
 
+def _counts(key, slot, count):
+    """The snapshot's histogram ``key`` (as :func:`_edited` names it) with
+    ``count`` in ``slot``."""
+    d = _snapshot()
+    hist = d["app_hist"][key.removeprefix("app_hist_")] if key.startswith("app_hist_") else d[key]
+    hist[slot] = count
+    return hist
+
+
 def _edited(**edits):
     d = _snapshot()
     for key, value in edits.items():
@@ -249,15 +260,46 @@ def _edited(**edits):
     ({"slot_minutes": 7}, "'slot_minutes'"),
     ({"utc_offset_s": "x"}, "'utc_offset_s'"),
     ({"utc_offset_s": 2**70}, "'utc_offset_s'"),
+    ({"cut_hist": _counts("cut_hist", 11, 5),
+      "slot_observations": _counts("slot_observations", 11, 1)}, "'cut_hist'"),
+    ({"resume_hist": _counts("resume_hist", 40, 2),
+      "slot_observations": _counts("slot_observations", 40, 1)}, "'resume_hist'"),
+    ({"app_hist_facebook": _counts("app_hist_facebook", 3, 1)}, "app_hist['facebook']"),
+    # the open (day, slot) is slot 0's one observation, and it counted no
+    # use of facebook, so facebook's count there must stay 0
+    ({"app_hist_facebook": _counts("app_hist_facebook", 0, 1)}, "app_hist['facebook']"),
+    ({"open_cut": False}, "'cut_hist'"),
+    ({"slot_observations": _counts("slot_observations", 0, 0)}, "'slot_observations'"),
 ], ids=["untracked-app", "missing-app", "short-app-row", "short-cut-hist",
         "long-resume-hist", "negative-count", "float-count", "bool-count",
         "string-hist", "wifi-without-ssid", "string-profile", "top3-not-preferred",
         "int-tracked-apps", "repeated-tracked-app", "string-slot-minutes",
-        "slot-minutes-not-dividing-a-day", "string-utc-offset", "huge-utc-offset"])
+        "slot-minutes-not-dividing-a-day", "string-utc-offset", "huge-utc-offset",
+        "cuts-past-observations", "resumes-past-observations", "app-use-past-observations",
+        "app-use-the-open-slot-did-not-count", "cut-the-open-slot-did-not-count",
+        "open-slot-unobserved"])
 def test_history_snapshot_errors_name_the_key(edits, named):
     with pytest.raises(ModelError) as exc:
         HistoryDB.from_json(_edited(**edits))
     assert named in str(exc.value)
+
+
+# the snapshot counts three cuts in slot 11 but has observed it once, so
+# the next step's cut rule reads p = 3 there
+_CUTS_PAST_OBSERVATIONS = _edited(cut_hist=_counts("cut_hist", 11, 3),
+                                  slot_observations=_counts("slot_observations", 11, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_json(_snapshot), st.integers(0, 200))
+@example(_CUTS_PAST_OBSERVATIONS, 10)
+def test_mutated_history_snapshots_raise_model_errors_or_step(text, slot):
+    try:
+        db = HistoryDB.from_json(text)
+    except ModelError:
+        return
+    assert HistoryDB.from_json(db.to_json()).to_json() == db.to_json()
+    pcach_step(db, PCachConfig(k=1, s_apps=("facebook", "mail")), slot, [], seeded_rng(0))
 
 
 def test_history_snapshot_missing_key_is_a_model_error():
@@ -634,16 +676,40 @@ def test_slot_groups_are_the_sample_groups(plan, data):
         tuple(group) for _, group in groups]
 
 
-def test_feature_matrix_rows_are_the_one_row_features():
+def test_standing_runs_features_are_the_one_row_features():
     db = make_db(profile=_profile_hw())
     ts = 2 * 86400 + 21 * 3600
     update_history(db, [sample(ts, W, ssid="home", visible={"home", "cafe"})])
     db.slot_observations[:] = 4
     db.cut_hist[::3] = 1
     slots = np.arange(80, 180)
-    X = feature_matrix(db, slots, ts, EventKind.CUT)
+    runs = newest_run(db, slots)
+    assert runs.now.tolist() == [ts] * len(slots)
+    X = runs.features(slots, np.arange(len(slots)), EventKind.CUT)
     for s, row in zip(slots.tolist(), X):
         assert extract_features(db, s, ts, EventKind.CUT).as_array().tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+def test_history_votes_are_one_event_rule_call_per_run(kind):
+    config = reference_config(seed=8, days=3)
+    trace = generate_trace(config, "votes")
+    lo = len(trace) // 3
+    db = HistoryDB(15, tracked_apps=config.pcachable_apps)
+    ref = HistoryDB(15, tracked_apps=config.pcachable_apps)
+    fold_rows(db, trace, 0, lo)
+    fold_rows(ref, trace, 0, lo)
+    slots, starts, stops = slot_groups(db, trace, lo, len(trace))
+    runs = fold_runs(db, trace, lo)
+    batch_rng, rng = seeded_rng(3), seeded_rng(3)
+    votes = history_votes(runs, kind, 50, 0.25, batch_rng)
+    want = []
+    for slot, start, stop in zip(slots.tolist(), starts.tolist(), stops.tolist()):
+        fold_rows(ref, trace, start, stop)
+        want.append(history_predict_event(ref.event_probability(slot + 1, kind), 50, 0.25, rng))
+    assert votes.tolist() == want
+    assert 0 < sum(want) < len(want)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_folds_that_start_inside_a_slot_count_from_their_first_row():
