@@ -349,8 +349,9 @@ def _default_s_apps(args) -> tuple[str, ...]:
         apps = json.loads(Path(args.s_apps).read_text())
     except (ValueError, RecursionError) as exc:
         raise PCachError(f"--s-apps {args.s_apps}: invalid JSON ({exc})") from None
-    if not isinstance(apps, list) or not all(isinstance(a, str) and a for a in apps):
-        raise PCachError(f"--s-apps {args.s_apps}: expected a JSON list of app ids")
+    if (not isinstance(apps, list) or not all(isinstance(a, str) and a for a in apps)
+            or len(set(apps)) != len(apps)):
+        raise PCachError(f"--s-apps {args.s_apps}: expected a JSON list of distinct app ids")
     if not apps:
         raise PCachError(f"empty pre-cachable app list in {args.s_apps}")
     return tuple(apps)

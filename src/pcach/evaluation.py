@@ -20,8 +20,9 @@ the features of the training slots as the database then stands
 folds the test rows once with :func:`~pcach.history.fold_runs` and decides
 every test slot in one :func:`~pcach.pipeline.decide` call, each slot seeing
 the history of every row up to its own last one. The K sweep folds the whole
-timeline once with :func:`~pcach.history.fold_runs` and ranks each gap's apps
-from the counts as of the run before its cut slot.
+timeline once with :func:`~pcach.history.fold_runs` and reads every scored
+gap's usage window as of the run before its cut slot in one
+:meth:`~pcach.history.FoldedRuns.usage` call.
 """
 
 from __future__ import annotations
@@ -272,11 +273,12 @@ def app_prediction_run(
     replay = _Replay.start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
     norm, db = replay.norm, replay.db
     counts = {k: ConfusionCounts() for k in ks}
-    scored = skipped = 0
+    skipped = 0
 
-    # one fold; each gap ranks from the counts as of the run before its cut slot
+    # one fold; each scored gap's window [cut slot, resume slot] is read as
+    # of the run before its cut slot
     runs = fold_runs(db, norm)
-    as_of = runs.databases()
+    scored = []   # (run before the cut slot, cut slot, resume slot, used apps)
     for j, slot in enumerate(runs.slots.tolist()):
         gap = replay.gap_by_cut_slot.get(slot)
         if gap is None or gap.cut_time < boundary:
@@ -285,12 +287,14 @@ def app_prediction_run(
         if not used:
             skipped += 1
             continue
-        ranked = rank_slot_apps(as_of(j - 1), s_apps, ks[-1], slot, db.abs_slot(gap.resume_time))
+        scored.append((j - 1, slot, db.abs_slot(gap.resume_time), used))
+    at, first, last, used_by_gap = zip(*scored) if scored else ((),) * 4
+    for used, window in zip(used_by_gap, runs.usage(s_apps, first, last, at)):
+        ranked = rank_slot_apps(window, ks[-1])
         for k in ks:
             predicted = selected_apps(s_apps, ranked[:k])
             counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
-        scored += 1
-    return AppPredictionRun(counts_by_k=counts, scored_gaps=scored,
+    return AppPredictionRun(counts_by_k=counts, scored_gaps=len(scored),
                             skipped_gaps=skipped)
 
 

@@ -28,8 +28,11 @@ slots from one fold; :func:`newest_run` is the database as it stands, runs
 with no hits (training's slots on the frozen counts, or the on-device step's
 one slot). :meth:`FoldedRuns.features` is the one feature builder, and
 :func:`history_rule` takes every target slot's probabilities from one call
-and walks the runs only to draw. :func:`extract_features` and
-:class:`FeatureVector` are a one-row view built by the same helpers.
+and walks the runs only to draw. :meth:`FoldedRuns.usage` reads the usage
+counts of many slot windows, each as of its own run, in one call, and
+:func:`rank_slot_apps` and :func:`predict_top_k_apps` rank such a window.
+:func:`extract_features` and :class:`FeatureVector` are a one-row view built
+by the same helpers.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -88,8 +91,10 @@ class HistoryDB:
     app and slot of day, the distinct (day, slot) pairs in which the app ran;
     ``app_hist`` maps each tracked app to its row (a view). ``cut_hist`` and
     ``resume_hist`` count (day, slot) pairs containing at least one event, so
-    they never exceed ``slot_observations``. ``utc_offset_s`` must lie within
-    a day either way: real offsets lie within 14 hours.
+    they never exceed ``slot_observations``. ``tracked_apps`` must be
+    distinct, and ``utc_offset_s`` must lie within a day either way: real
+    offsets lie within 14 hours. The database is the store; every prediction
+    reads its counts through a :class:`FoldedRuns`.
     """
 
     def __init__(
@@ -105,6 +110,8 @@ class HistoryDB:
         self.slot_minutes = slot_minutes
         self.n_slots = slots_per_day(slot_minutes)
         self.tracked_apps = tuple(tracked_apps)
+        if len(set(self.tracked_apps)) != len(self.tracked_apps):
+            raise ParameterError("tracked_apps contains duplicates")
         self.profile = profile
         self.utc_offset_s = utc_offset_s
         self._app_index = {a: i for i, a in enumerate(self.tracked_apps)}
@@ -116,8 +123,7 @@ class HistoryDB:
         self.slot_observations = self._hist[:n]
         self.cut_hist = self._hist[n:2 * n]
         self.resume_hist = self._hist[2 * n:3 * n]
-        self._usage = self._hist[3 * n:].reshape(n_apps + 1, n)
-        self.app_counts = self._usage[:n_apps]
+        self.app_counts = self._hist[3 * n:(3 + n_apps) * n].reshape(n_apps, n)
         self.app_hist = MappingProxyType(
             {a: self.app_counts[i] for i, a in enumerate(self.tracked_apps)})
         # the newest folded row, as (fold columns, row)
@@ -125,7 +131,6 @@ class HistoryDB:
         # the _hist cells the newest row's (day, slot) has counted
         self._counted: set[int] = set()
         self._columns: tuple = (None, None)   # (trace, its fold columns)
-        self._rows_of: dict[tuple[str, ...], np.ndarray] = {}
         self._flags: dict[frozenset[str], tuple[float, ...]] = {}
 
     # -- slot arithmetic ---------------------------------------------------
@@ -133,15 +138,6 @@ class HistoryDB:
     def abs_slot(self, timestamp):
         """Absolute slot of a time, elementwise for an array of times."""
         return (timestamp + self.utc_offset_s) // (self.slot_minutes * 60)
-
-    def event_probability(self, slot: int, kind: EventKind) -> float:
-        """Empirical per-slot event probability; 0 for unobserved slots."""
-        s = slot % self.n_slots
-        obs = int(self.slot_observations[s])
-        if obs == 0:
-            return 0.0
-        hist = self.cut_hist if kind is EventKind.CUT else self.resume_hist
-        return float(hist[s]) / obs
 
     @property
     def last_timestamp(self) -> Optional[int]:
@@ -284,17 +280,6 @@ class HistoryDB:
         return db
 
     # -- cached derived tables ---------------------------------------------
-
-    def _usage_rows(self, s_apps: Sequence[str]) -> np.ndarray:
-        """Each app's usage counts: its ``app_counts`` row, and zeros for an
-        untracked app, as a (len(s_apps) x 1) index into ``_usage``."""
-        key = tuple(s_apps)
-        rows = self._rows_of.get(key)
-        if rows is None:
-            untracked = len(self.tracked_apps)
-            rows = self._rows_of[key] = np.array(
-                [self._app_index.get(a, untracked) for a in key], dtype=np.int64)[:, None]
-        return rows
 
     def _visible_flags(self, visible: frozenset[str]) -> tuple[float, ...]:
         """(home seen, work seen, networks seen, top 1/2/3 seen) of a visible
@@ -550,29 +535,31 @@ class FoldedRuns:
             return counts
         return as_of
 
-    def databases(self) -> Callable[[int], HistoryDB]:
-        """A function of a run ``j`` that returns a database holding the
-        counts as of run ``j``: one copy of the counts before the fold, made
-        on the first call and advanced in place by the hits of the runs
-        since the previous call, so ``j`` must not decrease between calls.
-        The copy has no newest row."""
-        copy, done = None, 0
-
-        def as_of(j: int) -> HistoryDB:
-            nonlocal copy, done
-            if copy is None:
-                db = self.db
-                copy = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
-                copy._hist[:] = self._before
-            stop = int(np.searchsorted(self._runs, j, side="right"))
-            np.add.at(copy._hist, self._cells[done:stop], 1)
-            done = stop
-            return copy
-        return as_of
+    def usage(self, s_apps: Sequence[str], first, last, at) -> list[np.ndarray]:
+        """Each window's (len(s_apps) x slots) usage counts as of its run,
+        from one :meth:`counts` call: window ``i`` spans absolute slots
+        ``first[i]..last[i]`` and is read as of run ``at[i]``. Row ``r``
+        counts app ``s_apps[r]``; an untracked app reads the row of zeros
+        that stands for it. A window whose first slot exceeds its last
+        raises :class:`ParameterError`."""
+        first, last = np.asarray(first, dtype=np.int64), np.asarray(last, dtype=np.int64)
+        if (first > last).any():
+            raise ParameterError("first_slot must not exceed last_slot")
+        db = self.db
+        untracked = len(db.tracked_apps)
+        rows = 3 + np.array([db._app_index.get(a, untracked) for a in s_apps], dtype=np.int64)
+        lengths = last - first + 1
+        stops = np.cumsum(lengths)
+        # the windows' slots end to end
+        slots = np.arange(lengths.sum()) + np.repeat(first - (stops - lengths), lengths)
+        counts = self.counts(rows[:, None] * db.n_slots + slots % db.n_slots,
+                             np.repeat(at, lengths))
+        return np.split(counts, stops, axis=1)[:-1]
 
     def event_probabilities(self, slots: np.ndarray, at, kind: EventKind) -> np.ndarray:
-        """:meth:`HistoryDB.event_probability` of each of ``slots`` as of
-        runs ``at`` (elementwise)."""
+        """The empirical event probability of each of ``slots`` as of runs
+        ``at`` (elementwise): its slot of day's event count over its
+        observations, 0 where unobserved."""
         n = self.db.n_slots
         s = slots % n
         row = 1 if kind is EventKind.CUT else 2
@@ -636,28 +623,17 @@ def slot_groups(db: HistoryDB, trace: Trace, lo: int, hi: int):
 # top-K app selection
 # ---------------------------------------------------------------------------
 
-def rank_slot_apps(
-    db: HistoryDB,
-    s_apps: Sequence[str],
-    k: int,
-    first_slot: int,
-    last_slot: int,
-) -> np.ndarray:
-    """The top-K pre-cachable apps of every slot in a range, as indices.
+def rank_slot_apps(counts: np.ndarray, k: int) -> np.ndarray:
+    """The top-K apps of every slot of a usage window, as row indices.
 
-    Returns a (k, slots) array of indices into ``s_apps``: column j ranks
-    slot ``first_slot + j`` by historical usage count descending, ties
-    resolved by order in ``s_apps``. Rows ``[:k']`` are the ranking for any
-    smaller ``k'``, so one call serves every K up to ``k``.
+    ``counts`` is an (apps x slots) window of :meth:`FoldedRuns.usage`.
+    Returns a (k, slots) array: column j ranks slot j's apps by usage count
+    descending, ties resolved by row order. Rows ``[:k']`` are the ranking
+    for any smaller ``k'``, so one call serves every K up to ``k``.
     """
-    if not s_apps:
-        raise ConfigError("s_apps must not be empty")
-    if k < 1 or k > len(s_apps):
-        raise ParameterError(f"k={k} outside [1, {len(s_apps)}]")
-    if first_slot > last_slot:
-        raise ParameterError("first_slot must not exceed last_slot")
-    counts = db._usage[db._usage_rows(s_apps), np.arange(first_slot, last_slot + 1) % db.n_slots]
-    # the stable sort keeps ties in s_apps order
+    if k < 1 or k > len(counts):
+        raise ParameterError(f"k={k} outside [1, {len(counts)}]")
+    # the stable sort keeps ties in row order
     return np.argsort(-counts, axis=0, kind="stable")[:k]
 
 
@@ -666,20 +642,20 @@ def selected_apps(s_apps: Sequence[str], ranked: np.ndarray) -> list[str]:
     return [s_apps[i] for i in dict.fromkeys(ranked.T.ravel().tolist())]
 
 
-def predict_top_k_apps(
-    db: HistoryDB,
-    s_apps: Sequence[str],
-    k: int,
-    first_slot: int,
-    last_slot: int,
-) -> list[str]:
-    """Union of the per-slot top-K pre-cachable apps over a slot range.
+def predict_top_k_apps(counts: np.ndarray, s_apps: Sequence[str], k: int) -> list[str]:
+    """Union of the per-slot top-K pre-cachable apps over a usage window.
 
-    Within each slot of day, apps rank by historical usage count descending,
-    ties resolved by their order in ``s_apps``; the result preserves the
-    order of first selection across the scan.
+    ``counts`` is the :meth:`FoldedRuns.usage` window of ``s_apps``. Within
+    each slot, apps rank by usage count descending, ties resolved by their
+    order in ``s_apps``; the result preserves the order of first selection
+    across the window. Empty or duplicate ``s_apps`` raise
+    :class:`ConfigError`.
     """
-    return selected_apps(s_apps, rank_slot_apps(db, s_apps, k, first_slot, last_slot))
+    if not s_apps:
+        raise ConfigError("s_apps must not be empty")
+    if len(set(s_apps)) != len(s_apps):
+        raise ConfigError("s_apps contains duplicates")
+    return selected_apps(s_apps, rank_slot_apps(counts, k))
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +735,16 @@ def predict_resume_slot(
         rng = np.random.default_rng()
     if max_lookahead > 0:
         _check_rule(n_draws, delta)
-    counts = np.concatenate((db.slot_observations, db.resume_hist)).tolist()
+    counts = _scan_counts(newest_run(db, current_slot))(0)
     found = _resume_scan(current_slot + 1, max_lookahead, counts, n_draws, delta, rng)
     return current_slot + 1 + default_gap_slots if found is None else found
+
+
+def _scan_counts(runs: FoldedRuns) -> Callable[[int], list[int]]:
+    """:meth:`FoldedRuns.running_counts` of the cells a resume scan reads:
+    the observations of each slot of day, then its resumes."""
+    n = runs.db.n_slots
+    return runs.running_counts(np.concatenate((np.arange(n), 2 * n + np.arange(n))))
 
 
 def _resume_scan(first: int, max_lookahead: int, counts: list[int], n_draws: int,
@@ -805,9 +788,7 @@ def history_rule(
     pc, pr, current = p_cut.tolist(), p_resume.tolist(), runs.slots.tolist()
     cut, resume_next = [False] * len(runs), [False] * len(runs)
     resume_slot = (targets + default_gap_slots).tolist()
-    # the scans read each slot of day's observation and resume counts
-    n = runs.db.n_slots
-    scan_counts = runs.running_counts(np.concatenate((np.arange(n), 2 * n + np.arange(n))))
+    scan_counts = _scan_counts(runs)
     for j in np.flatnonzero(p_cut + p_resume).tolist():
         cut[j] = history_predict_event(pc[j], n_draws, delta, rng)
         resume_next[j] = history_predict_event(pr[j], n_draws, delta, rng)
@@ -910,5 +891,6 @@ def extract_features(
     cols, i = db._newest
     context = _context(db, np.array(db._visible_flags(cols.trace.visible_sets[cols.visible[i]])),
                        now)
-    return FeatureVector.from_row(_slot_features(
-        db, context, np.array([slot]), np.array([db.event_probability(slot, target)]))[0])
+    slots = np.array([slot])
+    p = newest_run(db, slot).event_probabilities(slots, 0, target)
+    return FeatureVector.from_row(_slot_features(db, context, slots, p)[0])

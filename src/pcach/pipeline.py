@@ -7,7 +7,8 @@ pre-cachable apps over the predicted gap and returns their union as the
 pre-cache list. :func:`decide` makes that decision for a run of slots at once,
 each slot seen with the history as of its own newest row (a
 :class:`~pcach.history.FoldedRuns`): the backtest decides its whole test
-period in one call, and :func:`pcach_step` is a batch of one.
+period in one call, and :func:`pcach_step` is a batch of one. The predicted
+cuts' usage windows are read in blocks (:meth:`~pcach.history.FoldedRuns.usage`).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class HistoryPredictor:
                             c.default_gap_slots, rng)
 
 
-# rows of resume-scan features scored per margins call
+# rows of resume-scan features scored per margins call, and window slots of
+# usage counts read per usage call
 _SCAN_ROWS = 2048
 
 
@@ -204,17 +206,23 @@ def decide(runs: FoldedRuns, config: PCachConfig, predictor: Predictor,
     rule, the resume rule for the target slot, then, on a cut, the resume
     scan). On a cut the resume slot is clamped to the target slot, and the
     apps are the union of per-slot top-K selections over [target, resume
-    slot], ranked from the usage counts as of the run.
+    slot], ranked from the usage counts as of the run, read in blocks of at
+    most ``_SCAN_ROWS`` window slots (a longer window alone).
     """
     cut, cut_score, resume_next, resume_slot = predictor.predict(runs, rng)
     targets = runs.slots + 1
     cut = np.asarray(cut, dtype=bool)
     resume_slot = np.maximum(np.asarray(resume_slot, dtype=np.int64), targets)
     apps: list[tuple[str, ...]] = [()] * len(runs)
-    as_of = runs.databases()
-    for j in np.flatnonzero(cut).tolist():
-        apps[j] = tuple(predict_top_k_apps(as_of(j), config.s_apps, config.k,
-                                           int(targets[j]), int(resume_slot[j])))
+    cuts = np.flatnonzero(cut)
+    ends, lo = np.cumsum(resume_slot[cuts] - targets[cuts] + 1), 0
+    while lo < len(cuts):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _SCAN_ROWS, side="right")))
+        j = cuts[lo:hi]
+        for i, counts in zip(j.tolist(), runs.usage(config.s_apps, targets[j], resume_slot[j], j)):
+            apps[i] = tuple(predict_top_k_apps(counts, config.s_apps, config.k))
+        lo = hi
     return Decisions(targets, cut, np.asarray(cut_score, dtype=float),
                      np.asarray(resume_next, dtype=bool), resume_slot, apps)
 

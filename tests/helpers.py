@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import pcach
+from pcach.history import newest_run
 from pcach.trace import (
     ActiveNetwork,
     AppTrafficRecord,
@@ -43,6 +44,17 @@ def sample(t, state, ssid=None, visible=(), apps=()):
 
 def app(app_id, up=0, down=0, running=True):
     return AppTrafficRecord(app_id=app_id, up_bytes=up, down_bytes=down, running=running)
+
+
+def usage_window(db, s_apps, first, last):
+    """The usage counts of ``s_apps`` over slots ``first..last`` of a
+    database as it stands, as the rankers read them."""
+    return newest_run(db, first).usage(s_apps, [first], [last], [0])[0]
+
+
+def slot_probability(db, slot, kind):
+    """The empirical event probability of a slot, from a database as it stands."""
+    return float(newest_run(db, slot).event_probabilities(np.array([slot]), 0, kind)[0])
 
 
 def cdf_at(points, duration_s):

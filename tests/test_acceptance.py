@@ -49,6 +49,7 @@ from helpers import (
     sample,
     seeded_rng,
     tree_digest,
+    usage_window,
 )
 
 CORPUS_SEED = 20260808
@@ -193,7 +194,7 @@ def test_criterion_4_topk_nesting_and_quality_gap_minimum():
     for slot in range(0, 96, 7):
         prev = set()
         for k in range(1, len(s_apps) + 1):
-            cur = set(predict_top_k_apps(db, s_apps, k, slot, slot))
+            cur = set(predict_top_k_apps(usage_window(db, s_apps, slot, slot), s_apps, k))
             nested_ok &= prev <= cur and len(cur) == k
             prev = cur
 

@@ -409,11 +409,14 @@ def test_trace_parse_error_names_the_file(tmp_path):
     ["gaps", "--traces", "bad-traces"],
     ["backtest", "--traces", "traces", "--predictor", "history", "--s-apps", "bad-apps.json"],
     ["generate", "--config", "missing.json"],
-], ids=["ks", "s-apps-sweep", "traces", "horizons", "bad-trace", "s-apps-backtest", "config"])
+    ["sweep-k", "--traces", "traces", "--s-apps", "twice-apps.json"],
+], ids=["ks", "s-apps-sweep", "traces", "horizons", "bad-trace", "s-apps-backtest", "config",
+        "duplicate-s-apps-sweep"])
 def test_rejected_run_creates_no_output_directory(corpus, args, monkeypatch, capsys):
     monkeypatch.chdir(corpus)
     monkeypatch.setenv("PCACH_THREADS", "1")
     (corpus / "bad-apps.json").write_text('"mail"\n')
+    (corpus / "twice-apps.json").write_text('["mail", "news", "mail"]\n')
     (corpus / "bad-traces").mkdir(exist_ok=True)
     (corpus / "bad-traces" / "phone-000.jsonl").write_text('{"t": 1}\n')
     out = corpus / "rejected-out"

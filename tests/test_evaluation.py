@@ -29,7 +29,7 @@ from pcach.trace import (
     detect_gaps,
 )
 
-from helpers import seeded_rng
+from helpers import seeded_rng, usage_window
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,8 @@ def _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days
             continue
         fold_rows(db, norm, folded, start)
         folded = start
-        ranked = rank_slot_apps(db, s_apps, ks[-1], slot, db.abs_slot(gap.resume_time))
+        ranked = rank_slot_apps(usage_window(db, s_apps, slot, db.abs_slot(gap.resume_time)),
+                                ks[-1])
         for k in ks:
             counts[k] = counts[k] + score_app_prediction(selected_apps(s_apps, ranked[:k]),
                                                          used, s_apps)

@@ -40,7 +40,17 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import C, N, W, app, mutated_json, sample, seeded_rng
+from helpers import (
+    C,
+    N,
+    W,
+    app,
+    mutated_json,
+    sample,
+    seeded_rng,
+    slot_probability,
+    usage_window,
+)
 from oracles import HistoryOracle, app_ran, group_by_slot, sample_from_obj
 
 import dataclasses
@@ -141,9 +151,9 @@ def test_cut_and_resume_histograms_track_transitions():
     ])
     assert db.cut_hist[0] == 1
     assert db.resume_hist[1] == 1
-    assert db.event_probability(0, EventKind.CUT) == 1.0
-    assert db.event_probability(1, EventKind.RESUME) == 1.0
-    assert db.event_probability(5, EventKind.CUT) == 0.0
+    assert slot_probability(db, 0, EventKind.CUT) == 1.0
+    assert slot_probability(db, 1, EventKind.RESUME) == 1.0
+    assert slot_probability(db, 5, EventKind.CUT) == 0.0
 
 
 def test_ten_minute_rule_respected_in_history():
@@ -212,6 +222,15 @@ def test_history_db_json_round_trip():
     update_history(db, [sample(900, C)])
     update_history(clone, [sample(900, C)])
     assert clone.to_json() == db.to_json()
+
+
+@pytest.mark.parametrize("kwargs", [{"utc_offset_s": 86401}, {"tracked_apps": ["a", "b", "a"]}],
+                         ids=["offset-past-a-day", "duplicate-tracked-apps"])
+def test_history_db_construction_errors(kwargs):
+    # a database with a duplicate tracked app would never count the first
+    # one's row, and its snapshot would not load
+    with pytest.raises(ParameterError):
+        HistoryDB(**kwargs)
 
 
 def _snapshot():
@@ -326,22 +345,24 @@ def _db_with_counts(counts_by_slot):
 
 def test_top_k_single_slot_ranking():
     db = _db_with_counts({5: {"a": 5, "b": 3, "c": 1}})
-    assert predict_top_k_apps(db, ["a", "b", "c"], 2, 5, 5) == ["a", "b"]
+    s_apps = ["a", "b", "c"]
+    assert predict_top_k_apps(usage_window(db, s_apps, 5, 5), s_apps, 2) == ["a", "b"]
 
 
 def test_top_k_union_over_disjoint_slots():
     db = _db_with_counts({1: {"a": 9}, 2: {"b": 9}})
-    assert predict_top_k_apps(db, ["a", "b"], 1, 1, 2) == ["a", "b"]
+    assert predict_top_k_apps(usage_window(db, ["a", "b"], 1, 2), ["a", "b"], 1) == ["a", "b"]
 
 
 def test_top_k_all_zero_histogram_falls_back_to_s_apps_order():
     db = _db_with_counts({0: {"a": 0, "b": 0, "c": 0}})
-    assert predict_top_k_apps(db, ["c", "a", "b"], 2, 0, 0) == ["c", "a"]
+    s_apps = ["c", "a", "b"]
+    assert predict_top_k_apps(usage_window(db, s_apps, 0, 0), s_apps, 2) == ["c", "a"]
 
 
 def test_top_k_wraps_past_midnight():
     db = _db_with_counts({95: {"a": 5}, 0: {"b": 5}})
-    out = predict_top_k_apps(db, ["a", "b"], 1, 95, 96)  # slots 95 and 0
+    out = predict_top_k_apps(usage_window(db, ["a", "b"], 95, 96), ["a", "b"], 1)  # slots 95 and 0
     assert out == ["a", "b"]
 
 
@@ -354,7 +375,7 @@ def test_top_k_selection_nested_in_k():
     for slot in range(0, 24, 5):
         prev: set = set()
         for k in range(1, len(apps) + 1):
-            cur = set(predict_top_k_apps(db, apps, k, slot, slot))
+            cur = set(predict_top_k_apps(usage_window(db, apps, slot, slot), apps, k))
             assert len(cur) == k
             assert prev <= cur
             prev = cur
@@ -396,7 +417,7 @@ def _top_k_cases(draw):
 def test_top_k_matches_brute_force_reference(case):
     db, s_apps, first, last = case
     for k in range(1, len(s_apps) + 1):
-        assert (predict_top_k_apps(db, s_apps, k, first, last)
+        assert (predict_top_k_apps(usage_window(db, s_apps, first, last), s_apps, k)
                 == _top_k_reference(db, s_apps, k, first, last))
 
 
@@ -404,19 +425,22 @@ def test_top_k_matches_brute_force_reference(case):
 @given(_top_k_cases())
 def test_one_ranking_at_the_largest_k_serves_every_k(case):
     db, s_apps, first, last = case
-    ranked = rank_slot_apps(db, s_apps, len(s_apps), first, last)
+    counts = usage_window(db, s_apps, first, last)
+    ranked = rank_slot_apps(counts, len(s_apps))
     for k in range(1, len(s_apps) + 1):
-        assert selected_apps(s_apps, ranked[:k]) == predict_top_k_apps(db, s_apps, k, first, last)
+        assert selected_apps(s_apps, ranked[:k]) == predict_top_k_apps(counts, s_apps, k)
 
 
 def test_top_k_parameter_errors():
     db = _db_with_counts({0: {"a": 1}})
     with pytest.raises(ConfigError):
-        predict_top_k_apps(db, [], 1, 0, 0)
+        predict_top_k_apps(usage_window(db, [], 0, 0), [], 1)
     with pytest.raises(ParameterError):
-        predict_top_k_apps(db, ["a"], 2, 0, 0)
+        predict_top_k_apps(usage_window(db, ["a"], 0, 0), ["a"], 2)
     with pytest.raises(ParameterError):
-        predict_top_k_apps(db, ["a"], 1, 3, 2)
+        predict_top_k_apps(usage_window(db, ["a"], 3, 2), ["a"], 1)
+    with pytest.raises(ConfigError):
+        predict_top_k_apps(usage_window(db, ["a", "a"], 0, 0), ["a", "a"], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +730,7 @@ def test_history_votes_are_one_event_rule_call_per_run(kind):
     want = []
     for slot, start, stop in zip(slots.tolist(), starts.tolist(), stops.tolist()):
         fold_rows(ref, trace, start, stop)
-        want.append(history_predict_event(ref.event_probability(slot + 1, kind), 50, 0.25, rng))
+        want.append(history_predict_event(slot_probability(ref, slot + 1, kind), 50, 0.25, rng))
     assert votes.tolist() == want
     assert 0 < sum(want) < len(want)
     assert batch_rng.bit_generator.state == rng.bit_generator.state
@@ -765,8 +789,10 @@ def test_fold_rows_outside_the_trace_is_a_parameter_error(lo, hi):
 
 @st.composite
 def _as_of_plans(draw):
-    """A small generated trace or a drawn one, a database, and the split
-    and end of the rows that one fold takes past the split."""
+    """A small generated trace or a drawn one, a database, the split and
+    end of the rows that one fold takes past the split, and a usage window:
+    apps (some tracked, one not) and a first and last slot, which may wrap
+    midnight."""
     if draw(st.booleans()):
         config = reference_config(seed=draw(st.integers(0, 2**16)), days=draw(st.integers(1, 2)))
         trace = generate_trace(config, "as-of")
@@ -776,7 +802,19 @@ def _as_of_plans(draw):
     else:
         trace, db, _ = draw(_fold_plans())
     split = draw(st.integers(0, len(trace)))
-    return trace, db, split, draw(st.integers(split, len(trace)))
+    hi = draw(st.integers(split, len(trace)))
+    s_apps = draw(st.permutations(db.tracked_apps + ("untracked-app",)))
+    s_apps = s_apps[:draw(st.integers(0, len(db.tracked_apps)))] + ["untracked-app"]
+    first = draw(st.integers(0, 3 * db.n_slots))
+    return trace, db, split, hi, (s_apps, first, first + draw(st.integers(0, db.n_slots + 1)))
+
+
+def _usage_of(db, s_apps, first, last):
+    """The app_counts columns of slots first..last, a row per app of
+    ``s_apps`` (zeros for an untracked one)."""
+    cols = np.arange(first, last + 1) % db.n_slots
+    zeros = np.zeros(len(cols), dtype=np.int64)
+    return [(db.app_hist[a][cols] if a in db.app_hist else zeros).tolist() for a in s_apps]
 
 
 def _all_counts(db):
@@ -788,9 +826,11 @@ def _all_counts(db):
 @settings(deadline=None, max_examples=60)
 @given(_as_of_plans())
 def test_as_of_counts_are_a_fresh_fold_of_every_row_up_to_the_run(plan):
-    trace, db, split, hi = plan
+    trace, db, split, hi, (s_apps, first, last) = plan
     fold_rows(db, trace, 0, split)
     before = _all_counts(db)
+    # window i is read as of run i - 1, and is i slots longer than window 0
+    usage = [_usage_of(db, s_apps, first, last)]
     runs = fold_runs(db, trace, split, hi)
     slots, _, stops = slot_groups(db, trace, split, hi)
     assert runs.slots.tolist() == slots.tolist()
@@ -802,8 +842,12 @@ def test_as_of_counts_are_a_fresh_fold_of_every_row_up_to_the_run(plan):
         fresh = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
         fold_rows(fresh, trace, 0, stop)
         assert runs.counts(cells, j).tolist() == _all_counts(fresh)
+        usage.append(_usage_of(fresh, s_apps, first + j + 1, last + 2 * (j + 1)))
         if j % 3 == 1 or j == len(stops) - 1:   # runs in between are skipped
             assert running(j) == _all_counts(fresh)
+    at = np.arange(-1, len(stops))
+    windows = runs.usage(s_apps, first + at + 1, last + 2 * (at + 1), at)
+    assert [w.tolist() for w in windows] == usage
     # the fold itself leaves the database as fold_rows would
     again = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
     fold_rows(again, trace, 0, split)

@@ -49,6 +49,7 @@ def test_traced_step_drive_runs_for_each_predictor(layers, kind):
     assert names.count("pipeline.pcach_step") > 0
     assert f"evaluation.backtest.{kind.value}" in names
     assert "history.update_history" in names
+    assert "history.predict_top_k_apps" in names
     if kind is PredictorKind.ADABOOST:
         assert {"boosting.train_adaboost_xy", "history.extract_features",
                 "bench.margins_batch"} <= set(names)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcach.pipeline as pipeline
 from pcach.boosting import AdaBoostModel, Stump
 from pcach.errors import ConfigError
 from pcach.evaluation import backtest
@@ -41,7 +42,7 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import W, app, sample, seeded_rng
+from helpers import W, app, sample, seeded_rng, slot_probability
 
 
 def _profile():
@@ -219,7 +220,9 @@ def test_decide_asks_the_predictor_once_per_batch():
 
 def test_decide_reads_no_resume_slot_and_ranks_no_apps_without_a_cut():
     pred = RecordingPredictor(cut=False)
-    d = decide(newest_run(_db(), 10), _config(), pred, seeded_rng(0))
+    runs = newest_run(_db(), 10)
+    runs.usage = lambda *args: pytest.fail("a usage window was read without a cut")
+    d = decide(runs, _config(), pred, seeded_rng(0))
     assert pred.calls == [[10]]
     assert d[0] == StepDecision(target_slot=11, cut=False, cut_score=0.5,
                                 resume_next=True, resume_slot=None, apps=())
@@ -302,19 +305,25 @@ def test_snapshot_restored_mid_stream_gives_identical_decisions(kind, first, eve
 
 
 @pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
-def test_one_batch_decides_as_one_slot_at_a_time(kind):
+def test_one_batch_decides_as_one_slot_at_a_time(kind, monkeypatch):
     db, config, groups = _replay(kind=kind)
     predictor = make_predictor(config)
     one_at_a_time = _decisions(HistoryDB.from_json(db.to_json()), config, predictor, groups,
                                seeded_rng(5))
     test_rows = Trace("test", [s for _, samples in groups for s in samples])
-    batch = decide(fold_runs(db, test_rows), config, predictor, seeded_rng(5))
-    assert len(batch) == len(one_at_a_time) == len(groups)
+    assert len(one_at_a_time) == len(groups)
     assert sum(d.cut for d in one_at_a_time) > 0
-    for got, want in zip(batch, one_at_a_time):
-        # a batched margin may differ from a one-row margin in its last bits
-        assert got.cut_score == pytest.approx(want.cut_score, rel=1e-12, abs=1e-12)
-        assert dataclasses.replace(got, cut_score=want.cut_score) == want
+    # the batch's scans and usage windows in one block, then in blocks of
+    # a few rows (windows longer than a block are read alone)
+    for scan_rows in (pipeline._SCAN_ROWS, 3):
+        monkeypatch.setattr(pipeline, "_SCAN_ROWS", scan_rows)
+        runs = fold_runs(HistoryDB.from_json(db.to_json()), test_rows)
+        batch = decide(runs, config, predictor, seeded_rng(5))
+        assert len(batch) == len(one_at_a_time)
+        for got, want in zip(batch, one_at_a_time):
+            # a batched margin may differ from a one-row margin in its last bits
+            assert got.cut_score == pytest.approx(want.cut_score, rel=1e-12, abs=1e-12)
+            assert dataclasses.replace(got, cut_score=want.cut_score) == want
 
 
 @settings(deadline=None, max_examples=40)
@@ -343,11 +352,11 @@ def test_history_rule_draws_cut_then_target_resume_then_scan(seed, days, slot_mi
                                                         batch_rng)
     for j, (slot, start, stop) in enumerate(zip(slots.tolist(), starts.tolist(), stops.tolist())):
         fold_rows(ref, trace, start, stop)
-        p = ref.event_probability(slot + 1, EventKind.CUT)
+        p = slot_probability(ref, slot + 1, EventKind.CUT)
         assert p_cut[j] == p
         assert cut[j] == history_predict_event(p, n_draws, delta, rng)
         assert resume_next[j] == history_predict_event(
-            ref.event_probability(slot + 1, EventKind.RESUME), n_draws, delta, rng)
+            slot_probability(ref, slot + 1, EventKind.RESUME), n_draws, delta, rng)
         if cut[j]:
             assert resume_slot[j] == predict_resume_slot(ref, slot, max_lookahead, n_draws,
                                                          delta, rng, gap)
