@@ -497,15 +497,20 @@ class FoldedRuns:
         self._newest = newest     # (fold columns, newest row of each run), or None
         self.now = (np.zeros(len(slots), dtype=np.int64) if newest is None
                     else newest[0].times[newest[1]])
-        runs, cells = hits if hits is not None else (np.zeros(0, dtype=np.int64),) * 2
-        self._runs, self._cells = runs, cells     # the hits, ordered by run
-        hit_counts = np.bincount(cells, minlength=len(db._hist))
-        self._before = db._hist - hit_counts      # the counts before the fold
         self._width = max(len(slots), 1)
-        # a cell's count as of run j: _base[cell] + the hits of keys up to
-        # cell * width + j, where _base takes back the hits of every lower cell
-        self._keys = np.sort(cells * self._width + runs)
-        self._base = self._before - (np.cumsum(hit_counts) - hit_counts)
+        if hits is None:
+            # every run reads the counts as they stand: a copy, since a later
+            # fold changes _hist in place
+            self._runs = self._cells = self._keys = np.zeros(0, dtype=np.int64)
+            self._before = self._base = db._hist.copy()
+        else:
+            self._runs, self._cells = runs, cells = hits     # the hits, ordered by run
+            hit_counts = np.bincount(cells, minlength=len(db._hist))
+            self._before = db._hist - hit_counts      # the counts before the fold
+            # a cell's count as of run j: _base[cell] + the hits of keys up to
+            # cell * width + j, where _base takes back the hits of every lower cell
+            self._keys = np.sort(cells * self._width + runs)
+            self._base = self._before - (np.cumsum(hit_counts) - hit_counts)
 
     def __len__(self) -> int:
         return len(self.slots)

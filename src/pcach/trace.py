@@ -36,6 +36,12 @@ bound) run as array passes over the columns, and the history folds of
 :mod:`pcach.history` and :mod:`pcach.evaluation` read the columns; none of
 them builds the view.
 
+Every row enters the columns through one builder, whatever its source:
+``Trace(phone_id, samples)``, the JSONL parser and the CSV parser all hand
+it their rows, and it checks each row and its app records, interns the
+SSIDs, visible sets and app ids and appends the row. The parsers keep only
+their format's syntax and line numbers.
+
 Two derived notions drive everything downstream:
 
 * the *normalized timeline*: cellular samples taken while a WiFi network the
@@ -54,7 +60,8 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +98,8 @@ class ActiveNetwork(Enum):
 # codes of the ``state`` column
 STATE_WIFI, STATE_CELLULAR, STATE_NONE = 0, 1, 2
 STATES = (ActiveNetwork.WIFI, ActiveNetwork.CELLULAR, ActiveNetwork.NONE)
-_STATE_CODE = {a: code for code, a in enumerate(STATES)}
-_STATE_BY_VALUE = {a.value: code for code, a in enumerate(STATES)}
+# an active network's code, by member or by value
+_STATE_OF = {key: code for code, a in enumerate(STATES) for key in (a, a.value)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,10 +176,16 @@ def _int64_column(values, what: str) -> np.ndarray:
 
 
 class _Columns:
-    """Samples gathered row by row as column lists, with the interning
-    tables their ids index."""
+    """The one builder of a trace's columns: every row, whatever its source,
+    is checked, interned and appended here.
 
-    def __init__(self):
+    A row opens with :meth:`row`, takes its app records through
+    :meth:`record` and ends with :meth:`close`, which runs the sample checks
+    that need the whole row. ``visible_set`` turns a source's hashable raw
+    visible value into its frozenset, once per distinct raw value.
+    """
+
+    def __init__(self, visible_set: Callable[[Hashable], frozenset[str]] = frozenset):
         self.t: list[int] = []
         self.state: list[int] = []
         self.ssid: list[int] = []
@@ -185,47 +198,70 @@ class _Columns:
         self.ssid_ids: dict[str, int] = {}
         self.visible_ids: dict[frozenset[str], int] = {}
         self.app_ids: dict[str, int] = {}
+        self._visible_set = visible_set
+        self._visible_by_raw: dict[Hashable, tuple[int, frozenset[str]]] = {}
+        self._valid = True  # the open row's network fields pass the sample checks
+        self._first = 0  # the open row's first app record
 
-    def ssid_id(self, name: Optional[str]) -> int:
-        if name is None:
-            return -1
-        sid = self.ssid_ids.get(name)
-        if sid is None:
-            sid = self.ssid_ids[name] = len(self.ssid_ids)
-        return sid
+    def row(self, t: int, active, ssid: Optional[str], visible: Hashable) -> None:
+        """Open a row; ``active`` is an :class:`ActiveNetwork` or its value."""
+        if not _INT64_MIN <= t <= _INT64_MAX:
+            raise TraceValidationError(f"timestamp {t} outside the int64 range")
+        try:
+            state = _STATE_OF[active]
+        except (KeyError, TypeError):
+            raise TraceValidationError(f"unknown active network {active!r}") from None
+        interned = self._visible_by_raw.get(visible)
+        if interned is None:
+            ssids = self._visible_set(visible)
+            interned = self._visible_by_raw[visible] = (
+                self.visible_ids.setdefault(ssids, len(self.visible_ids)), ssids)
+        vid, ssids = interned
+        if ssid is None:
+            self._valid = state != STATE_WIFI
+            sid = -1
+        else:
+            self._valid = state == STATE_WIFI and ssid and ssid in ssids
+            sid = self.ssid_ids.setdefault(ssid, len(self.ssid_ids))
+        self.t.append(t)
+        self.state.append(state)
+        self.ssid.append(sid)
+        self.visible.append(vid)
 
-    def visible_id(self, ssids: frozenset[str]) -> int:
-        vid = self.visible_ids.get(ssids)
-        if vid is None:
-            vid = self.visible_ids[ssids] = len(self.visible_ids)
-        return vid
+    def record(self, app_id: str, up: int, down: int, running: bool) -> None:
+        """Append an app record to the open row."""
+        if not app_id:
+            raise TraceValidationError("app_id must be non-empty")
+        if up < 0 or down < 0:
+            raise TraceValidationError(_negative_bytes(app_id, up, down))
+        if up > _INT64_MAX or down > _INT64_MAX:
+            raise TraceValidationError(f"byte count of app {app_id!r} outside the int64 range")
+        self.app.append(self.app_ids.setdefault(app_id, len(self.app_ids)))
+        self.up.append(up)
+        self.down.append(down)
+        self.running.append(running)
 
-    def app_id(self, name: str) -> int:
-        aid = self.app_ids.get(name)
-        if aid is None:
-            aid = self.app_ids[name] = len(self.app_ids)
-        return aid
-
-    def add_sample(self, s: MeasurementSample) -> None:
-        self.t.append(s.timestamp)
-        self.state.append(_STATE_CODE[s.active_network])
-        self.ssid.append(self.ssid_id(s.connected_ssid))
-        self.visible.append(self.visible_id(s.visible_ssids))
-        self.n_apps.append(len(s.apps))
-        for rec in s.apps:
-            self.app.append(self.app_id(rec.app_id))
-            self.up.append(rec.up_bytes)
-            self.down.append(rec.down_bytes)
-            self.running.append(rec.running)
+    def close(self) -> None:
+        """End the open row, checking it as a sample unless its network
+        fields are valid and its app ids distinct."""
+        app, first = self.app, self._first
+        n = len(app) - first
+        if not self._valid or n > 1 and len(set(app[first:])) < n:
+            ssids, names = (*self.ssid_ids, None), tuple(self.app_ids)
+            _check_sample(self.t[-1], STATES[self.state[-1]], ssids[self.ssid[-1]],
+                          tuple(self.visible_ids)[self.visible[-1]],
+                          [names[a] for a in app[first:]])
+        self.n_apps.append(n)
+        self._first = first + n
 
     def arrays(self) -> list[np.ndarray]:
         """The t, state, ssid, visible, app_offsets, app, up, down and
         running columns."""
-        return [_int64_column(self.t, "timestamp"), np.array(self.state, dtype=np.uint8),
+        return [np.array(self.t, dtype=np.int64), np.array(self.state, dtype=np.uint8),
                 np.array(self.ssid, dtype=np.int32), np.array(self.visible, dtype=np.int32),
                 np.concatenate(([0], np.cumsum(self.n_apps, dtype=np.int64))),
-                np.array(self.app, dtype=np.int32), _int64_column(self.up, "up bytes"),
-                _int64_column(self.down, "down bytes"), np.array(self.running, dtype=bool)]
+                np.array(self.app, dtype=np.int32), np.array(self.up, dtype=np.int64),
+                np.array(self.down, dtype=np.int64), np.array(self.running, dtype=bool)]
 
     def tables(self) -> tuple[tuple, tuple, tuple]:
         return tuple(self.ssid_ids), tuple(self.visible_ids), tuple(self.app_ids)
@@ -267,8 +303,12 @@ class Trace:
                  nominal_period_s: int = DEFAULT_PERIOD_S):
         samples = tuple(samples)
         cols = _Columns()
+        row, record, close = cols.row, cols.record, cols.close
         for s in samples:
-            cols.add_sample(s)
+            row(s.timestamp, s.active_network, s.connected_ssid, s.visible_ssids)
+            for rec in s.apps:
+                record(rec.app_id, rec.up_bytes, rec.down_bytes, rec.running)
+            close()
         self._set_columns(phone_id, nominal_period_s, *cols.arrays(), *cols.tables())
         self._samples = samples
 
@@ -634,15 +674,17 @@ def _type_error(field: str, expected: str, value) -> TraceValidationError:
     )
 
 
+def _jsonl_visible(raw: tuple) -> frozenset[str]:
+    for v in raw:
+        if type(v) is not str:
+            raise _type_error("visible[]", "a string", v)
+    return frozenset(raw)
+
+
 def _parse_jsonl(data: bytes) -> _Columns:
     scan = json.JSONDecoder().scan_once  # what raw_decode(text) runs at index 0
-    cols = _Columns()
-    t_col, state_col, ssid_col, visible_col, n_apps = (
-        cols.t, cols.state, cols.ssid, cols.visible, cols.n_apps)
-    app_col, up_col, down_col, running_col = cols.app, cols.up, cols.down, cols.running
-    ssid_ids, app_ids = cols.ssid_ids, cols.app_ids
-    visible_by_raw: dict[tuple, tuple[int, frozenset[str]]] = {}
-    state_by_value, wifi, lo, hi = _STATE_BY_VALUE, STATE_WIFI, _INT64_MIN, _INT64_MAX
+    cols = _Columns(_jsonl_visible)
+    row, record, close = cols.row, cols.record, cols.close
     # Lines split as bytes.splitlines splits them, at CR LF, CR or LF, read
     # one at a time. They split on bytes: the writer keeps U+2028/U+0085 raw
     # inside SSIDs, and str.splitlines would break a record there.
@@ -666,30 +708,18 @@ def _parse_jsonl(data: bytes) -> _Columns:
         try:
             if type(obj) is not dict:
                 raise _type_error("line", "an object", obj)
-            t, active_raw = obj["t"], obj["active"]
-            ssid, visible_raw, apps_raw = obj.get("ssid"), obj.get("visible", []), obj.get("apps", [])
+            t, active = obj["t"], obj["active"]
+            ssid, visible, apps = obj.get("ssid"), obj.get("visible", []), obj.get("apps", [])
             if type(t) is not int:
                 raise _type_error("t", "an integer", t)
-            if not lo <= t <= hi:
-                raise TraceValidationError(f"timestamp {t} outside the int64 range")
-            state = state_by_value.get(active_raw) if type(active_raw) is str else None
-            if state is None:
-                raise TraceValidationError(f"unknown active network {active_raw!r}")
             if ssid is not None and type(ssid) is not str:
                 raise _type_error("ssid", "a string or null", ssid)
-            if type(visible_raw) is not list:
-                raise _type_error("visible", "a list", visible_raw)
-            key = tuple(visible_raw)
-            interned = visible_by_raw.get(key)
-            if interned is None:
-                for v in key:
-                    if type(v) is not str:
-                        raise _type_error("visible[]", "a string", v)
-                visible = frozenset(key)
-                interned = visible_by_raw[key] = (cols.visible_id(visible), visible)
-            if type(apps_raw) is not list:
-                raise _type_error("apps", "a list", apps_raw)
-            for rec in apps_raw:
+            if type(visible) is not list:
+                raise _type_error("visible", "a list", visible)
+            row(t, active, ssid, tuple(visible))
+            if type(apps) is not list:
+                raise _type_error("apps", "a list", apps)
+            for rec in apps:
                 if type(rec) is not dict:
                     raise _type_error("apps[]", "an object", rec)
                 app_id, up, down, running = rec["id"], rec["up"], rec["down"], rec["running"]
@@ -701,48 +731,31 @@ def _parse_jsonl(data: bytes) -> _Columns:
                     raise _type_error("down", "an integer", down)
                 if type(running) is not bool:
                     raise _type_error("running", "a boolean", running)
-                if not app_id:
-                    raise TraceValidationError("app_id must be non-empty")
-                if up < 0 or down < 0:
-                    raise TraceValidationError(_negative_bytes(app_id, up, down))
-                if up > hi or down > hi:
-                    raise TraceValidationError(f"byte count of app {app_id!r} outside the "
-                                               "int64 range")
-                aid = app_ids.get(app_id)
-                app_col.append(cols.app_id(app_id) if aid is None else aid)
-                up_col.append(up)
-                down_col.append(down)
-                running_col.append(running)
-            if ssid is None:
-                valid = state != wifi
-            else:
-                valid = state == wifi and ssid and ssid in interned[1]
-            if not valid or len(apps_raw) > 1:
-                _check_sample(t, STATES[state], ssid, interned[1],
-                              [rec["id"] for rec in apps_raw])
+                record(app_id, up, down, running)
+            close()
         except KeyError as exc:
             raise TraceParseError(f"missing field {exc.args[0]!r}", line_no) from None
         except (TypeError, TraceValidationError) as exc:
             raise TraceParseError(str(exc), line_no) from None
-        t_col.append(t)
-        state_col.append(state)
-        sid = -1 if ssid is None else ssid_ids.get(ssid)
-        ssid_col.append(cols.ssid_id(ssid) if sid is None else sid)
-        visible_col.append(interned[0])
-        n_apps.append(len(apps_raw))
     return cols
 
 
 _CSV_BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
+def _csv_visible(cell: str) -> frozenset[str]:
+    return frozenset(v for v in cell.split(";") if v)
+
+
 def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
     """Rows in one pass; a run of contiguous rows sharing (t, active, ssid,
-    visible) forms one sample, one row per app record.
+    visible) forms one sample, one row per app record; a row with an empty
+    app id and blank up, down and running cells holds none.
 
     A repeated timestamp further on starts a new sample, which last-wins
-    deduplication collapses like any other duplicate. A sample's checks run
-    when it closes, after its app rows.
+    deduplication collapses like any other duplicate. A record fault is
+    reported at its row; a sample fault, found when the sample closes after
+    its app rows, at the sample's first row.
     """
     if not data.isascii():
         _decode_utf8(data)  # an invalid byte fails before any row does
@@ -750,97 +763,49 @@ def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
     # at a time rather than held whole
     reader = csv.reader(map(bytes.decode, io.BytesIO(data)))
     n_fields = len(_CSV_FIELDS)
-    cols = _Columns()
-    t_col, state_col, ssid_col, visible_col, n_apps = (
-        cols.t, cols.state, cols.ssid, cols.visible, cols.n_apps)
-    app_col, up_col, down_col, running_col = cols.app, cols.up, cols.down, cols.running
-    ssid_ids, app_ids = cols.ssid_ids, cols.app_ids
-    visible_by_raw: dict[str, tuple[int, frozenset[str]]] = {}
-    state_by_value, bools, lo, hi = _STATE_BY_VALUE, _CSV_BOOLS, _INT64_MIN, _INT64_MAX
+    cols = _Columns(_csv_visible)
+    row, record, close = cols.row, cols.record, cols.close
     phone_id: Optional[str] = None
     head: Optional[list[str]] = None  # raw (t, active, ssid, visible) of the open sample
-    head_line = first_app = 0
-    t = state = ssid = interned = None
-    valid = True  # the open sample's network fields pass the sample checks
-
-    def check_open_sample():
-        names = tuple(app_ids)
-        try:
-            _check_sample(t, STATES[state], ssid, interned[1],
-                          [names[a] for a in app_col[first_app:]])
-        except TraceValidationError as exc:
-            raise TraceParseError(str(exc), head_line) from None
-
-    line_no = 0
+    line_no = head_line = 0
     try:
-        for line_no, row in enumerate(reader, start=1):
-            pid = row[0] if row else ""
-            if (not pid or pid.isspace()) and not "".join(row).strip():
+        for line_no, cells in enumerate(reader, start=1):
+            pid = cells[0] if cells else ""
+            if (not pid or pid.isspace()) and not "".join(cells).strip():
                 continue  # blank line or only blank cells
-            if line_no == 1 and [c.strip() for c in row[:2]] == ["phone_id", "t"]:
+            if line_no == 1 and [c.strip() for c in cells[:2]] == ["phone_id", "t"]:
                 continue  # header
-            if len(row) != n_fields:
-                raise TraceParseError(f"expected {n_fields} columns, got {len(row)}", line_no)
+            if len(cells) != n_fields:
+                raise TraceParseError(f"expected {n_fields} columns, got {len(cells)}", line_no)
             if pid != phone_id:
                 if phone_id is not None:
                     raise TraceParseError(f"phone_id {pid!r} differs from {phone_id!r}", line_no)
                 phone_id = pid
-            if row[1:5] != head:
+            if cells[1:5] != head:
                 if head is not None:
-                    if not valid or len(app_col) - first_app > 1:
-                        check_open_sample()
-                    n_apps.append(len(app_col) - first_app)
-                head, head_line, first_app = row[1:5], line_no, len(app_col)
-                t_raw, active_raw, ssid_raw, visible_raw = head
+                    close()
+                head, head_line = cells[1:5], line_no
+                t_raw, active, ssid, visible = head
                 try:
                     t = int(t_raw)
                 except ValueError:
                     raise TraceParseError(f"invalid timestamp {t_raw!r}", line_no) from None
-                if not lo <= t <= hi:
-                    raise TraceParseError(f"timestamp {t} outside the int64 range", line_no)
-                state = state_by_value.get(active_raw)
-                if state is None:
-                    raise TraceParseError(f"unknown active network {active_raw!r}", line_no)
-                ssid = ssid_raw if ssid_raw else None
-                interned = visible_by_raw.get(visible_raw)
-                if interned is None:
-                    visible = frozenset(v for v in visible_raw.split(";") if v)
-                    interned = visible_by_raw[visible_raw] = (cols.visible_id(visible), visible)
-                if ssid is None:
-                    valid = state != STATE_WIFI
-                    ssid_col.append(-1)
-                else:
-                    valid = state == STATE_WIFI and ssid in interned[1]
-                    sid = ssid_ids.get(ssid)
-                    ssid_col.append(cols.ssid_id(ssid) if sid is None else sid)
-                t_col.append(t)
-                state_col.append(state)
-                visible_col.append(interned[0])
-            app_id = row[5]
-            if app_id:
-                running = bools.get(row[8].strip().lower())
-                if running is None:
-                    raise TraceParseError(f"invalid boolean {row[8]!r}", line_no)
+                row(t, active, ssid if ssid else None, visible)
+            app_id, up, down, running = cells[5:]
+            if app_id or (up + down + running).strip():
+                flag = _CSV_BOOLS.get(running.strip().lower())
+                if flag is None:
+                    raise TraceParseError(f"invalid boolean {running!r}", line_no)
                 try:
-                    up, down = int(row[6]), int(row[7])
-                except ValueError as exc:
+                    record(app_id, int(up), int(down), flag)
+                except (ValueError, TraceValidationError) as exc:
                     raise TraceParseError(str(exc), line_no) from None
-                if up < 0 or down < 0:
-                    raise TraceParseError(_negative_bytes(app_id, up, down), line_no)
-                if up > hi or down > hi:
-                    raise TraceParseError(f"byte count of app {app_id!r} outside the "
-                                          "int64 range", line_no)
-                aid = app_ids.get(app_id)
-                app_col.append(cols.app_id(app_id) if aid is None else aid)
-                up_col.append(up)
-                down_col.append(down)
-                running_col.append(running)
+        if head is not None:
+            close()
     except csv.Error as exc:
         raise TraceParseError(f"malformed CSV ({exc})", line_no + 1) from None
-    if head is not None:
-        if not valid or len(app_col) - first_app > 1:
-            check_open_sample()
-        n_apps.append(len(app_col) - first_app)
+    except TraceValidationError as exc:  # from row() or close(): a sample fault
+        raise TraceParseError(str(exc), head_line) from None
     return phone_id, cols
 
 
@@ -851,7 +816,9 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     JSONL holds one object per line; every field must have its JSON type
     (``running`` a boolean, ``visible`` a list of strings, ...). In CSV a
     run of contiguous rows with the same ``t``, ``active``, ``ssid`` and
-    ``visible`` forms one sample, one row per app record. Samples are sorted
+    ``visible`` forms one sample, one row per app record; a row with an
+    empty ``app_id`` and blank ``up``, ``down`` and ``running`` cells holds
+    no record, and any other empty ``app_id`` is an error. Samples are sorted
     by timestamp; duplicate timestamps, adjacent or not, collapse to the
     last record seen in input order. Every record, a dropped one included,
     must be a valid sample, and timestamps and byte counts must fit int64.
@@ -883,6 +850,14 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     return cols.last_wins(csv_phone if csv_phone else phone_id, nominal_period_s)
 
 
+def _file_format(path: Path, fmt: Optional[str]) -> str:
+    """``fmt`` in lower case, or by default CSV for a ``.csv`` suffix and
+    JSONL otherwise."""
+    if fmt is not None:
+        return fmt.lower()
+    return "csv" if path.suffix.lower() == ".csv" else "jsonl"
+
+
 def read_trace(path, fmt: Optional[str] = None,
                nominal_period_s: int = DEFAULT_PERIOD_S) -> Trace:
     """Load a trace file; the format defaults from the file suffix.
@@ -890,14 +865,10 @@ def read_trace(path, fmt: Optional[str] = None,
     A package error raised while reading keeps its class and line number,
     and its message starts with the path.
     """
-    from pathlib import Path
-
     p = Path(path)
-    if fmt is None:
-        fmt = "csv" if p.suffix.lower() == ".csv" else "jsonl"
     try:
         with open(p, "rb") as fh:
-            return ingest_trace(fh, fmt=fmt, phone_id=p.stem,
+            return ingest_trace(fh, fmt=_file_format(p, fmt), phone_id=p.stem,
                                 nominal_period_s=nominal_period_s)
     except PCachError as exc:
         exc.args = (f"{p}: {exc}", *exc.args[1:])
@@ -905,13 +876,8 @@ def read_trace(path, fmt: Optional[str] = None,
 
 
 def write_trace(trace: Trace, path, fmt: Optional[str] = None) -> None:
-    from pathlib import Path
-
     p = Path(path)
-    if fmt is None:
-        fmt = "csv" if p.suffix.lower() == ".csv" else "jsonl"
-    payload = trace_to_csv(trace) if fmt == "csv" else trace_to_jsonl(trace)
-    p.write_bytes(payload)
+    p.write_bytes(trace_to_csv(trace) if _file_format(p, fmt) == "csv" else trace_to_jsonl(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,18 @@ def test_standing_runs_features_are_the_one_row_features():
         assert extract_features(db, s, ts, EventKind.CUT).as_array().tobytes() == row.tobytes()
 
 
+def test_standing_runs_keep_the_counts_a_later_fold_changes():
+    db = make_db()
+    update_history(db, [sample(0, W, apps=(app("mail"),))])
+    runs = newest_run(db, 0)
+    cells = np.arange(len(db._hist))
+    before = runs.counts(cells, 0)
+    update_history(db, [sample(300, C, apps=(app("mail"),)), sample(900, W)])
+    assert not np.array_equal(db._hist, before)
+    assert np.array_equal(runs.counts(cells, 0), before)
+    assert runs.running_counts(cells)(0) == before.tolist()
+
+
 @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
 def test_history_votes_are_one_event_rule_call_per_run(kind):
     config = reference_config(seed=8, days=3)

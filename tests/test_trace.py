@@ -27,6 +27,7 @@ from pcach.trace import (
     read_trace,
     trace_to_csv,
     trace_to_jsonl,
+    write_trace,
 )
 
 from helpers import C, N, W, app, brute_force_gaps, random_trace, sample, seeded_rng, trace_from_states
@@ -245,6 +246,74 @@ def test_csv_refuses_a_visible_ssid_it_cannot_carry(ssid):
     with pytest.raises(PCachError) as exc:
         trace_to_csv(trace)
     assert "t=300" in str(exc.value) and repr(ssid) in str(exc.value)
+
+
+_EDGE_SAMPLE = {"t": 200, "active": "WIFI", "ssid": "home", "visible": ["home"],
+                "apps": [("a", 1, 2, True), ("b", 3, 4, False)]}
+
+
+@pytest.mark.parametrize("fault, record, message", [
+    ({"apps": [("a", 1, 2, True), ("b", -1, 4, False)]}, 1,
+     "negative byte count for app 'b': up=-1 down=4"),
+    ({"apps": [("a", 1, 2, True), ("b", 3, 2**63, False)]}, 1,
+     "byte count of app 'b' outside the int64 range"),
+    ({"t": 2**63}, None, "timestamp 9223372036854775808 outside the int64 range"),
+    ({"active": "X"}, None, "unknown active network 'X'"),
+    ({"ssid": None}, None, "t=200: WIFI sample without connected_ssid"),
+    ({"active": "CELL"}, None, "t=200: connected_ssid set on a CELLULAR sample"),
+    ({"visible": ["cafe"]}, None, "t=200: connected ssid 'home' missing from visible set"),
+    ({"apps": [("a", 1, 2, True), ("a", 3, 4, False)]}, None, "t=200: duplicate app record 'a'"),
+    ({"apps": [("a", 1, 2, True), ("", 5000, 7000, True)]}, 1, "app_id must be non-empty"),
+], ids=["negative-up", "bytes-past-int64", "t-past-int64", "unknown-active", "wifi-without-ssid",
+        "ssid-on-cell", "ssid-not-visible", "duplicate-app", "empty-app-id"])
+def test_both_formats_report_a_fault_alike(fault, record, message):
+    """A fault in the middle sample: JSONL reports its line; CSV reports the
+    faulty record's row (``record`` counts the sample's rows from 0), or the
+    sample's first row for a sample fault."""
+    samples = [{"t": 100, "active": "NONE", "ssid": None, "visible": [], "apps": []},
+               {**_EDGE_SAMPLE, **fault},
+               {"t": 300, "active": "CELL", "ssid": None, "visible": ["cafe"],
+                "apps": [("a", 5, 6, True)]}]
+    jsonl = "".join(json.dumps({**s, "apps": [{"id": i, "up": u, "down": d, "running": r}
+                                              for i, u, d, r in s["apps"]]}) + "\n"
+                    for s in samples)
+    rows, first_rows = [_CSV_HEADER], []
+    for s in samples:
+        first_rows.append(len(rows) + 1)
+        head = f"p,{s['t']},{s['active']},{s['ssid'] or ''},{';'.join(s['visible'])},"
+        rows += [head + f"{i},{u},{d},{str(r).lower()}\n" for i, u, d, r in s["apps"]] or [
+            head + ",,,\n"]
+    for fmt, data, line_no in (("jsonl", jsonl, 2), ("csv", "".join(rows),
+                                                     first_rows[1] + (record or 0))):
+        with pytest.raises(TraceParseError) as exc:
+            ingest_trace(data.encode(), fmt=fmt)
+        assert (str(exc.value), exc.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+def test_csv_row_with_blank_app_cells_holds_no_record():
+    trace = ingest_trace((_CSV_HEADER + "p,100,WIFI,home,home,,,,\np,400,NONE,,,, , ,\n").encode(),
+                         fmt="csv")
+    assert trace.samples == (sample(100, W, ssid="home"), sample(400, N))
+
+
+def test_trace_of_samples_reports_int64_overflow_as_the_parsers_do():
+    with pytest.raises(TraceValidationError) as exc:
+        Trace("p", (sample(0, N, apps=(app("fb", up=2**63),)),))
+    assert str(exc.value) == "byte count of app 'fb' outside the int64 range"
+    with pytest.raises(TraceValidationError) as exc:
+        Trace("p", (sample(2**63, N),))
+    assert str(exc.value) == "timestamp 9223372036854775808 outside the int64 range"
+
+
+@pytest.mark.parametrize("name, fmt", [("t.CSV", None), ("t.jsonl", "CSV"), ("t.csv", "jsonl"),
+                                       ("t.txt", None)])
+def test_read_and_write_take_the_format_by_one_rule(tmp_path, name, fmt):
+    trace = Trace("t", (sample(0, W, ssid="home", apps=(app("a", 1, 2),)),))
+    path = tmp_path / name
+    write_trace(trace, path, fmt=fmt)
+    wire = "csv" if (fmt or path.suffix).lower().lstrip(".") == "csv" else "jsonl"
+    assert path.read_bytes() == (trace_to_csv(trace) if wire == "csv" else trace_to_jsonl(trace))
+    assert read_trace(path, fmt=fmt) == trace
 
 
 def _jsonl_line(**fields):
