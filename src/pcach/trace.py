@@ -29,12 +29,14 @@ with one conversion each way: ``Trace(phone_id, samples)`` turns samples into
 columns, and ``Trace.samples`` is a read-only view of the rows as samples,
 built once with the ordinary constructors on first access and cached. The
 view of a normalized trace reuses its source trace's view: every sample that
-was not relabelled is the very same object. :func:`trace_to_jsonl` is the
-one JSONL row encoder. The trace-level stages (profile, normalization, gap
-detection, and in :mod:`pcach.mining` the traffic split and the pre-cache
-bound) run as array passes over the columns, and the history folds of
-:mod:`pcach.history` and :mod:`pcach.evaluation` read the columns; none of
-them builds the view.
+was not relabelled is the very same object. Each wire format has one
+encoder, which yields the file in blocks of rows: :func:`write_trace`
+streams the blocks into the file, and :func:`trace_to_jsonl` and
+:func:`trace_to_csv` join them. The trace-level stages (profile,
+normalization, gap detection, and in :mod:`pcach.mining` the traffic split
+and the pre-cache bound) run as array passes over the columns, and the
+history folds of :mod:`pcach.history` and :mod:`pcach.evaluation` read the
+columns; none of them builds the view.
 
 Every row enters the columns through one builder, whatever its source:
 ``Trace(phone_id, samples)``, the JSONL parser and the CSV parser all hand
@@ -55,13 +57,15 @@ Two derived notions drive everything downstream:
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +106,14 @@ STATES = (ActiveNetwork.WIFI, ActiveNetwork.CELLULAR, ActiveNetwork.NONE)
 _STATE_OF = {key: code for code, a in enumerate(STATES) for key in (a, a.value)}
 
 
+def _state_code(active) -> int:
+    """The ``state`` code of an :class:`ActiveNetwork` or its value."""
+    try:
+        return _STATE_OF[active]
+    except (KeyError, TypeError):
+        raise TraceValidationError(f"unknown active network {active!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class AppTrafficRecord:
     """Traffic counters of one application within one sampling period."""
@@ -138,6 +150,9 @@ class MeasurementSample:
     apps: tuple[AppTrafficRecord, ...]
 
     def __post_init__(self):
+        active = STATES[_state_code(self.active_network)]
+        if active is not self.active_network:
+            object.__setattr__(self, "active_network", active)
         if not isinstance(self.visible_ssids, frozenset):
             object.__setattr__(self, "visible_ssids", frozenset(self.visible_ssids))
         if not isinstance(self.apps, tuple):
@@ -207,10 +222,7 @@ class _Columns:
         """Open a row; ``active`` is an :class:`ActiveNetwork` or its value."""
         if not _INT64_MIN <= t <= _INT64_MAX:
             raise TraceValidationError(f"timestamp {t} outside the int64 range")
-        try:
-            state = _STATE_OF[active]
-        except (KeyError, TypeError):
-            raise TraceValidationError(f"unknown active network {active!r}") from None
+        state = _state_code(active)
         interned = self._visible_by_raw.get(visible)
         if interned is None:
             ssids = self._visible_set(visible)
@@ -567,40 +579,68 @@ def in_hour_window(timestamp, window: tuple[int, int], utc_offset_s: int = 0):
 _CSV_FIELDS = ("phone_id", "t", "active", "ssid", "visible", "app_id", "up", "down", "running")
 
 
-def trace_to_jsonl(trace: Trace) -> bytes:
-    """One line per row: the row's object (``t``, ``active``, ``ssid``, the
-    sorted ``visible`` list and its ``apps`` records) as ``json.dumps(obj,
-    separators=(",", ":"), ensure_ascii=False)`` writes it; each SSID,
-    visible set and app id of the tables is encoded once."""
+_BLOCK_ROWS = 1024  # rows the writers encode at a time
+
+
+def _blocks(trace: Trace, encode: Callable[[Trace], str]) -> Iterator[bytes]:
+    """The UTF-8 bytes of ``encode`` applied to each run of ``_BLOCK_ROWS``
+    rows, as a :meth:`Trace.rows` slice sharing the trace's tables."""
+    for start in range(0, len(trace), _BLOCK_ROWS):
+        yield encode(trace.rows(start, start + _BLOCK_ROWS)).encode("utf-8")
+
+
+def _jsonl_blocks(trace: Trace) -> Iterator[bytes]:
+    """The JSONL file of ``trace`` in blocks of rows; each SSID, visible set
+    and app id of the tables is encoded once, up front."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     active = [f'"{a.value}"' for a in STATES]
     ssid = [encode(name) for name in trace.ssids] + ["null"]
     visible = [encode(sorted(ssids)) for ssids in trace.visible_sets]
     app_head = ['{"id":' + encode(app_id) + ',"up":' for app_id in trace.app_ids]
     flag = ("false", "true")
-    records = [f'{app_head[a]}{up},"down":{down},"running":{flag[r]}}}'
-               for a, up, down, r in zip(trace.app.tolist(), trace.up.tolist(),
-                                         trace.down.tolist(), trace.running.tolist())]
-    offsets = trace.app_offsets.tolist()
-    lines = [f'{{"t":{t},"active":{active[s]},"ssid":{ssid[i]},"visible":{visible[v]},'
-             f'"apps":[{",".join(records[a:b])}]}}'
-             for t, s, i, v, a, b in zip(trace.t.tolist(), trace.state.tolist(),
-                                         trace.ssid.tolist(), trace.visible.tolist(),
-                                         offsets, offsets[1:])]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def lines(block: Trace) -> str:
+        records = [f'{app_head[a]}{up},"down":{down},"running":{flag[r]}}}'
+                   for a, up, down, r in zip(block.app.tolist(), block.up.tolist(),
+                                             block.down.tolist(), block.running.tolist())]
+        offsets = block.app_offsets.tolist()
+        return "".join([
+            f'{{"t":{t},"active":{active[s]},"ssid":{ssid[i]},"visible":{visible[v]},'
+            f'"apps":[{",".join(records[a:b])}]}}\n'
+            for t, s, i, v, a, b in zip(block.t.tolist(), block.state.tolist(),
+                                        block.ssid.tolist(), block.visible.tolist(),
+                                        offsets, offsets[1:])])
+
+    if not len(trace):
+        return iter((b"\n",))  # an empty trace is one empty line
+    return _blocks(trace, lines)
 
 
-def trace_to_csv(trace: Trace) -> bytes:
-    text = _csv_text(trace, quote_all=False)
-    if "\r" in text:
-        # minimal quoting leaves a CR bare, and a reader ends the record there
-        text = _csv_text(trace, quote_all=True)
-    return text.encode("utf-8")
+def trace_to_jsonl(trace: Trace) -> bytes:
+    """One line per row: the row's object (``t``, ``active``, ``ssid``, the
+    sorted ``visible`` list and its ``apps`` records) as ``json.dumps(obj,
+    separators=(",", ":"), ensure_ascii=False)`` writes it. The bytes are
+    the blocks :func:`write_trace` streams, joined."""
+    return b"".join(_jsonl_blocks(trace))
 
 
-def _csv_text(trace: Trace, quote_all: bool) -> str:
-    """The rows ``csv.writer(lineterminator="\\n")`` writes under QUOTE_ALL
-    or QUOTE_MINIMAL; each string of the tables is quoted once."""
+def _csv_blocks(trace: Trace) -> Iterator[bytes]:
+    """The CSV file of ``trace``, header first, in blocks of rows.
+
+    The rows are what ``csv.writer(lineterminator="\\n")`` writes under
+    QUOTE_MINIMAL, or under QUOTE_ALL when a string the rows use holds a
+    CR: minimal quoting leaves a CR bare, and a reader ends the record
+    there. The strings the rows use are the phone id and the table entries
+    that the ``ssid``, ``visible`` and ``app`` columns name; an entry only
+    other rows of a :meth:`Trace.rows` slice name does not count. Each such
+    string is quoted once, up front, and a visible set CSV cannot carry is
+    refused here, before any block is encoded.
+    """
+    ssid_text = [trace.ssids[i] for i in np.unique(trace.ssid).tolist() if i >= 0]
+    visible_text = _visible_cells(trace)
+    app_text = [trace.app_ids[i] for i in np.unique(trace.app).tolist()]
+    quote_all = any("\r" in text for text in
+                    (trace.phone_id, *ssid_text, *filter(None, visible_text), *app_text))
 
     def quote(text: str) -> str:
         if quote_all or "," in text or '"' in text or "\n" in text:
@@ -610,28 +650,40 @@ def _csv_text(trace: Trace, quote_all: bool) -> str:
     num = '"' if quote_all else ""  # a number needs quotes only under QUOTE_ALL
     active = [quote(a.value) for a in STATES]
     ssid = [quote(name) for name in trace.ssids] + [quote("")]
-    visible = _visible_cells(trace, quote)
+    visible = [None if text is None else quote(text) for text in visible_text]
     app = [quote(app_id) for app_id in trace.app_ids]
     flag = (quote("false"), quote("true"))
-    records = [f"{app[a]},{num}{up}{num},{num}{down}{num},{flag[r]}"
-               for a, up, down, r in zip(trace.app.tolist(), trace.up.tolist(),
-                                         trace.down.tolist(), trace.running.tolist())]
     phone = quote(trace.phone_id)
     no_apps = [",".join([quote("")] * 4)]
-    heads = [f"{phone},{num}{t}{num},{active[s]},{ssid[i]},{visible[v]},"
-             for t, s, i, v in zip(trace.t.tolist(), trace.state.tolist(), trace.ssid.tolist(),
-                                   trace.visible.tolist())]
-    offsets = trace.app_offsets.tolist()
-    lines = [",".join(map(quote, _CSV_FIELDS))]
-    lines += [head + rec for head, a, b in zip(heads, offsets, offsets[1:])
-              for rec in (records[a:b] if a < b else no_apps)]
-    lines.append("")
-    return "\n".join(lines)
+
+    def lines(block: Trace) -> str:
+        records = [f"{app[a]},{num}{up}{num},{num}{down}{num},{flag[r]}"
+                   for a, up, down, r in zip(block.app.tolist(), block.up.tolist(),
+                                             block.down.tolist(), block.running.tolist())]
+        heads = [f"{phone},{num}{t}{num},{active[s]},{ssid[i]},{visible[v]},"
+                 for t, s, i, v in zip(block.t.tolist(), block.state.tolist(),
+                                       block.ssid.tolist(), block.visible.tolist())]
+        offsets = block.app_offsets.tolist()
+        return "".join([f"{head}{rec}\n" for head, a, b in zip(heads, offsets, offsets[1:])
+                        for rec in (records[a:b] if a < b else no_apps)])
+
+    header = (",".join(map(quote, _CSV_FIELDS)) + "\n").encode("utf-8")
+    return itertools.chain((header,), _blocks(trace, lines))
 
 
-def _visible_cells(trace: Trace, quote) -> list[Optional[str]]:
-    """The quoted CSV ``visible`` field of each visible set the rows use:
-    SSIDs joined with ';'.
+def trace_to_csv(trace: Trace) -> bytes:
+    """A header and one row per app record, or one row with blank app cells
+    for a row with none, as ``csv.writer(lineterminator="\\n")`` writes
+    them: QUOTE_MINIMAL, or QUOTE_ALL when a string the rows use holds a CR
+    (see :func:`_csv_blocks`). A visible SSID that is empty or holds ';'
+    raises :class:`TraceValidationError`. The bytes are the blocks
+    :func:`write_trace` streams, joined."""
+    return b"".join(_csv_blocks(trace))
+
+
+def _visible_cells(trace: Trace) -> list[Optional[str]]:
+    """The unquoted CSV ``visible`` field of each visible set the rows use,
+    its SSIDs sorted and joined with ';', and None for a set no row uses.
 
     An empty SSID or one holding ';' would read back changed, so it is
     refused, naming the first sample that holds it, rather than written.
@@ -643,7 +695,7 @@ def _visible_cells(trace: Trace, quote) -> list[Optional[str]]:
         if any(not v or ";" in v for v in ssids):
             bad.append(vid)
         else:
-            cells[vid] = quote(";".join(sorted(ssids)))
+            cells[vid] = ";".join(sorted(ssids))
     if bad:
         row = int(np.flatnonzero(np.isin(trace.visible, bad))[0])
         v = next(v for v in trace.visible_sets[trace.visible[row]] if not v or ";" in v)
@@ -866,18 +918,46 @@ def read_trace(path, fmt: Optional[str] = None,
     and its message starts with the path.
     """
     p = Path(path)
+    with _naming(p), open(p, "rb") as fh:
+        return ingest_trace(fh, fmt=_file_format(p, fmt), phone_id=p.stem,
+                            nominal_period_s=nominal_period_s)
+
+
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Start the message of a package error raised inside with ``path``."""
     try:
-        with open(p, "rb") as fh:
-            return ingest_trace(fh, fmt=_file_format(p, fmt), phone_id=p.stem,
-                                nominal_period_s=nominal_period_s)
+        yield
     except PCachError as exc:
-        exc.args = (f"{p}: {exc}", *exc.args[1:])
+        exc.args = (f"{path}: {exc}", *exc.args[1:])
         raise
 
 
+_WRITERS = {"jsonl": _jsonl_blocks, "csv": _csv_blocks}
+
+
 def write_trace(trace: Trace, path, fmt: Optional[str] = None) -> None:
+    """Write a trace file; the format defaults from the file suffix, as in
+    :func:`read_trace`, and the bytes are :func:`trace_to_jsonl`'s or
+    :func:`trace_to_csv`'s.
+
+    The file is written a block of rows at a time, so the writer holds one
+    block's text rather than the whole file's. Every check that can refuse
+    the write runs before the file is opened: an unknown format raises
+    :class:`TraceParseError` as :func:`read_trace` does, and a trace CSV
+    cannot carry raises :class:`TraceValidationError`, so a refused write
+    neither creates nor truncates ``path``. A package error's message
+    starts with the path.
+    """
     p = Path(path)
-    p.write_bytes(trace_to_csv(trace) if _file_format(p, fmt) == "csv" else trace_to_jsonl(trace))
+    with _naming(p):
+        fmt = _file_format(p, fmt)
+        if fmt not in _WRITERS:
+            raise TraceParseError(f"unknown trace format {fmt!r}")
+        blocks = _WRITERS[fmt](trace)
+    with open(p, "wb") as fh:
+        fh.writelines(blocks)
+
 
 
 # ---------------------------------------------------------------------------

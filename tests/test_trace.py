@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import pickle
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,8 @@ from pcach.errors import (
     TraceParseError,
     TraceValidationError,
 )
+from pcach import trace as trace_module
+from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
     ActiveNetwork,
     AppTrafficRecord,
@@ -57,6 +62,20 @@ def test_sample_requires_ssid_iff_wifi():
         MeasurementSample(0, ActiveNetwork.WIFI, None, frozenset(), ())
     with pytest.raises(TraceValidationError):
         MeasurementSample(0, ActiveNetwork.CELLULAR, "home", frozenset({"home"}), ())
+
+
+def test_sample_takes_an_active_network_member_or_its_value():
+    s = MeasurementSample(0, "CELL", None, frozenset(), ())
+    assert s.active_network is ActiveNetwork.CELLULAR
+    assert s == MeasurementSample(0, ActiveNetwork.CELLULAR, None, frozenset(), ())
+    for bad in ("X", "CELLULAR", ["WIFI"], None):
+        with pytest.raises(TraceValidationError) as exc:
+            MeasurementSample(0, bad, None, frozenset(), ())
+        assert str(exc.value) == f"unknown active network {bad!r}"
+    # a value is held to the rules of its member
+    with pytest.raises(TraceValidationError) as exc:
+        MeasurementSample(0, "WIFI", None, frozenset(), ())
+    assert str(exc.value) == "t=0: WIFI sample without connected_ssid"
 
 
 def test_sample_connected_must_be_visible():
@@ -316,6 +335,44 @@ def test_read_and_write_take_the_format_by_one_rule(tmp_path, name, fmt):
     assert read_trace(path, fmt=fmt) == trace
 
 
+def test_write_trace_refuses_an_unknown_format_as_read_trace_does(tmp_path):
+    trace = Trace("t", (sample(0, W, ssid="home"),))
+    path = tmp_path / "x.out"
+    with pytest.raises(TraceParseError) as written:
+        write_trace(trace, path, fmt="xml")
+    assert not path.exists()
+    path.write_bytes(trace_to_jsonl(trace))
+    with pytest.raises(TraceParseError) as read:
+        read_trace(path, fmt="xml")
+    assert str(written.value) == str(read.value) == f"{path}: unknown trace format 'xml'"
+
+
+def test_a_trace_csv_cannot_carry_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"phone_id,t\nkept,0\n")
+    trace = Trace("t", (sample(0, N), sample(300, C, visible={"a;b"})))
+    with pytest.raises(TraceValidationError) as exc:
+        write_trace(trace, path)
+    assert str(exc.value).startswith(f"{path}: t=300: visible SSID 'a;b'")
+    assert path.read_bytes() == b"phone_id,t\nkept,0\n"
+    with pytest.raises(TraceValidationError):
+        write_trace(trace, tmp_path / "new.csv")
+    assert not (tmp_path / "new.csv").exists()
+
+
+def test_write_trace_holds_about_a_block_not_the_file(tmp_path):
+    trace = generate_trace(reference_config(seed=1, days=60), "phone-000")
+    for fmt in ("jsonl", "csv"):
+        path = tmp_path / f"phone-000.{fmt}"
+        tracemalloc.start()
+        try:
+            write_trace(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2, (fmt, peak, path.stat().st_size)
+
+
 def _jsonl_line(**fields):
     obj = {"t": 1, "active": "WIFI", "ssid": "home", "visible": ["home"], "apps": []}
     obj.update(fields)
@@ -454,6 +511,43 @@ def test_csv_writer_matches_row_by_row_csv_writer(trace):
     if "\r" in text:
         text = _csv_writer_oracle(trace, csv.QUOTE_ALL)
     assert trace_to_csv(trace) == text.encode("utf-8")
+
+
+_ROWS_WITHOUT_APPS = Trace("p", (
+    sample(0, N), sample(300, C, apps=(app("a", 1, 2),)), sample(600, N), sample(900, N),
+    sample(1200, W, ssid="h", apps=(app("a", 3, 4), app("b", running=False))), sample(1500, N),
+))
+
+# the shared tables hold CR strings that only the row outside the slice uses
+_CR_OUTSIDE_THE_SLICE = Trace("p", (
+    sample(0, W, ssid="a\rb", visible={"c"}, apps=(app("x\ry", 1, 2),)),
+    sample(300, C, visible={"c"}, apps=(app("m", 3, 4),)),
+    sample(600, N),
+)).rows(1, 3)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@settings(deadline=None, max_examples=40)
+@given(trace=_traces(ssids=_CSV_SSID))
+@example(trace=_ROWS_WITHOUT_APPS)
+@example(trace=_CR_OUTSIDE_THE_SLICE)
+@example(trace=_SPECIAL_CELLS)
+def test_writers_stream_the_oracles_bytes_in_blocks_of_any_size(block_rows, trace):
+    jsonl = "".join(json.dumps(sample_to_obj(s), separators=(",", ":"), ensure_ascii=False)
+                    + "\n" for s in trace.samples).encode("utf-8")
+    text = _csv_writer_oracle(trace, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        text = _csv_writer_oracle(trace, csv.QUOTE_ALL)
+    n_blocks = -(-len(trace) // block_rows)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(trace_module, "_BLOCK_ROWS", block_rows)
+        for fmt, expected, joined, blocks in (
+                ("jsonl", jsonl, trace_to_jsonl, trace_module._jsonl_blocks),
+                ("csv", text.encode("utf-8"), trace_to_csv, trace_module._csv_blocks)):
+            path = Path(tmp, f"t.{fmt}")
+            write_trace(trace, path)
+            assert path.read_bytes() == joined(trace) == expected
+            assert len(list(blocks(trace))) == n_blocks + (fmt == "csv")  # CSV has a header
 
 
 _FUZZ_SEED_TRACE = Trace("p", (
