@@ -4,7 +4,9 @@ Every command writes its outputs plus a ``manifest.json`` recording the
 command, the fully resolved parameter set and the file names produced, so a
 run can be reproduced by re-invocation. Outputs are deterministic given
 (inputs, flags, seed). Per-phone work fans out to a process pool capped by
-the ``PCACH_THREADS`` environment variable.
+the ``PCACH_THREADS`` environment variable. A module that only some
+commands run is imported inside those commands, before the pool starts, so
+``mine``, ``gaps`` and ``bound`` never load the generator or the predictors.
 """
 
 from __future__ import annotations
@@ -23,16 +25,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError, PCachError, UndefinedRateError
-from .evaluation import (
-    PAPER_K_SET,
-    app_prediction_run,
-    backtest,
-    check_train_days,
-    macro_average,
-    rate_record,
-    sweep_points,
-)
-from .history import HistoryDB
 from .mining import (
     DEFAULT_HORIZONS_MIN,
     event_time_histogram,
@@ -41,9 +33,8 @@ from .mining import (
     slots_per_day,
     traffic_split,
 )
-from .pipeline import PCachConfig, PredictorKind
-from .synth import GeneratorConfig, generate_trace, reference_config
 from .trace import (
+    check_utc_offset,
     closed_gaps,
     derive_preferred_profile,
     detect_gaps,
@@ -141,8 +132,7 @@ def _checked(flag: str, check, value):
 
 def _checked_utc_offset(args) -> int:
     """``--local-utc-offset``, in the range the history database accepts."""
-    return _checked("--local-utc-offset", lambda v: HistoryDB(utc_offset_s=v),
-                    args.local_utc_offset)
+    return _checked("--local-utc-offset", check_utc_offset, args.local_utc_offset)
 
 
 def _checked_slot_minutes(args) -> int:
@@ -162,6 +152,8 @@ def _normalized(trace):
 # ---------------------------------------------------------------------------
 
 def _generate_one(job):
+    from .synth import GeneratorConfig, generate_trace
+
     config_json, phone_id, out_dir, fmt = job
     config = GeneratorConfig.from_json(config_json)
     trace = generate_trace(config, phone_id)
@@ -171,6 +163,8 @@ def _generate_one(job):
 
 
 def cmd_generate(args) -> int:
+    from .synth import GeneratorConfig, reference_config
+
     if args.phones < 1:
         raise PCachError(f"--phones must be at least 1, got {args.phones}")
     if args.config:
@@ -343,6 +337,8 @@ def cmd_gaps(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _default_s_apps(args) -> tuple[str, ...]:
+    from .synth import reference_config
+
     if not args.s_apps:
         return reference_config().pcachable_apps
     try:
@@ -358,6 +354,9 @@ def _default_s_apps(args) -> tuple[str, ...]:
 
 
 def cmd_backtest(args) -> int:
+    from .evaluation import backtest, macro_average, rate_record
+    from .pipeline import PCachConfig, PredictorKind
+
     s_apps = _default_s_apps(args)
     if not 1 <= args.k <= len(s_apps):
         raise PCachError(f"--k {args.k} outside [1, {len(s_apps)}]: "
@@ -422,8 +421,10 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
+    from .evaluation import PAPER_K_SET, app_prediction_run, check_train_days, sweep_points
+
     s_apps = _default_s_apps(args)
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_int_list(args.ks, "--ks") if args.ks is not None else list(PAPER_K_SET)
     feasible = [k for k in ks if 1 <= k <= len(s_apps)]
     skipped_ks = [k for k in ks if k not in feasible]
     if not feasible:
@@ -465,8 +466,8 @@ def cmd_sweep_k(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """A comma-separated list of integers, blank entries skipped; a list
-    with no integer is an error."""
+    """A comma-separated list of distinct integers, blank entries skipped; a
+    list with no integer or with an integer twice is an error."""
     values = []
     for entry in text.split(","):
         if not entry.strip():
@@ -475,6 +476,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
             values.append(int(entry))
         except ValueError:
             raise PCachError(f"{flag}: entry {entry!r} is not an integer") from None
+        if values[-1] in values[:-1]:
+            raise PCachError(f"{flag}: {values[-1]} appears more than once in {text!r}")
     if not values:
         raise PCachError(f"{flag}: no values in {text!r}")
     return values
@@ -539,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep-k", help="quality-gap vs K sweep on true gaps")
     s.add_argument("--traces", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--ks", default=",".join(str(k) for k in PAPER_K_SET))
+    s.add_argument("--ks", default=None,
+                   help="comma-separated K values (default: the paper's K set)")
     s.add_argument("--train-days", type=float, default=7.0)
     s.add_argument("--s-apps", default=None,
                    help="JSON file with the pre-cachable app list")

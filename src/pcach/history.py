@@ -62,9 +62,9 @@ from .errors import (
 from .mining import slots_per_day
 from .trace import (
     DEFAULT_NIGHT_WINDOW,
-    SECONDS_PER_DAY,
     PreferredNetworkProfile,
     Trace,
+    check_utc_offset,
     in_hour_window,
     ingest_trace,
     is_weekday,
@@ -104,9 +104,7 @@ class HistoryDB:
         profile: Optional[PreferredNetworkProfile] = None,
         utc_offset_s: int = 0,
     ):
-        if not -SECONDS_PER_DAY <= utc_offset_s <= SECONDS_PER_DAY:
-            raise ParameterError(f"utc_offset_s={utc_offset_s} outside "
-                                 f"[{-SECONDS_PER_DAY}, {SECONDS_PER_DAY}]")
+        check_utc_offset(utc_offset_s)
         self.slot_minutes = slot_minutes
         self.n_slots = slots_per_day(slot_minutes)
         self.tracked_apps = tuple(tracked_apps)
@@ -693,6 +691,14 @@ def history_predict_event(
     predict the event iff the rate X/N falls inside [(1-delta)p, (1+delta)p].
     A probability of exactly zero never fires and draws nothing: an event
     never observed in a slot is never predicted.
+
+    At the defaults (N = 10,000, delta = 0.1) the exact binomial over this
+    window, with its edges the floating-point products (1 +- delta)p, gives
+    a firing probability of 0.519 at p = 0.005, 0.684 at 0.01, 0.847 at
+    0.02, 0.978 at 0.05 and 0.999 at 0.1: close to "predict iff p >~ 0.02".
+    (At these p the lower edge lies just above (1-delta)p, so X =
+    (1-delta)Np does not fire; the closed real window would give 0.565,
+    0.709, 0.857, 0.980 and 0.999.)
     """
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p={p} outside [0, 1]")

@@ -71,6 +71,7 @@ import numpy as np
 
 from .errors import (
     EmptyTraceError,
+    ParameterError,
     PCachError,
     TraceParseError,
     TraceValidationError,
@@ -542,6 +543,14 @@ class WiFiGap:
     def excluded(self) -> bool:
         """True for gaps of one day or more, kept out of duration statistics."""
         return self.duration_s is not None and self.duration_s >= GAP_EXCLUDE_THRESHOLD_S
+
+
+def check_utc_offset(utc_offset_s: int) -> None:
+    """Raise :class:`ParameterError` unless ``utc_offset_s`` lies within a
+    day either way (real offsets lie within 14 hours)."""
+    if not -SECONDS_PER_DAY <= utc_offset_s <= SECONDS_PER_DAY:
+        raise ParameterError(f"utc_offset_s={utc_offset_s} outside "
+                             f"[{-SECONDS_PER_DAY}, {SECONDS_PER_DAY}]")
 
 
 def local_seconds(timestamp: int, utc_offset_s: int = 0) -> int:

@@ -35,6 +35,36 @@ def test_child_imports_the_package_under_test(tmp_path):
     assert res.stdout.strip() == pcach.__file__
 
 
+def _child_modules(code, cwd):
+    """The ``pcach`` modules a child Python process holds after ``code``."""
+    res = subprocess.run(
+        [sys.executable, "-c", "import atexit, sys\n"
+         "atexit.register(lambda: print(*sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'pcach')))\n" + code],
+        cwd=cwd, env=cli_env(PCACH_THREADS="2"), capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_package_names_load_only_their_modules(tmp_path):
+    assert _child_modules("import pcach", tmp_path) == {"pcach"}
+    assert _child_modules("from pcach import generate_trace", tmp_path) == {
+        "pcach", "pcach.errors", "pcach.synth", "pcach.trace"}
+
+
+def test_every_package_name_is_its_submodules_object():
+    assert len(pcach.__all__) == len(set(pcach.__all__)) == 54
+    assert set(pcach.__all__) <= set(dir(pcach))
+    for name in pcach.__all__:
+        obj = getattr(pcach, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pcach.no_such_name
+    from pcach import boosting
+    assert boosting is sys.modules["pcach.boosting"]
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
@@ -42,6 +72,49 @@ def corpus(tmp_path_factory):
                    "--out", "traces"], cwd=base)
     assert res.returncode == 0, res.stderr
     return base
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--phones", "2", "--days", "2", "--out", "gen-modules"],
+    ["mine", "--traces", "traces", "--out", "mined-modules"],
+    ["gaps", "--traces", "traces", "--out", "gapped-modules"],
+    ["bound", "--traces", "traces", "--out", "bounded-modules"],
+], ids=lambda args: args[0])
+def test_generate_and_mining_commands_load_no_predictor_module(corpus, tmp_path, args):
+    # each command imports what only it runs; the pool's workers fork from
+    # the command's process, so its modules are every module the run uses
+    modules = _child_modules(
+        "import runpy\n"
+        f"sys.argv = ['pcach', *{args!r}]\n"
+        "runpy.run_module('pcach', run_name='__main__', alter_sys=True)",
+        cwd=tmp_path if args[0] == "generate" else corpus)
+    assert {"pcach.cli", "pcach.trace", "pcach.mining"} <= modules
+    unused = {"pcach.evaluation", "pcach.boosting", "pcach.pipeline", "pcach.history"}
+    if args[0] != "generate":
+        unused.add("pcach.synth")
+    assert not modules & unused
+
+
+def test_jsonl_and_csv_corpora_mine_to_the_same_bytes(tmp_path):
+    # the wire format is not an input to any result: only the manifests,
+    # which record the --traces path, differ
+    trees = []
+    for fmt in ("jsonl", "csv"):
+        root = tmp_path / fmt
+        root.mkdir()
+        for args in (["generate", "--phones", "2", "--days", "8", "--seed", "13",
+                      "--format", fmt, "--out", "traces"],
+                     ["mine", "--traces", "traces", "--out", "out/mine",
+                      "--local-utc-offset", "-18000"],
+                     ["gaps", "--traces", "traces", "--out", "out/gaps"],
+                     ["bound", "--traces", "traces", "--out", "out/bound"]):
+            res = run_cli(args, cwd=root)
+            assert res.returncode == 0, res.stderr
+        out = root / "out"
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                      if p.is_file() and p.name != "manifest.json"})
+    assert len(trees[0]) == 9
+    assert trees[0] == trees[1]
 
 
 def test_generate_writes_traces_and_manifest(corpus):
@@ -191,6 +264,11 @@ def test_utc_offset_beyond_a_day_names_the_flag(corpus, tmp_path, capsys):
     (["mine"], "--horizons", ","),
     (["bound"], "--horizons", "-5"),
     (["sweep-k"], "--train-days", "1e-9"),
+    # a repeated horizon would write its bound rows twice, a repeated K one
+    # sweep row under two manifest entries
+    (["mine"], "--horizons", "15,15,30"),
+    (["bound"], "--horizons", "30, 60,30"),
+    (["sweep-k"], "--ks", "7,7,3"),
 ])
 def test_bad_flag_value_names_the_flag(corpus, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -303,8 +381,8 @@ def test_sweep_k_rows_equal_library_k_sweep(corpus):
     assert rows == _library_sweep_rows(corpus, [1, 3, 5, 10], train_days=5)
 
 
-def test_sweep_k_rows_sorted_and_deduplicated(corpus):
-    res = run_cli(["sweep-k", "--traces", "traces", "--ks", "10,1,5,1,3",
+def test_sweep_k_rows_sorted(corpus):
+    res = run_cli(["sweep-k", "--traces", "traces", "--ks", "10,1,5,3",
                    "--train-days", "5", "--out", "sweep-unsorted"], cwd=corpus)
     assert res.returncode == 0, res.stderr
     rows = _sweep_rows(corpus / "sweep-unsorted" / "sweep_k.csv")

@@ -14,6 +14,8 @@ from pcach.errors import (
     TraceValidationError,
 )
 from pcach.history import (
+    DEFAULT_DELTA,
+    DEFAULT_N_DRAWS,
     EventKind,
     FeatureVector,
     HistoryDB,
@@ -476,6 +478,20 @@ def test_event_rule_acceptance_rate_matches_exact_binomial():
     trials = 3000
     hits = sum(history_predict_event(p, n, delta, rng) for _ in range(trials))
     assert abs(hits / trials - exact) < 0.03
+
+
+@pytest.mark.parametrize("p, documented", [
+    (0.005, "0.519"), (0.01, "0.684"), (0.02, "0.847"), (0.05, "0.978"), (0.1, "0.999"),
+])
+def test_documented_firing_probabilities_are_the_exact_binomial(p, documented):
+    # the window the rule tests, edge products computed as the rule computes them
+    from scipy.stats import binom
+
+    n, delta = DEFAULT_N_DRAWS, DEFAULT_DELTA
+    x = np.arange(n + 1)
+    inside = x[((1.0 - delta) * p <= x / n) & (x / n <= (1.0 + delta) * p)]
+    assert f"{binom.pmf(inside, n, p).sum():.3f}" == documented
+    assert f"{documented} at" in " ".join(history_predict_event.__doc__.split())
 
 
 # ---------------------------------------------------------------------------
