@@ -26,7 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDataError, ModelError, ParameterError
+from .errors import (
+    FINITE,
+    INTEGER,
+    LIST,
+    DegenerateDataError,
+    ModelError,
+    ParameterError,
+    read_fields,
+    read_json,
+)
 from .history import N_FEATURES, FeatureVector
 
 EPS_CLAMP = 1e-10
@@ -132,59 +141,28 @@ class AdaBoostModel:
         }, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "AdaBoostModel":
-        """The model a :meth:`to_json` text holds. A bad value raises
-        :class:`ModelError` naming its key: a missing key, a ``stumps`` that
-        is not a list of objects, a ``feature`` that is not an integer in
-        1..9, a ``polarity`` that is not the integer +1 or -1, a ``rounds``
-        that is not an integer at least the number of stumps, and a
-        non-numeric or non-finite threshold, alpha or decision threshold. A
-        text that is not valid JSON raises :class:`ModelError` saying so."""
-        try:
-            d = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
-            raise ModelError(f"model is not valid JSON ({exc})") from None
-        stumps = _model_field(d, "stumps", "model")
-        if type(stumps) is not list:
-            raise ModelError(f"model key 'stumps' must be a list, got {stumps!r}")
-        stumps = tuple(
-            Stump(feature_index=_int_field(s, "feature", f"stumps[{i}]", range(1, N_FEATURES + 1),
-                                           f"an integer in 1..{N_FEATURES}"),
-                  threshold=_finite_field(s, "threshold", f"stumps[{i}]"),
-                  polarity=_int_field(s, "polarity", f"stumps[{i}]", (-1, 1), "1 or -1"),
-                  alpha=_finite_field(s, "alpha", f"stumps[{i}]"))
-            for i, s in enumerate(stumps)
-        )
-        rounds = _int_field(d, "rounds", "model", range(len(stumps), 2**63),
-                            f"an integer of at least {len(stumps)}, the number of stumps")
-        return cls(stumps=stumps, rounds=rounds,
-                   decision_threshold=_finite_field(d, "decision_threshold", "model"))
+    def from_json(cls, text: str | bytes) -> "AdaBoostModel":
+        """The model a :meth:`to_json` text holds. Invalid JSON, a key
+        missing from or unknown to the key tables below, a value its pair
+        refuses and a ``rounds`` below the number of stumps raise
+        :class:`ModelError` naming the key."""
+        d = read_fields(read_json(text, "model", ModelError), "model", _MODEL, ModelError)
+        stumps = []
+        for i, s in enumerate(d["stumps"]):
+            s = read_fields(s, f"stumps[{i}]", _STUMP, ModelError)
+            stumps.append(Stump(s["feature"], s["threshold"], s["polarity"], s["alpha"]))
+        if not len(stumps) <= d["rounds"] < 2**63:
+            raise ModelError(f"model key 'rounds' must be an integer of at least {len(stumps)}, "
+                             f"the number of stumps, got {d['rounds']!r}")
+        return cls(tuple(stumps), d["rounds"], d["decision_threshold"])
 
 
-def _model_field(obj, key: str, where: str):
-    if type(obj) is not dict:
-        raise ModelError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ModelError(f"{where} lacks key {key!r}")
-    return obj[key]
-
-
-def _int_field(obj, key: str, where: str, allowed, requirement: str):
-    value = _model_field(obj, key, where)
-    if type(value) is not int or value not in allowed:
-        raise ModelError(f"{where} key {key!r} must be {requirement}, got {value!r}")
-    return value
-
-
-def _finite_field(obj, key: str, where: str):
-    value = _model_field(obj, key, where)
-    try:
-        finite = type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:   # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ModelError(f"{where} key {key!r} must be a finite number, got {value!r}")
-    return value
+# the key tables of a model text and of each of its stumps
+_MODEL = {"rounds": INTEGER, "stumps": LIST, "decision_threshold": FINITE}
+_STUMP = {"feature": (lambda v: type(v) is int and 1 <= v <= N_FEATURES,
+                      f"an integer in 1..{N_FEATURES}"),
+          "threshold": FINITE, "alpha": FINITE,
+          "polarity": (lambda v: type(v) is int and v in (-1, 1), "1 or -1")}
 
 
 class _PresortedColumns:

@@ -18,13 +18,12 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ParameterError, PCachError, UndefinedRateError
+from .errors import DISTINCT_NAMES, ParameterError, PCachError, UndefinedRateError, read_json
 from .mining import (
     DEFAULT_HORIZONS_MIN,
     event_time_histogram,
@@ -60,6 +59,8 @@ def _parallel_map(fn, items):
     workers = min(_worker_count(), max(1, len(items)))
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -341,15 +342,9 @@ def _default_s_apps(args) -> tuple[str, ...]:
 
     if not args.s_apps:
         return reference_config().pcachable_apps
-    try:
-        apps = json.loads(Path(args.s_apps).read_text())
-    except (ValueError, RecursionError) as exc:
-        raise PCachError(f"--s-apps {args.s_apps}: invalid JSON ({exc})") from None
-    if (not isinstance(apps, list) or not all(isinstance(a, str) and a for a in apps)
-            or len(set(apps)) != len(apps)):
-        raise PCachError(f"--s-apps {args.s_apps}: expected a JSON list of distinct app ids")
-    if not apps:
-        raise PCachError(f"empty pre-cachable app list in {args.s_apps}")
+    apps = read_json(Path(args.s_apps).read_bytes(), f"--s-apps {args.s_apps}", PCachError)
+    if not (DISTINCT_NAMES[0](apps) and apps and all(apps)):
+        raise PCachError(f"--s-apps {args.s_apps} must be a non-empty list of distinct app ids")
     return tuple(apps)
 
 

@@ -51,6 +51,11 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BOOLEAN,
+    DISTINCT_NAMES,
+    INTEGER,
+    LIST,
+    NAMES,
     ConfigError,
     FeatureError,
     ModelError,
@@ -58,6 +63,8 @@ from .errors import (
     ParameterError,
     PCachError,
     TraceValidationError,
+    read_fields,
+    read_json,
 )
 from .mining import slots_per_day
 from .trace import (
@@ -172,109 +179,89 @@ class HistoryDB:
         }, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "HistoryDB":
+    def from_json(cls, text: str | bytes) -> "HistoryDB":
         """The database a :meth:`to_json` text holds.
 
-        Every key is checked, and a bad value raises :class:`ModelError`
-        naming the key: a missing key, a ``slot_minutes`` that is not an
-        integer dividing a day, a ``utc_offset_s`` that is not an integer
-        within a day, ``tracked_apps`` that are not distinct app ids, a
-        ``profile`` that is neither null nor a valid profile object, an
-        ``app_hist`` whose apps differ from ``tracked_apps``, a histogram
-        whose length is not ``n_slots``, a negative or non-integer count, an
-        invalid ``latest`` sample, an untracked open app and a non-boolean
-        ``open_cut`` or ``open_resume``. A count counts (day, slot) pairs, so
-        no ``cut_hist``, ``resume_hist`` or ``app_hist`` entry may exceed
-        ``slot_observations`` for its slot, and in the open slot the open (day,
-        slot) counts in ``slot_observations`` and in the counts its open state
-        names, and in no other. The open state is the newest row's:
-        ``open_key`` must be the [day, slot] of ``latest``, and a snapshot
-        whose ``latest`` is null must carry no open state (a null
-        ``open_key``, no ``open_apps``, false ``open_cut`` and
-        ``open_resume``). A text that is not valid JSON or not a JSON object
-        raises :class:`ModelError` too.
+        Invalid JSON, a key missing from or unknown to the key tables below
+        (the snapshot's and its profile's) and a value its pair refuses
+        raise :class:`ModelError` naming the key, as do these: a
+        ``slot_minutes`` not dividing a day, a ``utc_offset_s`` not within
+        a day, an invalid profile or ``latest`` sample, ``app_hist`` apps
+        other than ``tracked_apps``, a histogram that is not ``n_slots``
+        non-negative integers, and an untracked open app. A count counts
+        (day, slot) pairs, so no ``cut_hist``, ``resume_hist`` or
+        ``app_hist`` entry may exceed ``slot_observations`` for its slot, and
+        in the open slot the open (day, slot) counts in ``slot_observations``
+        and in the counts its open state names, and in no other. The open
+        state is the newest row's: ``open_key`` must be the [day, slot] of
+        ``latest``, and a snapshot whose ``latest`` is null must carry no open
+        state (a null ``open_key``, no ``open_apps``, false ``open_cut`` and
+        ``open_resume``).
         """
+        d = read_fields(read_json(text, "history snapshot", ModelError), "history snapshot",
+                        _SNAPSHOT, ModelError)
         try:
-            d = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
-            raise ModelError(f"history snapshot is not valid JSON ({exc})") from None
-        if type(d) is not dict:
-            raise ModelError(f"history snapshot must be a JSON object, got {type(d).__name__}")
+            slots_per_day(d["slot_minutes"])
+        except ParameterError as exc:
+            raise ModelError(f"history snapshot key 'slot_minutes': {exc}") from None
+        profile = d["profile"]
+        if profile is not None:
+            read_fields(profile, "history snapshot key 'profile'", _PROFILE, ModelError,
+                        optional=("home_ssid", "work_ssid"))
+            try:
+                profile = PreferredNetworkProfile.from_dict(profile)
+            except TraceValidationError as exc:
+                raise ModelError(f"history snapshot key 'profile': {exc}") from None
         try:
-            for key in ("slot_minutes", "utc_offset_s"):
-                if type(d[key]) is not int:
-                    raise ModelError(f"history snapshot key {key!r} must be an integer, "
-                                     f"got {d[key]!r}")
+            db = cls(slot_minutes=d["slot_minutes"], tracked_apps=d["tracked_apps"],
+                     profile=profile, utc_offset_s=d["utc_offset_s"])
+        except ParameterError as exc:
+            raise ModelError(f"history snapshot key 'utc_offset_s': {exc}") from None
+        n = db.n_slots
+        if set(d["app_hist"]) != set(db.tracked_apps):
+            raise ModelError("history snapshot key 'app_hist' must be an object of the "
+                             f"tracked_apps {sorted(db.tracked_apps)}")
+        # every count in the order of db._hist, named as in errors
+        hists = {key: d[key] for key in ("slot_observations", "cut_hist", "resume_hist")}
+        hists.update((f"app_hist[{a!r}]", d["app_hist"][a]) for a in db.tracked_apps)
+        counts = (lambda v: type(v) is list and len(v) == n
+                  and all(type(c) is int and 0 <= c < 2**63 for c in v),
+                  f"a list of {n} non-negative integer counts")
+        read_fields(hists, "history snapshot", dict.fromkeys(hists, counts), ModelError)
+        db._hist[:len(hists) * n] = np.asarray(list(hists.values()), dtype=np.int64).ravel()
+        open_key = None
+        if d["latest"] is not None:
             try:
-                slots_per_day(d["slot_minutes"])
-            except ParameterError as exc:
-                raise ModelError(f"history snapshot key 'slot_minutes': {exc}") from None
-            tracked = d["tracked_apps"]
-            if not _names(tracked) or len(set(tracked)) != len(tracked):
-                raise ModelError("history snapshot key 'tracked_apps' must be a list of "
-                                 "distinct app ids")
-            profile = _snapshot_profile(d["profile"])
-            try:
-                db = cls(slot_minutes=d["slot_minutes"], tracked_apps=tracked,
-                         profile=profile, utc_offset_s=d["utc_offset_s"])
-            except ParameterError as exc:
-                raise ModelError(f"history snapshot key 'utc_offset_s': {exc}") from None
-            n = db.n_slots
-            app_hist = d["app_hist"]
-            if type(app_hist) is not dict or set(app_hist) != set(db.tracked_apps):
-                raise ModelError("history snapshot key 'app_hist' must be an object of the "
-                                 f"tracked_apps {sorted(db.tracked_apps)}")
-            for a, h in app_hist.items():
-                db.app_hist[a][:] = _slot_counts(h, n, f"app_hist[{a!r}]")
-            db.cut_hist[:] = _slot_counts(d["cut_hist"], n, "cut_hist")
-            db.resume_hist[:] = _slot_counts(d["resume_hist"], n, "resume_hist")
-            db.slot_observations[:] = _slot_counts(d["slot_observations"], n, "slot_observations")
-            open_key = None
-            if d["latest"] is not None:
-                try:
-                    row = ingest_trace(json.dumps(d["latest"]).encode(), fmt="jsonl")
-                except PCachError as exc:
-                    raise ModelError(f"history snapshot key 'latest': {exc}") from None
-                db._newest = (_FoldColumns(db, row), 0)
-                open_key = list(divmod(db.abs_slot(db.last_timestamp), n))
-            got = d["open_key"]
-            if got != open_key or not all(type(v) is int for v in got or ()):
-                raise ModelError(f"history snapshot key 'open_key' must be {json.dumps(open_key)}, "
-                                 f"the [day, slot] of 'latest', got {got!r}")
-            open_apps = d["open_apps"]
-            if not _names(open_apps):
-                raise ModelError("history snapshot key 'open_apps' must be a list of app ids")
-            untracked = set(open_apps) - set(db.tracked_apps)
-            if untracked:
-                raise ModelError(f"history snapshot key 'open_apps': untracked apps "
-                                 f"{sorted(untracked)}")
-            for key in ("open_cut", "open_resume"):
-                if type(d[key]) is not bool:
-                    raise ModelError(f"history snapshot key {key!r} must be a boolean, "
-                                     f"got {d[key]!r}")
-            for key in ("open_apps", "open_cut", "open_resume"):
-                if open_key is None and d[key]:
-                    raise ModelError(f"history snapshot key {key!r} holds open state, "
-                                     "but 'latest' is null")
-            if open_key is not None:
-                rows = [0, *(3 + db._app_index[a] for a in open_apps)]
-                rows += [row for row, key in ((1, "open_cut"), (2, "open_resume")) if d[key]]
-                db._counted = {row * n + open_key[1] for row in rows}
-            # each closed (day, slot) counts once in slot_observations and at
-            # most once in every other count, so no count exceeds them
-            closed = db._hist.copy()
-            closed[list(db._counted)] -= 1
-            closed = closed.reshape(-1, n)
-            bad = (closed < 0) | (closed > closed[0])
-            if bad.any():
-                row, slot = divmod(int(np.argmax(bad)), n)
-                key = (["slot_observations", "cut_hist", "resume_hist"]
-                       + [f"app_hist[{a!r}]" for a in db.tracked_apps])[row]
-                raise ModelError(f"history snapshot key {key!r}: slot {slot} counts more "
-                                 "(day, slot) pairs than 'slot_observations' or fewer than "
-                                 "the open state")
-        except KeyError as exc:
-            raise ModelError(f"history snapshot lacks key {exc.args[0]!r}") from None
+                row = ingest_trace(json.dumps(d["latest"]).encode(), fmt="jsonl")
+            except PCachError as exc:
+                raise ModelError(f"history snapshot key 'latest': {exc}") from None
+            db._newest = (_FoldColumns(db, row), 0)
+            open_key = list(divmod(db.abs_slot(db.last_timestamp), n))
+        if d["open_key"] != open_key:
+            raise ModelError(f"history snapshot key 'open_key' must be {json.dumps(open_key)}, "
+                             f"the [day, slot] of 'latest', got {d['open_key']!r}")
+        untracked = sorted(set(d["open_apps"]) - set(db.tracked_apps))
+        if untracked:
+            raise ModelError(f"history snapshot key 'open_apps': untracked apps {untracked}")
+        for key in ("open_apps", "open_cut", "open_resume"):
+            if open_key is None and d[key]:
+                raise ModelError(f"history snapshot key {key!r} holds open state, "
+                                 "but 'latest' is null")
+        if open_key is not None:
+            rows = [0, *(3 + db._app_index[a] for a in d["open_apps"])]
+            rows += [row for row, key in ((1, "open_cut"), (2, "open_resume")) if d[key]]
+            db._counted = {row * n + open_key[1] for row in rows}
+        # each closed (day, slot) counts once in slot_observations and at
+        # most once in every other count, so no count exceeds them
+        closed = db._hist.copy()
+        closed[list(db._counted)] -= 1
+        closed = closed.reshape(-1, n)
+        bad = (closed < 0) | (closed > closed[0])
+        if bad.any():
+            row, slot = divmod(int(np.argmax(bad)), n)
+            raise ModelError(f"history snapshot key {list(hists)[row]!r}: slot {slot} counts "
+                             "more (day, slot) pairs than 'slot_observations' or fewer than "
+                             "the open state")
         return db
 
     # -- cached derived tables ---------------------------------------------
@@ -301,36 +288,18 @@ def _rates(events: np.ndarray, observations: np.ndarray) -> np.ndarray:
     return p
 
 
-def _names(values) -> bool:
-    """Whether a snapshot value is a list of strings."""
-    return type(values) is list and all(type(v) is str for v in values)
-
-
-def _snapshot_profile(value) -> Optional[PreferredNetworkProfile]:
-    """A snapshot's ``profile``: null, or the object
-    :meth:`PreferredNetworkProfile.to_dict` writes."""
-    if value is None:
-        return None
-    if (type(value) is not dict or not _names(value.get("preferred"))
-            or not _names(value.get("top3"))
-            or not all(type(value.get(key)) in (str, type(None))
-                       for key in ("home_ssid", "work_ssid"))):
-        raise ModelError("history snapshot key 'profile' must be null or an object of "
-                         "'preferred' and 'top3' SSID lists and 'home_ssid' and "
-                         "'work_ssid' SSIDs or nulls")
-    try:
-        return PreferredNetworkProfile.from_dict(value)
-    except TraceValidationError as exc:
-        raise ModelError(f"history snapshot key 'profile': {exc}") from None
-
-
-def _slot_counts(values, n_slots: int, key: str) -> np.ndarray:
-    """A snapshot histogram: a list of ``n_slots`` non-negative integers."""
-    if type(values) is not list or len(values) != n_slots:
-        raise ModelError(f"history snapshot key {key!r} must be a list of {n_slots} counts")
-    if not all(type(v) is int and 0 <= v < 2**63 for v in values):
-        raise ModelError(f"history snapshot key {key!r} holds a negative or non-integer count")
-    return np.asarray(values, dtype=np.int64)
+# the key tables of a history snapshot and of its profile
+_NULL_OR_OBJECT = (lambda v: v is None or type(v) is dict, "null or a JSON object")
+_NULL_OR_NAME = (lambda v: v is None or type(v) is str, "null or a string")
+_SNAPSHOT = {
+    "slot_minutes": INTEGER, "utc_offset_s": INTEGER, "tracked_apps": DISTINCT_NAMES,
+    "profile": _NULL_OR_OBJECT, "app_hist": (lambda v: type(v) is dict, "a JSON object"),
+    "cut_hist": LIST, "resume_hist": LIST, "slot_observations": LIST, "latest": _NULL_OR_OBJECT,
+    "open_key": (lambda v: v is None or type(v) is list and all(type(x) is int for x in v),
+                 "null or a list of integers"),
+    "open_apps": NAMES, "open_cut": BOOLEAN, "open_resume": BOOLEAN}
+_PROFILE = {"preferred": NAMES, "top3": NAMES, "home_ssid": _NULL_OR_NAME,
+            "work_ssid": _NULL_OR_NAME}
 
 
 # ---------------------------------------------------------------------------

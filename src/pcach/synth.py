@@ -34,7 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EmptyTraceError
+from .errors import (
+    BOOLEAN,
+    FINITE,
+    INTEGER,
+    LIST,
+    STRING,
+    ConfigError,
+    EmptyTraceError,
+    read_fields,
+    read_json,
+)
 from .trace import (
     DEFAULT_NIGHT_WINDOW,
     STATE_CELLULAR,
@@ -73,8 +83,8 @@ class AppSpec:
     def __post_init__(self):
         if not self.app_id:
             raise ConfigError("app_id must be non-empty")
-        if self.traffic_pct < 0 or self.appearance_pct < 0:
-            raise ConfigError(f"negative weight for app {self.app_id!r}")
+        if not (0.0 <= self.traffic_pct < math.inf and 0.0 <= self.appearance_pct < math.inf):
+            raise ConfigError(f"weights of app {self.app_id!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,10 +197,13 @@ class GeneratorConfig:
     def __post_init__(self):
         if not (0.0 <= self.cellular_share_target <= 1.0):
             raise ConfigError("cellular_share_target must lie in [0, 1]")
-        if self.down_up_ratio <= 0:
-            raise ConfigError("down_up_ratio must be positive")
+        if not 0.0 < self.down_up_ratio < math.inf:
+            raise ConfigError(f"down_up_ratio must be finite and > 0, got {self.down_up_ratio!r}")
         if self.period_s <= 0 or 86400 % self.period_s != 0:
             raise ConfigError("period_s must be a positive divisor of 86400")
+        if not -2**63 <= self.start_epoch < 2**63 - max(self.days, 0) * 86400:
+            raise ConfigError(f"start_epoch must keep the {self.days} days of timestamps within "
+                              f"int64, got {self.start_epoch!r}")
         if self.app_catalog:
             weights = [a.appearance_pct for a in self.app_catalog]
             if all(w <= 0 for w in weights):
@@ -230,69 +243,43 @@ class GeneratorConfig:
     @classmethod
     def from_json(cls, text: str | bytes) -> "GeneratorConfig":
         """The config a :meth:`to_json` text holds; absent keys take the
-        field defaults.
-
-        Invalid JSON, an unknown or missing key and a value of the wrong
-        type, nested ones included, raise :class:`ConfigError` naming it.
-        """
-        try:
-            d = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also invalid UTF-8 bytes
-            raise ConfigError(f"generator config is not valid JSON ({exc})") from None
+        field defaults. Invalid JSON, an unknown or missing key and a value
+        of the wrong type (a float field takes a finite number), nested ones
+        included, raise :class:`ConfigError` naming it."""
+        d = _fields(cls, read_json(text, "generator config", ConfigError), "generator config")
         decode = {
-            "cut_surges": _surges,
-            "resume_surges": _surges,
+            "cut_surges": _surges, "resume_surges": _surges,
             "evening_gap_window": lambda v, key: _numbers(v, 2, key),
             "gap_len_dist": lambda v, key: GapLengthDistribution(
-                **_checked_fields(GapLengthDistribution, v, key)),
+                **_fields(GapLengthDistribution, v, key)),
             "app_catalog": lambda v, key: tuple(
-                AppSpec(**_checked_fields(AppSpec, a, f"{key}[{i}]"))
-                for i, a in enumerate(_list(v, key))),
+                AppSpec(**_fields(AppSpec, a, f"{key}[{i}]")) for i, a in enumerate(v)),
         }
-        d = _checked_fields(cls, d, "generator config")
         return cls(**{k: decode[k](v, k) if k in decode else v for k, v in d.items()})
 
 
-# the JSON types a config value of each scalar field type may take
-_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "str": ((str,), "a string"), "bool": ((bool,), "a boolean")}
+# the JSON reading of each field type of a config; a tuple is a JSON list
+_FIELD_TYPES = {"int": INTEGER, "float": FINITE, "str": STRING, "bool": BOOLEAN,
+                "GapLengthDistribution": (lambda v: type(v) is dict, "a JSON object")}
 
 
-def _checked_fields(cls, obj, where: str) -> dict:
-    """``obj`` as keyword arguments of the dataclass ``cls``: a JSON object
-    with no unknown key, every required key, and scalars of their field's
-    type (a boolean is not a number)."""
-    if type(obj) is not dict:
-        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    by_name = {f.name: f for f in fields(cls)}
-    for key in obj:
-        if key not in by_name:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    for name, f in by_name.items():
-        if name not in obj:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{where} lacks required key {name!r}")
-        elif f.type in _JSON_TYPES and type(obj[name]) not in _JSON_TYPES[f.type][0]:
-            raise ConfigError(f"{where} key {name!r} must be {_JSON_TYPES[f.type][1]}, "
-                              f"got {type(obj[name]).__name__}")
-    return obj
+def _fields(cls, obj, where: str) -> dict:
+    """``obj`` read as keyword arguments of the dataclass ``cls``."""
+    spec = {f.name: _FIELD_TYPES.get(f.type, LIST) for f in fields(cls)}
+    optional = [f.name for f in fields(cls)
+                if f.default is not MISSING or f.default_factory is not MISSING]
+    return read_fields(obj, where, spec, ConfigError, optional)
 
 
-def _list(value, where: str) -> list:
-    if type(value) is not list:
-        raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _surges(value, where: str) -> tuple:
+def _surges(value: list, where: str) -> tuple:
     """(start_hour, end_hour, expected events) triples."""
-    return tuple(_numbers(s, 3, f"{where}[{i}]") for i, s in enumerate(_list(value, where)))
+    return tuple(_numbers(s, 3, f"{where}[{i}]") for i, s in enumerate(value))
 
 
 def _numbers(value, n: int, where: str) -> tuple:
     """A JSON list of ``n`` numbers as a tuple."""
     if (type(value) is not list or len(value) != n
-            or any(type(v) not in _JSON_TYPES["float"][0] for v in value)):
+            or any(type(v) not in (int, float) for v in value)):
         raise ConfigError(f"{where} must be a list of {n} numbers, got {value!r}")
     return tuple(value)
 
@@ -472,8 +459,10 @@ def _app_bytes(config: GeneratorConfig, rows: np.ndarray, cols: np.ndarray,
     # (mean * scale) * boost * noise, so every byte count is bit-exact
     totals = np.maximum(np.rint(scaled_bytes[cols] * byte_boost[rows] * noise), 1.0)
     ratio = config.down_up_ratio
-    downs = np.rint(totals * ratio / (1.0 + ratio)).astype(np.int64)
-    return totals.astype(np.int64) - downs, downs
+    # a total past int64 casts to a count that Trace.from_columns refuses
+    with np.errstate(invalid="ignore"):
+        downs = np.rint(totals * ratio / (1.0 + ratio)).astype(np.int64)
+        return totals.astype(np.int64) - downs, downs
 
 
 _TRANSIT_NETS = 10

@@ -331,7 +331,8 @@ class Trace:
                      app_ids: Sequence[str],
                      nominal_period_s: int = DEFAULT_PERIOD_S) -> "Trace":
         """A trace of ready columns. Their values are trusted: only the
-        period, the timestamp order and the byte total are checked."""
+        period, the timestamp order, the sign of every byte count and the
+        byte total are checked."""
         trace = object.__new__(cls)
         trace._set_columns(
             phone_id, nominal_period_s, _int64_column(t, "timestamp"),
@@ -351,6 +352,8 @@ class Trace:
         if back.size:
             raise TraceValidationError(
                 f"timestamps not strictly increasing at t={int(t[back[0] + 1])}")
+        if up.size and min(up.min(), down.min()) < 0:
+            raise TraceValidationError(f"negative byte count {min(up.min(), down.min())}")
         if up.size and float(up.sum(dtype=np.float64)) + float(down.sum(dtype=np.float64)) \
                 >= _BYTES_LIMIT:
             raise TraceValidationError("the trace's byte counts sum past 2**62")

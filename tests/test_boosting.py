@@ -256,12 +256,15 @@ def _model_dict():
     (lambda d: d["stumps"][0].update(feature=True), "'feature'"),
     (lambda d: d.update(rounds=1), "'rounds'"),
     (lambda d: d["stumps"][1].update(alpha=10**400), "'alpha'"),
+    (lambda d: d.update(bogus=1), "unknown key 'bogus' in model"),
+    (lambda d: d["stumps"][1].update(bogus=1), "unknown key 'bogus' in stumps[1]"),
 ], ids=["no-threshold", "no-alpha", "no-decision-threshold", "no-rounds", "no-stumps",
         "string-threshold", "nan-threshold", "null-threshold", "inf-alpha", "bool-alpha",
         "nan-decision-threshold", "string-decision-threshold", "non-object-stump",
         "truncated-json", "empty-text", "invalid-utf8", "number-stumps", "string-feature",
         "string-rounds", "feature-past-nine", "polarity-two", "bool-feature",
-        "fewer-rounds-than-stumps", "alpha-past-float-range"])
+        "fewer-rounds-than-stumps", "alpha-past-float-range", "unknown-model-key",
+        "unknown-stump-key"])
 def test_model_json_errors_name_the_key(edit, named):
     if isinstance(edit, (str, bytes)):
         text = edit

@@ -35,12 +35,12 @@ def test_child_imports_the_package_under_test(tmp_path):
     assert res.stdout.strip() == pcach.__file__
 
 
-def _child_modules(code, cwd):
-    """The ``pcach`` modules a child Python process holds after ``code``."""
+def _child_modules(code, cwd, package="pcach"):
+    """The modules of ``package`` a child Python process holds after ``code``."""
     res = subprocess.run(
         [sys.executable, "-c", "import atexit, sys\n"
          "atexit.register(lambda: print(*sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'pcach')))\n" + code],
+         f" if m.split('.')[0] == {package!r})))\n" + code],
         cwd=cwd, env=cli_env(PCACH_THREADS="2"), capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
@@ -51,6 +51,12 @@ def test_package_names_load_only_their_modules(tmp_path):
     assert _child_modules("import pcach", tmp_path) == {"pcach"}
     assert _child_modules("from pcach import generate_trace", tmp_path) == {
         "pcach", "pcach.errors", "pcach.synth", "pcach.trace"}
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # only a fan-out over several traces with several workers makes a pool
+    assert "concurrent.futures.process" not in _child_modules(
+        "import pcach.cli", tmp_path, package="concurrent")
 
 
 def test_every_package_name_is_its_submodules_object():
@@ -517,6 +523,40 @@ def test_generate_bad_config_is_a_clean_error(tmp_path, config, named):
     assert res.stderr.startswith("error: ")
     assert named in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "g").exists()
+
+
+_REFERENCE = json.loads(reference_config(seed=1, days=2).to_json())
+
+
+@pytest.mark.parametrize("config", [
+    {**_REFERENCE, "byte_unit": 1e300},
+    {**_REFERENCE, "app_catalog": [{**a, "traffic_pct": 1e300} for a in _REFERENCE["app_catalog"]]},
+], ids=["huge-byte-unit", "huge-traffic-pct"])
+def test_generate_refuses_byte_counts_past_int64(tmp_path, config):
+    (tmp_path / "huge.json").write_text(json.dumps(config))
+    res = run_cli(["generate", "--config", "huge.json", "--phones", "1", "--out", "g"],
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "byte count" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("apps, named", [
+    ('["mail", ', "--s-apps apps.json is not valid JSON"),
+    (b"\xff", "--s-apps apps.json is not valid JSON"),
+    ("[]", "non-empty list of distinct app ids"),
+    ('["mail", ""]', "non-empty list of distinct app ids"),
+    ('{"mail": 1}', "non-empty list of distinct app ids"),
+], ids=["truncated", "invalid-utf8", "empty", "empty-id", "object"])
+def test_bad_s_apps_is_a_clean_error(corpus, apps, named, monkeypatch, capsys):
+    monkeypatch.chdir(corpus)
+    monkeypatch.setenv("PCACH_THREADS", "1")
+    (corpus / "apps.json").write_bytes(apps if isinstance(apps, bytes) else apps.encode())
+    assert main(["sweep-k", "--traces", "traces", "--s-apps", "apps.json",
+                 "--out", str(corpus / "s-apps-out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (corpus / "s-apps-out").exists()
 
 
 _CONFIG = json.loads(reference_config(seed=1, days=2).to_json())

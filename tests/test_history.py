@@ -291,6 +291,10 @@ def _edited(**edits):
     ({"app_hist_facebook": _counts("app_hist_facebook", 0, 1)}, "app_hist['facebook']"),
     ({"open_cut": False}, "'cut_hist'"),
     ({"slot_observations": _counts("slot_observations", 0, 0)}, "'slot_observations'"),
+    ({"bogus": 1}, "unknown key 'bogus' in history snapshot"),
+    ({"profile": {"preferred": ["home"], "top3": ["home"], "home_ssid": "home",
+                  "work_ssid": "home", "bogus": 1}},
+     "unknown key 'bogus' in history snapshot key 'profile'"),
 ], ids=["untracked-app", "missing-app", "short-app-row", "short-cut-hist",
         "long-resume-hist", "negative-count", "float-count", "bool-count",
         "string-hist", "wifi-without-ssid", "string-profile", "top3-not-preferred",
@@ -298,7 +302,7 @@ def _edited(**edits):
         "slot-minutes-not-dividing-a-day", "string-utc-offset", "huge-utc-offset",
         "cuts-past-observations", "resumes-past-observations", "app-use-past-observations",
         "app-use-the-open-slot-did-not-count", "cut-the-open-slot-did-not-count",
-        "open-slot-unobserved"])
+        "open-slot-unobserved", "unknown-snapshot-key", "unknown-profile-key"])
 def test_history_snapshot_errors_name_the_key(edits, named):
     with pytest.raises(ModelError) as exc:
         HistoryDB.from_json(_edited(**edits))

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from pcach.errors import ConfigError, EmptyTraceError
 from pcach.synth import (
@@ -24,7 +25,7 @@ from pcach.trace import (
     trace_to_jsonl,
 )
 
-from helpers import seeded_rng
+from helpers import mutated_json, seeded_rng
 
 
 def small_config(seed=42, days=10):
@@ -136,11 +137,22 @@ _RANGE_ERRORS = [
     ({"gap_len_dist": {**_DIST, "body_weight": 2.0}}, "body_weight"),
     ({"gap_len_dist": {**_DIST, "body_weight": 0.0}}, "body_weight"),
     ({"app_catalog": _CONFIG["app_catalog"][:2] * 2}, "more than once"),
+    ({"down_up_ratio": float("nan")}, "down_up_ratio"),
+    ({"down_up_ratio": float("inf")}, "down_up_ratio"),
+    ({"down_up_ratio": 0}, "down_up_ratio"),
+    ({"app_catalog": [{**_CONFIG["app_catalog"][0], "traffic_pct": float("nan")}]},
+     "traffic_pct"),
+    ({"app_catalog": [{**_CONFIG["app_catalog"][0], "appearance_pct": float("inf")}]},
+     "appearance_pct"),
+    ({"app_catalog": [{**_CONFIG["app_catalog"][0], "traffic_pct": -1.0}]}, "weights of app"),
+    ({"gap_len_dist": {**_DIST, "log_mu": float("nan")}}, "log_mu"),
 ]
 _RANGE_IDS = ["negative-intensity", "nan-intensity", "hour-past-24", "negative-hour",
               "nan-hour", "nan-byte-unit", "negative-byte-unit", "zero-byte-unit",
               "inf-byte-unit", "negative-sigma", "inf-sigma", "body-weight-2",
-              "body-weight-0", "duplicate-app"]
+              "body-weight-0", "duplicate-app", "nan-down-up-ratio", "inf-down-up-ratio",
+              "zero-down-up-ratio", "nan-traffic-pct", "inf-appearance-pct",
+              "negative-traffic-pct", "nan-log-mu"]
 
 
 @pytest.mark.parametrize("edit, named", _RANGE_ERRORS, ids=_RANGE_IDS)
@@ -156,9 +168,13 @@ _GENERATOR_RANGE_ERRORS = [
     ({"evening_gap_window": [30.0, 40.0]}, "evening_gap_window"),
     ({"evening_gap_window": [23.0, 21.0]}, "evening_gap_window"),
     ({"pcachable_gap_rate_mean": -1.0}, "pcachable_gap_rate_mean"),
+    ({"start_epoch": -10**20}, "start_epoch"),
+    ({"start_epoch": 2**63}, "start_epoch"),
+    ({"start_epoch": 2**63 - 86400}, "start_epoch"),
 ]
 _GENERATOR_RANGE_IDS = ["negative-baseline-cuts", "negative-weekend-scale",
-                        "window-past-24", "window-reversed", "negative-gap-rate"]
+                        "window-past-24", "window-reversed", "negative-gap-rate",
+                        "epoch-below-int64", "epoch-past-int64", "last-day-past-int64"]
 
 
 @pytest.mark.parametrize("edit, named", _GENERATOR_RANGE_ERRORS, ids=_GENERATOR_RANGE_IDS)
@@ -166,6 +182,37 @@ def test_generator_rates_and_windows_out_of_range_are_config_errors(edit, named)
     with pytest.raises(ConfigError) as exc:
         GeneratorConfig.from_json(json.dumps({**_CONFIG, **edit}))
     assert named in str(exc.value)
+
+
+def test_config_values_near_the_int64_edge_still_generate():
+    # start_epoch + days * 86400 is int64's largest value
+    edge = GeneratorConfig.from_json(json.dumps({**_CONFIG, "start_epoch": 2**63 - 1 - 2 * 86400}))
+    assert int(generate_trace(edge, "p").t[-1]) == 2**63 - 1 - 300
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg: dataclasses.replace(cfg, down_up_ratio=float("nan")),
+    lambda cfg: dataclasses.replace(cfg.app_catalog[0], traffic_pct=float("nan")),
+    lambda cfg: dataclasses.replace(cfg.app_catalog[0], appearance_pct=float("nan")),
+], ids=["down-up-ratio", "traffic-pct", "appearance-pct"])
+def test_nan_weights_are_refused_on_construction(edit):
+    with pytest.raises(ConfigError):
+        edit(reference_config())
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_json(lambda: json.loads(reference_config(seed=1, days=2).to_json())))
+@example(json.dumps({**_CONFIG, "down_up_ratio": float("nan")}))
+@example(json.dumps({**_CONFIG, "app_catalog": [{**_CONFIG["app_catalog"][0],
+                                                 "traffic_pct": float("nan")}]}))
+def test_mutated_config_texts_raise_only_config_errors(text):
+    try:
+        config = GeneratorConfig.from_json(text)
+    except ConfigError:
+        return
+    # every float it holds is finite: strict JSON has no NaN or Infinity
+    json.dumps(dataclasses.asdict(config), allow_nan=False)
+    assert GeneratorConfig.from_json(config.to_json()) == config
 
 
 def test_config_validation():

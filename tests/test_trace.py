@@ -132,6 +132,18 @@ def test_ingest_rejects_negative_bytes_with_line_number():
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("column", ["up", "down"])
+def test_from_columns_rejects_a_negative_byte_count(column):
+    trace = generate_trace(reference_config(seed=1, days=1), "p")
+    counts = {"up": trace.up.copy(), "down": trace.down.copy()}
+    counts[column][len(counts[column]) // 2] = -1
+    with pytest.raises(TraceValidationError, match="negative byte count"):
+        Trace.from_columns(trace.phone_id, trace.t, trace.state, trace.ssid, trace.visible,
+                           trace.app_offsets, trace.app, counts["up"], counts["down"],
+                           trace.running, trace.ssids, trace.visible_sets, trace.app_ids,
+                           nominal_period_s=trace.nominal_period_s)
+
+
 def test_ingest_rejects_malformed_json_with_line_number():
     with pytest.raises(TraceParseError) as exc:
         ingest_trace(b'{"t": 1, "active": "NONE", "ssid": null, "visible": [], "apps": []}\nnot json\n')
