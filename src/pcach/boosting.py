@@ -12,7 +12,10 @@ alpha finite (Freund & Schapire, 1997).
 Only the example weights change between rounds, so each feature column is
 sorted once per training and every round's exhaustive search reuses the
 orders, sorted labels and split boundaries (the pre-sorted column block of
-exact greedy split finding). :meth:`AdaBoostModel.exact_margins` scores
+exact greedy split finding). A round sums the weights of each label class
+over that class's sorted rows alone; the errors are bit-identical to running
+sums over whole columns, whose terms for the other class are +0.0 added to a
+non-negative sum. :meth:`AdaBoostModel.exact_margins` scores
 many rows with one margins call, such that every comparison with a given
 threshold answers as one-row calls would.
 """
@@ -169,62 +172,77 @@ class _PresortedColumns:
     """Each feature column of a training matrix sorted once, for every round.
 
     Only the example weights change between rounds, so each column's stable
-    sort order, its sorted label signs and its split boundaries (positions
-    between consecutive distinct values, with their midpoint thresholds) are
-    computed once per training: the pre-sorted column block of exact greedy
-    split finding (Chen & Guestrin, "XGBoost", KDD 2016). The rounds' running
-    sums reuse one set of buffers.
+    sort order, its split boundaries (positions between consecutive distinct
+    values, with their midpoint thresholds) and the label counts before each
+    boundary are computed once per training: the pre-sorted column block of
+    exact greedy split finding (Chen & Guestrin, "XGBoost", KDD 2016).
+
+    The sorted rows of each label class are kept apart, in column order, so
+    a round sums each class over its own rows alone. A boundary reads the
+    sum of its class's rows before it, with a leading zero for none. That is
+    the running sum over the whole column in which the rows of the other
+    class add +0.0: adding +0.0 to a non-negative sum leaves its bits as
+    they were, so every error is bit-identical to the full-length sums.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        n_features, n = self.order.shape
-        v = np.take_along_axis(X, self.order.T, axis=0).T
-        ys = y[self.order]
-        self.positive, self.negative = ys > 0, ys < 0
+        order = np.argsort(X, axis=0, kind="stable").T
+        n_features, n = order.shape
+        v = np.take_along_axis(X, order.T, axis=0).T
+        positive = y[order] > 0
+        n_pos = int(positive[0].sum())
+        # each column's +1 rows, then its -1 rows, in sorted order
+        self.pos_order = np.ascontiguousarray(order[positive].reshape(n_features, n_pos))
+        self.neg_order = np.ascontiguousarray(order[~positive].reshape(n_features, n - n_pos))
         bounds = [np.nonzero(col[1:] > col[:-1])[0] for col in v]
         self.thresholds = [(col[b] + col[b + 1]) / 2.0 for col, b in zip(v, bounds)]
-        # every column's boundaries as flat positions into the running sums
-        # of the +1 labels (rows :n_features) and the -1 labels (the rest),
-        # with the position of each -1 column's total
+        # every column's boundaries as flat positions into the class sums,
+        # each row led by a zero: the +1 rows up to the boundary, the -1 rows
+        # up to it and all of the column's -1 rows
         none = np.zeros(0, dtype=np.int64)
-        self.at_pos = np.concatenate([none, *(f * n + b for f, b in enumerate(bounds))])
-        self.at_neg = self.at_pos + n_features * n
-        self.at_total = np.concatenate([none, *(np.full(b.size, (n_features + f) * n + n - 1)
+        pos_before = np.cumsum(positive, axis=1)
+        self.at_pos = np.concatenate([none, *(f * (n_pos + 1) + pos_before[f, b]
+                                              for f, b in enumerate(bounds))])
+        self.at_neg = np.concatenate([none, *(f * (n - n_pos + 1) + b + 1 - pos_before[f, b]
+                                              for f, b in enumerate(bounds))])
+        self.at_total = np.concatenate([none, *(np.full(b.size, f * (n - n_pos + 1) + n - n_pos)
                                                 for f, b in enumerate(bounds))])
-        self.starts = np.cumsum([0] + [b.size for b in bounds]).tolist()
-        self._weights = np.empty((n_features, n))
-        self._product = np.empty((n_features, n))
-        self._sums = np.empty((2 * n_features, n))
+        starts = np.cumsum([0] + [b.size for b in bounds])
+        self.starts = starts.tolist()
+        # the columns that are not constant, and where their boundaries start
+        self.features = [f for f in range(n_features) if starts[f] < starts[f + 1]]
+        self.feature_starts = starts[self.features]
+        self._weights = (np.empty((n_features, n_pos)), np.empty((n_features, n - n_pos)))
+        self._sums = (np.zeros((n_features, n_pos + 1)), np.zeros((n_features, n - n_pos + 1)))
 
     def best_stump(self, w: np.ndarray):
         """Exhaustive weighted-error search over features and midpoint
         thresholds: (eps, feature_idx0, threshold, polarity), None when every
         column is constant. Ties go to the lower feature, then polarity +1,
         then the lower threshold."""
-        weights, product, sums = self._weights, self._product, self._sums
-        n_features = len(weights)
-        np.take(w, self.order, out=weights)
-        np.multiply(weights, self.positive, out=product)
-        np.cumsum(product, axis=1, out=sums[:n_features])
-        np.multiply(weights, self.negative, out=product)
-        np.cumsum(product, axis=1, out=sums[n_features:])
-        flat = sums.ravel()
+        if not self.features:
+            return None
+        for order, weights, sums in zip((self.pos_order, self.neg_order),
+                                        self._weights, self._sums):
+            np.take(w, order, out=weights)
+            np.cumsum(weights, axis=1, out=sums[:, 1:])
+        pos, neg = self._sums[0].ravel(), self._sums[1].ravel()
         # predicting +1 strictly above the threshold placed after position i
-        eps_pos = flat[self.at_pos] + (flat[self.at_total] - flat[self.at_neg])
+        eps_pos = pos[self.at_pos] + (neg[self.at_total] - neg[self.at_neg])
         eps_neg = 1.0 - eps_pos
-        best = None  # (eps, feature_idx0, threshold, polarity)
-        starts = self.starts
-        for f in range(n_features):
-            lo, hi = starts[f], starts[f + 1]
-            if lo == hi:
-                continue
-            for eps_arr, polarity in ((eps_pos[lo:hi], 1), (eps_neg[lo:hi], -1)):
-                i = int(np.argmin(eps_arr))
-                eps = float(eps_arr[i])
+        # each column's lowest error of either polarity; only the winner's
+        # position is looked up
+        lowest_pos = np.minimum.reduceat(eps_pos, self.feature_starts).tolist()
+        lowest_neg = np.minimum.reduceat(eps_neg, self.feature_starts).tolist()
+        best = None  # (eps, feature_idx0, polarity)
+        for f, low_pos, low_neg in zip(self.features, lowest_pos, lowest_neg):
+            for eps, polarity in ((low_pos, 1), (low_neg, -1)):
                 if best is None or eps < best[0] - 1e-15:
-                    best = (eps, f, self.thresholds[f][i], polarity)
-        return best
+                    best = (eps, f, polarity)
+        eps, f, polarity = best
+        errors = eps_pos if polarity == 1 else eps_neg
+        i = int(np.argmin(errors[self.starts[f]:self.starts[f + 1]]))
+        return eps, f, self.thresholds[f][i], polarity
 
 
 def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,

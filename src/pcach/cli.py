@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -179,21 +180,48 @@ def cmd_generate(args) -> int:
                                   days=args.days if args.days is not None else 60)
     if config.days < 1:
         raise PCachError(f"days must be positive, got {config.days}")
+    phone_ids = [f"phone-{i:03d}" for i in range(args.phones)]
+    traces = [f"{phone_id}.{args.format}" for phone_id in phone_ids]
+    created = not Path(args.out).exists()
     out_dir = _out_dir(args.out)
-    jobs = [(config.to_json(), f"phone-{i:03d}", str(out_dir), args.format)
-            for i in range(args.phones)]
-    names = _parallel_map(_generate_one, jobs)
-    (out_dir / "generator_config.json").write_text(config.to_json() + "\n")
-    _write_manifest(out_dir, "generate", {
-        "phones": args.phones,
-        "days": config.days,
-        "seed": config.seed,
-        "format": args.format,
-        "config_file": args.config,
-        "out": args.out,
-    }, names + ["generator_config.json"])
+    before = _file_stamps(out_dir, traces)
+    try:
+        names = _parallel_map(_generate_one, [(config.to_json(), phone_id, str(out_dir),
+                                               args.format) for phone_id in phone_ids])
+        (out_dir / "generator_config.json").write_text(config.to_json() + "\n")
+        _write_manifest(out_dir, "generate", {
+            "phones": args.phones,
+            "days": config.days,
+            "seed": config.seed,
+            "format": args.format,
+            "config_file": args.config,
+            "out": args.out,
+        }, names + ["generator_config.json"])
+    except BaseException:
+        # a failed run takes back what it wrote: the directory it created,
+        # or else the traces it wrote into one that was there before
+        if created:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        else:
+            for name, stamp in _file_stamps(out_dir, traces).items():
+                if before.get(name) != stamp:
+                    (out_dir / name).unlink(missing_ok=True)
+        raise
     print(f"wrote {len(names)} traces to {out_dir}")
     return 0
+
+
+def _file_stamps(out_dir: Path, names: list[str]) -> dict[str, tuple[int, int, int]]:
+    """(inode, modification time in ns, size) of each of ``names`` that is
+    a file in ``out_dir``."""
+    stamps = {}
+    for name in names:
+        try:
+            st = (out_dir / name).stat()
+        except FileNotFoundError:
+            continue
+        stamps[name] = (st.st_ino, st.st_mtime_ns, st.st_size)
+    return stamps
 
 
 # ---------------------------------------------------------------------------

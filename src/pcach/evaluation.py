@@ -107,6 +107,21 @@ class ConfusionCounts:
             tn=int(np.sum(~pred & ~pos)),
         )
 
+    @classmethod
+    def tally_above(cls, scores, actual, thresholds) -> list["ConfusionCounts"]:
+        """``tally(scores > theta, actual)`` for each ``theta`` of
+        ``thresholds``, from one sort of the positives' scores and one of the
+        negatives': the predicted positives of a class are its scores past
+        ``theta``'s rightmost insertion point. Scores are not NaN."""
+        scores = np.asarray(scores, dtype=float)
+        pos = np.asarray(actual, dtype=bool)
+        thresholds = np.asarray(thresholds, dtype=float)
+        above = []
+        for ranked in (np.sort(scores[pos]), np.sort(scores[~pos])):
+            above.append((len(ranked) - np.searchsorted(ranked, thresholds, side="right")).tolist())
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        return [cls(tp, fp, n_pos - tp, n_neg - fp) for tp, fp in zip(*above)]
+
 
 @dataclass(frozen=True)
 class RocPoint:
@@ -468,8 +483,8 @@ def _select_threshold(margins, labels, reference: ConfusionCounts) -> float:
     target = min(1.0, ref_tpr + RECALL_MARGIN)
     best = None      # (fpr, -tpr, threshold)
     fallback = None  # (-tpr, fpr, threshold)
-    for theta in _threshold_candidates(margins):
-        counts = ConfusionCounts.tally(margins > theta, labels > 0)
+    thetas = _threshold_candidates(margins)
+    for theta, counts in zip(thetas, ConfusionCounts.tally_above(margins, labels > 0, thetas)):
         try:
             tpr, fpr = tpr_fpr(counts)
         except UndefinedRateError:
@@ -573,14 +588,10 @@ def backtest(
         thetas = _threshold_candidates(cut_margins_train)
         test_margins = cut_model.exact_margins(
             runs.features(targets, np.arange(len(runs)), EventKind.CUT), thetas)
-        panel = tuple(
-            ThresholdPoint(
-                threshold=theta,
-                train=ConfusionCounts.tally(cut_margins_train > theta, cut_labels_train > 0),
-                test=ConfusionCounts.tally(test_margins > theta, cut_truths),
-            )
-            for theta in thetas
-        )
+        panel = tuple(map(ThresholdPoint, thetas,
+                          ConfusionCounts.tally_above(cut_margins_train, cut_labels_train > 0,
+                                                      thetas),
+                          ConfusionCounts.tally_above(test_margins, cut_truths, thetas)))
 
     test_start = int(norm.t[idx])
     true_test_gaps = sum(1 for g in replay.gaps if g.cut_time >= test_start)

@@ -550,11 +550,15 @@ class FoldedRuns:
 
     @cached_property
     def _context(self) -> np.ndarray:
-        """Each run's context features (1-7), from its newest row."""
+        """Each run's context features (1-7), from its newest row: the flags
+        of each visible set the rows hold, computed once per set."""
         db = self.db
         cols, rows = self._newest
-        flags = [db._visible_flags(cols.trace.visible_sets[v]) for v in cols.visible[rows].tolist()]
-        return _context(db, np.array(flags).reshape(-1, 6), self.now)
+        visible = cols.visible[rows]
+        flags = np.empty((len(cols.trace.visible_sets), 6))
+        for v in set(visible.tolist()):
+            flags[v] = db._visible_flags(cols.trace.visible_sets[v])
+        return _context(db, flags[visible], self.now)
 
 
 def update_history(db: HistoryDB, new_samples: Iterable) -> HistoryDB:

@@ -103,6 +103,9 @@ class HistoryPredictor:
 # rows of resume-scan features scored per margins call, and window slots of
 # usage counts read per usage call
 _SCAN_ROWS = 2048
+# look-ahead slots of the resume scan's first chunk; each later chunk is
+# twice as long, up to _SCAN_ROWS
+_SCAN_FIRST = 2
 
 
 class AdaBoostPredictor:
@@ -111,10 +114,14 @@ class AdaBoostPredictor:
     The two models and the resume-scan bounds come from a
     :class:`PCachConfig`. The cut and resume margins of every target slot
     come from one margins call per model. The resume slot is the first
-    future slot the resume classifier labels positive, scanned for every
-    predicted cut a block of runs per margins call, with the same fixed
-    fallback as the history rule. A margin tied with a model's threshold is
-    negative, and every verdict is the one a one-row margins call gives.
+    future slot the resume classifier labels positive, with the same fixed
+    fallback as the history rule. The scan reads the look-ahead in chunks,
+    each twice as long as the one before, and scores a chunk only for the
+    predicted cuts that have found no positive slot yet, a block of cuts
+    per margins call of at most ``_SCAN_ROWS`` rows. A margin tied with a
+    model's threshold is negative, and every verdict is the one a one-row
+    margins call gives, so the first positive slot does not depend on how
+    the scan is cut into calls.
     """
 
     def __init__(self, config: PCachConfig):
@@ -129,18 +136,23 @@ class AdaBoostPredictor:
         cut, cut_margins = _labels(c.cut_model, runs.features(targets, at, EventKind.CUT))
         resume_next, _ = _labels(c.resume_model, runs.features(targets, at, EventKind.RESUME))
         resume_slot = targets + c.default_gap_slots
-        ahead = np.arange(1, c.max_lookahead_slots + 1)
-        # with no slot to scan, every cut takes the fallback
-        cuts = np.flatnonzero(cut) if len(ahead) else np.zeros(0, dtype=np.int64)
-        block = max(1, _SCAN_ROWS // max(len(ahead), 1))
-        for lo in range(0, len(cuts), block):
-            j = cuts[lo:lo + block]
-            slots = runs.slots[j, None] + ahead
-            fires, _ = _labels(c.resume_model, runs.features(
-                slots.ravel(), np.repeat(j, len(ahead)), EventKind.RESUME))
-            fires = fires.reshape(slots.shape)
-            found = fires.any(axis=1)
-            resume_slot[j[found]] = slots[found, fires[found].argmax(axis=1)]
+        pending = np.flatnonzero(cut)     # the cuts with no positive slot yet
+        first, width = 1, min(_SCAN_FIRST, _SCAN_ROWS)
+        while len(pending) and first <= c.max_lookahead_slots:
+            ahead = np.arange(first, min(first + width, c.max_lookahead_slots + 1))
+            block = _SCAN_ROWS // len(ahead)
+            found = np.zeros(len(pending), dtype=bool)
+            for lo in range(0, len(pending), block):
+                j = pending[lo:lo + block]
+                slots = runs.slots[j, None] + ahead
+                fires, _ = _labels(c.resume_model, runs.features(
+                    slots.ravel(), np.repeat(j, len(ahead)), EventKind.RESUME))
+                fires = fires.reshape(slots.shape)
+                hit = fires.any(axis=1)
+                found[lo:lo + block] = hit
+                resume_slot[j[hit]] = slots[hit, fires[hit].argmax(axis=1)]
+            pending = pending[~found]
+            first, width = first + len(ahead), min(2 * width, _SCAN_ROWS)
         return cut, cut_margins, resume_next, resume_slot
 
 

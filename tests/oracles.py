@@ -4,10 +4,12 @@ Each trace-level oracle walks ``trace.samples`` one object at a time, the way
 the library computed these stages before its traces became columns; the
 history oracles walk sample objects the way the replay folded them, and
 ``best_stump_oracle`` re-sorts every column every round the way the
-boosting search did before it presorted. The columnar and presorted code
-must agree with them exactly (see the ``hypothesis`` properties in
-``test_trace.py``, ``test_mining.py``, ``test_history.py`` and
-``test_boosting.py``).
+boosting search did before it presorted, and ``adaboost_scan_oracle``
+scores the whole look-ahead of every predicted cut the way the boosted
+predictor did before its scan stopped early. The columnar, presorted and
+early-stopping code must agree with them exactly (see the ``hypothesis``
+properties in ``test_trace.py``, ``test_mining.py``, ``test_history.py``,
+``test_boosting.py`` and ``test_pipeline.py``).
 """
 
 import itertools
@@ -18,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from pcach.errors import OrderingError
+from pcach.history import EventKind
 from pcach.trace import (
     CUT_MAX_SPACING_S,
     ActiveNetwork,
@@ -185,6 +188,34 @@ def best_stump_oracle(X, y, w):
                 threshold = (v[b] + v[b + 1]) / 2.0
                 best = (eps, f, threshold, polarity)
     return best
+
+
+def adaboost_scan_oracle(config, runs, scan_rows=2048):
+    """``AdaBoostPredictor.predict`` with the resume scan scoring all
+    ``config.max_lookahead_slots`` look-ahead slots of every predicted cut,
+    a block of cuts per margins call of about ``scan_rows`` rows."""
+    def labels(model, X):
+        margins = model.exact_margins(X, [model.decision_threshold])
+        return margins > model.decision_threshold, margins
+
+    targets = runs.slots + 1
+    at = np.arange(len(runs))
+    cut, cut_margins = labels(config.cut_model, runs.features(targets, at, EventKind.CUT))
+    resume_next, _ = labels(config.resume_model, runs.features(targets, at, EventKind.RESUME))
+    resume_slot = targets + config.default_gap_slots
+    ahead = np.arange(1, config.max_lookahead_slots + 1)
+    # with no slot to scan, every cut takes the fallback
+    cuts = np.flatnonzero(cut) if len(ahead) else np.zeros(0, dtype=np.int64)
+    block = max(1, scan_rows // max(len(ahead), 1))
+    for lo in range(0, len(cuts), block):
+        j = cuts[lo:lo + block]
+        slots = runs.slots[j, None] + ahead
+        fires, _ = labels(config.resume_model, runs.features(
+            slots.ravel(), np.repeat(j, len(ahead)), EventKind.RESUME))
+        fires = fires.reshape(slots.shape)
+        found = fires.any(axis=1)
+        resume_slot[j[found]] = slots[found, fires[found].argmax(axis=1)]
+    return cut, cut_margins, resume_next, resume_slot
 
 
 def profile_oracle(trace, night_window=(20, 8), utc_offset_s=0):

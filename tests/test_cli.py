@@ -9,7 +9,7 @@ import pytest
 
 import pcach
 from pcach.cli import main
-from pcach.errors import UndefinedRateError
+from pcach.errors import ParameterError, UndefinedRateError
 from pcach.evaluation import backtest, k_sweep, macro_average, quality_gap
 from pcach.mining import horizon_sweep, traffic_split
 from pcach.pipeline import PCachConfig
@@ -539,6 +539,31 @@ def test_generate_refuses_byte_counts_past_int64(tmp_path, config):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "byte count" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "g").exists()
+
+
+def test_failed_generate_removes_only_the_traces_it_wrote(tmp_path, monkeypatch, capsys):
+    """Into a directory that was there before, a failed run leaves the old
+    files, including an old trace it did not reach, and takes back its own."""
+    import pcach.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PCACH_THREADS", "1")  # the phones run in order, in this process
+    out = tmp_path / "g"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "phone-001.jsonl").write_text("old trace")
+    generate_one = cli._generate_one
+
+    def fail_second(job):
+        if job[1] == "phone-001":
+            raise ParameterError("generation failed")
+        return generate_one(job)
+    monkeypatch.setattr(cli, "_generate_one", fail_second)
+    assert main(["generate", "--phones", "2", "--days", "1", "--out", "g"]) == 2
+    assert "generation failed" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "phone-001.jsonl"]
+    assert (out / "phone-001.jsonl").read_text() == "old trace"
 
 
 @pytest.mark.parametrize("apps, named", [

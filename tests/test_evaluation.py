@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ def test_confusion_counts_validation_and_addition():
         ConfusionCounts(tp=-1)
     total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(4, 3, 2, 1)
     assert (total.tp, total.fp, total.fn, total.tn) == (5, 5, 5, 5)
+
+
+# few distinct values, so scores repeat and thresholds land on them
+_SCORES = st.sampled_from([-2.5, -1.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(scored=st.lists(st.tuples(_SCORES, st.booleans()), max_size=30),
+       one_class=st.sampled_from([None, False, True]),
+       thresholds=st.lists(_SCORES | st.sampled_from([-10.0, 10.0, -math.inf, math.inf])
+                           | st.floats(-5, 5), max_size=12))
+def test_one_sort_counts_equal_the_tally_at_every_threshold(scored, one_class, thresholds):
+    """Ties at a threshold, repeated scores, truths of one class only,
+    thresholds past every score and empty inputs."""
+    scores = np.array([s for s, _ in scored], dtype=float)
+    truth = np.array([t if one_class is None else one_class for _, t in scored], dtype=bool)
+    got = ConfusionCounts.tally_above(scores, truth, thresholds)
+    assert got == [ConfusionCounts.tally(scores > theta, truth) for theta in thresholds]
 
 
 def test_roc_point_validation():

@@ -15,6 +15,7 @@ from pcach.evaluation import backtest
 from pcach.history import (
     EventKind,
     HistoryDB,
+    _context,
     fold_rows,
     fold_runs,
     history_predict_event,
@@ -43,6 +44,7 @@ from pcach.trace import (
 )
 
 from helpers import W, app, sample, seeded_rng, slot_probability
+from oracles import adaboost_scan_oracle
 
 
 def _profile():
@@ -324,6 +326,86 @@ def test_one_batch_decides_as_one_slot_at_a_time(kind, monkeypatch):
             # a batched margin may differ from a one-row margin in its last bits
             assert got.cut_score == pytest.approx(want.cut_score, rel=1e-12, abs=1e-12)
             assert dataclasses.replace(got, cut_score=want.cut_score) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_trace(seed):
+    config = reference_config(seed=seed, days=3)
+    return generate_trace(config, "scan"), config.pcachable_apps
+
+
+def _test_runs(seed, split=0.5):
+    """The runs of a 3-day trace's test rows, folded after its first rows."""
+    trace, s_apps = _scan_trace(seed)
+    lo = int(len(trace) * split)
+    db = HistoryDB(15, tracked_apps=s_apps, profile=derive_preferred_profile(trace.rows(0, lo)))
+    fold_rows(db, trace, 0, lo)
+    return fold_runs(db, trace, lo), s_apps
+
+
+_ALWAYS = AdaBoostModel(stumps=(Stump(4, -1.0, 1, 1.0),), rounds=1)   # n_visible > -1
+_NEVER = AdaBoostModel(stumps=(Stump(4, 1e9, 1, 1.0),), rounds=1)
+# stumps on the slot of day and the slot probability: positive slots at
+# varying distances from each cut, and margins tied with the threshold
+_SLOT_STUMPS = st.lists(st.builds(
+    Stump, feature_index=st.sampled_from([8, 9]),
+    threshold=st.sampled_from([0.0, 0.05, 0.2, 10.5, 40.5, 80.5, 94.5]),
+    polarity=st.sampled_from([-1, 1]), alpha=st.sampled_from([0.5, 1.0])), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 3), cut=st.sampled_from(["trained", "always", "never"]),
+       resume=st.sampled_from(["trained", "never"]) | _SLOT_STUMPS,
+       max_lookahead=st.sampled_from([0, 1, 2, 5, 13, 96, 150]),
+       default_gap=st.integers(0, 4), scan_rows=st.sampled_from([1, 3, 50, 2048]))
+@example(seed=0, cut="always", resume="never", max_lookahead=13, default_gap=2, scan_rows=3)
+@example(seed=1, cut="trained", resume="trained", max_lookahead=96, default_gap=2,
+         scan_rows=2048)
+def test_early_stopping_scan_equals_the_full_look_ahead_scan(seed, cut, resume, max_lookahead,
+                                                             default_gap, scan_rows):
+    """No cut, every slot cut, no positive slot (the fallback), look-aheads
+    of 0, 1 and lengths that end inside a chunk; every scan call scores at
+    most ``_SCAN_ROWS`` rows."""
+    runs, s_apps = _test_runs(seed)
+    trained = dict(zip(("cut", "resume"), _trained_models()))
+    models = {"trained": None, "always": _ALWAYS, "never": _NEVER}
+    config = _config(s_apps=s_apps, k=3, max_lookahead_slots=max_lookahead,
+                     default_gap_slots=default_gap,
+                     cut_model=models[cut] or trained["cut"],
+                     resume_model=(AdaBoostModel(tuple(resume), len(resume))
+                                   if isinstance(resume, list)
+                                   else models[resume] or trained["resume"]))
+    want = adaboost_scan_oracle(config, runs)
+    rows, labels = [], pipeline._labels
+
+    def spy(model, X):
+        rows.append(len(X))
+        return labels(model, X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_SCAN_ROWS", scan_rows)
+        mp.setattr(pipeline, "_labels", spy)
+        got = AdaBoostPredictor(config).predict(runs, seeded_rng(0))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # the first two calls score every run's target slot; the rest are the scan
+    assert rows[:2] == [len(runs)] * 2
+    assert all(0 < n <= scan_rows for n in rows[2:])
+    if cut == "never" or max_lookahead == 0:
+        assert len(rows) == 2
+
+
+def test_context_reads_each_visible_set_once_and_equals_per_row_flags(monkeypatch):
+    runs, _ = _test_runs(2)
+    cols, newest = runs._newest
+    db = runs.db
+    seen = []
+    flags = db._visible_flags
+    monkeypatch.setattr(db, "_visible_flags", lambda visible: seen.append(visible) or flags(visible))
+    context = runs._context
+    used = {cols.trace.visible_sets[v] for v in cols.visible[newest].tolist()}
+    assert len(seen) == len(used) < len(runs) and set(seen) == used
+    per_row = [flags(cols.trace.visible_sets[v]) for v in cols.visible[newest].tolist()]
+    assert np.array_equal(context, _context(db, np.array(per_row), runs.now))
 
 
 @settings(deadline=None, max_examples=40)
