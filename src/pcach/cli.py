@@ -266,6 +266,7 @@ def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
     summary: dict = {"phones": len(results)}
 
     if "traffic" in emit:
+        import statistics
         _write_csv(out_dir / "traffic_split.csv",
                    ["phone_id", "cellular_bytes", "wifi_bytes", "cellular_fraction"],
                    [[r["phone_id"], r["cellular_bytes"], r["wifi_bytes"],
@@ -273,9 +274,11 @@ def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
         outputs.append("traffic_split.csv")
         total_cell = sum(r["cellular_bytes"] for r in results)
         total = total_cell + sum(r["wifi_bytes"] for r in results)
-        fractions = sorted(r["cellular_fraction"] for r in results)
+        fractions = [r["cellular_fraction"] for r in results]
         summary["cellular_share"] = total_cell / total if total else 0.0
-        summary["cellular_share_median_phone"] = float(np.median(fractions)) if fractions else None
+        # statistics.median, not np.median, which loads numpy.ma
+        summary["cellular_share_median_phone"] = (
+            float(statistics.median(fractions)) if fractions else None)
 
     if "gap_cdf" in emit:
         closed = [g for r in results for g in r["closed_gaps"]]

@@ -54,6 +54,7 @@ from .history import (
     slot_groups,
 )
 from .pipeline import (
+    AdaBoostPredictor,
     PCachConfig,
     Predictor,
     PredictorKind,
@@ -66,7 +67,9 @@ from .trace import (
     WiFiGap,
     derive_preferred_profile,
     detect_gaps,
+    distinct,
     normalize_timeline,
+    used_ids,
 )
 
 DEFAULT_TRAIN_DAYS = 7.0
@@ -232,7 +235,7 @@ class _Replay:
         lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
         records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
         moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
-        used = frozenset(norm.app_ids[a] for a in np.unique(moved).tolist())
+        used = frozenset(norm.app_ids[a] for a in used_ids(moved, len(norm.app_ids)))
         return used.intersection(self.db.tracked_apps)
 
 
@@ -450,27 +453,41 @@ def _train_feature_pass(replay: _Replay, idx: int, last_train_slot: int):
     targets, at = runs.slots + 1, np.arange(len(runs))
     X_cut = runs.features(targets, at, EventKind.CUT)
     X_res = runs.features(targets, at, EventKind.RESUME)
-    y_cut = np.where(np.isin(targets, list(replay.gap_by_cut_slot)), 1, -1)
-    y_res = np.where(np.isin(targets, list(replay.resume_slots)), 1, -1)
+    y_cut = np.where(_among(targets, replay.gap_by_cut_slot), 1, -1)
+    y_res = np.where(_among(targets, replay.resume_slots), 1, -1)
     return X_cut, y_cut, X_res, y_res, runs
 
 
-def _threshold_candidates(margins: np.ndarray, max_points: int = 48) -> list[float]:
-    uniq = np.unique(margins)
+def _among(slots: np.ndarray, keys: Iterable[int]) -> np.ndarray:
+    """Whether each of ``slots`` is one of ``keys``, looked up in a table
+    over the keys' range (slot ids span one trace), so ``np.isin`` never
+    takes its sorting path, which loads ``numpy.ma``."""
+    return np.isin(slots, np.fromiter(keys, dtype=np.int64), kind="table")
+
+
+def _train_panel(margins: np.ndarray, labels: np.ndarray,
+                 max_points: int = 48) -> tuple[list[float], list[ConfusionCounts]]:
+    """The candidate thresholds of a model's training margins and the
+    training confusion at each: the extremes pushed out by one, at most
+    ``max_points`` midpoints between distinct margins, and zero."""
+    uniq = distinct(margins)
     mids = (uniq[1:] + uniq[:-1]) / 2.0
     if mids.size > max_points:
         idx = np.linspace(0, mids.size - 1, max_points).round().astype(int)
-        mids = mids[np.unique(idx)]
+        mids = mids[distinct(idx)]
     lo = float(uniq[0]) - 1.0
     hi = float(uniq[-1]) + 1.0
-    return [lo] + [float(m) for m in mids] + [0.0, hi]
+    thetas = [lo] + [float(m) for m in mids] + [0.0, hi]
+    return thetas, ConfusionCounts.tally_above(margins, labels > 0, thetas)
 
 
 RECALL_MARGIN = 0.05
 
 
-def _select_threshold(margins, labels, reference: ConfusionCounts) -> float:
-    """Lowest-FPR train threshold that beats the reference recall.
+def _select_threshold(thetas: list[float], train: list[ConfusionCounts],
+                      reference: ConfusionCounts) -> float:
+    """Lowest-FPR train threshold that beats the reference recall, from a
+    :func:`_train_panel`.
 
     The target recall carries a small safety margin so the operating point
     still clears the reference out of sample; when no candidate reaches it,
@@ -483,8 +500,7 @@ def _select_threshold(margins, labels, reference: ConfusionCounts) -> float:
     target = min(1.0, ref_tpr + RECALL_MARGIN)
     best = None      # (fpr, -tpr, threshold)
     fallback = None  # (-tpr, fpr, threshold)
-    thetas = _threshold_candidates(margins)
-    for theta, counts in zip(thetas, ConfusionCounts.tally_above(margins, labels > 0, thetas)):
+    for theta, counts in zip(thetas, train):
         try:
             tpr, fpr = tpr_fpr(counts)
         except UndefinedRateError:
@@ -526,7 +542,7 @@ def backtest(
 
     cut_model = resume_model = None
     sel_cut_thr = sel_res_thr = None
-    cut_margins_train = cut_labels_train = None
+    cut_thetas = cut_train = None
     if predictor_override is None and config.predictor_kind is PredictorKind.ADABOOST:
         X_cut, y_cut, X_res, y_res, train_runs = _train_feature_pass(
             replay, idx, last_train_slot)
@@ -539,18 +555,23 @@ def backtest(
             train_runs, EventKind.CUT, config.n_draws, config.delta, rng_ref), y_cut > 0)
         ref_res = ConfusionCounts.tally(history_votes(
             train_runs, EventKind.RESUME, config.n_draws, config.delta, rng_ref), y_res > 0)
-        cut_margins_train = cut_model.decision_margins(X_cut)
-        cut_labels_train = y_cut
-        sel_cut_thr = _select_threshold(cut_margins_train, y_cut, ref_cut)
-        sel_res_thr = _select_threshold(resume_model.decision_margins(X_res),
-                                        y_res, ref_res)
+        cut_thetas, cut_train = _train_panel(cut_model.decision_margins(X_cut), y_cut)
+        sel_cut_thr = _select_threshold(cut_thetas, cut_train, ref_cut)
+        sel_res_thr = _select_threshold(
+            *_train_panel(resume_model.decision_margins(X_res), y_res), ref_res)
         cut_model = dataclasses.replace(cut_model, decision_threshold=sel_cut_thr,
                                         training_log=())
         resume_model = dataclasses.replace(resume_model, decision_threshold=sel_res_thr,
                                            training_log=())
         config = dataclasses.replace(config, cut_model=cut_model,
                                      resume_model=resume_model)
-    predictor = predictor_override if predictor_override is not None else make_predictor(config)
+    if predictor_override is not None:
+        predictor = predictor_override
+    elif cut_model is not None:
+        # its cut margins serve the panel too: they are exact at every threshold
+        predictor = AdaBoostPredictor(config, cut_values=cut_thetas)
+    else:
+        predictor = make_predictor(config)
 
     digest_parts = [db.to_json()]
     if cut_model is not None:
@@ -564,7 +585,7 @@ def backtest(
     decisions = decide(runs, config, predictor, rng_test)
     targets = decisions.target_slot
 
-    cut_truths = np.isin(targets, list(replay.gap_by_cut_slot))
+    cut_truths = _among(targets, replay.gap_by_cut_slot)
     app_counts = ConfusionCounts()
     scored = skipped = resume_eval = resume_hits = 0
     for j in np.flatnonzero(decisions.cut).tolist():
@@ -584,14 +605,9 @@ def backtest(
             resume_hits += 1
 
     panel = ()
-    if cut_margins_train is not None:
-        thetas = _threshold_candidates(cut_margins_train)
-        test_margins = cut_model.exact_margins(
-            runs.features(targets, np.arange(len(runs)), EventKind.CUT), thetas)
-        panel = tuple(map(ThresholdPoint, thetas,
-                          ConfusionCounts.tally_above(cut_margins_train, cut_labels_train > 0,
-                                                      thetas),
-                          ConfusionCounts.tally_above(test_margins, cut_truths, thetas)))
+    if cut_thetas is not None:
+        panel = tuple(map(ThresholdPoint, cut_thetas, cut_train, ConfusionCounts.tally_above(
+            decisions.cut_score, cut_truths, cut_thetas)))
 
     test_start = int(norm.t[idx])
     true_test_gaps = sum(1 for g in replay.gaps if g.cut_time >= test_start)
@@ -601,11 +617,11 @@ def backtest(
         k=config.k,
         slot_minutes=config.slot_minutes,
         split_index=idx,
-        train_slots=len(np.unique(db.abs_slot(norm.t[:idx]))),
+        train_slots=len(distinct(db.abs_slot(norm.t[:idx]))),
         test_slots=len(decisions),
         cut=ConfusionCounts.tally(decisions.cut, cut_truths),
         resume=ConfusionCounts.tally(decisions.resume_next,
-                                     np.isin(targets, list(replay.resume_slots))),
+                                     _among(targets, replay.resume_slots)),
         apps=app_counts,
         scored_gaps=scored,
         skipped_gaps=skipped,

@@ -72,6 +72,7 @@ from .trace import (
     PreferredNetworkProfile,
     Trace,
     check_utc_offset,
+    distinct,
     in_hour_window,
     ingest_trace,
     is_weekday,
@@ -372,13 +373,13 @@ def _fold(db: HistoryDB, cols: _FoldColumns, lo: int, hi: int) -> tuple[np.ndarr
     run_cut = np.logical_or.reduceat(cut, heads)
     run_resume = np.logical_or.reduceat(resume, heads)
     apps = slice(cols.app_off[lo], cols.app_off[hi])
-    hits = np.unique(np.concatenate((
+    hits = distinct(np.concatenate((
         runs * size + slot,
         runs[run_cut] * size + n + slot[run_cut],
         runs[run_resume] * size + 2 * n + slot[run_resume],
         cols.app_run[apps] * size + cols.app_cell[apps])))
-    if carried:
-        hits = hits[~np.isin(hits, [g0 * size + cell for cell in carried])]
+    if carried:  # a table over one run's cells: np.isin's sorting path loads numpy.ma
+        hits = hits[~np.isin(hits, [g0 * size + cell for cell in carried], kind="table")]
     runs, cells = np.divmod(hits, size)
     np.add.at(db._hist, cells, 1)
     counted = set(cells[runs == g1 - 1].tolist())

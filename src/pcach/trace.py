@@ -42,7 +42,9 @@ Every row enters the columns through one builder, whatever its source:
 ``Trace(phone_id, samples)``, the JSONL parser and the CSV parser all hand
 it their rows, and it checks each row and its app records, interns the
 SSIDs, visible sets and app ids and appends the row. The parsers keep only
-their format's syntax and line numbers.
+their format's syntax and line numbers, and read one line at a time:
+:func:`read_trace` streams the file, so a read holds the columns it builds
+and one line, never the file's bytes.
 
 Two derived notions drive everything downstream:
 
@@ -182,6 +184,24 @@ def _check_sample(t: int, active: ActiveNetwork, ssid: Optional[str],
             if app_id in seen:
                 raise TraceValidationError(f"t={t}: duplicate app record {app_id!r}")
             seen.add(app_id)
+
+
+def used_ids(ids: np.ndarray, size: int) -> list[int]:
+    """The ids of a table of ``size`` entries that the id column ``ids``
+    names, ascending; -1 (none) is left out. A count, not ``np.unique``,
+    whose first call loads ``numpy.ma``."""
+    return np.flatnonzero(np.bincount(ids + 1, minlength=size + 1)[1:]).tolist()
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending, as ``np.unique`` gives
+    them for values that hold no NaN, found by sorting without loading
+    ``numpy.ma``."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _int64_column(values, what: str) -> np.ndarray:
@@ -592,6 +612,7 @@ _CSV_FIELDS = ("phone_id", "t", "active", "ssid", "visible", "app_id", "up", "do
 
 
 _BLOCK_ROWS = 1024  # rows the writers encode at a time
+_READ_BUFFER = 1 << 16  # bytes the reader takes from a file at a time (io reads 8 KiB)
 
 
 def _blocks(trace: Trace, encode: Callable[[Trace], str]) -> Iterator[bytes]:
@@ -648,9 +669,9 @@ def _csv_blocks(trace: Trace) -> Iterator[bytes]:
     string is quoted once, up front, and a visible set CSV cannot carry is
     refused here, before any block is encoded.
     """
-    ssid_text = [trace.ssids[i] for i in np.unique(trace.ssid).tolist() if i >= 0]
+    ssid_text = [trace.ssids[i] for i in used_ids(trace.ssid, len(trace.ssids))]
     visible_text = _visible_cells(trace)
-    app_text = [trace.app_ids[i] for i in np.unique(trace.app).tolist()]
+    app_text = [trace.app_ids[i] for i in used_ids(trace.app, len(trace.app_ids))]
     quote_all = any("\r" in text for text in
                     (trace.phone_id, *ssid_text, *filter(None, visible_text), *app_text))
 
@@ -702,7 +723,7 @@ def _visible_cells(trace: Trace) -> list[Optional[str]]:
     """
     cells: list[Optional[str]] = [None] * len(trace.visible_sets)
     bad = []
-    for vid in np.unique(trace.visible).tolist():
+    for vid in used_ids(trace.visible, len(trace.visible_sets)):
         ssids = trace.visible_sets[vid]
         if any(not v or ";" in v for v in ssids):
             bad.append(vid)
@@ -717,19 +738,10 @@ def _visible_cells(trace: Trace) -> list[Optional[str]]:
     return cells
 
 
-def _decode_utf8(data: bytes, line_no: Optional[int] = None) -> str:
-    """UTF-8 text of ``data``; invalid bytes are a line-numbered parse error.
-
-    Without ``line_no`` the line is counted from the offending byte offset.
-    """
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        if line_no is None:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-        raise TraceParseError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})", line_no
-        ) from None
+def _utf8_error(exc: UnicodeDecodeError, line_no: int) -> TraceParseError:
+    """The parse error of an invalid UTF-8 byte on line ``line_no``."""
+    return TraceParseError(
+        f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line_no)
 
 
 def _type_error(field: str, expected: str, value) -> TraceValidationError:
@@ -745,22 +757,42 @@ def _jsonl_visible(raw: tuple) -> frozenset[str]:
     return frozenset(raw)
 
 
-def _parse_jsonl(data: bytes) -> _Columns:
-    scan = json.JSONDecoder().scan_once  # what raw_decode(text) runs at index 0
+_scan_json = json.JSONDecoder().scan_once  # what raw_decode(text) runs at index 0
+
+
+def _parse_jsonl(lines: Iterator[bytes]) -> _Columns:
+    """The rows of a stream of LF-terminated byte lines; the BOM of the
+    first line is dropped."""
     cols = _Columns(_jsonl_visible)
+    first = next(lines, b"").removeprefix(codecs.BOM_UTF8)
+    _jsonl_rows(cols, itertools.chain((first,), lines), 0)
+    return cols
+
+
+def _jsonl_rows(cols: _Columns, lines: Iterable[bytes], line_no: int) -> int:
+    """Add the rows of ``lines`` after line ``line_no``; returns the last
+    line's number.
+
+    Lines end as bytes.splitlines ends them in the whole file, at CR LF, CR
+    or LF. A CR LF pair never straddles two LF-terminated lines, so a line
+    holding a CR is split alone, by a call on its parts. They split on
+    bytes: the writer keeps U+2028/U+0085 raw inside SSIDs, and
+    str.splitlines would break a record there.
+    """
+    scan = _scan_json
     row, record, close = cols.row, cols.record, cols.close
-    # Lines split as bytes.splitlines splits them, at CR LF, CR or LF, read
-    # one at a time. They split on bytes: the writer keeps U+2028/U+0085 raw
-    # inside SSIDs, and str.splitlines would break a record there.
-    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    for line_no, raw in enumerate(io.BytesIO(data), start=1):
+    for raw in lines:
+        if 13 in raw:  # a CR: the parts hold none
+            line_no = _jsonl_rows(cols, raw.splitlines(), line_no)
+            continue
+        line_no += 1
         line = raw.strip()
         if not line:
             continue
         try:
             text = line.decode()
-        except UnicodeDecodeError:
-            _decode_utf8(line, line_no)
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, line_no) from None
         try:
             obj, end = scan(text, 0)
         except StopIteration:
@@ -801,7 +833,7 @@ def _parse_jsonl(data: bytes) -> _Columns:
             raise TraceParseError(f"missing field {exc.args[0]!r}", line_no) from None
         except (TypeError, TraceValidationError) as exc:
             raise TraceParseError(str(exc), line_no) from None
-    return cols
+    return line_no
 
 
 _CSV_BOOLS = {"true": True, "1": True, "false": False, "0": False}
@@ -811,7 +843,27 @@ def _csv_visible(cell: str) -> frozenset[str]:
     return frozenset(v for v in cell.split(";") if v)
 
 
-def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
+def _parse_csv(lines: Iterator[bytes]) -> tuple[Optional[str], _Columns]:
+    """The rows of a stream of LF-terminated byte lines, each decoded alone
+    (see :func:`_csv_rows`). An invalid UTF-8 byte anywhere fails before
+    any row fault: a row fault first reads the rest of the stream for one."""
+    decoded = map(bytes.decode, lines)
+    reader = csv.reader(decoded)
+    try:
+        return _csv_rows(reader)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(exc, reader.line_num + 1) from None
+    except TraceParseError:
+        line_no = reader.line_num
+        try:
+            for line_no, _ in enumerate(decoded, start=line_no + 1):
+                pass
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, line_no + 1) from None
+        raise
+
+
+def _csv_rows(reader) -> tuple[Optional[str], _Columns]:
     """Rows in one pass; a run of contiguous rows sharing (t, active, ssid,
     visible) forms one sample, one row per app record; a row with an empty
     app id and blank up, down and running cells holds none.
@@ -821,11 +873,6 @@ def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
     reported at its row; a sample fault, found when the sample closes after
     its app rows, at the sample's first row.
     """
-    if not data.isascii():
-        _decode_utf8(data)  # an invalid byte fails before any row does
-    # the text's lines, split on LF as io.StringIO splits them, decoded one
-    # at a time rather than held whole
-    reader = csv.reader(map(bytes.decode, io.BytesIO(data)))
     n_fields = len(_CSV_FIELDS)
     cols = _Columns(_csv_visible)
     row, record, close = cols.row, cols.record, cols.close
@@ -875,7 +922,8 @@ def _parse_csv(data: bytes) -> tuple[Optional[str], _Columns]:
 
 def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
                  nominal_period_s: int = DEFAULT_PERIOD_S) -> Trace:
-    """Parse a byte stream in one of the two wire formats into a Trace.
+    """Parse a trace in one of the two wire formats from ``bytes``, a
+    ``str`` or a binary or text file object, read one line at a time.
 
     JSONL holds one object per line; every field must have its JSON type
     (``running`` a boolean, ``visible`` a list of strings, ...). In CSV a
@@ -890,28 +938,37 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     argument. Malformed input, invalid UTF-8 and a ``str`` holding a lone
     surrogate included, raises :class:`TraceParseError` with the line number.
     """
-    if hasattr(source, "read"):
-        data = source.read()
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    if isinstance(source, (bytes, bytearray)):
+        lines = io.BytesIO(source)
+    elif isinstance(source, io.TextIOBase):
+        lines = _encoded(source)
+    elif hasattr(source, "read"):
+        lines = iter(source)
     else:
-        data = source
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise TraceParseError(
-                f"unencodable character U+{ord(data[exc.start]):04X} ({exc.reason})",
-                data.count("\n", 0, exc.start) + 1) from None
-    if not isinstance(data, (bytes, bytearray)):
         raise TraceParseError(f"unsupported source type {type(source).__name__}")
-
     fmt = fmt.lower()
     if fmt == "jsonl":
-        csv_phone, cols = None, _parse_jsonl(bytes(data))
+        csv_phone, cols = None, _parse_jsonl(lines)
     elif fmt == "csv":
-        csv_phone, cols = _parse_csv(bytes(data))
+        csv_phone, cols = _parse_csv(lines)
     else:
         raise TraceParseError(f"unknown trace format {fmt!r}")
     return cols.last_wins(csv_phone if csv_phone else phone_id, nominal_period_s)
+
+
+def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
+    """The UTF-8 bytes of each line of a text stream; a lone surrogate is a
+    line-numbered parse error."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            data = line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TraceParseError(
+                f"unencodable character U+{ord(line[exc.start]):04X} ({exc.reason})",
+                line_no) from None
+        yield data
 
 
 def _file_format(path: Path, fmt: Optional[str]) -> str:
@@ -926,11 +983,13 @@ def read_trace(path, fmt: Optional[str] = None,
                nominal_period_s: int = DEFAULT_PERIOD_S) -> Trace:
     """Load a trace file; the format defaults from the file suffix.
 
-    A package error raised while reading keeps its class and line number,
-    and its message starts with the path.
+    The file is parsed one line at a time, so the reader holds the columns
+    it builds and one line, not the file's bytes. A package error raised
+    while reading keeps its class and line number, and its message starts
+    with the path.
     """
     p = Path(path)
-    with _naming(p), open(p, "rb") as fh:
+    with _naming(p), open(p, "rb", buffering=_READ_BUFFER) as fh:
         return ingest_trace(fh, fmt=_file_format(p, fmt), phone_id=p.stem,
                             nominal_period_s=nominal_period_s)
 
@@ -995,7 +1054,7 @@ def derive_preferred_profile(
     if not len(trace):
         raise EmptyTraceError("cannot derive a profile from an empty trace")
 
-    preferred = {trace.ssids[i] for i in np.unique(trace.ssid).tolist() if i >= 0}
+    preferred = {trace.ssids[i] for i in used_ids(trace.ssid, len(trace.ssids))}
     if not preferred:
         return PreferredNetworkProfile(frozenset(), (), None, None)
 

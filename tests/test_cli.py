@@ -35,13 +35,14 @@ def test_child_imports_the_package_under_test(tmp_path):
     assert res.stdout.strip() == pcach.__file__
 
 
-def _child_modules(code, cwd, package="pcach"):
-    """The modules of ``package`` a child Python process holds after ``code``."""
+def _child_modules(code, cwd, package="pcach", threads="2"):
+    """The modules of ``package`` a child Python process holds after ``code``,
+    run with ``threads`` workers."""
     res = subprocess.run(
         [sys.executable, "-c", "import atexit, sys\n"
          "atexit.register(lambda: print(*sorted(m for m in sys.modules"
          f" if m.split('.')[0] == {package!r})))\n" + code],
-        cwd=cwd, env=cli_env(PCACH_THREADS="2"), capture_output=True, text=True,
+        cwd=cwd, env=cli_env(PCACH_THREADS=threads), capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
     return set(res.stdout.splitlines()[-1].split())
@@ -99,6 +100,30 @@ def test_generate_and_mining_commands_load_no_predictor_module(corpus, tmp_path,
     if args[0] != "generate":
         unused.add("pcach.synth")
     assert not modules & unused
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--phones", "2", "--days", "2", "--format", "jsonl"],
+    ["generate", "--phones", "2", "--days", "2", "--format", "csv"],
+    ["mine", "--traces", "traces"],
+    ["gaps", "--traces", "traces"],
+    ["bound", "--traces", "traces"],
+    ["backtest", "--predictor", "history", "--k", "3", "--traces", "traces"],
+    ["backtest", "--predictor", "adaboost", "--k", "3", "--traces", "traces"],
+    ["sweep-k", "--traces", "traces"],
+], ids=["generate-jsonl", "generate-csv", "mine", "gaps", "bound", "backtest-history",
+        "backtest-adaboost", "sweep-k"])
+def test_no_command_loads_numpy_ma(corpus, tmp_path, args):
+    # numpy.ma costs each worker about 1.25 MB and 10 ms; np.unique and
+    # np.median load it on first use. One worker runs every phone in the
+    # command's own process, so its modules are all the run loads.
+    argv = [*args, "--out", str(tmp_path / "out")]
+    modules = _child_modules(
+        "import runpy\n"
+        f"sys.argv = ['pcach', *{argv!r}]\n"
+        "runpy.run_module('pcach', run_name='__main__', alter_sys=True)",
+        cwd=corpus, package="numpy", threads="1")
+    assert "numpy" in modules and "numpy.ma" not in modules
 
 
 def test_jsonl_and_csv_corpora_mine_to_the_same_bytes(tmp_path):

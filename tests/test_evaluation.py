@@ -20,7 +20,8 @@ from pcach.evaluation import (
     score_app_prediction,
     tpr_fpr,
 )
-from pcach.history import fold_rows, rank_slot_apps, selected_apps, slot_groups
+from pcach.history import (EventKind, FoldedRuns, fold_rows, rank_slot_apps, selected_apps,
+                           slot_groups)
 from pcach.pipeline import PCachConfig, PredictorKind
 from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
@@ -252,6 +253,21 @@ def test_backtest_adaboost_panel_row_at_selected_threshold_equals_cut(medium_tra
     assert len(rows) == 1
     assert rows[0].test == report.cut
     assert report.cut.total == report.test_slots
+
+
+def test_backtest_adaboost_reads_each_periods_cut_features_once(medium_trace, monkeypatch):
+    # the panel's test counts come from the margins that decided each cut
+    trace, cfg = medium_trace
+    calls = []
+    features = FoldedRuns.features
+
+    def spy(runs, slots, at, kind):
+        calls.append((kind, len(slots)))
+        return features(runs, slots, at, kind)
+    monkeypatch.setattr(FoldedRuns, "features", spy)
+    report = backtest(trace, _config(cfg, kind=PredictorKind.ADABOOST), seed=3)
+    cut_rows = [n for kind, n in calls if kind is EventKind.CUT]
+    assert len(cut_rows) == 2 and cut_rows[1] == report.test_slots  # training, then test
 
 
 def _poison(trace, start_index):

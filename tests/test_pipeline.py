@@ -378,9 +378,9 @@ def test_early_stopping_scan_equals_the_full_look_ahead_scan(seed, cut, resume, 
     want = adaboost_scan_oracle(config, runs)
     rows, labels = [], pipeline._labels
 
-    def spy(model, X):
+    def spy(model, X, *values):
         rows.append(len(X))
-        return labels(model, X)
+        return labels(model, X, *values)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_SCAN_ROWS", scan_rows)
         mp.setattr(pipeline, "_labels", spy)
