@@ -15,9 +15,17 @@ orders, sorted labels and split boundaries (the pre-sorted column block of
 exact greedy split finding). A round sums the weights of each label class
 over that class's sorted rows alone; the errors are bit-identical to running
 sums over whole columns, whose terms for the other class are +0.0 added to a
-non-negative sum. :meth:`AdaBoostModel.exact_margins` scores
-many rows with one margins call, such that every comparison with a given
-threshold answers as one-row calls would.
+non-negative sum.
+
+A row's margin is the same IEEE sum whatever the batch, BLAS library or SIMD
+target, so a slot scores the same in a backtest, on a phone and one row at a
+time. :meth:`AdaBoostModel.decision_margins` takes each stump's vote as
++-(polarity * alpha), an exact product, and folds the votes with a fixed
+halving tree of elementwise adds: while r > 1 votes remain, the last
+r // 2 are added onto the first r // 2. There is no ``@``: a BLAS dot
+product sums in an order that depends on its kernel and on the batch size.
+Training reweights by ``math.exp(+-alpha)``, not ``np.exp``, whose SIMD
+paths differ from libm in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +51,6 @@ from .history import N_FEATURES, FeatureVector
 
 EPS_CLAMP = 1e-10
 DEFAULT_ROUNDS = 50
-# relative bound on how far two summation orders of one margin can drift
-_MARGIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,45 +98,30 @@ class AdaBoostModel:
 
     @cached_property
     def _packed(self) -> tuple[np.ndarray, ...]:
-        polarities = np.array([s.polarity for s in self.stumps], dtype=float)
+        signed = np.array([[s.polarity * s.alpha] for s in self.stumps])
         return (
-            np.array([s.alpha for s in self.stumps]),
             np.array([s.feature_index - 1 for s in self.stumps]),
-            np.array([s.threshold for s in self.stumps]),
-            polarities,
-            -polarities,
+            np.array([[s.threshold] for s in self.stumps]),
+            signed,
+            -signed,
         )
 
     def decision_margins(self, X: np.ndarray) -> np.ndarray:
+        """The margin of each row of ``X``: the stump votes summed by the
+        halving fold of the module docstring, bit for bit the same for a
+        row however it is batched."""
         if not self.stumps:
             raise ModelError("model has no stumps")
         if type(X) is not np.ndarray or X.ndim != 2 or X.dtype != float:
             X = np.atleast_2d(np.asarray(X, dtype=float))
-        alphas, feats, thresholds, polarities, negated = self._packed
-        preds = np.where(X[:, feats] > thresholds, polarities, negated)
-        return preds @ alphas
-
-    def exact_margins(self, X: np.ndarray, values) -> np.ndarray:
-        """:meth:`decision_margins` of the rows of ``X`` from one batched
-        call, such that comparing row ``i``'s margin with any of ``values``
-        gives the answer of a one-row call on ``X[i:i + 1]``.
-
-        A batched margin and a one-row margin may differ in the last bits
-        (the sums run in another order), so a margin within rounding
-        distance of one of ``values`` is replaced by its one-row margin.
-        """
-        margins = self.decision_margins(X)
-        near = np.zeros(len(margins), dtype=bool)
-        for value in values:
-            near |= np.abs(margins - value) <= _MARGIN_TOLERANCE * (self._alpha_total
-                                                                     + abs(value))
-        for i in np.flatnonzero(near).tolist():
-            margins[i] = self.decision_margins(X[i:i + 1])[0]
-        return margins
-
-    @cached_property
-    def _alpha_total(self) -> float:
-        return float(sum(abs(s.alpha) for s in self.stumps))
+        feats, thresholds, signed, negated = self._packed
+        votes = np.where(X.T[feats] > thresholds, signed, negated)
+        left = len(votes)
+        while left > 1:
+            half = left // 2
+            votes[:half] += votes[left - half:left]
+            left -= half
+        return votes[0].copy()     # not a view that holds every vote
 
     def to_json(self) -> str:
         return json.dumps({
@@ -278,7 +269,7 @@ def train_adaboost_xy(X, y, rounds: int = DEFAULT_ROUNDS,
                       polarity=polarity, alpha=alpha)
         stumps.append(stump)
         h = stump.predict(X)
-        w = w * np.exp(-alpha * y * h)
+        w = w * np.where(y * h > 0, math.exp(-alpha), math.exp(alpha))
         w = w / w.sum()
         log.append(RoundLog(epsilon=eps, alpha=alpha, weight_sum=float(w.sum())))
         if eps <= EPS_CLAMP:

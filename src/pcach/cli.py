@@ -3,7 +3,8 @@
 Every command writes its outputs plus a ``manifest.json`` recording the
 command, the fully resolved parameter set and the file names produced, so a
 run can be reproduced by re-invocation. Outputs are deterministic given
-(inputs, flags, seed). Per-phone work fans out to a process pool capped by
+(inputs, flags, seed), on any machine: no output depends on the BLAS kernel
+or the SIMD target numpy runs (see :mod:`pcach.boosting`). Per-phone work fans out to a process pool capped by
 the ``PCACH_THREADS`` environment variable. A module that only some
 commands run is imported inside those commands, before the pool starts, so
 ``mine``, ``gaps`` and ``bound`` never load the generator or the predictors.

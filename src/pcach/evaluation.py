@@ -54,7 +54,6 @@ from .history import (
     slot_groups,
 )
 from .pipeline import (
-    AdaBoostPredictor,
     PCachConfig,
     Predictor,
     PredictorKind,
@@ -565,13 +564,7 @@ def backtest(
                                            training_log=())
         config = dataclasses.replace(config, cut_model=cut_model,
                                      resume_model=resume_model)
-    if predictor_override is not None:
-        predictor = predictor_override
-    elif cut_model is not None:
-        # its cut margins serve the panel too: they are exact at every threshold
-        predictor = AdaBoostPredictor(config, cut_values=cut_thetas)
-    else:
-        predictor = make_predictor(config)
+    predictor = predictor_override or make_predictor(config)
 
     digest_parts = [db.to_json()]
     if cut_model is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
@@ -119,25 +119,20 @@ class AdaBoostPredictor:
     each twice as long as the one before, and scores a chunk only for the
     predicted cuts that have found no positive slot yet, a block of cuts
     per margins call of at most ``_SCAN_ROWS`` rows. A margin tied with a
-    model's threshold is negative, and every verdict is the one a one-row
-    margins call gives, so the first positive slot does not depend on how
-    the scan is cut into calls. The cut margins it returns compare with each
-    of ``cut_values`` as one-row margins do, too (see
-    :meth:`~pcach.boosting.AdaBoostModel.exact_margins`).
+    model's threshold is negative. A row's margin does not depend on its
+    batch, so neither does the first positive slot.
     """
 
-    def __init__(self, config: PCachConfig, cut_values: Sequence[float] = ()):
+    def __init__(self, config: PCachConfig):
         if config.cut_model is None or config.resume_model is None:
             raise ConfigError("boosted predictor requires trained cut and resume models")
         self.config = config
-        self.cut_values = cut_values
 
     def predict(self, runs, rng):
         c = self.config
         targets = runs.slots + 1
         at = np.arange(len(runs))
-        cut, cut_margins = _labels(c.cut_model, runs.features(targets, at, EventKind.CUT),
-                                   self.cut_values)
+        cut, cut_margins = _labels(c.cut_model, runs.features(targets, at, EventKind.CUT))
         resume_next, _ = _labels(c.resume_model, runs.features(targets, at, EventKind.RESUME))
         resume_slot = targets + c.default_gap_slots
         pending = np.flatnonzero(cut)     # the cuts with no positive slot yet
@@ -160,11 +155,9 @@ class AdaBoostPredictor:
         return cut, cut_margins, resume_next, resume_slot
 
 
-def _labels(model: AdaBoostModel, X: np.ndarray,
-            values: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """(label is +1, margin) of each row, as one-row margins calls decide;
-    the margins are exact against ``values`` as well."""
-    margins = model.exact_margins(X, [model.decision_threshold, *values])
+def _labels(model: AdaBoostModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(label is +1, margin) of each row."""
+    margins = model.decision_margins(X)
     return margins > model.decision_threshold, margins
 
 

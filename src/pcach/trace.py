@@ -871,16 +871,19 @@ def _csv_rows(reader) -> tuple[Optional[str], _Columns]:
     A repeated timestamp further on starts a new sample, which last-wins
     deduplication collapses like any other duplicate. A record fault is
     reported at its row; a sample fault, found when the sample closes after
-    its app rows, at the sample's first row.
+    its app rows, at the sample's first row. A row is numbered by the
+    physical line it starts on, past any line feeds quoted in earlier rows.
     """
     n_fields = len(_CSV_FIELDS)
     cols = _Columns(_csv_visible)
     row, record, close = cols.row, cols.record, cols.close
     phone_id: Optional[str] = None
     head: Optional[list[str]] = None  # raw (t, active, ssid, visible) of the open sample
-    line_no = head_line = 0
+    head_line = 0
+    next_line = 1  # the physical line the next row starts on
     try:
-        for line_no, cells in enumerate(reader, start=1):
+        for cells in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             pid = cells[0] if cells else ""
             if (not pid or pid.isspace()) and not "".join(cells).strip():
                 continue  # blank line or only blank cells
@@ -914,7 +917,7 @@ def _csv_rows(reader) -> tuple[Optional[str], _Columns]:
         if head is not None:
             close()
     except csv.Error as exc:
-        raise TraceParseError(f"malformed CSV ({exc})", line_no + 1) from None
+        raise TraceParseError(f"malformed CSV ({exc})", next_line) from None
     except TraceValidationError as exc:  # from row() or close(): a sample fault
         raise TraceParseError(str(exc), head_line) from None
     return phone_id, cols

@@ -195,7 +195,7 @@ def adaboost_scan_oracle(config, runs, scan_rows=2048):
     ``config.max_lookahead_slots`` look-ahead slots of every predicted cut,
     a block of cuts per margins call of about ``scan_rows`` rows."""
     def labels(model, X):
-        margins = model.exact_margins(X, [model.decision_threshold])
+        margins = model.decision_margins(X)
         return margins > model.decision_threshold, margins
 
     targets = runs.slots + 1

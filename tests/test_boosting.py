@@ -351,22 +351,47 @@ def test_presorted_training_writes_the_resorting_model(data, rounds):
     assert model.training_log == oracle.training_log
 
 
-def test_exact_margins_match_one_row_decisions():
-    rng = seeded_rng(8)
-    stumps = tuple(Stump(int(f), float(t), int(p), float(a)) for f, t, p, a in zip(
-        rng.integers(1, 10, 40), rng.normal(size=40).round(1), rng.choice([-1, 1], 40),
-        rng.random(40)))
-    X = rng.normal(size=(300, 9)).round(1)
-    model = AdaBoostModel(stumps, 40)
-    one_row = np.array([model.decision_margins(X[i:i + 1])[0] for i in range(len(X))])
-    # thresholds on the one-row margins themselves: the batched sums may
-    # land a last bit away from them
-    thresholds = [*one_row[::7], -100.0, 100.0]
-    for thr in thresholds:
-        margins = model.exact_margins(X, [thr])
-        assert np.array_equal(margins > thr, one_row > thr)
-    # one call serves every compared value at once
-    margins = model.exact_margins(X, thresholds)
-    for thr in thresholds:
-        assert np.array_equal(margins > thr, one_row > thr)
-        assert np.array_equal(margins == thr, one_row == thr)
+# features on a small grid, with stump thresholds on the grid points: many
+# rows lie on a threshold, where a stump votes negative
+_GRID = (0.0, 0.5, 1.0, 2.0)
+_MARGIN_STUMPS = st.lists(st.builds(
+    Stump, st.integers(1, 9), st.sampled_from(_GRID), st.sampled_from([-1, 1]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.1, 1.0), st.integers(-9, 3))),
+    min_size=1, max_size=60)
+
+
+@st.composite
+def _margin_cases(draw):
+    stumps = draw(_MARGIN_STUMPS)
+    n = draw(st.integers(1, 40))
+    bits = st.integers(0, 1)
+    rows = draw(st.lists(st.tuples(bits, bits, bits, st.integers(0, 3), bits, bits, bits,
+                                   st.integers(0, 3), st.sampled_from([0.0, 0.5, 1.0])),
+                         min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return AdaBoostModel(tuple(stumps), len(stumps)), np.array(rows, dtype=float), cuts
+
+
+@settings(deadline=None, max_examples=200)
+@given(_margin_cases())
+def test_a_rows_margin_does_not_depend_on_its_batch(case):
+    model, X, cuts = case
+    margins = model.decision_margins(X)
+    assert margins.shape == (len(X),)
+    # any split into batches, empty ones too
+    batched = np.concatenate([model.decision_margins(part) for part in np.split(X, cuts)])
+    assert batched.tobytes() == margins.tobytes()
+    for i, x in enumerate(X):
+        assert model.decision_margins(X[i:i + 1]).tobytes() == margins[i:i + 1].tobytes()
+        label, margin = adaboost_predict(model, FeatureVector.from_row(x))
+        assert np.float64(margin).tobytes() == margins[i].tobytes()
+        assert label == (1 if margins[i] > model.decision_threshold else -1)
+
+
+def test_margins_fold_the_last_half_of_the_votes_onto_the_first():
+    # votes (1e16, 1, -1e16): the fold adds the third onto the first, then
+    # the second, and keeps the 1 that a left-to-right sum rounds away
+    model = AdaBoostModel((Stump(1, 0.5, 1, 1e16), Stump(1, 0.5, 1, 1.0),
+                           Stump(1, 0.5, -1, 1e16)), 3)
+    assert model.decision_margins(np.ones((1, 9))).tolist() == [1.0]
+    assert (1e16 + 1.0) - 1e16 == 0.0

@@ -1,10 +1,12 @@
 import csv
 import hashlib
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcach
@@ -679,14 +681,14 @@ _REPLAY_COMMANDS = (
 )
 _PINNED_REPLAY_DIGESTS = {
     "bt-ada/models/phone-000.cut.json":
-        "9affce5c2fc038aad978294cd0b4d8ca319bfdac947271ea78fdab71a2669c3b",
+        "c343d45240f3508dad95956b604b46557e5f2427dd6664f7c70c973a720d5e42",
     "bt-ada/models/phone-000.resume.json":
-        "3fc5a795f50bf7be4f44a4f3472b58cd24a30348ebfd4a32a7caaefdc0f0a190",
+        "bf495bc3f68a23fce5ef9d46d37e704f167f5e82614707abc0ba93eb733c6f25",
     "bt-ada/models/phone-001.cut.json":
-        "039bceb07f483d01bfb0e9ffa57b88717407b3aa53c84c9bfba5db9cf9a1f06b",
+        "bd4d7c9e5d832f2b48aaa2aadd09495922fd078d77ab111ea0b8fca0ca3b0857",
     "bt-ada/models/phone-001.resume.json":
-        "d6215d7889cc8f8de3724ab459b5f6c830f8efea9b21e4caa04df52d78ace5e2",
-    "bt-ada/reports.json": "8239c6bfab20e2df156e2018a9c80dc6b25067277a073cbf8165c834bb755cf4",
+        "4ba54be05987dce1af0b35251ba66d3b1099ed497ad905559efe25d0a0815365",
+    "bt-ada/reports.json": "a8d7aa07dd6b0985b6f9555a332bbf70473af384ab69a1b8000a3fb6af1c9f95",
     "bt-ada/summary.json": "efa5c2f155016375367a25634e71edb256ab0815e69a40f8d9fc6cd9c556429a",
     "bt-history/reports.json": "9b83f913ac227e221c6cb46ec4f80a2d8070bdf68c0bbdaf00ef2f7c9cdaa6f3",
     "bt-history/summary.json": "daa449a3adc038c37ac9a577eec71628efa6bcac8a93c9a5c9639d776f0c5972",
@@ -711,3 +713,50 @@ def _replay_digests(root):
 def test_replay_outputs_match_the_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.setenv("PCACH_THREADS", "1")
     assert _replay_digests(tmp_path) == _PINNED_REPLAY_DIGESTS
+
+
+def _dispatch_targets():
+    """The SIMD targets numpy dispatches to on this host, past its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def _on_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 prints its configuration only
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+_KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _on_openblas(),
+                    reason="needs numpy on OpenBLAS on x86-64")
+def test_adaboost_backtest_writes_the_same_bytes_on_the_oldest_kernels(tmp_path):
+    """The pinned corpus's AdaBoost backtest, run by a child process with
+    this host's kernels and by one with OpenBLAS's oldest x86-64 kernel and
+    numpy held to its baseline SIMD target, writes the same bytes: the
+    pinned digests hold on any x86-64 host, not on this one alone."""
+    assert main(["generate", "--phones", "2", "--days", "10", "--seed", "29",
+                 "--out", str(tmp_path / "traces")]) == 0
+    args = dict(_REPLAY_COMMANDS)["bt-ada"]
+    trees = {}
+    for name, kernels in (("host", {}), ("oldest", {
+            "OPENBLAS_CORETYPE": "Prescott",
+            "NPY_DISABLE_CPU_FEATURES": " ".join(_dispatch_targets())})):
+        env = {k: v for k, v in cli_env(PCACH_THREADS="1").items()
+               if k not in _KERNEL_VARIABLES}
+        (tmp_path / name).mkdir()
+        # the same relative --out in each run's own directory: equal manifests
+        res = subprocess.run(
+            [sys.executable, "-m", "pcach", *args, "--traces", str(tmp_path / "traces"),
+             "--out", "bt-ada"],
+            cwd=tmp_path / name, env={**env, **kernels}, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        trees[name] = tree_digest(tmp_path / name)
+    assert trees["oldest"] == trees["host"]

@@ -448,6 +448,21 @@ def test_read_trace_reports_an_invalid_byte_after_a_row_fault(tmp_path):
     assert (exc.value.line_no, str(exc.value)) == (3, f"{path}: line 3: invalid timestamp 'x'")
 
 
+@pytest.mark.parametrize("row, message", [
+    ("p,x,NONE,,,,,,", "invalid timestamp 'x'"),
+    ("p,1,NONE,,,a,1,2,maybe", "invalid boolean 'maybe'"),
+    ("p,1,NONE,,,,,,,", "expected 9 columns, got 10"),
+    ("p,1,NONE,s,s,,,,", "connected_ssid set on a NONE sample"),
+    (f'p,1,NONE,"{"s" * 200_000}",,,,,', "malformed CSV"),
+], ids=["timestamp", "boolean", "columns", "sample", "csv-error"])
+def test_csv_faults_name_the_physical_line_past_quoted_line_feeds(row, message):
+    # the first record's quoted cells hold line feeds: it spans lines 2-4
+    text = _CSV_HEADER + 'p,0,WIFI,"ho\nme","ho\nme;x",,,,\n' + row + "\n"
+    with pytest.raises(TraceParseError) as exc:
+        ingest_trace(text, fmt="csv")
+    assert exc.value.line_no == 5 and message in str(exc.value)
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_ingest_reads_unseekable_and_text_mode_files(tmp_path, fmt):
     trace = Trace("p", _SPECIAL_CELLS.samples)  # CR, LF, quotes and commas in the cells
