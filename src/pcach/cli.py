@@ -4,15 +4,21 @@ Every command writes its outputs plus a ``manifest.json`` recording the
 command, the fully resolved parameter set and the file names produced, so a
 run can be reproduced by re-invocation. Outputs are deterministic given
 (inputs, flags, seed), on any machine: no output depends on the BLAS kernel
-or the SIMD target numpy runs (see :mod:`pcach.boosting`). Per-phone work fans out to a process pool capped by
-the ``PCACH_THREADS`` environment variable. A module that only some
-commands run is imported inside those commands, before the pool starts, so
-``mine``, ``gaps`` and ``bound`` never load the generator or the predictors.
+or the SIMD target numpy runs (see :mod:`pcach.boosting`).
+
+Each command checks its flags first, then hands :func:`_run` a function
+that writes its files; ``_run`` alone creates ``--out``, writes the
+manifest, prints the closing line and takes back what a failed run wrote.
+Per-phone work fans out to a process pool capped by the ``PCACH_THREADS``
+environment variable. A module that only some commands run is imported
+inside those commands, before the pool starts, so ``mine``, ``gaps`` and
+``bound`` never load the generator or the predictors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -78,21 +84,54 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(path: str) -> Path:
-    """Create the output directory; commands call it once their inputs have
-    been read and checked, so a rejected run leaves no directory behind."""
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+def _run(args, command: str, params: dict, work) -> int:
+    """Run ``work(out_dir) -> (outputs, line)``, which writes one command's
+    files into ``--out`` and names them, then record the run in
+    ``manifest.json`` with ``params`` (the command's checked flags, as
+    given) and print ``line``.
+
+    ``--out`` and any missing parents are created before ``work`` runs. A
+    run that fails in any way takes back what it wrote: the topmost
+    directory it created, or, in an ``--out`` that was there before, every
+    file it created or changed and every directory it created.
+    """
+    out_dir = Path(args.out)
+    new = next((p for p in [*reversed(out_dir.parents), out_dir] if not p.exists()), None)
+    before = None if new else _tree_stamps(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs, line = work(out_dir)
+        _write_json(out_dir / "manifest.json", {
+            "command": command,
+            "version": __version__,
+            "parameters": {**params, "out": args.out},
+            "outputs": sorted(outputs),
+        })
+    except BaseException:
+        if new:
+            shutil.rmtree(new, ignore_errors=True)
+        else:
+            # a child sorts after its parent, so each directory is empty by
+            # the time its own turn comes
+            for path, stamp in sorted(_tree_stamps(out_dir).items(), reverse=True):
+                if path not in before or before[path] != stamp:
+                    with contextlib.suppress(OSError):
+                        (os.rmdir if stamp is None else os.unlink)(path)
+        raise
+    print(line)
+    return 0
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list[str]):
-    _write_json(out_dir / "manifest.json", {
-        "command": command,
-        "version": __version__,
-        "parameters": params,
-        "outputs": sorted(outputs),
-    })
+def _tree_stamps(root: Path) -> dict[str, tuple[int, int, int] | None]:
+    """(inode, modification time in ns, size) of every file under ``root``,
+    and None for every directory, keyed by path."""
+    stamps = {}
+    for top, dirs, files in os.walk(root):
+        stamps.update(dict.fromkeys(os.path.join(top, name) for name in dirs))
+        for name in files:
+            st = os.lstat(path := os.path.join(top, name))
+            stamps[path] = (st.st_ino, st.st_mtime_ns, st.st_size)
+    return stamps
 
 
 def _trace_paths(traces_dir: str) -> list[Path]:
@@ -124,8 +163,9 @@ def _per_phone(fn, paths: list[Path], **params) -> list:
 
 def _checked(flag: str, check, value):
     """``value`` once ``check(value)`` has passed; the ParameterError it
-    raises is reported under ``flag``. Commands check their flags before any
-    worker runs, so a rejected run creates no ``--out`` directory."""
+    raises is reported under ``flag``. Commands check their flags before
+    they read a trace or call :func:`_run`, so a bad flag exits 2 having
+    read nothing and created no ``--out``."""
     try:
         check(value)
     except ParameterError as exc:
@@ -133,14 +173,11 @@ def _checked(flag: str, check, value):
     return value
 
 
-def _checked_utc_offset(args) -> int:
-    """``--local-utc-offset``, in the range the history database accepts."""
-    return _checked("--local-utc-offset", check_utc_offset, args.local_utc_offset)
-
-
-def _checked_slot_minutes(args) -> int:
-    """``--slot-minutes``, a slot length that divides a day."""
-    return _checked("--slot-minutes", slots_per_day, args.slot_minutes)
+def _checked_clock(args) -> tuple[int, int]:
+    """``--slot-minutes``, a slot length that divides a day, and
+    ``--local-utc-offset``, in the range the history database accepts."""
+    return (_checked("--slot-minutes", slots_per_day, args.slot_minutes),
+            _checked("--local-utc-offset", check_utc_offset, args.local_utc_offset))
 
 
 def _normalized(trace):
@@ -181,48 +218,16 @@ def cmd_generate(args) -> int:
                                   days=args.days if args.days is not None else 60)
     if config.days < 1:
         raise PCachError(f"days must be positive, got {config.days}")
-    phone_ids = [f"phone-{i:03d}" for i in range(args.phones)]
-    traces = [f"{phone_id}.{args.format}" for phone_id in phone_ids]
-    created = not Path(args.out).exists()
-    out_dir = _out_dir(args.out)
-    before = _file_stamps(out_dir, traces)
-    try:
-        names = _parallel_map(_generate_one, [(config.to_json(), phone_id, str(out_dir),
-                                               args.format) for phone_id in phone_ids])
+
+    def work(out_dir):
+        names = _parallel_map(_generate_one, [(config.to_json(), f"phone-{i:03d}", str(out_dir),
+                                               args.format) for i in range(args.phones)])
         (out_dir / "generator_config.json").write_text(config.to_json() + "\n")
-        _write_manifest(out_dir, "generate", {
-            "phones": args.phones,
-            "days": config.days,
-            "seed": config.seed,
-            "format": args.format,
-            "config_file": args.config,
-            "out": args.out,
-        }, names + ["generator_config.json"])
-    except BaseException:
-        # a failed run takes back what it wrote: the directory it created,
-        # or else the traces it wrote into one that was there before
-        if created:
-            shutil.rmtree(out_dir, ignore_errors=True)
-        else:
-            for name, stamp in _file_stamps(out_dir, traces).items():
-                if before.get(name) != stamp:
-                    (out_dir / name).unlink(missing_ok=True)
-        raise
-    print(f"wrote {len(names)} traces to {out_dir}")
-    return 0
+        return names + ["generator_config.json"], f"wrote {len(names)} traces to {out_dir}"
 
-
-def _file_stamps(out_dir: Path, names: list[str]) -> dict[str, tuple[int, int, int]]:
-    """(inode, modification time in ns, size) of each of ``names`` that is
-    a file in ``out_dir``."""
-    stamps = {}
-    for name in names:
-        try:
-            st = (out_dir / name).stat()
-        except FileNotFoundError:
-            continue
-        stamps[name] = (st.st_ino, st.st_mtime_ns, st.st_size)
-    return stamps
+    return _run(args, "generate", {"phones": args.phones, "days": config.days,
+                                   "seed": config.seed, "format": args.format,
+                                   "config_file": args.config}, work)
 
 
 # ---------------------------------------------------------------------------
@@ -254,89 +259,82 @@ def _bound_phone(trace, *, horizons):
     return {"phone_id": norm.phone_id, "bound": horizon_sweep(norm, gaps, horizons)}
 
 
-def _run_mining(args, command: str, worker, emit: set[str], **flags) -> int:
-    """Run ``worker`` per phone and write the ``emit`` outputs; ``flags`` are
-    the command's own flags, passed to the worker and recorded."""
+def _checked_horizons(args) -> list[int]:
     horizons = _parse_int_list(args.horizons, "--horizons")
     if min(horizons) < 0:
         raise PCachError(f"--horizons: horizons must be non-negative, got {min(horizons)}")
-    results = _per_phone(worker, _trace_paths(args.traces), horizons=horizons, **flags)
-    out_dir = _out_dir(args.out)
+    return horizons
 
-    outputs = []
-    summary: dict = {"phones": len(results)}
 
-    if "traffic" in emit:
+def _write_bound(out_dir: Path, results, horizons) -> dict:
+    """Write ``bound_vs_horizon.csv``; returns the mean bound per horizon."""
+    _write_csv(out_dir / "bound_vs_horizon.csv",
+               ["phone_id", "horizon_min", "fraction"],
+               [[r["phone_id"], h, f"{frac:.6f}"]
+                for r in results for h, frac in r["bound"]])
+    return {str(h): float(np.mean([dict(r["bound"])[h] for r in results])) for h in horizons}
+
+
+def cmd_mine(args) -> int:
+    slot_minutes, utc_offset = _checked_clock(args)
+    horizons = _checked_horizons(args)
+    results = _per_phone(_mine_phone, _trace_paths(args.traces), horizons=horizons,
+                         slot_minutes=slot_minutes, local_utc_offset=utc_offset)
+
+    def work(out_dir):
         import statistics
+
         _write_csv(out_dir / "traffic_split.csv",
                    ["phone_id", "cellular_bytes", "wifi_bytes", "cellular_fraction"],
                    [[r["phone_id"], r["cellular_bytes"], r["wifi_bytes"],
                      f"{r['cellular_fraction']:.6f}"] for r in results])
-        outputs.append("traffic_split.csv")
-        total_cell = sum(r["cellular_bytes"] for r in results)
-        total = total_cell + sum(r["wifi_bytes"] for r in results)
-        fractions = [r["cellular_fraction"] for r in results]
-        summary["cellular_share"] = total_cell / total if total else 0.0
-        # statistics.median, not np.median, which loads numpy.ma
-        summary["cellular_share_median_phone"] = (
-            float(statistics.median(fractions)) if fractions else None)
-
-    if "gap_cdf" in emit:
         closed = [g for r in results for g in r["closed_gaps"]]
         _write_csv(out_dir / "gap_cdf.csv", ["duration_s", "fraction"],
                    [[d, f"{f:.6f}"] for d, f in gap_duration_cdf(closed)])
-        outputs.append("gap_cdf.csv")
-        summary["gaps_in_cdf"] = len(closed)
-
-    if "histogram" in emit:
         n = len(results[0]["cut_hist"])
         cut_total = [sum(r["cut_hist"][i] for r in results) for i in range(n)]
         res_total = [sum(r["resume_hist"][i] for r in results) for i in range(n)]
         _write_csv(out_dir / "event_histogram.csv",
                    ["slot_index", "slot_start_min", "cut_count", "resume_count"],
-                   [[i, i * args.slot_minutes, cut_total[i], res_total[i]]
-                    for i in range(n)])
-        outputs.append("event_histogram.csv")
-        summary["total_cut_events"] = sum(cut_total)
-        summary["total_resume_events"] = sum(res_total)
+                   [[i, i * slot_minutes, cut_total[i], res_total[i]] for i in range(n)])
+        total_cell = sum(r["cellular_bytes"] for r in results)
+        total = total_cell + sum(r["wifi_bytes"] for r in results)
+        _write_json(out_dir / "summary.json", {
+            "phones": len(results),
+            "cellular_share": total_cell / total if total else 0.0,
+            # statistics.median, not np.median, which loads numpy.ma
+            "cellular_share_median_phone": float(statistics.median(
+                [r["cellular_fraction"] for r in results])),
+            "gaps_in_cdf": len(closed),
+            "total_cut_events": sum(cut_total),
+            "total_resume_events": sum(res_total),
+            "mean_bound_by_horizon": _write_bound(out_dir, results, horizons),
+            "total_gaps": sum(r["n_gaps"] for r in results),
+            "open_gaps": sum(r["n_open"] for r in results),
+            "excluded_gaps": sum(r["n_excluded"] for r in results),
+        })
+        return (["traffic_split.csv", "gap_cdf.csv", "event_histogram.csv",
+                 "bound_vs_horizon.csv", "summary.json"],
+                f"mine: {len(results)} phones -> {out_dir}")
 
-    if "bound" in emit:
-        _write_csv(out_dir / "bound_vs_horizon.csv",
-                   ["phone_id", "horizon_min", "fraction"],
-                   [[r["phone_id"], h, f"{frac:.6f}"]
-                    for r in results for h, frac in r["bound"]])
-        outputs.append("bound_vs_horizon.csv")
-        summary["mean_bound_by_horizon"] = {
-            str(h): float(np.mean([dict(r["bound"])[h] for r in results]))
-            for h in horizons
-        }
-
-    if "gaps" in emit:
-        summary["total_gaps"] = sum(r["n_gaps"] for r in results)
-        summary["open_gaps"] = sum(r["n_open"] for r in results)
-        summary["excluded_gaps"] = sum(r["n_excluded"] for r in results)
-
-    _write_json(out_dir / "summary.json", summary)
-    outputs.append("summary.json")
-    _write_manifest(out_dir, command, {
-        "traces": args.traces,
-        "out": args.out,
-        "horizons": horizons,
-        **flags,
-    }, outputs)
-    print(f"{command}: {len(results)} phones -> {out_dir}")
-    return 0
-
-
-def cmd_mine(args) -> int:
-    return _run_mining(args, "mine", _mine_phone,
-                       {"traffic", "gap_cdf", "histogram", "bound", "gaps"},
-                       slot_minutes=_checked_slot_minutes(args),
-                       local_utc_offset=_checked_utc_offset(args))
+    return _run(args, "mine", {"traces": args.traces, "horizons": horizons,
+                               "slot_minutes": slot_minutes,
+                               "local_utc_offset": utc_offset}, work)
 
 
 def cmd_bound(args) -> int:
-    return _run_mining(args, "bound", _bound_phone, {"bound"})
+    horizons = _checked_horizons(args)
+    results = _per_phone(_bound_phone, _trace_paths(args.traces), horizons=horizons)
+
+    def work(out_dir):
+        _write_json(out_dir / "summary.json", {
+            "phones": len(results),
+            "mean_bound_by_horizon": _write_bound(out_dir, results, horizons),
+        })
+        return (["bound_vs_horizon.csv", "summary.json"],
+                f"bound: {len(results)} phones -> {out_dir}")
+
+    return _run(args, "bound", {"traces": args.traces, "horizons": horizons}, work)
 
 
 def _gaps_phone(trace):
@@ -352,17 +350,17 @@ def _gaps_phone(trace):
 
 def cmd_gaps(args) -> int:
     results = _per_phone(_gaps_phone, _trace_paths(args.traces))
-    out_dir = _out_dir(args.out)
     rows = [row for r in results for row in r["rows"]]
-    _write_csv(out_dir / "gaps.csv",
-               ["phone_id", "cut_time", "resume_time", "duration_s", "open", "excluded"],
-               rows)
-    _write_json(out_dir / "summary.json",
-                {"phones": len(results), "total_gaps": len(rows)})
-    _write_manifest(out_dir, "gaps", {"traces": args.traces, "out": args.out},
-                    ["gaps.csv", "summary.json"])
-    print(f"gaps: {len(rows)} gaps from {len(results)} phones -> {out_dir}")
-    return 0
+
+    def work(out_dir):
+        _write_csv(out_dir / "gaps.csv",
+                   ["phone_id", "cut_time", "resume_time", "duration_s", "open", "excluded"],
+                   rows)
+        _write_json(out_dir / "summary.json", {"phones": len(results), "total_gaps": len(rows)})
+        return (["gaps.csv", "summary.json"],
+                f"gaps: {len(rows)} gaps from {len(results)} phones -> {out_dir}")
+
+    return _run(args, "gaps", {"traces": args.traces}, work)
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +390,14 @@ def cmd_backtest(args) -> int:
         raise PCachError(f"--split: split ratio must lie in (0, 1), got {args.split}")
     if args.rounds < 1:
         raise PCachError(f"--rounds: rounds must be at least 1, got {args.rounds}")
-    paths = _trace_paths(args.traces)
+    slot_minutes, utc_offset = _checked_clock(args)
+    seed = args.seed if args.seed is not None else 0
     config = PCachConfig(
-        k=args.k, s_apps=s_apps, slot_minutes=_checked_slot_minutes(args),
+        k=args.k, s_apps=s_apps, slot_minutes=slot_minutes,
         predictor_kind=PredictorKind(args.predictor), adaboost_rounds=args.rounds,
     )
-    reports = _per_phone(backtest, paths, config=config, split=args.split,
-                         seed=args.seed if args.seed is not None else 0,
-                         utc_offset_s=_checked_utc_offset(args))
-    out_dir = _out_dir(args.out)
-
-    outputs = []
-    if args.predictor == "adaboost":
-        model_dir = out_dir / "models"
-        model_dir.mkdir(exist_ok=True)
-        for r in reports:
-            for kind, blob in (("cut", r.cut_model_json), ("resume", r.resume_model_json)):
-                if blob:
-                    name = f"models/{r.phone_id}.{kind}.json"
-                    (out_dir / name).write_text(blob + "\n")
-                    outputs.append(name)
+    reports = _per_phone(backtest, _trace_paths(args.traces), config=config, split=args.split,
+                         seed=seed, utc_offset_s=utc_offset)
 
     def macro(which):
         try:
@@ -420,31 +406,39 @@ def cmd_backtest(args) -> int:
             return None
         return rate_record(point.tpr, point.fpr)
 
-    summary = {
-        "predictor": args.predictor,
-        "k": args.k,
-        "phones": len(reports),
-        "macro_cut": macro("cut"),
-        "macro_resume": macro("resume"),
-        "macro_apps": macro("apps"),
-    }
-    _write_json(out_dir / "reports.json", [r.to_dict() for r in reports])
-    _write_json(out_dir / "summary.json", summary)
-    outputs += ["reports.json", "summary.json"]
-    _write_manifest(out_dir, "backtest", {
+    def work(out_dir):
+        outputs = []
+        if args.predictor == "adaboost":
+            (out_dir / "models").mkdir(exist_ok=True)
+            for r in reports:
+                for kind, blob in (("cut", r.cut_model_json), ("resume", r.resume_model_json)):
+                    if blob:
+                        name = f"models/{r.phone_id}.{kind}.json"
+                        (out_dir / name).write_text(blob + "\n")
+                        outputs.append(name)
+        _write_json(out_dir / "reports.json", [r.to_dict() for r in reports])
+        _write_json(out_dir / "summary.json", {
+            "predictor": args.predictor,
+            "k": args.k,
+            "phones": len(reports),
+            "macro_cut": macro("cut"),
+            "macro_resume": macro("resume"),
+            "macro_apps": macro("apps"),
+        })
+        return (outputs + ["reports.json", "summary.json"],
+                f"backtest[{args.predictor}]: {len(reports)} phones -> {out_dir}")
+
+    return _run(args, "backtest", {
         "traces": args.traces,
-        "out": args.out,
         "predictor": args.predictor,
         "k": args.k,
         "rounds": args.rounds,
         "split": args.split,
-        "seed": args.seed if args.seed is not None else 0,
-        "slot_minutes": args.slot_minutes,
-        "local_utc_offset": args.local_utc_offset,
+        "seed": seed,
+        "slot_minutes": slot_minutes,
+        "local_utc_offset": utc_offset,
         "s_apps_file": args.s_apps,
-    }, outputs)
-    print(f"backtest[{args.predictor}]: {len(reports)} phones -> {out_dir}")
-    return 0
+    }, work)
 
 
 def cmd_sweep_k(args) -> int:
@@ -453,39 +447,40 @@ def cmd_sweep_k(args) -> int:
     s_apps = _default_s_apps(args)
     ks = _parse_int_list(args.ks, "--ks") if args.ks is not None else list(PAPER_K_SET)
     feasible = [k for k in ks if 1 <= k <= len(s_apps)]
-    skipped_ks = [k for k in ks if k not in feasible]
     if not feasible:
         raise PCachError(f"no feasible K values in {ks} for {len(s_apps)} apps")
-    runs = _per_phone(app_prediction_run, _trace_paths(args.traces),
-                      s_apps=s_apps, ks=feasible, slot_minutes=_checked_slot_minutes(args),
-                      train_days=_checked("--train-days", check_train_days, args.train_days),
-                      utc_offset_s=_checked_utc_offset(args))
-    out_dir = _out_dir(args.out)
+    slot_minutes, utc_offset = _checked_clock(args)
+    train_days = _checked("--train-days", check_train_days, args.train_days)
+    runs = _per_phone(app_prediction_run, _trace_paths(args.traces), s_apps=s_apps,
+                      ks=feasible, slot_minutes=slot_minutes, train_days=train_days,
+                      utc_offset_s=utc_offset)
     rows = [[p.k, f"{p.point.tpr:.6f}", f"{p.point.fpr:.6f}",
              f"{p.quality_gap:.6f}", p.phones] for p in sweep_points(runs)]
-    _write_csv(out_dir / "sweep_k.csv",
-               ["k", "mean_tpr", "mean_fpr", "quality_gap", "phones"], rows)
     best = min(rows, key=lambda row: float(row[3])) if rows else None
-    _write_json(out_dir / "summary.json", {
-        "phones": len(runs),
-        "ks": feasible,
-        "infeasible_ks": skipped_ks,
-        "best_k": int(best[0]) if best else None,
-        "best_quality_gap": float(best[3]) if best else None,
-        "scored_gaps": sum(r.scored_gaps for r in runs),
-        "skipped_gaps": sum(r.skipped_gaps for r in runs),
-    })
-    _write_manifest(out_dir, "sweep-k", {
+
+    def work(out_dir):
+        _write_csv(out_dir / "sweep_k.csv",
+                   ["k", "mean_tpr", "mean_fpr", "quality_gap", "phones"], rows)
+        _write_json(out_dir / "summary.json", {
+            "phones": len(runs),
+            "ks": feasible,
+            "infeasible_ks": [k for k in ks if k not in feasible],
+            "best_k": int(best[0]) if best else None,
+            "best_quality_gap": float(best[3]) if best else None,
+            "scored_gaps": sum(r.scored_gaps for r in runs),
+            "skipped_gaps": sum(r.skipped_gaps for r in runs),
+        })
+        return (["sweep_k.csv", "summary.json"],
+                f"sweep-k: {len(rows)} K values over {len(runs)} phones -> {out_dir}")
+
+    return _run(args, "sweep-k", {
         "traces": args.traces,
-        "out": args.out,
         "ks": ks,
-        "slot_minutes": args.slot_minutes,
-        "train_days": args.train_days,
-        "local_utc_offset": args.local_utc_offset,
+        "slot_minutes": slot_minutes,
+        "train_days": train_days,
+        "local_utc_offset": utc_offset,
         "s_apps_file": args.s_apps,
-    }, ["sweep_k.csv", "summary.json"])
-    print(f"sweep-k: {len(rows)} K values over {len(runs)} phones -> {out_dir}")
-    return 0
+    }, work)
 
 
 # ---------------------------------------------------------------------------
@@ -534,27 +529,25 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
 
+    traces = argparse.ArgumentParser(add_help=False)
+    traces.add_argument("--traces", required=True)
+    traces.add_argument("--out", required=True)
+
     for name, fn, help_text in (
         ("mine", cmd_mine, "traffic split, gap CDF, event histograms, bound"),
         ("bound", cmd_bound, "pre-cache bound vs horizon only"),
     ):
-        m = sub.add_parser(name, help=help_text)
-        m.add_argument("--traces", required=True)
-        m.add_argument("--out", required=True)
+        m = sub.add_parser(name, help=help_text, parents=[traces])
         m.add_argument("--horizons", default=",".join(str(h) for h in DEFAULT_HORIZONS_MIN),
                        help="comma-separated horizon minutes")
         if name == "mine":
             _add_common(m)
         m.set_defaults(fn=fn)
 
-    gp = sub.add_parser("gaps", help="per-phone WiFi gap listings")
-    gp.add_argument("--traces", required=True)
-    gp.add_argument("--out", required=True)
+    gp = sub.add_parser("gaps", help="per-phone WiFi gap listings", parents=[traces])
     gp.set_defaults(fn=cmd_gaps)
 
-    b = sub.add_parser("backtest", help="chronological train/test evaluation")
-    b.add_argument("--traces", required=True)
-    b.add_argument("--out", required=True)
+    b = sub.add_parser("backtest", help="chronological train/test evaluation", parents=[traces])
     b.add_argument("--predictor", choices=("history", "adaboost"), required=True)
     b.add_argument("--k", type=int, default=10)
     b.add_argument("--rounds", type=int, default=50, help="boosting rounds")
@@ -566,9 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(b)
     b.set_defaults(fn=cmd_backtest)
 
-    s = sub.add_parser("sweep-k", help="quality-gap vs K sweep on true gaps")
-    s.add_argument("--traces", required=True)
-    s.add_argument("--out", required=True)
+    s = sub.add_parser("sweep-k", help="quality-gap vs K sweep on true gaps", parents=[traces])
     s.add_argument("--ks", default=None,
                    help="comma-separated K values (default: the paper's K set)")
     s.add_argument("--train-days", type=float, default=7.0)
