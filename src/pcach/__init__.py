@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "boosting": ("AdaBoostModel", "Stump", "adaboost_predict", "train_adaboost_xy"),
     "evaluation": ("ConfusionCounts", "RocPoint", "app_prediction_run", "backtest",
-                   "k_sweep", "macro_average", "quality_gap", "score_app_prediction",
-                   "tpr_fpr"),
+                   "k_sweep", "macro_average", "quality_gap", "tpr_fpr"),
     "history": ("EventKind", "FeatureVector", "HistoryDB", "extract_features", "fold_rows",
                 "history_predict_event", "predict_resume_slot", "predict_top_k_apps",
                 "update_history"),

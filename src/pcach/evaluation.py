@@ -2,10 +2,11 @@
 
 All scoring runs on the normalized timeline. Cut and resume prediction are
 scored at slot level: a slot is positive when it contains at least one true
-event. App prediction is scored per WiFi gap against the set of pre-cachable
-apps that actually moved bytes over cellular during the gap; gaps whose
-ground-truth set is empty are skipped and counted. Rates are macro-averaged
-across phones.
+event. App prediction is scored per WiFi gap against the pre-cachable apps
+that actually moved bytes over cellular during the gap; gaps in which none
+did are skipped and counted. Like cut and resume, it is one tally of paired
+booleans: a (gaps x apps) selection row per scored gap against its used row,
+both in ``s_apps`` order. Rates are macro-averaged across phones.
 
 The backtest and the K sweep start each phone from one replay state: the
 training rows' preferred-network profile, the normalized timeline, an empty
@@ -45,12 +46,11 @@ from .history import (
     DEFAULT_SLOT_MINUTES,
     EventKind,
     HistoryDB,
+    best_ranks,
     fold_rows,
     fold_runs,
     history_votes,
     newest_run,
-    rank_slot_apps,
-    selected_apps,
     slot_groups,
 )
 from .pipeline import (
@@ -161,31 +161,6 @@ def rate_record(tpr: float, fpr: float) -> dict:
     return {"tpr": tpr, "fpr": fpr, "quality_gap": quality_gap(tpr, fpr)}
 
 
-def score_app_prediction(
-    predicted: Iterable[str],
-    actually_used: Iterable[str],
-    s_apps: Sequence[str],
-) -> ConfusionCounts:
-    """Set-level confusion of a pre-cache selection against actual gap usage.
-
-    Ground truth is restricted to the pre-cachable universe ``s_apps``;
-    predictions outside it are rejected.
-    """
-    universe = set(s_apps)
-    p = set(predicted)
-    if not p <= universe:
-        raise ParameterError(
-            f"predicted apps outside the pre-cachable set: {sorted(p - universe)}"
-        )
-    u = set(actually_used) & universe
-    return ConfusionCounts(
-        tp=len(p & u),
-        fp=len(p - u),
-        fn=len(u - p),
-        tn=len(universe - (p | u)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared replay machinery
 # ---------------------------------------------------------------------------
@@ -218,24 +193,25 @@ class _Replay:
         resume_slots = {db.abs_slot(g.resume_time) for g in gaps if g.resume_time is not None}
         return cls(norm, db, gaps, by_cut_slot, resume_slots)
 
-    def used_apps(self, gap: WiFiGap) -> frozenset[str]:
-        """Pre-cachable apps (the database's tracked apps) that moved bytes
-        during a closed gap.
+    def used_apps(self, gap: WiFiGap) -> np.ndarray:
+        """Whether each pre-cachable app (the database's tracked apps, in
+        order) moved bytes during a closed gap, as one boolean each.
 
         Every sample in [cut, resume) of a closed gap is cellular: a WiFi
         sample would have resumed the gap and an off-network one would have
-        left it open. An open gap has no ground-truth window and yields the
-        empty set, so callers skip it like a gap in which no pre-cachable app
+        left it open. An open gap has no ground-truth window and yields all
+        False, so callers skip it like a gap in which no pre-cachable app
         was used.
         """
         if gap.resume_time is None:
-            return frozenset()
+            return np.zeros(len(self.db.tracked_apps), dtype=bool)
         norm = self.norm
         lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
         records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
         moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
-        used = frozenset(norm.app_ids[a] for a in used_ids(moved, len(norm.app_ids)))
-        return used.intersection(self.db.tracked_apps)
+        used = {norm.app_ids[a] for a in used_ids(moved, len(norm.app_ids))}
+        # a lookup per app: np.isin on strings takes its sorting path, which loads numpy.ma
+        return np.array([a in used for a in self.db.tracked_apps], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +248,10 @@ def app_prediction_run(
     online; each test-period gap is scored for every K against the apps
     actually used during the gap, from the history of every row before its
     cut slot. Gaps with empty ground truth or no resume are skipped and
-    counted. A ``train_days`` that :func:`check_train_days` rejects raises
+    counted. Each scored gap's window is ranked once: an app is selected at
+    K iff its :func:`~pcach.history.best_ranks` rank is below K, so K's
+    counts are one tally of the (gaps x apps) selection against the apps
+    used. A ``train_days`` that :func:`check_train_days` rejects raises
     :class:`ParameterError`.
     """
     ks = sorted(set(ks))
@@ -289,7 +268,6 @@ def app_prediction_run(
 
     replay = _Replay.start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
     norm, db = replay.norm, replay.db
-    counts = {k: ConfusionCounts() for k in ks}
     skipped = 0
 
     # one fold; each scored gap's window [cut slot, resume slot] is read as
@@ -301,16 +279,15 @@ def app_prediction_run(
         if gap is None or gap.cut_time < boundary:
             continue
         used = replay.used_apps(gap)
-        if not used:
+        if not used.any():
             skipped += 1
             continue
         scored.append((j - 1, slot, db.abs_slot(gap.resume_time), used))
-    at, first, last, used_by_gap = zip(*scored) if scored else ((),) * 4
-    for used, window in zip(used_by_gap, runs.usage(s_apps, first, last, at)):
-        ranked = rank_slot_apps(window, ks[-1])
-        for k in ks:
-            predicted = selected_apps(s_apps, ranked[:k])
-            counts[k] = counts[k] + score_app_prediction(predicted, used, s_apps)
+    at, first, last, used = zip(*scored) if scored else ((),) * 4
+    # (gaps x apps): each app's best rank in each gap's window, and its use
+    best = np.array([best_ranks(w) for w in runs.usage(s_apps, first, last, at)])
+    used = np.array(used, dtype=bool)
+    counts = {k: ConfusionCounts.tally(best < k, used) for k in ks}
     return AppPredictionRun(counts_by_k=counts, scored_gaps=len(scored),
                             skipped_gaps=skipped)
 
@@ -579,18 +556,18 @@ def backtest(
     targets = decisions.target_slot
 
     cut_truths = _among(targets, replay.gap_by_cut_slot)
-    app_counts = ConfusionCounts()
-    scored = skipped = resume_eval = resume_hits = 0
+    selected, used_by_gap = [], []   # the scored gaps' app rows
+    skipped = resume_eval = resume_hits = 0
     for j in np.flatnonzero(decisions.cut).tolist():
         gap = replay.gap_by_cut_slot.get(int(targets[j]))
         if gap is None:
             continue
         used = replay.used_apps(gap)
-        if not used:
+        if not used.any():
             skipped += 1
         else:
-            app_counts = app_counts + score_app_prediction(decisions.apps[j], used, config.s_apps)
-            scored += 1
+            selected.append([a in decisions.apps[j] for a in config.s_apps])
+            used_by_gap.append(used)
         if gap.resume_time is None:
             continue  # open gap: the ground-truth window never closed
         resume_eval += 1
@@ -615,8 +592,8 @@ def backtest(
         cut=ConfusionCounts.tally(decisions.cut, cut_truths),
         resume=ConfusionCounts.tally(decisions.resume_next,
                                      _among(targets, replay.resume_slots)),
-        apps=app_counts,
-        scored_gaps=scored,
+        apps=ConfusionCounts.tally(selected, used_by_gap),
+        scored_gaps=len(selected),
         skipped_gaps=skipped,
         true_test_gaps=true_test_gaps,
         predicted_cut_slots=int(decisions.cut.sum()),

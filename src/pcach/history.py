@@ -29,8 +29,10 @@ with no hits (training's slots on the frozen counts, or the on-device step's
 one slot). :meth:`FoldedRuns.features` is the one feature builder, and
 :func:`history_rule` takes every target slot's probabilities from one call
 and walks the runs only to draw. :meth:`FoldedRuns.usage` reads the usage
-counts of many slot windows, each as of its own run, in one call, and
-:func:`rank_slot_apps` and :func:`predict_top_k_apps` rank such a window.
+counts of many slot windows, each as of its own run, in one call;
+:func:`predict_top_k_apps` selects an app set from such a window, and
+:func:`best_ranks` gives each app's best rank in it, which marks the
+selection at every K at once.
 :func:`extract_features` and :class:`FeatureVector` are a one-row view built
 by the same helpers.
 
@@ -600,23 +602,17 @@ def slot_groups(db: HistoryDB, trace: Trace, lo: int, hi: int):
 # top-K app selection
 # ---------------------------------------------------------------------------
 
-def rank_slot_apps(counts: np.ndarray, k: int) -> np.ndarray:
-    """The top-K apps of every slot of a usage window, as row indices.
+def best_ranks(counts: np.ndarray) -> np.ndarray:
+    """Each app's best rank over the slots of a usage window, 0 the top.
 
-    ``counts`` is an (apps x slots) window of :meth:`FoldedRuns.usage`.
-    Returns a (k, slots) array: column j ranks slot j's apps by usage count
-    descending, ties resolved by row order. Rows ``[:k']`` are the ranking
-    for any smaller ``k'``, so one call serves every K up to ``k``.
+    ``counts`` is an (apps x slots) window of :meth:`FoldedRuns.usage`; the
+    ranking is :func:`predict_top_k_apps`'s, so ``best_ranks(counts) < k``
+    marks exactly the apps it selects at ``k``, for every ``k`` at once.
     """
-    if k < 1 or k > len(counts):
-        raise ParameterError(f"k={k} outside [1, {len(counts)}]")
-    # the stable sort keeps ties in row order
-    return np.argsort(-counts, axis=0, kind="stable")[:k]
-
-
-def selected_apps(s_apps: Sequence[str], ranked: np.ndarray) -> list[str]:
-    """Union of a ranking's apps in order of first selection (slot-major)."""
-    return [s_apps[i] for i in dict.fromkeys(ranked.T.ravel().tolist())]
+    ranks = np.empty(counts.shape, dtype=np.int64)
+    order = np.argsort(-counts, axis=0, kind="stable")
+    np.put_along_axis(ranks, order, np.arange(len(counts))[:, None], axis=0)
+    return ranks.min(axis=1)
 
 
 def predict_top_k_apps(counts: np.ndarray, s_apps: Sequence[str], k: int) -> list[str]:
@@ -625,14 +621,19 @@ def predict_top_k_apps(counts: np.ndarray, s_apps: Sequence[str], k: int) -> lis
     ``counts`` is the :meth:`FoldedRuns.usage` window of ``s_apps``. Within
     each slot, apps rank by usage count descending, ties resolved by their
     order in ``s_apps``; the result preserves the order of first selection
-    across the window. Empty or duplicate ``s_apps`` raise
-    :class:`ConfigError`.
+    across the window (slot-major). Empty or duplicate ``s_apps`` raise
+    :class:`ConfigError`, and a ``k`` outside [1, len(s_apps)]
+    :class:`ParameterError`.
     """
     if not s_apps:
         raise ConfigError("s_apps must not be empty")
     if len(set(s_apps)) != len(s_apps):
         raise ConfigError("s_apps contains duplicates")
-    return selected_apps(s_apps, rank_slot_apps(counts, k))
+    if k < 1 or k > len(counts):
+        raise ParameterError(f"k={k} outside [1, {len(counts)}]")
+    # column j ranks slot j's apps; the stable sort keeps ties in row order
+    ranked = np.argsort(-counts, axis=0, kind="stable")[:k]
+    return [s_apps[i] for i in dict.fromkeys(ranked.T.ravel().tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ history oracles walk sample objects the way the replay folded them, and
 ``best_stump_oracle`` re-sorts every column every round the way the
 boosting search did before it presorted, and ``adaboost_scan_oracle``
 scores the whole look-ahead of every predicted cut the way the boosted
-predictor did before its scan stopped early. The columnar, presorted and
-early-stopping code must agree with them exactly (see the ``hypothesis``
+predictor did before its scan stopped early. ``rank_slot_apps``,
+``selected_apps`` and ``score_app_prediction`` select and score apps as
+sets of names, one gap and one K at a time, the way the replays did before
+they tallied (gaps x apps) rows. The columnar, presorted, early-stopping
+and row-tallying code must agree with them exactly (see the ``hypothesis``
 properties in ``test_trace.py``, ``test_mining.py``, ``test_history.py``,
-``test_boosting.py`` and ``test_pipeline.py``).
+``test_boosting.py``, ``test_pipeline.py`` and ``test_evaluation.py``).
 """
 
 import itertools
@@ -19,7 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from pcach.errors import OrderingError
+from pcach.errors import OrderingError, ParameterError
+from pcach.evaluation import ConfusionCounts
 from pcach.history import EventKind
 from pcach.trace import (
     CUT_MAX_SPACING_S,
@@ -216,6 +220,46 @@ def adaboost_scan_oracle(config, runs, scan_rows=2048):
         found = fires.any(axis=1)
         resume_slot[j[found]] = slots[found, fires[found].argmax(axis=1)]
     return cut, cut_margins, resume_next, resume_slot
+
+
+def rank_slot_apps(counts: np.ndarray, k: int) -> np.ndarray:
+    """The top-K apps of every slot of a usage window, as row indices.
+
+    ``counts`` is an (apps x slots) window of :meth:`FoldedRuns.usage`.
+    Returns a (k, slots) array: column j ranks slot j's apps by usage count
+    descending, ties resolved by row order. Rows ``[:k']`` are the ranking
+    for any smaller ``k'``, so one call serves every K up to ``k``.
+    """
+    if k < 1 or k > len(counts):
+        raise ParameterError(f"k={k} outside [1, {len(counts)}]")
+    # the stable sort keeps ties in row order
+    return np.argsort(-counts, axis=0, kind="stable")[:k]
+
+
+def selected_apps(s_apps, ranked: np.ndarray) -> list[str]:
+    """Union of a ranking's apps in order of first selection (slot-major)."""
+    return [s_apps[i] for i in dict.fromkeys(ranked.T.ravel().tolist())]
+
+
+def score_app_prediction(predicted, actually_used, s_apps) -> ConfusionCounts:
+    """Set-level confusion of a pre-cache selection against actual gap usage.
+
+    Ground truth is restricted to the pre-cachable universe ``s_apps``;
+    predictions outside it are rejected.
+    """
+    universe = set(s_apps)
+    p = set(predicted)
+    if not p <= universe:
+        raise ParameterError(
+            f"predicted apps outside the pre-cachable set: {sorted(p - universe)}"
+        )
+    u = set(actually_used) & universe
+    return ConfusionCounts(
+        tp=len(p & u),
+        fp=len(p - u),
+        fn=len(u - p),
+        tn=len(universe - (p | u)),
+    )
 
 
 def profile_oracle(trace, night_window=(20, 8), utc_offset_s=0):

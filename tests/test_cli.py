@@ -63,7 +63,7 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
 
 
 def test_every_package_name_is_its_submodules_object():
-    assert len(pcach.__all__) == len(set(pcach.__all__)) == 54
+    assert len(pcach.__all__) == len(set(pcach.__all__)) == 53
     assert set(pcach.__all__) <= set(dir(pcach))
     for name in pcach.__all__:
         obj = getattr(pcach, name)
@@ -737,14 +737,14 @@ _KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _on_openblas(),
                     reason="needs numpy on OpenBLAS on x86-64")
-def test_adaboost_backtest_writes_the_same_bytes_on_the_oldest_kernels(tmp_path):
-    """The pinned corpus's AdaBoost backtest, run by a child process with
-    this host's kernels and by one with OpenBLAS's oldest x86-64 kernel and
-    numpy held to its baseline SIMD target, writes the same bytes: the
-    pinned digests hold on any x86-64 host, not on this one alone."""
+def test_every_replay_command_writes_the_same_bytes_on_the_oldest_kernels(tmp_path):
+    """Every pinned replay command (both backtests and the K sweeps), run by
+    child processes with this host's kernels and by ones with OpenBLAS's
+    oldest x86-64 kernel and numpy held to its baseline SIMD target, writes
+    the same bytes: the pinned digests hold on any x86-64 host, not on this
+    one alone."""
     assert main(["generate", "--phones", "2", "--days", "10", "--seed", "29",
                  "--out", str(tmp_path / "traces")]) == 0
-    args = dict(_REPLAY_COMMANDS)["bt-ada"]
     trees = {}
     for name, kernels in (("host", {}), ("oldest", {
             "OPENBLAS_CORETYPE": "Prescott",
@@ -752,11 +752,13 @@ def test_adaboost_backtest_writes_the_same_bytes_on_the_oldest_kernels(tmp_path)
         env = {k: v for k, v in cli_env(PCACH_THREADS="1").items()
                if k not in _KERNEL_VARIABLES}
         (tmp_path / name).mkdir()
-        # the same relative --out in each run's own directory: equal manifests
-        res = subprocess.run(
-            [sys.executable, "-m", "pcach", *args, "--traces", str(tmp_path / "traces"),
-             "--out", "bt-ada"],
-            cwd=tmp_path / name, env={**env, **kernels}, capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
+        for out, args in _REPLAY_COMMANDS:
+            # the same relative --out in each run's own directory: equal manifests
+            res = subprocess.run(
+                [sys.executable, "-m", "pcach", *args, "--traces", str(tmp_path / "traces"),
+                 "--out", out],
+                cwd=tmp_path / name, env={**env, **kernels}, capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
         trees[name] = tree_digest(tmp_path / name)
+    assert set(_PINNED_REPLAY_DIGESTS) < set(trees["host"])
     assert trees["oldest"] == trees["host"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcach.errors import DataError, ParameterError, UndefinedRateError
 from pcach.evaluation import (
+    PAPER_K_SET,
     AppPredictionRun,
     ConfusionCounts,
     RocPoint,
@@ -17,11 +18,9 @@ from pcach.evaluation import (
     k_sweep,
     macro_average,
     quality_gap,
-    score_app_prediction,
     tpr_fpr,
 )
-from pcach.history import (EventKind, FoldedRuns, fold_rows, rank_slot_apps, selected_apps,
-                           slot_groups)
+from pcach.history import EventKind, FoldedRuns, fold_rows, slot_groups
 from pcach.pipeline import PCachConfig, PredictorKind
 from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
@@ -31,41 +30,56 @@ from pcach.trace import (
     detect_gaps,
 )
 
-from helpers import seeded_rng, usage_window
+from helpers import W, seeded_rng, trace_from_states, usage_window
+from oracles import rank_slot_apps, score_app_prediction, selected_apps
 
 
 # ---------------------------------------------------------------------------
 # confusion counts and rates
 # ---------------------------------------------------------------------------
 
+def _app_rows(s_apps, *app_sets):
+    """One boolean row per app set, in ``s_apps`` order, as the replays
+    tally selections and usage."""
+    return [[a in apps for a in s_apps] for apps in app_sets]
+
+
 def test_score_app_prediction_perfect_and_mixed():
-    c = score_app_prediction({"a", "b"}, {"a", "b"}, ["a", "b", "c", "d"])
+    s_apps = ["a", "b", "c", "d"]
+    c = ConfusionCounts.tally(*_app_rows(s_apps, {"a", "b"}, {"a", "b"}))
     assert (c.tp, c.fp, c.fn, c.tn) == (2, 0, 0, 2)
-    c = score_app_prediction({"a"}, {"b"}, ["a", "b", "c"])
+    assert c == score_app_prediction({"a", "b"}, {"a", "b"}, s_apps)
+    c = ConfusionCounts.tally(*_app_rows(["a", "b", "c"], {"a"}, {"b"}))
     assert (c.tp, c.fp, c.fn, c.tn) == (0, 1, 1, 1)
+    assert c == score_app_prediction({"a"}, {"b"}, ["a", "b", "c"])
 
 
 def test_score_app_prediction_rejects_foreign_apps():
+    # the set-algebra reference refuses a selection outside s_apps, which a
+    # row in s_apps order cannot hold
     with pytest.raises(ParameterError):
         score_app_prediction({"zz"}, set(), ["a", "b"])
 
 
-def test_score_app_prediction_random_set_algebra_oracle():
-    rng = seeded_rng(17)
-    apps = [f"a{i}" for i in range(12)]
-    for _ in range(1000):
-        s_apps = [a for a in apps if rng.random() < 0.8] or ["a0"]
-        predicted = {a for a in s_apps if rng.random() < 0.4}
-        used = {a for a in apps if rng.random() < 0.4}
-        c = score_app_prediction(predicted, used, s_apps)
-        u = used & set(s_apps)
-        assert c.tp == len(predicted & u)
-        assert c.fp == len(predicted - u)
-        assert c.fn == len(u - predicted)
-        assert c.tn == len(set(s_apps) - predicted - u)
-        assert c.tp + c.fn == len(u)
-        assert c.tp + c.fp == len(predicted)
-        assert c.total == len(set(s_apps))
+_APPS = [f"a{i}" for i in range(12)]
+
+
+@settings(deadline=None)
+@given(s_apps=st.lists(st.sampled_from(_APPS), min_size=1, unique=True), data=st.data())
+def test_score_app_prediction_random_set_algebra_oracle(s_apps, data):
+    """The tally of (gaps x apps) selection rows against used rows is the
+    sum of the set-algebra confusions of each gap; used apps outside s_apps
+    fall out of both."""
+    gaps = data.draw(st.lists(st.tuples(st.sets(st.sampled_from(s_apps)),
+                                        st.sets(st.sampled_from(_APPS))), max_size=6))
+    predicted = [p for p, _ in gaps]
+    used = [u for _, u in gaps]
+    c = ConfusionCounts.tally(_app_rows(s_apps, *predicted), _app_rows(s_apps, *used))
+    assert c == sum((score_app_prediction(p, u, s_apps) for p, u in gaps), ConfusionCounts())
+    u = [x & set(s_apps) for x in used]
+    assert c.tp + c.fn == sum(map(len, u))
+    assert c.tp + c.fp == sum(map(len, predicted))
+    assert c.total == len(gaps) * len(s_apps)
 
 
 def test_tpr_fpr_formulas():
@@ -363,7 +377,7 @@ def _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days
         gap = replay.gap_by_cut_slot.get(slot)
         if gap is None or gap.cut_time < boundary:
             continue
-        used = replay.used_apps(gap)
+        used = {a for a, moved in zip(s_apps, replay.used_apps(gap)) if moved}
         if not used:
             skipped += 1
             continue
@@ -418,3 +432,38 @@ def test_macro_average_over_reports(medium_trace):
     t, f = r.rates("cut")
     assert pt.tpr == pytest.approx(t)
     assert pt.fpr == pytest.approx(f)
+
+
+def test_a_sweep_with_no_scored_gap_counts_nothing_at_every_k():
+    trace = trace_from_states([W] * (3 * 288), bytes_per_sample=10)
+    run = app_prediction_run(trace, ["a", "b"], [1, 2], train_days=1.0)
+    assert run == AppPredictionRun({1: ConfusionCounts(), 2: ConfusionCounts()}, 0, 0)
+
+
+# seed 1, 240 days, phone-000 at k=7: the verdicts of both predictors and the
+# 12-K sweep on a trace four times longer than the corpus the CLI digests pin,
+# so an edit that moves verdicts only on long traces shows
+_LONG_TRACE_COUNTS = {
+    "history": {"cut": (308, 6021, 56, 15982), "resume": (280, 9041, 85, 12961),
+                "apps": (707, 947, 1024, 3914)},
+    "adaboost": {"cut": (169, 1467, 16, 9867), "resume": (180, 4380, 6, 6953),
+                 "apps": (407, 491, 593, 2221)},
+}
+_LONG_TRACE_SWEEP = {
+    1: (295, 180, 1822, 5703), 2: (548, 409, 1569, 5474), 3: (724, 675, 1393, 5208),
+    4: (854, 924, 1263, 4959), 5: (973, 1167, 1144, 4716), 6: (1184, 1518, 933, 4365),
+    7: (1365, 1862, 752, 4021), 10: (1634, 2655, 483, 3228), 15: (1867, 3689, 250, 2194),
+    20: (2009, 4486, 108, 1397), 25: (2074, 5107, 43, 776), 30: (2105, 5694, 12, 189),
+}
+
+
+def test_long_trace_verdicts_are_pinned():
+    config = reference_config(seed=1, days=240)
+    trace = generate_trace(config, "phone-000")
+    s_apps = config.pcachable_apps
+    for kind in PredictorKind:
+        report = backtest(trace, PCachConfig(k=7, s_apps=s_apps, predictor_kind=kind))
+        for which, counts in _LONG_TRACE_COUNTS[kind.value].items():
+            assert getattr(report, which) == ConfusionCounts(*counts), (kind, which)
+    run = app_prediction_run(trace, s_apps, PAPER_K_SET)
+    assert run.counts_by_k == {k: ConfusionCounts(*c) for k, c in _LONG_TRACE_SWEEP.items()}

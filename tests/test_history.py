@@ -19,6 +19,7 @@ from pcach.history import (
     EventKind,
     FeatureVector,
     HistoryDB,
+    best_ranks,
     extract_features,
     fold_rows,
     fold_runs,
@@ -27,8 +28,6 @@ from pcach.history import (
     newest_run,
     predict_resume_slot,
     predict_top_k_apps,
-    rank_slot_apps,
-    selected_apps,
     slot_groups,
     update_history,
 )
@@ -418,8 +417,35 @@ def _top_k_cases(draw):
     return db, s_apps, first, last
 
 
+def _top_k_case(slot_minutes, counts_by_app, s_apps, first, last):
+    db = HistoryDB(slot_minutes=slot_minutes, tracked_apps=list(counts_by_app))
+    for a, counts in counts_by_app.items():
+        db.app_hist[a][:] = counts
+    return db, s_apps, first, last
+
+
+def _top_k_examples(test):
+    """``test`` with the cases a ranking most easily gets wrong as explicit
+    inputs: ties, all-zero counts and one-slot windows, each with an
+    untracked app, run for every k up to |s_apps|."""
+    for case in (
+            # ties within each slot, broken by s_apps order, not by row
+            _top_k_case(360, {"app0": [2, 2, 1, 0], "app1": [2, 2, 1, 0], "app2": [2, 0, 1, 3]},
+                        ["app2", "app1", "app5", "app0"], 0, 3),
+            # all-zero counts over a window past midnight
+            _top_k_case(360, {"app0": [0] * 4, "app1": [0] * 4}, ["app1", "app3", "app0"], 2, 5),
+            # one-slot windows, with and without ties
+            _top_k_case(360, {"app0": [1, 3, 0, 2], "app1": [1, 0, 0, 2], "app2": [0, 3, 1, 2]},
+                        ["app0", "app1", "app2", "app6"], 1, 1),
+            _top_k_case(360, {"app0": [1, 3, 0, 2], "app1": [1, 0, 0, 2], "app2": [0, 3, 1, 2]},
+                        ["app2", "app6", "app1", "app0"], 7, 7)):
+        test = example(case)(test)
+    return test
+
+
 @settings(deadline=None)
 @given(_top_k_cases())
+@_top_k_examples
 def test_top_k_matches_brute_force_reference(case):
     db, s_apps, first, last = case
     for k in range(1, len(s_apps) + 1):
@@ -429,12 +455,15 @@ def test_top_k_matches_brute_force_reference(case):
 
 @settings(deadline=None)
 @given(_top_k_cases())
+@_top_k_examples
 def test_one_ranking_at_the_largest_k_serves_every_k(case):
     db, s_apps, first, last = case
     counts = usage_window(db, s_apps, first, last)
-    ranked = rank_slot_apps(counts, len(s_apps))
+    best = best_ranks(counts)
+    assert best.shape == (len(s_apps),)
     for k in range(1, len(s_apps) + 1):
-        assert selected_apps(s_apps, ranked[:k]) == predict_top_k_apps(counts, s_apps, k)
+        assert ({a for a, rank in zip(s_apps, best) if rank < k}
+                == set(predict_top_k_apps(counts, s_apps, k)))
 
 
 def test_top_k_parameter_errors():

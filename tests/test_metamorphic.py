@@ -5,6 +5,13 @@ whose effect on every stage's output is known without an oracle.
 timestamps, so adding a whole week to every timestamp shifts each gap by
 that week and leaves every count, bound, histogram and backtest as it was.
 The one field that hashes absolute times, ``trained_digest``, is left out.
+
+*Renaming.* No stage reads what a name says, only which names are equal
+and, where ties are broken, how they sort. So renaming every app id (in the
+trace and in ``s_apps``, each app in its place) or every SSID, keeping the
+names' order, leaves gaps, K sweep and backtests as they were and renames
+the profile. ``trained_digest`` hashes the names and is left out. Phone ids
+stay as they are: the replay's random streams are keyed on them.
 """
 
 import dataclasses
@@ -28,6 +35,16 @@ def shifted(trace, seconds):
         trace.app_offsets, trace.app, trace.up, trace.down, trace.running,
         trace.ssids, trace.visible_sets, trace.app_ids,
         nominal_period_s=trace.nominal_period_s)
+
+
+def renamed(trace, ssid=str, app=str):
+    """``trace`` with every SSID renamed by ``ssid`` and every app id by
+    ``app``, in the trace's name tables."""
+    return Trace.from_columns(
+        trace.phone_id, trace.t, trace.state, trace.ssid, trace.visible,
+        trace.app_offsets, trace.app, trace.up, trace.down, trace.running,
+        [ssid(s) for s in trace.ssids], [frozenset(map(ssid, v)) for v in trace.visible_sets],
+        [app(a) for a in trace.app_ids], nominal_period_s=trace.nominal_period_s)
 
 
 def _mined(trace, slot_minutes, utc_offset_s):
@@ -82,3 +99,54 @@ def test_a_week_shift_leaves_the_k_sweep_and_both_backtests_as_they_were(
         pcach = PCachConfig(k=7, s_apps=s_apps, slot_minutes=slot_minutes,
                             predictor_kind=kind, adaboost_rounds=15)
         assert _report(week, pcach, utc_offset_s) == _report(trace, pcach, utc_offset_s)
+
+
+def _prefixed(prefix):
+    """A renaming that keeps the names' order: every name gets ``prefix``."""
+    return lambda name: prefix + name
+
+
+_prefixes = st.sampled_from(["~", "renamed-", "0"])
+
+
+@settings(deadline=None, max_examples=10)
+@given(**_phones, prefix=_prefixes)
+def test_renaming_the_apps_leaves_the_k_sweep_and_both_backtests_as_they_were(
+        seed, days, slot_minutes, utc_offset_s, prefix):
+    config = reference_config(seed=seed, days=days)
+    trace = generate_trace(config, "names")
+    rename = _prefixed(prefix)
+    apps = renamed(trace, app=rename)
+    s_apps = config.pcachable_apps
+    s_apps_renamed = tuple(map(rename, s_apps))
+    ks = [k for k in PAPER_K_SET if k <= len(s_apps)]
+    assert app_prediction_run(apps, s_apps_renamed, ks, slot_minutes, 5.0, utc_offset_s) == \
+        app_prediction_run(trace, s_apps, ks, slot_minutes, 5.0, utc_offset_s)
+    for kind in PredictorKind:
+        pcach = PCachConfig(k=7, s_apps=s_apps, slot_minutes=slot_minutes,
+                            predictor_kind=kind, adaboost_rounds=15)
+        assert _report(apps, dataclasses.replace(pcach, s_apps=s_apps_renamed),
+                       utc_offset_s) == _report(trace, pcach, utc_offset_s)
+
+
+@settings(deadline=None, max_examples=10)
+@given(**_phones, prefix=_prefixes)
+def test_renaming_the_ssids_renames_the_profile_and_leaves_gaps_and_backtests_as_they_were(
+        seed, days, slot_minutes, utc_offset_s, prefix):
+    config = reference_config(seed=seed, days=days)
+    trace = generate_trace(config, "names")
+    rename = _prefixed(prefix)
+    ssids = renamed(trace, ssid=rename)
+    profile = derive_preferred_profile(trace, utc_offset_s=utc_offset_s)
+    assert derive_preferred_profile(ssids, utc_offset_s=utc_offset_s) == dataclasses.replace(
+        profile, preferred=frozenset(map(rename, profile.preferred)),
+        top3=tuple(map(rename, profile.top3)),
+        home_ssid=None if profile.home_ssid is None else rename(profile.home_ssid),
+        work_ssid=None if profile.work_ssid is None else rename(profile.work_ssid))
+    assert profile.preferred
+    assert detect_gaps(normalize_timeline(ssids, derive_preferred_profile(ssids))) == \
+        detect_gaps(normalize_timeline(trace, derive_preferred_profile(trace)))
+    for kind in PredictorKind:
+        pcach = PCachConfig(k=7, s_apps=config.pcachable_apps, slot_minutes=slot_minutes,
+                            predictor_kind=kind, adaboost_rounds=15)
+        assert _report(ssids, pcach, utc_offset_s) == _report(trace, pcach, utc_offset_s)
