@@ -378,6 +378,7 @@ class BacktestReport:
     resume_model_json: Optional[str] = None
     selected_cut_threshold: Optional[float] = None
     selected_resume_threshold: Optional[float] = None
+    # AdaBoost: every :func:`_train_panel` cut candidate (each distinct-margin midpoint)
     cut_panel: tuple[ThresholdPoint, ...] = ()
 
     def rates(self, which: str) -> tuple[float, float]:
@@ -441,19 +442,16 @@ def _among(slots: np.ndarray, keys: Iterable[int]) -> np.ndarray:
     return np.isin(slots, np.fromiter(keys, dtype=np.int64), kind="table")
 
 
-def _train_panel(margins: np.ndarray, labels: np.ndarray,
-                 max_points: int = 48) -> tuple[list[float], list[ConfusionCounts]]:
+def _train_panel(margins: np.ndarray,
+                 labels: np.ndarray) -> tuple[list[float], list[ConfusionCounts]]:
     """The candidate thresholds of a model's training margins and the
-    training confusion at each: the extremes pushed out by one, at most
-    ``max_points`` midpoints between distinct margins, and zero."""
+    training confusion at each: the lowest distinct margin minus one, every
+    distinct-margin midpoint, zero, and the highest distinct margin plus one,
+    so every cut of the training ROC is a candidate (Fawcett 2006)."""
     uniq = distinct(margins)
     mids = (uniq[1:] + uniq[:-1]) / 2.0
-    if mids.size > max_points:
-        idx = np.linspace(0, mids.size - 1, max_points).round().astype(int)
-        mids = mids[distinct(idx)]
-    lo = float(uniq[0]) - 1.0
-    hi = float(uniq[-1]) + 1.0
-    thetas = [lo] + [float(m) for m in mids] + [0.0, hi]
+    mids = np.where(mids < uniq[1:], mids, uniq[:-1])  # no float between them: the lower
+    thetas = [float(uniq[0]) - 1.0, *mids.tolist(), 0.0, float(uniq[-1]) + 1.0]
     return thetas, ConfusionCounts.tally_above(margins, labels > 0, thetas)
 
 
@@ -463,7 +461,8 @@ RECALL_MARGIN = 0.05
 def _select_threshold(thetas: list[float], train: list[ConfusionCounts],
                       reference: ConfusionCounts) -> float:
     """Lowest-FPR train threshold that beats the reference recall, from a
-    :func:`_train_panel`.
+    :func:`_train_panel`: every distinct-margin midpoint, zero and the two
+    pushed-out extremes, ordered by (fpr, -tpr, threshold).
 
     The target recall carries a small safety margin so the operating point
     still clears the reference out of sample; when no candidate reaches it,

@@ -735,16 +735,25 @@ def _on_openblas():
 _KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
+# every command form of the criterion-9 tree over the pinned corpus: both
+# trace formats, the mining and every pinned replay command
+_TREE_COMMANDS = (
+    ("traces", ["generate", "--phones", "2", "--days", "10", "--seed", "29"]),
+    ("traces-csv", ["generate", "--phones", "2", "--days", "10", "--seed", "29",
+                    "--format", "csv"]),
+    ("mined", ["mine", "--traces", "traces"]),
+    *((out, [*args, "--traces", "traces"]) for out, args in _REPLAY_COMMANDS),
+)
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _on_openblas(),
                     reason="needs numpy on OpenBLAS on x86-64")
-def test_every_replay_command_writes_the_same_bytes_on_the_oldest_kernels(tmp_path):
-    """Every pinned replay command (both backtests and the K sweeps), run by
-    child processes with this host's kernels and by ones with OpenBLAS's
-    oldest x86-64 kernel and numpy held to its baseline SIMD target, writes
-    the same bytes: the pinned digests hold on any x86-64 host, not on this
-    one alone."""
-    assert main(["generate", "--phones", "2", "--days", "10", "--seed", "29",
-                 "--out", str(tmp_path / "traces")]) == 0
+def test_every_command_writes_the_same_bytes_on_the_oldest_kernels(tmp_path):
+    """``generate`` (JSONL and CSV), ``mine`` and every pinned replay
+    command (both backtests and the K sweeps), run by child processes with
+    this host's kernels and by ones with OpenBLAS's oldest x86-64 kernel and
+    numpy held to its baseline SIMD target, write the same bytes: the pinned
+    digests hold on any x86-64 host, not on this one alone."""
     trees = {}
     for name, kernels in (("host", {}), ("oldest", {
             "OPENBLAS_CORETYPE": "Prescott",
@@ -752,13 +761,13 @@ def test_every_replay_command_writes_the_same_bytes_on_the_oldest_kernels(tmp_pa
         env = {k: v for k, v in cli_env(PCACH_THREADS="1").items()
                if k not in _KERNEL_VARIABLES}
         (tmp_path / name).mkdir()
-        for out, args in _REPLAY_COMMANDS:
-            # the same relative --out in each run's own directory: equal manifests
-            res = subprocess.run(
-                [sys.executable, "-m", "pcach", *args, "--traces", str(tmp_path / "traces"),
-                 "--out", out],
-                cwd=tmp_path / name, env={**env, **kernels}, capture_output=True, text=True)
+        for out, args in _TREE_COMMANDS:
+            # the same relative paths in each run's own directory: equal manifests
+            res = subprocess.run([sys.executable, "-m", "pcach", *args, "--out", out],
+                                 cwd=tmp_path / name, env={**env, **kernels},
+                                 capture_output=True, text=True)
             assert res.returncode == 0, res.stderr
         trees[name] = tree_digest(tmp_path / name)
-    assert set(_PINNED_REPLAY_DIGESTS) < set(trees["host"])
+    assert {k: trees["host"].get(k) for k in _PINNED_REPLAY_DIGESTS} == _PINNED_REPLAY_DIGESTS
+    assert {k.split("/")[0] for k in trees["host"]} == {out for out, _ in _TREE_COMMANDS}
     assert trees["oldest"] == trees["host"]

@@ -1,18 +1,22 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcach.errors import DataError, ParameterError, UndefinedRateError
 from pcach.evaluation import (
     PAPER_K_SET,
+    RECALL_MARGIN,
     AppPredictionRun,
     ConfusionCounts,
     RocPoint,
     _Replay,
+    _select_threshold,
+    _train_panel,
     app_prediction_run,
     backtest,
     k_sweep,
@@ -151,6 +155,51 @@ def test_one_sort_counts_equal_the_tally_at_every_threshold(scored, one_class, t
     truth = np.array([t if one_class is None else one_class for _, t in scored], dtype=bool)
     got = ConfusionCounts.tally_above(scores, truth, thresholds)
     assert got == [ConfusionCounts.tally(scores > theta, truth) for theta in thresholds]
+
+
+def _best_cut(margins, truth, reference):
+    """The training confusion of the best cut ``margins >= u`` over every
+    distinct margin ``u`` (and the empty cut), by direct tally: the lowest
+    (fpr, -tpr) among the cuts whose recall reaches the reference's plus
+    ``RECALL_MARGIN``, else the highest (tpr, -fpr); ``margins > 0`` when
+    the rates are undefined (one class only)."""
+    if truth.all() or not truth.any():
+        return ConfusionCounts.tally(margins > 0, truth)
+    cuts = [ConfusionCounts.tally(margins >= u, truth) for u in sorted(set(margins.tolist()))]
+    cuts.append(ConfusionCounts.tally(np.zeros(len(margins), dtype=bool), truth))
+    try:
+        target = min(1.0, tpr_fpr(reference)[0] + RECALL_MARGIN)
+    except UndefinedRateError:
+        target = RECALL_MARGIN
+    rated = [(*tpr_fpr(c), c) for c in cuts]
+    reach = [(fpr, -tpr, c) for tpr, fpr, c in rated if tpr >= target]
+    if reach:
+        return min(reach, key=lambda r: r[:2])[2]
+    return min(((-tpr, fpr, c) for tpr, fpr, c in rated), key=lambda r: r[:2])[2]
+
+
+# 60 distinct margins, a clean split between the 30th and 31st: that cut is
+# the only one with recall 1 and no false positive
+_SIXTY = [(i / 4 - 7, 0, i >= 30) for i in range(60)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(scored=st.lists(st.tuples(st.floats(-8, 8), st.integers(0, 3), st.booleans()),
+                       min_size=1, max_size=160),
+       reference=st.tuples(st.integers(0, 20), st.integers(0, 20)))
+@example(scored=_SIXTY, reference=(1, 1))
+def test_the_selected_threshold_is_the_best_cut_of_every_distinct_margin(scored, reference):
+    """Margins ``ulps`` floats above a drawn value, so neighbours with no
+    float between them occur, and panels past 49 distinct margins."""
+    margins = np.array([v for v, _, _ in scored])
+    for i, (_, ulps, _) in enumerate(scored):
+        for _ in range(ulps):
+            margins[i] = np.nextafter(margins[i], np.inf)
+    labels = np.array([1 if t else -1 for _, _, t in scored])
+    ref = ConfusionCounts(tp=reference[0], fp=0, fn=reference[1], tn=1)
+    theta = _select_threshold(*_train_panel(margins, labels), ref)
+    assert ConfusionCounts.tally(margins > theta, labels > 0) == \
+        _best_cut(margins, labels > 0, ref)
 
 
 def test_roc_point_validation():
@@ -446,7 +495,7 @@ def test_a_sweep_with_no_scored_gap_counts_nothing_at_every_k():
 _LONG_TRACE_COUNTS = {
     "history": {"cut": (308, 6021, 56, 15982), "resume": (280, 9041, 85, 12961),
                 "apps": (707, 947, 1024, 3914)},
-    "adaboost": {"cut": (169, 1467, 16, 9867), "resume": (180, 4380, 6, 6953),
+    "adaboost": {"cut": (169, 1354, 16, 9980), "resume": (178, 4220, 8, 7113),
                  "apps": (407, 491, 593, 2221)},
 }
 _LONG_TRACE_SWEEP = {
@@ -457,13 +506,39 @@ _LONG_TRACE_SWEEP = {
 }
 
 
-def test_long_trace_verdicts_are_pinned():
+@pytest.fixture(scope="module")
+def phone_240_days():
     config = reference_config(seed=1, days=240)
-    trace = generate_trace(config, "phone-000")
-    s_apps = config.pcachable_apps
+    return generate_trace(config, "phone-000"), config.pcachable_apps
+
+
+def test_long_trace_verdicts_are_pinned(phone_240_days):
+    trace, s_apps = phone_240_days
     for kind in PredictorKind:
         report = backtest(trace, PCachConfig(k=7, s_apps=s_apps, predictor_kind=kind))
         for which, counts in _LONG_TRACE_COUNTS[kind.value].items():
             assert getattr(report, which) == ConfusionCounts(*counts), (kind, which)
     run = app_prediction_run(trace, s_apps, PAPER_K_SET)
     assert run.counts_by_k == {k: ConfusionCounts(*c) for k, c in _LONG_TRACE_SWEEP.items()}
+
+
+# tracemalloc peak per trace row on the 240-day phone (69,120 rows): 142.7
+# (history backtest), 186.1 (AdaBoost backtest) and 81.7 (12-K sweep) bytes
+# both with a 48-point training panel and with every distinct-margin midpoint;
+# 199, 198 and 93 on the 60-day phone, where fixed costs weigh more
+_REPLAY_PEAK_BYTES_PER_ROW = {"history": 180, "adaboost": 240, "sweep": 110}
+
+
+def test_long_trace_replays_hold_a_bounded_number_of_bytes_per_row(phone_240_days):
+    trace, s_apps = phone_240_days
+    replays = {kind.value: lambda kind=kind: backtest(
+        trace, PCachConfig(k=7, s_apps=s_apps, predictor_kind=kind)) for kind in PredictorKind}
+    replays["sweep"] = lambda: app_prediction_run(trace, s_apps, PAPER_K_SET)
+    for name, replay in replays.items():
+        tracemalloc.start()
+        try:
+            replay()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _REPLAY_PEAK_BYTES_PER_ROW[name] * len(trace), (name, peak / len(trace))
