@@ -10,8 +10,9 @@ both in ``s_apps`` order. Rates are macro-averaged across phones.
 
 The backtest and the K sweep start each phone from one replay state: the
 training rows' preferred-network profile, the normalized timeline, an empty
-history database, and the gaps with their cut and resume slots on that
-database's slot clock. Replays read the normalized trace's columns end to
+history database, and the ground truth as one table of gaps on that
+database's slot clock, whose columns both replays score by masks and binary
+searches, not gap by gap. Replays read the normalized trace's columns end to
 end and never build its sample view.
 
 Both read history as :class:`~pcach.history.FoldedRuns`. The backtest folds
@@ -63,12 +64,10 @@ from .pipeline import (
 from .synth import stream_rng
 from .trace import (
     Trace,
-    WiFiGap,
     derive_preferred_profile,
-    detect_gaps,
     distinct,
+    gap_rows,
     normalize_timeline,
-    used_ids,
 )
 
 DEFAULT_TRAIN_DAYS = 7.0
@@ -168,14 +167,22 @@ def rate_record(tpr: float, fpr: float) -> dict:
 @dataclass
 class _Replay:
     """One phone's replay state: the normalized timeline, its history
-    database and its ground truth on the database's slot clock. The cut
-    slots are the keys of ``gap_by_cut_slot``, each with its first gap."""
+    database and its ground truth, a row per gap in cut order on the
+    database's slot clock. ``resume_slot`` is read only where ``closed``
+    holds; ``first`` marks each cut slot's first gap, the one that slot's
+    truth scores. ``used`` (gaps x tracked apps) holds whether each tracked
+    app moved bytes during each closed gap, whose rows [cut, resume) are all
+    cellular; an open gap has no ground-truth window, and its row is all
+    False, like a gap in which no pre-cachable app was used."""
 
     norm: Trace
     db: HistoryDB
-    gaps: list[WiFiGap]
-    gap_by_cut_slot: dict[int, WiFiGap]
-    resume_slots: set[int]
+    cut_time: np.ndarray
+    cut_slot: np.ndarray
+    closed: np.ndarray
+    resume_slot: np.ndarray
+    first: np.ndarray
+    used: np.ndarray
 
     @classmethod
     def start(cls, trace: Trace, n_train: int, s_apps: Sequence[str],
@@ -186,32 +193,21 @@ class _Replay:
         norm = normalize_timeline(trace, profile)
         db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
                        utc_offset_s=utc_offset_s)
-        gaps = detect_gaps(norm)
-        by_cut_slot: dict[int, WiFiGap] = {}
-        for g in gaps:
-            by_cut_slot.setdefault(db.abs_slot(g.cut_time), g)
-        resume_slots = {db.abs_slot(g.resume_time) for g in gaps if g.resume_time is not None}
-        return cls(norm, db, gaps, by_cut_slot, resume_slots)
-
-    def used_apps(self, gap: WiFiGap) -> np.ndarray:
-        """Whether each pre-cachable app (the database's tracked apps, in
-        order) moved bytes during a closed gap, as one boolean each.
-
-        Every sample in [cut, resume) of a closed gap is cellular: a WiFi
-        sample would have resumed the gap and an off-network one would have
-        left it open. An open gap has no ground-truth window and yields all
-        False, so callers skip it like a gap in which no pre-cachable app
-        was used.
-        """
-        if gap.resume_time is None:
-            return np.zeros(len(self.db.tracked_apps), dtype=bool)
-        norm = self.norm
-        lo, hi = norm.index_range(gap.cut_time, gap.resume_time)
-        records = slice(norm.app_offsets[lo], norm.app_offsets[hi])
-        moved = norm.app[records][(norm.up[records] + norm.down[records]) > 0]
-        used = {norm.app_ids[a] for a in used_ids(moved, len(norm.app_ids))}
-        # a lookup per app: np.isin on strings takes its sorting path, which loads numpy.ma
-        return np.array([a in used for a in self.db.tracked_apps], dtype=bool)
+        cut, stop, closed = gap_rows(norm)
+        cut_time = norm.t[cut]
+        cut_slot = db.abs_slot(cut_time)
+        # the app records of each closed gap's rows cut:stop, end to end
+        lo = norm.app_offsets[cut]
+        lengths = np.where(closed, norm.app_offsets[stop] - lo, 0)
+        gap = np.repeat(np.arange(len(cut)), lengths)
+        records = np.arange(len(gap)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        moved = norm.up[records] + norm.down[records] > 0
+        # a last column for every untracked app
+        used = np.zeros((len(cut), len(db.tracked_apps) + 1), dtype=bool)
+        used[gap[moved], db.tracked_index(norm.app_ids)[norm.app[records[moved]]]] = True
+        return cls(norm, db, cut_time, cut_slot, closed,
+                   db.abs_slot(norm.t[np.where(closed, stop, cut)]),
+                   np.diff(cut_slot, prepend=cut_slot[:1] - 1) != 0, used[:, :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +263,21 @@ def app_prediction_run(
         raise DataError(f"trace {trace.phone_id!r}: too short for the training prefix")
 
     replay = _Replay.start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
-    norm, db = replay.norm, replay.db
-    skipped = 0
-
+    # the first gap of each test-period cut slot, scored unless no
+    # pre-cachable app moved bytes in it (as in every open gap)
+    gaps = replay.first & (replay.cut_time >= boundary)
+    used = replay.used[gaps]
+    scored = used.any(axis=1)
+    first, last = replay.cut_slot[gaps][scored], replay.resume_slot[gaps][scored]
     # one fold; each scored gap's window [cut slot, resume slot] is read as
     # of the run before its cut slot
-    runs = fold_runs(db, norm)
-    scored = []   # (run before the cut slot, cut slot, resume slot, used apps)
-    for j, slot in enumerate(runs.slots.tolist()):
-        gap = replay.gap_by_cut_slot.get(slot)
-        if gap is None or gap.cut_time < boundary:
-            continue
-        used = replay.used_apps(gap)
-        if not used.any():
-            skipped += 1
-            continue
-        scored.append((j - 1, slot, db.abs_slot(gap.resume_time), used))
-    at, first, last, used = zip(*scored) if scored else ((),) * 4
+    runs = fold_runs(replay.db, replay.norm)
+    windows = runs.usage(s_apps, first, last, np.searchsorted(runs.slots, first) - 1)
     # (gaps x apps): each app's best rank in each gap's window, and its use
-    best = np.array([best_ranks(w) for w in runs.usage(s_apps, first, last, at)])
-    used = np.array(used, dtype=bool)
-    counts = {k: ConfusionCounts.tally(best < k, used) for k in ks}
-    return AppPredictionRun(counts_by_k=counts, scored_gaps=len(scored),
-                            skipped_gaps=skipped)
+    best = np.array([best_ranks(w) for w in windows], dtype=np.int64).reshape(-1, len(s_apps))
+    counts = {k: ConfusionCounts.tally(best < k, used[scored]) for k in ks}
+    return AppPredictionRun(counts_by_k=counts, scored_gaps=len(first),
+                            skipped_gaps=len(scored) - len(first))
 
 
 @dataclass(frozen=True)
@@ -357,6 +345,16 @@ class ThresholdPoint:
 
 @dataclass(frozen=True)
 class BacktestReport:
+    """One phone's backtest. Its gap counters, over the test period:
+    ``true_test_gaps`` counts the gaps cut in it, open ones included, and
+    ``predicted_cut_slots`` the slots with a predicted cut. Each predicted
+    cut in a gap's cut slot is scored against that slot's first gap:
+    ``scored_gaps`` and ``skipped_gaps`` count those in which a pre-cachable
+    app did and did not move bytes (an open gap is skipped; ``apps`` tallies
+    the scored), ``resume_evaluated`` those that closed, and
+    ``resume_within_one`` those whose resume slot is within one slot of the
+    predicted one."""
+
     phone_id: str
     predictor: str
     k: int
@@ -430,16 +428,16 @@ def _train_feature_pass(replay: _Replay, idx: int, last_train_slot: int):
     targets, at = runs.slots + 1, np.arange(len(runs))
     X_cut = runs.features(targets, at, EventKind.CUT)
     X_res = runs.features(targets, at, EventKind.RESUME)
-    y_cut = np.where(_among(targets, replay.gap_by_cut_slot), 1, -1)
-    y_res = np.where(_among(targets, replay.resume_slots), 1, -1)
+    y_cut = np.where(_among(targets, replay.cut_slot), 1, -1)
+    y_res = np.where(_among(targets, replay.resume_slot[replay.closed]), 1, -1)
     return X_cut, y_cut, X_res, y_res, runs
 
 
-def _among(slots: np.ndarray, keys: Iterable[int]) -> np.ndarray:
+def _among(slots: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each of ``slots`` is one of ``keys``, looked up in a table
     over the keys' range (slot ids span one trace), so ``np.isin`` never
     takes its sorting path, which loads ``numpy.ma``."""
-    return np.isin(slots, np.fromiter(keys, dtype=np.int64), kind="table")
+    return np.isin(slots, keys, kind="table")
 
 
 def _train_panel(margins: np.ndarray,
@@ -554,32 +552,23 @@ def backtest(
     decisions = decide(runs, config, predictor, rng_test)
     targets = decisions.target_slot
 
-    cut_truths = _among(targets, replay.gap_by_cut_slot)
-    selected, used_by_gap = [], []   # the scored gaps' app rows
-    skipped = resume_eval = resume_hits = 0
-    for j in np.flatnonzero(decisions.cut).tolist():
-        gap = replay.gap_by_cut_slot.get(int(targets[j]))
-        if gap is None:
-            continue
-        used = replay.used_apps(gap)
-        if not used.any():
-            skipped += 1
-        else:
-            selected.append([a in decisions.apps[j] for a in config.s_apps])
-            used_by_gap.append(used)
-        if gap.resume_time is None:
-            continue  # open gap: the ground-truth window never closed
-        resume_eval += 1
-        if abs(int(decisions.resume_slot[j]) - db.abs_slot(gap.resume_time)) <= 1:
-            resume_hits += 1
+    cut_truths = _among(targets, replay.cut_slot)
+    # each predicted cut in a gap's cut slot, with that slot's first gap
+    hits = np.flatnonzero(decisions.cut & cut_truths)
+    gap = np.searchsorted(replay.cut_slot, targets[hits])
+    scored = replay.used[gap].any(axis=1)
+    used = replay.used[gap[scored]]
+    selected = np.reshape([[a in decisions.apps[j] for a in config.s_apps]
+                           for j in hits[scored].tolist()], used.shape)
+    # an open gap's ground-truth window never closed: its resume is not scored
+    closed = replay.closed[gap]
+    resume_hits = closed & (np.abs(decisions.resume_slot[hits] - replay.resume_slot[gap]) <= 1)
 
     panel = ()
     if cut_thetas is not None:
         panel = tuple(map(ThresholdPoint, cut_thetas, cut_train, ConfusionCounts.tally_above(
             decisions.cut_score, cut_truths, cut_thetas)))
 
-    test_start = int(norm.t[idx])
-    true_test_gaps = sum(1 for g in replay.gaps if g.cut_time >= test_start)
     return BacktestReport(
         phone_id=trace.phone_id,
         predictor=config.predictor_kind.value if predictor_override is None else "override",
@@ -590,14 +579,14 @@ def backtest(
         test_slots=len(decisions),
         cut=ConfusionCounts.tally(decisions.cut, cut_truths),
         resume=ConfusionCounts.tally(decisions.resume_next,
-                                     _among(targets, replay.resume_slots)),
-        apps=ConfusionCounts.tally(selected, used_by_gap),
-        scored_gaps=len(selected),
-        skipped_gaps=skipped,
-        true_test_gaps=true_test_gaps,
+                                     _among(targets, replay.resume_slot[replay.closed])),
+        apps=ConfusionCounts.tally(selected, used),
+        scored_gaps=len(used),
+        skipped_gaps=len(gap) - len(used),
+        true_test_gaps=int((replay.cut_time >= norm.t[idx]).sum()),
         predicted_cut_slots=int(decisions.cut.sum()),
-        resume_evaluated=resume_eval,
-        resume_within_one=resume_hits,
+        resume_evaluated=int(closed.sum()),
+        resume_within_one=int(resume_hits.sum()),
         trained_digest=trained_digest,
         cut_model_json=cut_model.to_json() if cut_model else None,
         resume_model_json=resume_model.to_json() if resume_model else None,

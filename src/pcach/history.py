@@ -147,6 +147,12 @@ class HistoryDB:
         """Absolute slot of a time, elementwise for an array of times."""
         return (timestamp + self.utc_offset_s) // (self.slot_minutes * 60)
 
+    def tracked_index(self, names: Sequence[str]) -> np.ndarray:
+        """Each name's index in ``tracked_apps`` (int64); an untracked name
+        gets ``len(tracked_apps)``, whose usage row is the row of zeros."""
+        untracked = len(self.tracked_apps)
+        return np.array([self._app_index.get(a, untracked) for a in names], dtype=np.int64)
+
     @property
     def last_timestamp(self) -> Optional[int]:
         if self._newest is None:
@@ -328,9 +334,8 @@ class _FoldColumns:
     def __init__(self, db: HistoryDB, trace: Trace):
         n = len(trace)
         t, state = trace.t, trace.state
-        tracked = np.array([db._app_index.get(a, -1) for a in trace.app_ids],
-                           dtype=np.int64)[trace.app]
-        ran = (tracked >= 0) & (trace.running | (trace.up + trace.down > 0))
+        tracked = db.tracked_index(trace.app_ids)[trace.app]
+        ran = (tracked < len(db.tracked_apps)) & (trace.running | (trace.up + trace.down > 0))
         rec_row = np.repeat(np.arange(n), np.diff(trace.app_offsets))[ran]
         run_key, run_start, run_stop = slot_groups(db, trace, 0, n)
         self.cut, self.resume = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -521,8 +526,7 @@ class FoldedRuns:
         if (first > last).any():
             raise ParameterError("first_slot must not exceed last_slot")
         db = self.db
-        untracked = len(db.tracked_apps)
-        rows = 3 + np.array([db._app_index.get(a, untracked) for a in s_apps], dtype=np.int64)
+        rows = 3 + db.tracked_index(s_apps)
         lengths = last - first + 1
         stops = np.cumsum(lengths)
         # the windows' slots end to end

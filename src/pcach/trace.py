@@ -406,11 +406,6 @@ class Trace:
             app_offsets=self.app_offsets[start:stop + 1] - a0, app=self.app[a0:a1],
             up=self.up[a0:a1], down=self.down[a0:a1], running=self.running[a0:a1])
 
-    def index_range(self, start: int, end: int) -> tuple[int, int]:
-        """Rows ``lo:hi`` holding the samples with start <= t < end."""
-        lo = int(np.searchsorted(self.t, start, side="left"))
-        return lo, max(lo, int(np.searchsorted(self.t, end, side="left")))
-
     def sample_bytes(self) -> np.ndarray:
         """Each sample's up + down bytes over all its app records (int64)."""
         total = np.concatenate(([0], np.cumsum(self.up + self.down)))
@@ -761,11 +756,9 @@ _scan_json = json.JSONDecoder().scan_once  # what raw_decode(text) runs at index
 
 
 def _parse_jsonl(lines: Iterator[bytes]) -> _Columns:
-    """The rows of a stream of LF-terminated byte lines; the BOM of the
-    first line is dropped."""
+    """The rows of a stream of LF-terminated byte lines."""
     cols = _Columns(_jsonl_visible)
-    first = next(lines, b"").removeprefix(codecs.BOM_UTF8)
-    _jsonl_rows(cols, itertools.chain((first,), lines), 0)
+    _jsonl_rows(cols, lines, 0)
     return cols
 
 
@@ -938,8 +931,9 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     last record seen in input order. Every record, a dropped one included,
     must be a valid sample, and timestamps and byte counts must fit int64.
     ``phone_id`` is taken from the CSV rows when present, otherwise from the
-    argument. Malformed input, invalid UTF-8 and a ``str`` holding a lone
-    surrogate included, raises :class:`TraceParseError` with the line number.
+    argument. A UTF-8 BOM that opens the input is dropped in either format.
+    Malformed input, invalid UTF-8 and a ``str`` holding a lone surrogate
+    included, raises :class:`TraceParseError` with the line number.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -952,12 +946,10 @@ def ingest_trace(source, fmt: str = "jsonl", phone_id: str = "",
     else:
         raise TraceParseError(f"unsupported source type {type(source).__name__}")
     fmt = fmt.lower()
-    if fmt == "jsonl":
-        csv_phone, cols = None, _parse_jsonl(lines)
-    elif fmt == "csv":
-        csv_phone, cols = _parse_csv(lines)
-    else:
+    if fmt not in ("jsonl", "csv"):
         raise TraceParseError(f"unknown trace format {fmt!r}")
+    lines = itertools.chain((next(lines, b"").removeprefix(codecs.BOM_UTF8),), lines)
+    csv_phone, cols = (None, _parse_jsonl(lines)) if fmt == "jsonl" else _parse_csv(lines)
     return cols.last_wins(csv_phone if csv_phone else phone_id, nominal_period_s)
 
 
@@ -1137,6 +1129,22 @@ def transitions(prev, cur, dt):
             (prev == STATE_CELLULAR) & (cur == STATE_WIFI))
 
 
+def gap_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gaps of :func:`detect_gaps` as rows, in cut order: (cut rows,
+    stop rows, resumed). A gap holds rows ``cut:stop``, every one cellular;
+    its stop row is the first later row that is off-network or a resume, or
+    ``len(trace)``, and a gap resumed iff its stop row is a WiFi row.
+    """
+    t, state = trace.t, trace.state
+    cut, resume = transitions(state[:-1], state[1:], np.diff(t))
+    cuts = np.flatnonzero(cut) + 1
+    stops = np.flatnonzero((state[1:] == STATE_NONE) | resume) + 1
+    stop = np.append(stops, len(t))[np.searchsorted(stops, cuts, side="right")]
+    resumed = stop < len(t)
+    resumed[resumed] = state[stop[resumed]] == STATE_WIFI
+    return cuts, stop, resumed
+
+
 def detect_gaps(trace: Trace) -> list[WiFiGap]:
     """Pair cut events with the first subsequent resume event.
 
@@ -1147,18 +1155,9 @@ def detect_gaps(trace: Trace) -> list[WiFiGap]:
     Each cut pairs with the first later row that is off-network or a resume;
     no second cut can come first, since every sample in between is cellular.
     """
-    t, state = trace.t, trace.state
-    cut, resume = transitions(state[:-1], state[1:], np.diff(t))
-    cuts = np.flatnonzero(cut) + 1
-    if not cuts.size:
-        return []
-    stops = np.flatnonzero((state[1:] == STATE_NONE) | resume) + 1
-    stop = np.append(stops, len(t))[np.searchsorted(stops, cuts, side="right")]
-    resumed = stop < len(t)
-    resumed[resumed] = state[stop[resumed]] == STATE_WIFI
-    times = t.tolist()
+    times = trace.t.tolist()
     return [WiFiGap(times[c], times[s] if r else None)
-            for c, s, r in zip(cuts.tolist(), stop.tolist(), resumed.tolist())]
+            for c, s, r in zip(*(column.tolist() for column in gap_rows(trace)))]
 
 
 def closed_gaps(gaps: Iterable[WiFiGap]) -> list[WiFiGap]:

@@ -9,10 +9,13 @@ scores the whole look-ahead of every predicted cut the way the boosted
 predictor did before its scan stopped early. ``rank_slot_apps``,
 ``selected_apps`` and ``score_app_prediction`` select and score apps as
 sets of names, one gap and one K at a time, the way the replays did before
-they tallied (gaps x apps) rows. The columnar, presorted, early-stopping
-and row-tallying code must agree with them exactly (see the ``hypothesis``
-properties in ``test_trace.py``, ``test_mining.py``, ``test_history.py``,
-``test_boosting.py``, ``test_pipeline.py`` and ``test_evaluation.py``).
+they tallied (gaps x apps) rows, and ``gap_used_apps`` walks one gap's
+samples for the apps it used, one gap at a time, as the replays did before
+they built their gap table. The columnar, presorted, early-stopping,
+row-tallying and gap-table code must agree with them exactly (see the
+``hypothesis`` properties in ``test_trace.py``, ``test_mining.py``,
+``test_history.py``, ``test_boosting.py``, ``test_pipeline.py`` and
+``test_evaluation.py``).
 """
 
 import itertools
@@ -73,8 +76,9 @@ def is_resume_transition(prev, cur):
 
 
 def samples_in_window(trace, start, end):
-    """Samples with start <= timestamp < end (:meth:`Trace.index_range`)."""
-    lo, hi = trace.index_range(start, end)
+    """Samples with start <= timestamp < end, by bisection on the samples."""
+    lo = bisect_left(trace.samples, start, key=lambda s: s.timestamp)
+    hi = bisect_left(trace.samples, end, lo, key=lambda s: s.timestamp)
     return trace.samples[lo:hi]
 
 
@@ -262,6 +266,20 @@ def score_app_prediction(predicted, actually_used, s_apps) -> ConfusionCounts:
     )
 
 
+def gap_used_apps(norm, gap, tracked_apps) -> set[str]:
+    """The tracked apps that moved bytes during a closed gap of a normalized
+    trace; an open gap has no ground-truth window and yields none.
+
+    Every sample in [cut, resume) of a closed gap is cellular: a WiFi sample
+    would have resumed the gap and an off-network one would have left it
+    open.
+    """
+    if gap.resume_time is None:
+        return set()
+    return {record.app_id for s in samples_in_window(norm, gap.cut_time, gap.resume_time)
+            for record in s.apps if record.total_bytes > 0} & set(tracked_apps)
+
+
 def profile_oracle(trace, night_window=(20, 8), utc_offset_s=0):
     """Preferred SSIDs, top three by scans, home by night scans, work by day."""
     preferred = {s.connected_ssid for s in trace.samples if s.connected_ssid is not None}
@@ -356,10 +374,3 @@ def bound_oracle(trace, gaps, horizon_s):
             covered += s.total_bytes
             i += 1
     return covered / total
-
-
-def window_oracle(trace, start, end):
-    """Samples with start <= timestamp < end, by bisection on the samples."""
-    lo = bisect_left(trace.samples, start, key=lambda s: s.timestamp)
-    hi = bisect_left(trace.samples, end, lo, key=lambda s: s.timestamp)
-    return trace.samples[lo:hi]

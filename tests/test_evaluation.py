@@ -24,18 +24,20 @@ from pcach.evaluation import (
     quality_gap,
     tpr_fpr,
 )
-from pcach.history import EventKind, FoldedRuns, fold_rows, slot_groups
+from pcach.history import EventKind, FoldedRuns, HistoryDB, fold_rows, slot_groups
 from pcach.pipeline import PCachConfig, PredictorKind
 from pcach.synth import generate_trace, reference_config
 from pcach.trace import (
     ActiveNetwork,
     MeasurementSample,
     Trace,
+    derive_preferred_profile,
     detect_gaps,
+    normalize_timeline,
 )
 
-from helpers import W, seeded_rng, trace_from_states, usage_window
-from oracles import rank_slot_apps, score_app_prediction, selected_apps
+from helpers import C, N, W, app, sample, seeded_rng, trace_from_states, usage_window
+from oracles import gap_used_apps, rank_slot_apps, score_app_prediction, selected_apps
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +412,41 @@ def test_per_phone_tpr_monotone_in_k(medium_trace):
     assert all(a <= b for a, b in zip(fps, fps[1:]))
 
 
+def _start(trace, n_train, s_apps, slot_minutes, utc_offset_s):
+    """The normalized timeline, an empty history database and the gaps, as
+    a replay starts, built without ``_Replay``."""
+    profile = derive_preferred_profile(trace.rows(0, n_train), utc_offset_s=utc_offset_s)
+    norm = normalize_timeline(trace, profile)
+    db = HistoryDB(slot_minutes, tracked_apps=s_apps, profile=profile,
+                   utc_offset_s=utc_offset_s)
+    return norm, db, detect_gaps(norm)
+
+
+def _first_gap_by_cut_slot(db, gaps):
+    """Each cut slot's first gap, keyed by the slot."""
+    by_cut_slot = {}
+    for gap in gaps:
+        by_cut_slot.setdefault(db.abs_slot(gap.cut_time), gap)
+    return by_cut_slot
+
+
 def _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days,
                                      utc_offset_s):
     """The K sweep folding as it goes: before each scored gap, a fold_rows
     of the rows up to the start of its cut slot, then rank_slot_apps."""
     ks = sorted(set(ks))
     boundary = trace.start_time + int(train_days * 86400)
-    replay = _Replay.start(trace, int(np.searchsorted(trace.t, boundary)), s_apps,
-                           slot_minutes, utc_offset_s)
-    norm, db = replay.norm, replay.db
+    norm, db, gaps = _start(trace, int(np.searchsorted(trace.t, boundary)), s_apps,
+                            slot_minutes, utc_offset_s)
+    gap_by_cut_slot = _first_gap_by_cut_slot(db, gaps)
     counts = {k: ConfusionCounts() for k in ks}
     scored = skipped = folded = 0
     slots, starts, _ = slot_groups(db, norm, 0, len(norm))
     for slot, start in zip(slots.tolist(), starts.tolist()):
-        gap = replay.gap_by_cut_slot.get(slot)
+        gap = gap_by_cut_slot.get(slot)
         if gap is None or gap.cut_time < boundary:
             continue
-        used = {a for a, moved in zip(s_apps, replay.used_apps(gap)) if moved}
+        used = gap_used_apps(norm, gap, s_apps)
         if not used:
             skipped += 1
             continue
@@ -455,6 +475,60 @@ def test_one_fold_k_sweep_is_the_fold_by_fold_sweep(seed, days, train_days, slot
     got = app_prediction_run(trace, s_apps, ks, slot_minutes, train_days, utc_offset_s)
     assert got == _app_prediction_run_fold_by_fold(trace, s_apps, ks, slot_minutes, train_days,
                                                    utc_offset_s)
+
+
+def _stepped_trace(start, steps):
+    """A trace from ``start`` that takes each ``(dt, state, records)`` step
+    in turn: ``dt`` seconds on, a sample in ``state`` whose apps move the
+    given (app, bytes) records."""
+    samples, t = [], start
+    for dt, state, records in steps:
+        t += dt
+        samples.append(sample(t, state, apps=[app(a, down=b) for a, b in records]))
+    return Trace("table", samples)
+
+
+# 700 s is past the cut spacing rule; "c" is never tracked and "ghost" never runs
+_TABLE_STEPS = st.lists(st.tuples(
+    st.sampled_from([60, 300, 700]), st.sampled_from([W, W, C, C, N]),
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([0, 0, 7])),
+             max_size=3, unique_by=lambda r: r[0])), min_size=1, max_size=60)
+# two gaps in one cut slot, untracked and zero-byte records, a gap left open
+# by an off-network sample and one by the trace's end, before the epoch
+_TABLE_EXAMPLE = _stepped_trace(-18000, [
+    (60, W, []), (60, C, [("a", 7), ("c", 7)]), (60, W, []), (60, C, [("b", 0)]),
+    (60, C, [("b", 7), ("c", 0)]), (60, W, []), (300, C, [("a", 7)]), (300, N, [("b", 7)]),
+    (300, W, []), (300, C, [("c", 7)]), (300, C, [("a", 0)])])
+
+
+@settings(deadline=None, max_examples=80)
+@given(steps=_TABLE_STEPS, start=st.integers(-10**7, 10**7), data=st.data(),
+       slot_minutes=st.sampled_from([15, 60]), utc_offset_s=st.sampled_from([-18000, 0, 19800]))
+@example(steps=None, start=None, data=None, slot_minutes=15, utc_offset_s=-18000)
+def test_the_gap_table_is_the_per_gap_reference(steps, start, data, slot_minutes,
+                                                utc_offset_s):
+    """Each row of the replay's gap table is its gap as detect_gaps finds it,
+    ``first`` marks each cut slot's first gap, and ``used`` holds the
+    tracked apps that moved bytes in each closed gap."""
+    if steps is None:
+        trace, n_train, s_apps = _TABLE_EXAMPLE, len(_TABLE_EXAMPLE), ("a", "b", "ghost")
+    else:
+        trace = _stepped_trace(start, steps)
+        n_train = data.draw(st.integers(1, len(trace)))
+        s_apps = data.draw(st.permutations(("a", "b", "ghost")))[:data.draw(st.integers(1, 3))]
+    replay = _Replay.start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
+    norm, db, gaps = _start(trace, n_train, s_apps, slot_minutes, utc_offset_s)
+    assert replay.norm == norm
+    firsts = _first_gap_by_cut_slot(db, gaps)
+    assert replay.cut_time.tolist() == [g.cut_time for g in gaps]
+    assert replay.cut_slot.tolist() == [db.abs_slot(g.cut_time) for g in gaps]
+    assert replay.first.tolist() == [firsts[db.abs_slot(g.cut_time)] is g for g in gaps]
+    assert replay.closed.tolist() == [not g.open for g in gaps]
+    assert replay.resume_slot[replay.closed].tolist() == [
+        db.abs_slot(g.resume_time) for g in gaps if not g.open]
+    assert replay.used.shape == (len(gaps), len(s_apps))
+    assert [{a for a, moved in zip(s_apps, row) if moved} for row in replay.used.tolist()] == [
+        gap_used_apps(norm, g, s_apps) for g in gaps]
 
 
 def test_k_sweep_macro_averages_over_phones():
@@ -498,6 +572,12 @@ _LONG_TRACE_COUNTS = {
     "adaboost": {"cut": (169, 1354, 16, 9980), "resume": (178, 4220, 8, 7113),
                  "apps": (407, 491, 593, 2221)},
 }
+_LONG_TRACE_GAPS = {  # scored, skipped, true test, predicted cut slots, resume evaluated, within one
+    "history": (206, 102, 365, 6329, 308, 194),
+    "adaboost": (116, 53, 186, 1523, 169, 109),
+}
+_GAP_COUNTERS = ("scored_gaps", "skipped_gaps", "true_test_gaps", "predicted_cut_slots",
+                 "resume_evaluated", "resume_within_one")
 _LONG_TRACE_SWEEP = {
     1: (295, 180, 1822, 5703), 2: (548, 409, 1569, 5474), 3: (724, 675, 1393, 5208),
     4: (854, 924, 1263, 4959), 5: (973, 1167, 1144, 4716), 6: (1184, 1518, 933, 4365),
@@ -518,8 +598,10 @@ def test_long_trace_verdicts_are_pinned(phone_240_days):
         report = backtest(trace, PCachConfig(k=7, s_apps=s_apps, predictor_kind=kind))
         for which, counts in _LONG_TRACE_COUNTS[kind.value].items():
             assert getattr(report, which) == ConfusionCounts(*counts), (kind, which)
+        assert tuple(getattr(report, c) for c in _GAP_COUNTERS) == _LONG_TRACE_GAPS[kind.value]
     run = app_prediction_run(trace, s_apps, PAPER_K_SET)
     assert run.counts_by_k == {k: ConfusionCounts(*c) for k, c in _LONG_TRACE_SWEEP.items()}
+    assert (run.scored_gaps, run.skipped_gaps) == (250, 114)
 
 
 # tracemalloc peak per trace row on the 240-day phone (69,120 rows): 142.7

@@ -48,7 +48,6 @@ from oracles import (
     profile_oracle,
     sample_to_obj,
     samples_in_window,
-    window_oracle,
 )
 
 
@@ -187,6 +186,19 @@ def test_csv_round_trip_with_and_without_apps():
     back = ingest_trace(data, fmt="csv")
     assert back.phone_id == "p7"
     assert back.samples == t.samples
+
+
+def test_a_bom_opening_a_csv_is_dropped(tmp_path):
+    """A UTF-8 BOM before a CSV's header is dropped as it is before a JSONL's
+    first line, through bytes, ``str`` and a file alike."""
+    t = random_trace(seeded_rng(9), with_apps=True, phone_id="p9")
+    plain = ingest_trace(trace_to_csv(t), fmt="csv")
+    data = codecs.BOM_UTF8 + trace_to_csv(t)
+    path = tmp_path / "p9.csv"
+    path.write_bytes(data)
+    assert ingest_trace(data, fmt="csv") == plain
+    assert ingest_trace(data.decode("utf-8"), fmt="csv") == plain
+    assert read_trace(path) == plain
 
 
 def test_jsonl_round_trip_field_by_field():
@@ -997,9 +1009,3 @@ def test_normalize_and_gaps_match_the_sample_walking_oracles(trace):
         assert (after is before) == (after.active_network is before.active_network)
     assert detect_gaps(parsed) == gaps_oracle(trace)
     assert detect_gaps(norm) == gaps_oracle(Trace(trace.phone_id, expected))
-
-
-@settings(deadline=None)
-@given(_STAGE_TRACES, st.integers(-600, 32 * 300), st.integers(-600, 32 * 300))
-def test_samples_in_window_matches_the_bisection_oracle(trace, start, end):
-    assert samples_in_window(_parsed(trace), start, end) == window_oracle(trace, start, end)
