@@ -22,9 +22,9 @@ the features of the training slots as the database then stands
 folds the test rows once with :func:`~pcach.history.fold_runs` and decides
 every test slot in one :func:`~pcach.pipeline.decide` call, each slot seeing
 the history of every row up to its own last one. The K sweep folds the whole
-timeline once with :func:`~pcach.history.fold_runs` and reads every scored
-gap's usage window as of the run before its cut slot in one
-:meth:`~pcach.history.FoldedRuns.usage` call.
+timeline once the same way, reads every scored gap's usage window as of the
+run before its cut slot in one :meth:`~pcach.history.FoldedRuns.usage` call
+and ranks them in one :func:`~pcach.history.best_ranks` call.
 """
 
 from __future__ import annotations
@@ -244,10 +244,10 @@ def app_prediction_run(
     online; each test-period gap is scored for every K against the apps
     actually used during the gap, from the history of every row before its
     cut slot. Gaps with empty ground truth or no resume are skipped and
-    counted. Each scored gap's window is ranked once: an app is selected at
-    K iff its :func:`~pcach.history.best_ranks` rank is below K, so K's
-    counts are one tally of the (gaps x apps) selection against the apps
-    used. A ``train_days`` that :func:`check_train_days` rejects raises
+    counted. The scored gaps' windows are ranked in one block: an app is
+    selected at K iff its :func:`~pcach.history.best_ranks` rank is below K,
+    so K's counts are one tally of the (gaps x apps) selection against the
+    apps used. A ``train_days`` that :func:`check_train_days` rejects raises
     :class:`ParameterError`.
     """
     ks = sorted(set(ks))
@@ -270,11 +270,9 @@ def app_prediction_run(
     scored = used.any(axis=1)
     first, last = replay.cut_slot[gaps][scored], replay.resume_slot[gaps][scored]
     # one fold; each scored gap's window [cut slot, resume slot] is read as
-    # of the run before its cut slot
+    # of the run before its cut slot, and ranked: (gaps x apps) best ranks
     runs = fold_runs(replay.db, replay.norm)
-    windows = runs.usage(s_apps, first, last, np.searchsorted(runs.slots, first) - 1)
-    # (gaps x apps): each app's best rank in each gap's window, and its use
-    best = np.array([best_ranks(w) for w in windows], dtype=np.int64).reshape(-1, len(s_apps))
+    best = best_ranks(*runs.usage(s_apps, first, last, np.searchsorted(runs.slots, first) - 1))
     counts = {k: ConfusionCounts.tally(best < k, used[scored]) for k in ks}
     return AppPredictionRun(counts_by_k=counts, scored_gaps=len(first),
                             skipped_gaps=len(scored) - len(first))
@@ -558,8 +556,6 @@ def backtest(
     gap = np.searchsorted(replay.cut_slot, targets[hits])
     scored = replay.used[gap].any(axis=1)
     used = replay.used[gap[scored]]
-    selected = np.reshape([[a in decisions.apps[j] for a in config.s_apps]
-                           for j in hits[scored].tolist()], used.shape)
     # an open gap's ground-truth window never closed: its resume is not scored
     closed = replay.closed[gap]
     resume_hits = closed & (np.abs(decisions.resume_slot[hits] - replay.resume_slot[gap]) <= 1)
@@ -580,7 +576,7 @@ def backtest(
         cut=ConfusionCounts.tally(decisions.cut, cut_truths),
         resume=ConfusionCounts.tally(decisions.resume_next,
                                      _among(targets, replay.resume_slot[replay.closed])),
-        apps=ConfusionCounts.tally(selected, used),
+        apps=ConfusionCounts.tally(decisions.selected[hits[scored]], used),
         scored_gaps=len(used),
         skipped_gaps=len(gap) - len(used),
         true_test_gaps=int((replay.cut_time >= norm.t[idx]).sum()),

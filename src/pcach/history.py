@@ -29,12 +29,11 @@ with no hits (training's slots on the frozen counts, or the on-device step's
 one slot). :meth:`FoldedRuns.features` is the one feature builder, and
 :func:`history_rule` takes every target slot's probabilities from one call
 and walks the runs only to draw. :meth:`FoldedRuns.usage` reads the usage
-counts of many slot windows, each as of its own run, in one call;
-:func:`predict_top_k_apps` selects an app set from such a window, and
-:func:`best_ranks` gives each app's best rank in it, which marks the
-selection at every K at once.
-:func:`extract_features` and :class:`FeatureVector` are a one-row view built
-by the same helpers.
+counts of many slot windows, each as of its own run, in one call, as one
+block; :func:`best_ranks` ranks a block in one sort, marking each window's
+selection at every K at once, and :func:`predict_top_k_apps` lists one
+window's selection in order. :func:`extract_features` and
+:class:`FeatureVector` are a one-row view built by the same helpers.
 
 Slot indices passed between the prediction functions are *absolute* slot
 numbers (local time divided by the slot length), so ranges spanning midnight
@@ -515,25 +514,24 @@ class FoldedRuns:
             return counts
         return as_of
 
-    def usage(self, s_apps: Sequence[str], first, last, at) -> list[np.ndarray]:
-        """Each window's (len(s_apps) x slots) usage counts as of its run,
-        from one :meth:`counts` call: window ``i`` spans absolute slots
-        ``first[i]..last[i]`` and is read as of run ``at[i]``. Row ``r``
-        counts app ``s_apps[r]``; an untracked app reads the row of zeros
-        that stands for it. A window whose first slot exceeds its last
-        raises :class:`ParameterError`."""
+    def usage(self, s_apps: Sequence[str], first, last, at) -> tuple[np.ndarray, np.ndarray]:
+        """Each window's (len(s_apps) x slots) usage counts as of its run, end
+        to end in one block from one :meth:`counts` call, and each window's
+        first column: window ``i`` spans absolute slots ``first[i]..last[i]``,
+        read as of run ``at[i]``. Row ``r`` counts app ``s_apps[r]``; an
+        untracked app reads the row of zeros that stands for it. A window whose
+        first slot exceeds its last raises :class:`ParameterError`."""
         first, last = np.asarray(first, dtype=np.int64), np.asarray(last, dtype=np.int64)
         if (first > last).any():
             raise ParameterError("first_slot must not exceed last_slot")
         db = self.db
         rows = 3 + db.tracked_index(s_apps)
         lengths = last - first + 1
-        stops = np.cumsum(lengths)
+        starts = np.cumsum(lengths) - lengths
         # the windows' slots end to end
-        slots = np.arange(lengths.sum()) + np.repeat(first - (stops - lengths), lengths)
-        counts = self.counts(rows[:, None] * db.n_slots + slots % db.n_slots,
-                             np.repeat(at, lengths))
-        return np.split(counts, stops, axis=1)[:-1]
+        slots = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)
+        return self.counts(rows[:, None] * db.n_slots + slots % db.n_slots,
+                           np.repeat(at, lengths)), starts
 
     def event_probabilities(self, slots: np.ndarray, at, kind: EventKind) -> np.ndarray:
         """The empirical event probability of each of ``slots`` as of runs
@@ -606,23 +604,24 @@ def slot_groups(db: HistoryDB, trace: Trace, lo: int, hi: int):
 # top-K app selection
 # ---------------------------------------------------------------------------
 
-def best_ranks(counts: np.ndarray) -> np.ndarray:
-    """Each app's best rank over the slots of a usage window, 0 the top.
+def best_ranks(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(windows x apps): each app's best rank in each usage window, 0 the top.
 
-    ``counts`` is an (apps x slots) window of :meth:`FoldedRuns.usage`; the
-    ranking is :func:`predict_top_k_apps`'s, so ``best_ranks(counts) < k``
-    marks exactly the apps it selects at ``k``, for every ``k`` at once.
+    ``counts`` and ``starts`` are a :meth:`FoldedRuns.usage` block, ranked in
+    one sort. The ranking is :func:`predict_top_k_apps`'s, so row ``i`` below
+    ``k`` marks exactly the apps it selects from window ``i`` at ``k``, for
+    every ``k`` at once.
     """
     ranks = np.empty(counts.shape, dtype=np.int64)
     order = np.argsort(-counts, axis=0, kind="stable")
     np.put_along_axis(ranks, order, np.arange(len(counts))[:, None], axis=0)
-    return ranks.min(axis=1)
+    return np.minimum.reduceat(ranks, starts, axis=1).T
 
 
 def predict_top_k_apps(counts: np.ndarray, s_apps: Sequence[str], k: int) -> list[str]:
     """Union of the per-slot top-K pre-cachable apps over a usage window.
 
-    ``counts`` is the :meth:`FoldedRuns.usage` window of ``s_apps``. Within
+    ``counts`` is a one-window :meth:`FoldedRuns.usage` block. Within
     each slot, apps rank by usage count descending, ties resolved by their
     order in ``s_apps``; the result preserves the order of first selection
     across the window (slot-major). Empty or duplicate ``s_apps`` raise

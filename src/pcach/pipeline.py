@@ -8,7 +8,7 @@ pre-cache list. :func:`decide` makes that decision for a run of slots at once,
 each slot seen with the history as of its own newest row (a
 :class:`~pcach.history.FoldedRuns`): the backtest decides its whole test
 period in one call, and :func:`pcach_step` is a batch of one. The predicted
-cuts' usage windows are read in blocks (:meth:`~pcach.history.FoldedRuns.usage`).
+cuts' usage windows are read and ranked in blocks (:meth:`~pcach.history.FoldedRuns.usage`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .history import (
     EventKind,
     FoldedRuns,
     HistoryDB,
+    best_ranks,
     history_rule,
     newest_run,
     predict_top_k_apps,
@@ -173,8 +174,8 @@ class StepDecision:
 
     ``cut_score`` is what the cut verdict thresholds: the history rule's p
     or the boosted margin. ``resume_next`` is the resume rule's verdict for
-    ``target_slot`` itself. Without a cut, ``resume_slot`` is None and
-    ``apps`` is empty.
+    ``target_slot`` itself. ``apps`` are the selected apps in ``s_apps``
+    order. Without a cut, ``resume_slot`` is None and ``apps`` is empty.
     """
 
     target_slot: int
@@ -189,14 +190,15 @@ class StepDecision:
 class Decisions:
     """The decisions of a run of slots, as columns; ``decisions[i]`` is the
     i-th as a :class:`StepDecision`. ``resume_slot`` is read only where
-    ``cut`` holds."""
+    ``cut`` holds; ``selected`` (runs x ``s_apps``) is all False elsewhere."""
 
     target_slot: np.ndarray
     cut: np.ndarray
     cut_score: np.ndarray
     resume_next: np.ndarray
     resume_slot: np.ndarray
-    apps: list[tuple[str, ...]]
+    selected: np.ndarray
+    s_apps: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.target_slot)
@@ -204,8 +206,8 @@ class Decisions:
     def __getitem__(self, i: int) -> StepDecision:
         cut = bool(self.cut[i])
         return StepDecision(int(self.target_slot[i]), cut, float(self.cut_score[i]),
-                            bool(self.resume_next[i]),
-                            int(self.resume_slot[i]) if cut else None, self.apps[i])
+                            bool(self.resume_next[i]), int(self.resume_slot[i]) if cut else None,
+                            tuple(a for a, on in zip(self.s_apps, self.selected[i]) if on))
 
 
 def decide(runs: FoldedRuns, config: PCachConfig, predictor: Predictor,
@@ -216,26 +218,26 @@ def decide(runs: FoldedRuns, config: PCachConfig, predictor: Predictor,
     history rule draws from ``rng`` run by run in a fixed order: the cut
     rule, the resume rule for the target slot, then, on a cut, the resume
     scan). On a cut the resume slot is clamped to the target slot, and the
-    apps are the union of per-slot top-K selections over [target, resume
-    slot], ranked from the usage counts as of the run, read in blocks of at
-    most ``_SCAN_ROWS`` window slots (a longer window alone).
+    selected apps are the union of per-slot top-K selections over [target,
+    resume slot] as of the run, from usage windows read and ranked in blocks
+    of at most ``_SCAN_ROWS`` slots (a longer window alone).
     """
     cut, cut_score, resume_next, resume_slot = predictor.predict(runs, rng)
     targets = runs.slots + 1
     cut = np.asarray(cut, dtype=bool)
     resume_slot = np.maximum(np.asarray(resume_slot, dtype=np.int64), targets)
-    apps: list[tuple[str, ...]] = [()] * len(runs)
+    selected = np.zeros((len(runs), len(config.s_apps)), dtype=bool)
     cuts = np.flatnonzero(cut)
     ends, lo = np.cumsum(resume_slot[cuts] - targets[cuts] + 1), 0
     while lo < len(cuts):
         start = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + _SCAN_ROWS, side="right")))
         j = cuts[lo:hi]
-        for i, counts in zip(j.tolist(), runs.usage(config.s_apps, targets[j], resume_slot[j], j)):
-            apps[i] = tuple(predict_top_k_apps(counts, config.s_apps, config.k))
+        block, starts = runs.usage(config.s_apps, targets[j], resume_slot[j], j)
+        selected[j] = best_ranks(block, starts) < config.k
         lo = hi
     return Decisions(targets, cut, np.asarray(cut_score, dtype=float),
-                     np.asarray(resume_next, dtype=bool), resume_slot, apps)
+                     np.asarray(resume_next, dtype=bool), resume_slot, selected, config.s_apps)
 
 
 def pcach_step(
@@ -249,17 +251,20 @@ def pcach_step(
     """One pass of the periodic pre-caching loop.
 
     Folds ``new_samples`` into the history with :func:`update_history` and
-    returns the apps :func:`decide` selects for the database as it then
-    stands (:func:`~pcach.history.newest_run`): empty when no cut is
-    predicted for the next slot. A batch out of order raises
-    :class:`~pcach.errors.OrderingError`, and one whose byte counts exceed
-    int64 or sum past 2**62 raises :class:`~pcach.errors.TraceValidationError`;
+    returns the apps :func:`decide` selects for the database as it then stands
+    (:func:`~pcach.history.newest_run`), in :func:`predict_top_k_apps` order:
+    empty when no cut is predicted for the next slot. A batch out of order
+    raises :class:`~pcach.errors.OrderingError`, and one whose byte counts
+    exceed int64 or sum past 2**62 raises :class:`~pcach.errors.TraceValidationError`;
     either leaves ``db`` untouched and decides nothing.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    if predictor is None:
-        predictor = make_predictor(config)
+    rng = rng or np.random.default_rng()
+    predictor = predictor or make_predictor(config)
 
     update_history(db, new_samples)
-    return list(decide(newest_run(db, current_slot), config, predictor, rng).apps[0])
+    runs = newest_run(db, current_slot)
+    d = decide(runs, config, predictor, rng)[0]
+    if not d.cut:
+        return []
+    counts, _ = runs.usage(config.s_apps, [d.target_slot], [d.resume_slot], [0])
+    return predict_top_k_apps(counts, config.s_apps, config.k)

@@ -49,7 +49,8 @@ def app(app_id, up=0, down=0, running=True):
 def usage_window(db, s_apps, first, last):
     """The usage counts of ``s_apps`` over slots ``first..last`` of a
     database as it stands, as the rankers read them."""
-    return newest_run(db, first).usage(s_apps, [first], [last], [0])[0]
+    counts, starts = newest_run(db, first).usage(s_apps, [first], [last], [0])
+    return counts[:, starts[0]:]
 
 
 def slot_probability(db, slot, kind):

@@ -456,14 +456,27 @@ def test_top_k_matches_brute_force_reference(case):
 @settings(deadline=None)
 @given(_top_k_cases())
 @_top_k_examples
+# ties in the slots on both sides of midnight, with an untracked app
+@example(_top_k_case(15, {"app0": [1] * 95 + [2], "app1": [1] * 95 + [2], "app2": [0] * 96},
+                     ["app2", "app4", "app1", "app0"], 90, 93))
 def test_one_ranking_at_the_largest_k_serves_every_k(case):
     db, s_apps, first, last = case
-    counts = usage_window(db, s_apps, first, last)
-    best = best_ranks(counts)
-    assert best.shape == (len(s_apps),)
+    n = db.n_slots
+    # one block of windows of mixed lengths, one of them from the day's
+    # last slot to its first (slot 95 to slot 0 at 15 minutes)
+    firsts, lasts = [first, first, n - 1, last, first + 1], [last, first, n, last + 2, last + n]
+    counts, starts = newest_run(db, first).usage(s_apps, firsts, lasts, [0] * len(firsts))
+    best = best_ranks(counts, starts)
+    assert best.shape == (len(firsts), len(s_apps))
     for k in range(1, len(s_apps) + 1):
-        assert ({a for a, rank in zip(s_apps, best) if rank < k}
-                == set(predict_top_k_apps(counts, s_apps, k)))
+        for row, lo, hi in zip(best, firsts, lasts):
+            window = set(predict_top_k_apps(usage_window(db, s_apps, lo, hi), s_apps, k))
+            assert {a for a, rank in zip(s_apps, row) if rank < k} == window
+            assert window == set(_top_k_reference(db, s_apps, k, lo, hi))
+    # no window: reduceat over no starts leaves (apps x 0), so (0 x apps)
+    counts, starts = newest_run(db, first).usage(s_apps, [], [], [])
+    assert counts.shape == (len(s_apps), 0)
+    assert best_ranks(counts, starts).shape == (0, len(s_apps))
 
 
 def test_top_k_parameter_errors():
@@ -907,8 +920,8 @@ def test_as_of_counts_are_a_fresh_fold_of_every_row_up_to_the_run(plan):
         if j % 3 == 1 or j == len(stops) - 1:   # runs in between are skipped
             assert running(j) == _all_counts(fresh)
     at = np.arange(-1, len(stops))
-    windows = runs.usage(s_apps, first + at + 1, last + 2 * (at + 1), at)
-    assert [w.tolist() for w in windows] == usage
+    block, starts = runs.usage(s_apps, first + at + 1, last + 2 * (at + 1), at)
+    assert [w.tolist() for w in np.split(block, starts[1:], axis=1)] == usage
     # the fold itself leaves the database as fold_rows would
     again = HistoryDB(db.slot_minutes, db.tracked_apps, db.profile, db.utc_offset_s)
     fold_rows(again, trace, 0, split)

@@ -22,6 +22,7 @@ from pcach.history import (
     history_rule,
     newest_run,
     predict_resume_slot,
+    predict_top_k_apps,
     slot_groups,
     update_history,
 )
@@ -43,7 +44,7 @@ from pcach.trace import (
     normalize_timeline,
 )
 
-from helpers import W, app, sample, seeded_rng, slot_probability
+from helpers import W, app, sample, seeded_rng, slot_probability, usage_window
 from oracles import adaboost_scan_oracle
 
 
@@ -217,7 +218,7 @@ def test_decide_asks_the_predictor_once_per_batch():
     d = decide(newest_run(db, 10), _config(k=1), pred, seeded_rng(0))
     assert pred.calls == [[10]]
     assert d[0] == StepDecision(target_slot=11, cut=True, cut_score=0.5,
-                                resume_next=True, resume_slot=12, apps=("c", "a"))
+                                resume_next=True, resume_slot=12, apps=("a", "c"))
 
 
 def test_decide_reads_no_resume_slot_and_ranks_no_apps_without_a_cut():
@@ -283,9 +284,27 @@ def test_pcach_step_returns_the_apps_of_decide():
     for slot, samples in groups:
         out = pcach_step(db_step, config, slot, samples, rng_step, predictor)
         d = _decisions(db_decide, config, predictor, [(slot, samples)], rng_decide)[0]
-        assert out == list(d.apps)
+        assert len(out) == len(d.apps) and set(out) == set(d.apps)
+        if d.cut:   # in order of first selection across the predicted gap
+            window = usage_window(db_decide, config.s_apps, d.target_slot, d.resume_slot)
+            assert out == predict_top_k_apps(window, config.s_apps, config.k)
         cuts += d.cut
     assert cuts > 0
+
+
+@pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
+def test_a_cuts_selection_is_its_own_window_ranked_alone(kind):
+    db, config, groups = _replay(kind=kind)
+    runs = fold_runs(db, Trace("test", [s for _, samples in groups for s in samples]))
+    d = decide(runs, config, make_predictor(config), seeded_rng(5))
+    assert d.selected.shape == (len(runs), len(config.s_apps))
+    assert not d.selected[~d.cut].any()
+    cuts = np.flatnonzero(d.cut).tolist()
+    assert cuts
+    for j in cuts:
+        window, _ = runs.usage(config.s_apps, d.target_slot[[j]], d.resume_slot[[j]], [j])
+        assert ({a for a, on in zip(config.s_apps, d.selected[j]) if on}
+                == set(predict_top_k_apps(window, config.s_apps, config.k)))
 
 
 @settings(deadline=None, max_examples=15)
